@@ -308,8 +308,8 @@ fn replay_case<R: Router + Copy>(
 /// recurring-pool assembly distributed across N workers through
 /// [`traffic::run_trials`] — each worker owns one [`EngineScratch`]
 /// whose route memo stays warm across its trials, exactly the shape
-/// `chaos_sweep`, `telemetry_sweep`, and `mcast serve` run on. Metric:
-/// aggregate **sessions/sec**; per worker count the artifact records
+/// `sweep chaos_sweep`, `sweep telemetry_sweep` and `mcast serve` run
+/// on. Metric: aggregate **sessions/sec**; per worker count the artifact records
 /// the speedup over one worker and the **efficiency** — speedup divided
 /// by `min(workers, host_parallelism)` — which is the host-portable
 /// tracked ratio (a 1-core container honestly reports speedup ~1 and

@@ -20,7 +20,7 @@
 //! regenerate `results/chaos_sweep.{txt,json}` byte-for-byte — with or
 //! without worker threads — and the determinism suite pins it.
 
-use crate::json::{self, Value};
+use crate::artifact::{record, Artifact, InfNull, NanNull};
 use crate::trafficsweep::{horizon_for, run_seed};
 use hcube::{Cube, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, CacheStats, RetryPolicy};
@@ -352,189 +352,65 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
 }
 
 // ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
+// Artifact schema
 // ----------------------------------------------------------------------
 
-fn num_or_null(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Number(x)
-    } else {
-        Value::Null
-    }
-}
+record!(RetryPolicy {
+    "max_retries" => max_retries,
+    "base_backoff_us" => base_backoff,
+    "backoff_factor" => backoff_factor,
+});
 
-fn f64s_value(xs: &[f64]) -> Value {
-    Value::Array(xs.iter().map(|&x| num_or_null(x)).collect())
-}
+record!(ChaosSweepConfig {
+    "sessions" => sessions,
+    "pool_groups" => pool_groups,
+    "bytes" => bytes,
+    "seed" => seed,
+    "arrivals" = "poisson",
+    "loads_64" => loads_64,
+    "loads_256" => loads_256,
+    "link_mtbf_ladder_ms" => link_mtbf_ladder_ms as InfNull,
+    "link_mttr_ms" => link_mttr_ms,
+    "node_mtbf_factor" => node_mtbf_factor,
+    "node_mttr_ms" => node_mttr_ms,
+    "churn_fraction" => churn_fraction,
+    "retry" => retry,
+});
 
-impl ChaosSweep {
-    /// Serializes the sweep as pretty-printed JSON (byte-stable for a
-    /// given result). Infinite MTBFs and absent recovery times are
-    /// `null`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
+record!(ChaosPoint {
+    "offered_per_ms" => offered_per_ms,
+    "link_mtbf_ms" => link_mtbf_ms as InfNull,
+    "delivery_ratio" => delivery_ratio,
+    "mean_latency_ms" => mean_latency_ms as NanNull,
+    "ci_half_width_ms" => ci_half_width_ms as NanNull,
+    "goodput_per_ms" => goodput_per_ms,
+    "retry_histogram" => retry_histogram,
+    "lost" => lost,
+    "window_cut" => window_cut,
+    "time_to_recover_ms" => time_to_recover_ms,
+    "epochs" => epochs,
+    "fault_events" => fault_events,
+    ..cache,
+});
+
+record!(ChaosSeries {
+    "network" => network,
+    "nodes" => nodes,
+    "algorithm" => algorithm,
+    "m" => m,
+    "points" => points,
+});
+
+record!(ChaosSweep { "config" => config, "series" => series });
+
+impl Artifact for ChaosSweep {
+    const ID: &'static str = "chaos_sweep";
+    const TITLE: &'static str =
+        "Fault churn: delivery degradation and self-healing recovery under load";
+
+    fn to_table(&self) -> String {
         let c = &self.config;
-        let retry = Value::Object(vec![
-            (
-                "max_retries".into(),
-                Value::Number(f64::from(c.retry.max_retries)),
-            ),
-            (
-                "base_backoff_us".into(),
-                Value::Number(c.retry.base_backoff as f64),
-            ),
-            (
-                "backoff_factor".into(),
-                Value::Number(c.retry.backoff_factor as f64),
-            ),
-        ]);
-        let config = Value::Object(vec![
-            ("sessions".into(), Value::Number(c.sessions as f64)),
-            ("pool_groups".into(), Value::Number(c.pool_groups as f64)),
-            ("bytes".into(), Value::Number(f64::from(c.bytes))),
-            ("seed".into(), Value::Number(c.seed as f64)),
-            ("arrivals".into(), Value::String("poisson".into())),
-            ("loads_64".into(), f64s_value(&c.loads_64)),
-            ("loads_256".into(), f64s_value(&c.loads_256)),
-            (
-                "link_mtbf_ladder_ms".into(),
-                f64s_value(&c.link_mtbf_ladder_ms),
-            ),
-            ("link_mttr_ms".into(), Value::Number(c.link_mttr_ms)),
-            ("node_mtbf_factor".into(), Value::Number(c.node_mtbf_factor)),
-            ("node_mttr_ms".into(), Value::Number(c.node_mttr_ms)),
-            ("churn_fraction".into(), Value::Number(c.churn_fraction)),
-            ("retry".into(), retry),
-        ]);
-        let series = Value::Array(
-            self.series
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("network".into(), Value::String(s.network.clone())),
-                        ("nodes".into(), Value::Number(s.nodes as f64)),
-                        ("algorithm".into(), Value::String(s.algorithm.clone())),
-                        ("m".into(), Value::Number(s.m as f64)),
-                        (
-                            "points".into(),
-                            Value::Array(s.points.iter().map(point_to_json).collect()),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("chaos_sweep".into())),
-            (
-                "title".into(),
-                Value::String(
-                    "Fault churn: delivery degradation and self-healing recovery under load".into(),
-                ),
-            ),
-            ("config".into(), config),
-            ("series".into(), series),
-        ])
-        .to_string_pretty()
-    }
-
-    /// Parses and validates a sweep artifact produced by
-    /// [`ChaosSweep::to_json`] — the schema check CI runs against the
-    /// committed `results/chaos_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<ChaosSweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "chaos_sweep" {
-            return Err(format!("unexpected id {id:?}"));
-        }
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        // `null` in a numeric position means "infinite" (MTBF ladder).
-        let get_f64s = |key: &str| -> Result<Vec<f64>, String> {
-            cfg.get(key)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("missing array field: {key}"))?
-                .iter()
-                .map(|x| match x {
-                    Value::Null => Ok(f64::INFINITY),
-                    _ => x
-                        .as_f64()
-                        .ok_or_else(|| format!("non-numeric entry in {key}")),
-                })
-                .collect()
-        };
-        let retry_v = cfg.get("retry").ok_or("missing object field: retry")?;
-        let config = ChaosSweepConfig {
-            sessions: get_num(cfg, "sessions")? as usize,
-            pool_groups: get_num(cfg, "pool_groups")? as usize,
-            bytes: get_num(cfg, "bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-            loads_64: get_f64s("loads_64")?,
-            loads_256: get_f64s("loads_256")?,
-            link_mtbf_ladder_ms: get_f64s("link_mtbf_ladder_ms")?,
-            link_mttr_ms: get_num(cfg, "link_mttr_ms")?,
-            node_mtbf_factor: get_num(cfg, "node_mtbf_factor")?,
-            node_mttr_ms: get_num(cfg, "node_mttr_ms")?,
-            churn_fraction: get_num(cfg, "churn_fraction")?,
-            retry: RetryPolicy {
-                max_retries: get_num(retry_v, "max_retries")? as u32,
-                base_backoff: get_num(retry_v, "base_backoff_us")? as u64,
-                backoff_factor: get_num(retry_v, "backoff_factor")? as u64,
-            },
-        };
-        let series_v = v
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: series")?;
-        let mut series = Vec::with_capacity(series_v.len());
-        for (i, s) in series_v.iter().enumerate() {
-            let ctx = |key: &str| format!("series[{i}]: missing field {key}");
-            let network = s
-                .get("network")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("network"))?
-                .to_string();
-            let algorithm = s
-                .get("algorithm")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("algorithm"))?
-                .to_string();
-            let nodes = get_num(s, "nodes")? as usize;
-            let m = get_num(s, "m")? as usize;
-            let pts = s
-                .get("points")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ctx("points"))?;
-            let points = pts
-                .iter()
-                .map(|p| point_from_json(p, i))
-                .collect::<Result<Vec<_>, String>>()?;
-            series.push(ChaosSeries {
-                network,
-                nodes,
-                algorithm,
-                m,
-                points,
-            });
-        }
-        Ok(ChaosSweep { config, series })
-    }
-
-    /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        let c = &self.config;
-        let mut out = String::new();
-        out.push_str("Fault churn: delivery degradation and self-healing recovery under load\n");
+        let mut out = format!("{}\n", Self::TITLE);
         out.push_str(&format!(
             "sessions/point = {}, pool = {} groups, payload = {} B, seed = {}, arrivals = poisson\n",
             c.sessions, c.pool_groups, c.bytes, c.seed
@@ -596,106 +472,6 @@ impl ChaosSweep {
     }
 }
 
-fn point_to_json(p: &ChaosPoint) -> Value {
-    Value::Object(vec![
-        ("offered_per_ms".into(), Value::Number(p.offered_per_ms)),
-        ("link_mtbf_ms".into(), num_or_null(p.link_mtbf_ms)),
-        ("delivery_ratio".into(), Value::Number(p.delivery_ratio)),
-        ("mean_latency_ms".into(), num_or_null(p.mean_latency_ms)),
-        ("ci_half_width_ms".into(), num_or_null(p.ci_half_width_ms)),
-        ("goodput_per_ms".into(), Value::Number(p.goodput_per_ms)),
-        (
-            "retry_histogram".into(),
-            Value::Array(
-                p.retry_histogram
-                    .iter()
-                    .map(|&n| Value::Number(n as f64))
-                    .collect(),
-            ),
-        ),
-        ("lost".into(), Value::Number(p.lost as f64)),
-        ("window_cut".into(), Value::Number(p.window_cut as f64)),
-        (
-            "time_to_recover_ms".into(),
-            p.time_to_recover_ms.map_or(Value::Null, Value::Number),
-        ),
-        ("epochs".into(), Value::Number(p.epochs as f64)),
-        ("fault_events".into(), Value::Number(p.fault_events as f64)),
-        ("cache_hits".into(), Value::Number(p.cache.hits as f64)),
-        ("cache_misses".into(), Value::Number(p.cache.misses as f64)),
-        (
-            "cache_evictions".into(),
-            Value::Number(p.cache.evictions as f64),
-        ),
-        (
-            "cache_invalidations".into(),
-            Value::Number(p.cache.invalidations as f64),
-        ),
-    ])
-}
-
-fn point_from_json(p: &Value, series_idx: usize) -> Result<ChaosPoint, String> {
-    let get_num = |key: &str| -> Result<f64, String> {
-        p.get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("series[{series_idx}]: missing numeric point field {key}"))
-    };
-    // `null` restores to NaN (latency of a zero-delivery point) or
-    // infinity (the churn-free rung's MTBF), keyed by field.
-    let opt_num = |key: &str, absent: f64| -> Result<f64, String> {
-        match p.get(key) {
-            Some(Value::Null) => Ok(absent),
-            Some(x) => x
-                .as_f64()
-                .ok_or_else(|| format!("series[{series_idx}]: non-numeric {key}")),
-            None => Err(format!("series[{series_idx}]: missing point field {key}")),
-        }
-    };
-    let retry_histogram = p
-        .get("retry_histogram")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("series[{series_idx}]: missing array field retry_histogram"))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("series[{series_idx}]: non-numeric retry_histogram entry"))
-        })
-        .collect::<Result<Vec<u64>, String>>()?;
-    let time_to_recover_ms = match p.get("time_to_recover_ms") {
-        Some(Value::Null) => None,
-        Some(x) => Some(
-            x.as_f64()
-                .ok_or_else(|| format!("series[{series_idx}]: non-numeric time_to_recover_ms"))?,
-        ),
-        None => {
-            return Err(format!(
-                "series[{series_idx}]: missing point field time_to_recover_ms"
-            ))
-        }
-    };
-    Ok(ChaosPoint {
-        offered_per_ms: get_num("offered_per_ms")?,
-        link_mtbf_ms: opt_num("link_mtbf_ms", f64::INFINITY)?,
-        delivery_ratio: get_num("delivery_ratio")?,
-        mean_latency_ms: opt_num("mean_latency_ms", f64::NAN)?,
-        ci_half_width_ms: opt_num("ci_half_width_ms", f64::NAN)?,
-        goodput_per_ms: get_num("goodput_per_ms")?,
-        retry_histogram,
-        lost: get_num("lost")? as u64,
-        window_cut: get_num("window_cut")? as u64,
-        time_to_recover_ms,
-        epochs: get_num("epochs")? as u64,
-        fault_events: get_num("fault_events")? as u64,
-        cache: CacheStats {
-            hits: get_num("cache_hits")? as u64,
-            misses: get_num("cache_misses")? as u64,
-            evictions: get_num("cache_evictions")? as u64,
-            invalidations: get_num("cache_invalidations")? as u64,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,8 +495,8 @@ mod tests {
         let a = chaos_sweep(&cfg);
         let b = chaos_sweep(&cfg);
         assert_eq!(
-            a.to_json(),
-            b.to_json(),
+            a.to_json().unwrap(),
+            b.to_json().unwrap(),
             "sweep must regenerate bit-identically"
         );
 
@@ -730,8 +506,12 @@ mod tests {
             assert_eq!(s.points.len(), 2, "{}", s.network);
         }
 
-        let parsed = ChaosSweep::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.to_json(), a.to_json(), "JSON round-trip");
+        let parsed = ChaosSweep::from_json(&a.to_json().unwrap()).unwrap();
+        assert_eq!(
+            parsed.to_json().unwrap(),
+            a.to_json().unwrap(),
+            "JSON round-trip"
+        );
         assert_eq!(parsed.config, a.config);
     }
 
@@ -740,7 +520,7 @@ mod tests {
         let cfg = tiny();
         let serial = chaos_sweep_with_workers(&cfg, 1);
         let pooled = chaos_sweep_with_workers(&cfg, 4);
-        assert_eq!(serial.to_json(), pooled.to_json());
+        assert_eq!(serial.to_json().unwrap(), pooled.to_json().unwrap());
         assert_eq!(serial.to_table(), pooled.to_table());
     }
 

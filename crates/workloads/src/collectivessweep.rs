@@ -13,13 +13,9 @@
 //!
 //! Everything is keyed off [`CollectivesConfig::seed`]: identical
 //! configs regenerate `results/collectives_sweep.{txt,json}`
-//! byte-for-byte, and the determinism suite pins it. Emission goes
-//! through the strict JSON writer
-//! ([`Value::to_string_pretty_strict`](crate::json::Value::to_string_pretty_strict)):
-//! a non-finite statistic aborts the artifact instead of laundering to
-//! `null`.
+//! byte-for-byte, and the determinism suite pins it.
 
-use crate::json::{self, EmitError, Value};
+use crate::artifact::{record, Artifact};
 use crate::trafficsweep::{horizon_for, run_seed};
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::collectives::{
@@ -254,180 +250,68 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
 }
 
 // ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
+// Artifact schema
 // ----------------------------------------------------------------------
 
-impl CollectivesSweep {
-    fn to_value(&self) -> Value {
-        let config = Value::Object(vec![
-            (
-                "block_bytes".into(),
-                Value::Number(f64::from(self.config.block_bytes)),
-            ),
-            (
-                "traffic_sessions".into(),
-                Value::Number(self.config.traffic_sessions as f64),
-            ),
-            (
-                "traffic_rate_per_ms".into(),
-                Value::Number(self.config.traffic_rate_per_ms),
-            ),
-            (
-                "traffic_bytes".into(),
-                Value::Number(f64::from(self.config.traffic_bytes)),
-            ),
-            ("seed".into(), Value::Number(self.config.seed as f64)),
-        ]);
-        let rows = Value::Array(
-            self.rows
-                .iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("suite".into(), Value::String(r.suite.clone())),
-                        ("network".into(), Value::String(r.network.clone())),
-                        ("family".into(), Value::String(r.family.clone())),
-                        ("nodes".into(), Value::Number(r.nodes as f64)),
-                        ("steps".into(), Value::Number(f64::from(r.steps))),
-                        ("ops".into(), Value::Number(r.ops as f64)),
-                        (
-                            "payload_bytes".into(),
-                            Value::Number(r.payload_bytes as f64),
-                        ),
-                        ("makespan_ms".into(), Value::Number(r.makespan_ms)),
-                        ("avg_delay_ms".into(), Value::Number(r.avg_delay_ms)),
-                        ("blocks".into(), Value::Number(r.blocks as f64)),
-                        ("verified".into(), Value::Bool(r.verified)),
-                    ])
-                })
-                .collect(),
-        );
-        let traffic = Value::Array(
-            self.traffic
-                .iter()
-                .map(|t| {
-                    Value::Object(vec![
-                        ("suite".into(), Value::String(t.suite.clone())),
-                        ("family".into(), Value::String(t.family.clone())),
-                        ("mean_latency_ms".into(), Value::Number(t.mean_latency_ms)),
-                        ("completion_ratio".into(), Value::Number(t.completion_ratio)),
-                        (
-                            "throughput_per_ms".into(),
-                            Value::Number(t.throughput_per_ms),
-                        ),
-                        ("cache_hit_rate".into(), Value::Number(t.cache_hit_rate)),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("collectives_sweep".into())),
-            (
-                "title".into(),
-                Value::String(
-                    "Collective suite: schedules, data-oracle verification, and traffic".into(),
-                ),
-            ),
-            ("config".into(), config),
-            ("rows".into(), rows),
-            ("traffic".into(), traffic),
-        ])
+record!(CollectivesConfig {
+    "block_bytes" => block_bytes,
+    "traffic_sessions" => traffic_sessions,
+    "traffic_rate_per_ms" => traffic_rate_per_ms,
+    "traffic_bytes" => traffic_bytes,
+    "seed" => seed,
+});
+
+record!(ScheduleRow {
+    "suite" => suite,
+    "network" => network,
+    "family" => family,
+    "nodes" => nodes,
+    "steps" => steps,
+    "ops" => ops,
+    "payload_bytes" => payload_bytes,
+    "makespan_ms" => makespan_ms,
+    "avg_delay_ms" => avg_delay_ms,
+    "blocks" => blocks,
+    "verified" => verified,
+});
+
+record!(TrafficRow {
+    "suite" => suite,
+    "family" => family,
+    "mean_latency_ms" => mean_latency_ms,
+    "completion_ratio" => completion_ratio,
+    "throughput_per_ms" => throughput_per_ms,
+    "cache_hit_rate" => cache_hit_rate,
+});
+
+record!(CollectivesSweep {
+    "config" => config,
+    "rows" => rows,
+    "traffic" => traffic,
+});
+
+impl Artifact for CollectivesSweep {
+    const ID: &'static str = "collectives_sweep";
+    const TITLE: &'static str =
+        "Collective suite: schedules, data-oracle verification, and traffic";
+
+    /// Every schedule row is certified by the data oracle.
+    fn check(&self) -> Result<(), String> {
+        let unverified: Vec<String> = self
+            .rows
+            .iter()
+            .filter(|r| !r.verified)
+            .map(|r| format!("{} {} {}", r.suite, r.network, r.family))
+            .collect();
+        if unverified.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("oracle-unverified rows: {}", unverified.join(", ")))
+        }
     }
 
-    /// Serializes the sweep as pretty-printed JSON through the strict
-    /// writer: a non-finite statistic fails here instead of silently
-    /// becoming `null` in a committed artifact.
-    ///
-    /// # Errors
-    /// [`EmitError`] naming the path of the first non-finite number.
-    pub fn to_json(&self) -> Result<String, EmitError> {
-        self.to_value().to_string_pretty_strict()
-    }
-
-    /// Parses and validates a sweep artifact produced by
-    /// [`CollectivesSweep::to_json`] — the schema check CI runs against
-    /// the committed `results/collectives_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<CollectivesSweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "collectives_sweep" {
-            return Err(format!("unexpected id {id:?}"));
-        }
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        let get_str = |obj: &Value, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field: {key}"))
-        };
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let config = CollectivesConfig {
-            block_bytes: get_num(cfg, "block_bytes")? as u32,
-            traffic_sessions: get_num(cfg, "traffic_sessions")? as usize,
-            traffic_rate_per_ms: get_num(cfg, "traffic_rate_per_ms")?,
-            traffic_bytes: get_num(cfg, "traffic_bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-        };
-        let rows_v = v
-            .get("rows")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: rows")?;
-        let mut rows = Vec::with_capacity(rows_v.len());
-        for (i, r) in rows_v.iter().enumerate() {
-            let verified = match r.get("verified") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err(format!("rows[{i}]: missing boolean field verified")),
-            };
-            rows.push(ScheduleRow {
-                suite: get_str(r, "suite").map_err(|e| format!("rows[{i}]: {e}"))?,
-                network: get_str(r, "network").map_err(|e| format!("rows[{i}]: {e}"))?,
-                family: get_str(r, "family").map_err(|e| format!("rows[{i}]: {e}"))?,
-                nodes: get_num(r, "nodes")? as usize,
-                steps: get_num(r, "steps")? as u32,
-                ops: get_num(r, "ops")? as usize,
-                payload_bytes: get_num(r, "payload_bytes")? as u64,
-                makespan_ms: get_num(r, "makespan_ms")?,
-                avg_delay_ms: get_num(r, "avg_delay_ms")?,
-                blocks: get_num(r, "blocks")? as u64,
-                verified,
-            });
-        }
-        let traffic_v = v
-            .get("traffic")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: traffic")?;
-        let mut traffic = Vec::with_capacity(traffic_v.len());
-        for (i, t) in traffic_v.iter().enumerate() {
-            traffic.push(TrafficRow {
-                suite: get_str(t, "suite").map_err(|e| format!("traffic[{i}]: {e}"))?,
-                family: get_str(t, "family").map_err(|e| format!("traffic[{i}]: {e}"))?,
-                mean_latency_ms: get_num(t, "mean_latency_ms")?,
-                completion_ratio: get_num(t, "completion_ratio")?,
-                throughput_per_ms: get_num(t, "throughput_per_ms")?,
-                cache_hit_rate: get_num(t, "cache_hit_rate")?,
-            });
-        }
-        Ok(CollectivesSweep {
-            config,
-            rows,
-            traffic,
-        })
-    }
-
-    /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Collective suite: schedules, data-oracle verification, and traffic\n");
+    fn to_table(&self) -> String {
+        let mut out = format!("{}\n", Self::TITLE);
         out.push_str(&format!(
             "block = {} B, traffic: {} sessions @ {} /ms, {} B blocks, seed = {}\n",
             self.config.block_bytes,
@@ -546,15 +430,6 @@ mod tests {
                         "makespan_ms": 1.0, "avg_delay_ms": 0.5, "blocks": 0 } ],
             "traffic": [] }"#;
         let err = CollectivesSweep::from_json(missing_verified).unwrap_err();
-        assert!(err.contains("verified"), "{err}");
-    }
-
-    #[test]
-    fn poisoned_rows_fail_at_emit_time_with_a_path() {
-        let mut sweep = collectives_sweep(&CollectivesConfig::smoke());
-        assert!(sweep.to_json().is_ok());
-        sweep.rows[2].avg_delay_ms = f64::NAN;
-        let err = sweep.to_json().unwrap_err();
-        assert!(err.path.contains("/rows/2/avg_delay_ms"), "{err}");
+        assert!(err.to_string().contains("verified"), "{err}");
     }
 }

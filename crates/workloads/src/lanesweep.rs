@@ -32,7 +32,7 @@
 //! Everything is keyed off `LaneSweepConfig::seed`; identical configs
 //! regenerate `results/lane_sweep.{txt,json}` byte for byte.
 
-use crate::json::{self, Value};
+use crate::artifact::{record, Artifact};
 use crate::trafficsweep::run_seed;
 use hcube::{Cube, Mesh, MeshXY, MinimalAdaptive, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::contention::min_lanes_for_concurrent;
@@ -299,212 +299,61 @@ pub fn lane_sweep(cfg: &LaneSweepConfig) -> LaneSweep {
 }
 
 // ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
+// Artifact schema
 // ----------------------------------------------------------------------
 
-impl LaneSweep {
-    /// Serializes the sweep as pretty-printed JSON (byte-stable for a
-    /// given result).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let config = Value::Object(vec![
-            ("trials".into(), Value::Number(self.config.trials as f64)),
-            ("sources".into(), Value::Number(self.config.sources as f64)),
-            ("m".into(), Value::Number(self.config.m as f64)),
-            ("bytes".into(), Value::Number(f64::from(self.config.bytes))),
-            ("seed".into(), Value::Number(self.config.seed as f64)),
-            (
-                "lane_ladder".into(),
-                Value::Array(
-                    self.config
-                        .lane_ladder
-                        .iter()
-                        .map(|&l| Value::Number(f64::from(l)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let series = Value::Array(
-            self.series
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("network".into(), Value::String(s.network.clone())),
-                        ("algorithm".into(), Value::String(s.algorithm.clone())),
-                        (
-                            "analytic_min_lanes".into(),
-                            s.analytic_min_lanes.map_or(Value::Null, Value::Number),
-                        ),
-                        (
-                            "lanes_to_zero_contention".into(),
-                            s.lanes_to_zero_contention
-                                .map_or(Value::Null, |l| Value::Number(f64::from(l))),
-                        ),
-                        (
-                            "points".into(),
-                            Value::Array(
-                                s.points
-                                    .iter()
-                                    .map(|p| {
-                                        Value::Object(vec![
-                                            ("lanes".into(), Value::Number(f64::from(p.lanes))),
-                                            ("blocks".into(), Value::Number(p.blocks)),
-                                            ("blocked_ms".into(), Value::Number(p.blocked_ms)),
-                                            ("makespan_ms".into(), Value::Number(p.makespan_ms)),
-                                            (
-                                                "lane_utilization".into(),
-                                                Value::Array(
-                                                    p.lane_utilization
-                                                        .iter()
-                                                        .map(|&u| Value::Number(u))
-                                                        .collect(),
-                                                ),
-                                            ),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("lane_sweep".into())),
-            (
-                "title".into(),
-                Value::String(
-                    "Virtual lanes vs concurrent-multicast contention (64-node networks)".into(),
-                ),
-            ),
-            ("config".into(), config),
-            ("series".into(), series),
-        ])
-        .to_string_pretty()
+record!(LaneSweepConfig {
+    "trials" => trials,
+    "sources" => sources,
+    "m" => m,
+    "bytes" => bytes,
+    "seed" => seed,
+    "lane_ladder" => lane_ladder,
+});
+
+record!(LanePoint {
+    "lanes" => lanes,
+    "blocks" => blocks,
+    "blocked_ms" => blocked_ms,
+    "makespan_ms" => makespan_ms,
+    "lane_utilization" => lane_utilization,
+});
+
+record!(LaneSeries {
+    "network" => network,
+    "algorithm" => algorithm,
+    "analytic_min_lanes" => analytic_min_lanes,
+    "lanes_to_zero_contention" => lanes_to_zero_contention,
+    "points" => points,
+});
+
+record!(LaneSweep { "config" => config, "series" => series });
+
+impl Artifact for LaneSweep {
+    const ID: &'static str = "lane_sweep";
+    const TITLE: &'static str =
+        "Virtual lanes vs concurrent-multicast contention (64-node networks)";
+
+    /// Every utilization vector has one entry per lane of its rung.
+    fn check(&self) -> Result<(), String> {
+        for s in &self.series {
+            for p in &s.points {
+                if p.lane_utilization.len() != usize::from(p.lanes) {
+                    return Err(format!(
+                        "{} {}: lane_utilization has {} entries for {} lanes",
+                        s.network,
+                        s.algorithm,
+                        p.lane_utilization.len(),
+                        p.lanes
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Parses and validates a sweep artifact produced by
-    /// [`LaneSweep::to_json`] — the schema check CI runs against the
-    /// committed `results/lane_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<LaneSweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "lane_sweep" {
-            return Err(format!("unexpected id {id:?}"));
-        }
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        let lane_ladder = cfg
-            .get("lane_ladder")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: lane_ladder")?
-            .iter()
-            .map(|x| {
-                x.as_f64()
-                    .map(|l| l as u8)
-                    .ok_or_else(|| "non-numeric lane in lane_ladder".to_string())
-            })
-            .collect::<Result<Vec<u8>, String>>()?;
-        let config = LaneSweepConfig {
-            trials: get_num(cfg, "trials")? as usize,
-            sources: get_num(cfg, "sources")? as usize,
-            m: get_num(cfg, "m")? as usize,
-            bytes: get_num(cfg, "bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-            lane_ladder,
-        };
-        let series_v = v
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: series")?;
-        let mut series = Vec::with_capacity(series_v.len());
-        for (i, s) in series_v.iter().enumerate() {
-            let ctx = |key: &str| format!("series[{i}]: missing field {key}");
-            let network = s
-                .get("network")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("network"))?
-                .to_string();
-            let algorithm = s
-                .get("algorithm")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("algorithm"))?
-                .to_string();
-            let analytic_min_lanes = match s.get("analytic_min_lanes") {
-                Some(Value::Null) | None => None,
-                Some(x) => Some(
-                    x.as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric analytic_min_lanes"))?,
-                ),
-            };
-            let lanes_to_zero_contention = match s.get("lanes_to_zero_contention") {
-                Some(Value::Null) | None => None,
-                Some(x) => Some(
-                    x.as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric lanes_to_zero"))?
-                        as u8,
-                ),
-            };
-            let pts = s
-                .get("points")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ctx("points"))?;
-            let points = pts
-                .iter()
-                .map(|p| {
-                    let lanes = get_num(p, "lanes")? as u8;
-                    let util = p
-                        .get("lane_utilization")
-                        .and_then(Value::as_array)
-                        .ok_or_else(|| format!("series[{i}]: missing lane_utilization"))?
-                        .iter()
-                        .map(|x| {
-                            x.as_f64()
-                                .ok_or_else(|| format!("series[{i}]: non-numeric lane utilization"))
-                        })
-                        .collect::<Result<Vec<f64>, String>>()?;
-                    if util.len() != lanes as usize {
-                        return Err(format!(
-                            "series[{i}]: lane_utilization has {} entries for {} lanes",
-                            util.len(),
-                            lanes
-                        ));
-                    }
-                    Ok(LanePoint {
-                        lanes,
-                        blocks: get_num(p, "blocks")?,
-                        blocked_ms: get_num(p, "blocked_ms")?,
-                        makespan_ms: get_num(p, "makespan_ms")?,
-                        lane_utilization: util,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            series.push(LaneSeries {
-                network,
-                algorithm,
-                analytic_min_lanes,
-                points,
-                lanes_to_zero_contention,
-            });
-        }
-        Ok(LaneSweep { config, series })
-    }
-
-    /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Virtual lanes vs concurrent-multicast contention (64-node networks)\n");
+    fn to_table(&self) -> String {
+        let mut out = format!("{}\n", Self::TITLE);
         out.push_str(&format!(
             "trials/cell = {}, {} concurrent sessions, m = {} destinations, payload = {} B, \
              seed = {}, ladder = {:?}\n",
@@ -564,10 +413,18 @@ mod tests {
     fn sweep_is_deterministic_and_round_trips() {
         let a = lane_sweep(&tiny());
         let b = lane_sweep(&tiny());
-        assert_eq!(a.to_json(), b.to_json(), "must regenerate bit-identically");
+        assert_eq!(
+            a.to_json().unwrap(),
+            b.to_json().unwrap(),
+            "must regenerate bit-identically"
+        );
         assert_eq!(a.series.len(), 16, "4 networks x 4 algorithms");
-        let parsed = LaneSweep::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.to_json(), a.to_json(), "JSON round-trip");
+        let parsed = LaneSweep::from_json(&a.to_json().unwrap()).unwrap();
+        assert_eq!(
+            parsed.to_json().unwrap(),
+            a.to_json().unwrap(),
+            "JSON round-trip"
+        );
         assert_eq!(parsed, a);
     }
 

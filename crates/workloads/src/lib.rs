@@ -30,6 +30,8 @@
 //!   quantiles, cache hit rate, live faults, per-dimension blocked time;
 //! * [`json`] — a minimal first-party JSON tree, parser, and printer
 //!   (the build environment is offline, so no `serde_json`);
+//! * [`artifact`] — the one schema mechanism behind every sweep
+//!   artifact: declared fields, strict emit, path-named parse errors;
 //! * [`serve`] — the long-running service mode behind `mcast serve`:
 //!   newline-delimited JSON requests dispatched onto the sharded
 //!   session drivers with a persistent tree store, plus the spec
@@ -37,13 +39,15 @@
 //! * [`stats`] — summary statistics.
 //!
 //! Regeneration binaries live in the `bench` crate
-//! (`cargo run -p bench --release --bin all_figures`).
+//! (`cargo run -p bench --release --bin all_figures`, and
+//! `cargo run -p bench --release --bin sweep -- <name>` for the sweeps).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod ablations;
+pub mod artifact;
 pub mod chaossweep;
 pub mod collectivessweep;
 pub mod destsets;

@@ -21,7 +21,7 @@
 //! series, so identical configs regenerate the artifact byte-for-byte
 //! at any worker count; the determinism suite pins it.
 
-use crate::json::{self, Value};
+use crate::artifact::{record, Artifact, NanNull};
 use crate::trafficsweep::{horizon_for, run_seed};
 use hcube::{Cube, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, RetryPolicy};
@@ -400,255 +400,70 @@ impl TelemetrySweep {
 }
 
 // ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
+// Artifact schema
 // ----------------------------------------------------------------------
 
-fn num_or_null(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Number(x)
-    } else {
-        Value::Null
+record!(TelemetrySweepConfig {
+    "sessions" => sessions,
+    "pool_groups" => pool_groups,
+    "m" => m,
+    "bytes" => bytes,
+    "seed" => seed,
+    "arrivals" = "poisson",
+    "rate_per_ms" => rate_per_ms,
+    "buckets" => buckets,
+    "link_mtbf_ms" => link_mtbf_ms,
+    "link_mttr_ms" => link_mttr_ms,
+    "node_mtbf_factor" => node_mtbf_factor,
+    "node_mttr_ms" => node_mttr_ms,
+    "churn_fraction" => churn_fraction,
+    "retry" => retry,
+});
+
+record!(TelemetryRow {
+    "start_ms" => start_ms,
+    "offered" => offered,
+    "delivered" => delivered,
+    "goodput_per_ms" => goodput_per_ms,
+    "p50_ms" => p50_ms as NanNull,
+    "p95_ms" => p95_ms as NanNull,
+    "cache_hits" => cache_hits,
+    "cache_lookups" => cache_lookups,
+    "live_faults" => live_faults,
+    "blocked_ns_per_dim" => blocked_ns_per_dim,
+});
+
+record!(TelemetrySeries {
+    "network" => network,
+    "nodes" => nodes,
+    "algorithm" => algorithm,
+    "delivery_ratio" => delivery_ratio,
+    "mean_latency_ms" => mean_latency_ms as NanNull,
+    "p95_ms" => p95_ms as NanNull,
+    "attempts" => attempts,
+    "lost" => lost,
+    "fault_events" => fault_events,
+    "time_to_recover_ms" => time_to_recover_ms,
+    "churn_until_ms" => churn_until_ms,
+    "horizon_ms" => horizon_ms,
+    "bucket_ms" => bucket_ms,
+    "buckets" => rows,
+});
+
+record!(TelemetrySweep { "config" => config, "series" => series });
+
+impl Artifact for TelemetrySweep {
+    const ID: &'static str = "telemetry_sweep";
+    const TITLE: &'static str =
+        "Windowed telemetry: goodput dip and refill across a churn-and-recover window";
+
+    fn check(&self) -> Result<(), String> {
+        self.check_recovery()
     }
-}
 
-fn u64s_value(xs: &[u64]) -> Value {
-    Value::Array(xs.iter().map(|&x| Value::Number(x as f64)).collect())
-}
-
-impl TelemetrySweep {
-    /// Serializes the sweep as pretty-printed JSON (byte-stable for a
-    /// given result). Empty-bucket quantiles are `null`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
+    fn to_table(&self) -> String {
         let c = &self.config;
-        let retry = Value::Object(vec![
-            (
-                "max_retries".into(),
-                Value::Number(f64::from(c.retry.max_retries)),
-            ),
-            (
-                "base_backoff_us".into(),
-                Value::Number(c.retry.base_backoff as f64),
-            ),
-            (
-                "backoff_factor".into(),
-                Value::Number(c.retry.backoff_factor as f64),
-            ),
-        ]);
-        let config = Value::Object(vec![
-            ("sessions".into(), Value::Number(c.sessions as f64)),
-            ("pool_groups".into(), Value::Number(c.pool_groups as f64)),
-            ("m".into(), Value::Number(c.m as f64)),
-            ("bytes".into(), Value::Number(f64::from(c.bytes))),
-            ("seed".into(), Value::Number(c.seed as f64)),
-            ("arrivals".into(), Value::String("poisson".into())),
-            ("rate_per_ms".into(), Value::Number(c.rate_per_ms)),
-            ("buckets".into(), Value::Number(c.buckets as f64)),
-            ("link_mtbf_ms".into(), Value::Number(c.link_mtbf_ms)),
-            ("link_mttr_ms".into(), Value::Number(c.link_mttr_ms)),
-            ("node_mtbf_factor".into(), Value::Number(c.node_mtbf_factor)),
-            ("node_mttr_ms".into(), Value::Number(c.node_mttr_ms)),
-            ("churn_fraction".into(), Value::Number(c.churn_fraction)),
-            ("retry".into(), retry),
-        ]);
-        let series = Value::Array(
-            self.series
-                .iter()
-                .map(|s| {
-                    let rows = Value::Array(
-                        s.rows
-                            .iter()
-                            .map(|r| {
-                                Value::Object(vec![
-                                    ("start_ms".into(), Value::Number(r.start_ms)),
-                                    ("offered".into(), Value::Number(r.offered as f64)),
-                                    ("delivered".into(), Value::Number(r.delivered as f64)),
-                                    ("goodput_per_ms".into(), Value::Number(r.goodput_per_ms)),
-                                    ("p50_ms".into(), num_or_null(r.p50_ms)),
-                                    ("p95_ms".into(), num_or_null(r.p95_ms)),
-                                    ("cache_hits".into(), Value::Number(r.cache_hits as f64)),
-                                    (
-                                        "cache_lookups".into(),
-                                        Value::Number(r.cache_lookups as f64),
-                                    ),
-                                    ("live_faults".into(), Value::Number(r.live_faults as f64)),
-                                    (
-                                        "blocked_ns_per_dim".into(),
-                                        u64s_value(&r.blocked_ns_per_dim),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    );
-                    Value::Object(vec![
-                        ("network".into(), Value::String(s.network.clone())),
-                        ("nodes".into(), Value::Number(s.nodes as f64)),
-                        ("algorithm".into(), Value::String(s.algorithm.clone())),
-                        ("delivery_ratio".into(), Value::Number(s.delivery_ratio)),
-                        ("mean_latency_ms".into(), num_or_null(s.mean_latency_ms)),
-                        ("p95_ms".into(), num_or_null(s.p95_ms)),
-                        ("attempts".into(), Value::Number(s.attempts as f64)),
-                        ("lost".into(), Value::Number(s.lost as f64)),
-                        ("fault_events".into(), Value::Number(s.fault_events as f64)),
-                        (
-                            "time_to_recover_ms".into(),
-                            s.time_to_recover_ms.map_or(Value::Null, Value::Number),
-                        ),
-                        ("churn_until_ms".into(), Value::Number(s.churn_until_ms)),
-                        ("horizon_ms".into(), Value::Number(s.horizon_ms)),
-                        ("bucket_ms".into(), Value::Number(s.bucket_ms)),
-                        ("buckets".into(), rows),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("telemetry_sweep".into())),
-            (
-                "title".into(),
-                Value::String(
-                    "Windowed telemetry: goodput dip and refill across a churn-and-recover window"
-                        .into(),
-                ),
-            ),
-            ("config".into(), config),
-            ("series".into(), series),
-        ])
-        .to_string_pretty()
-    }
-
-    /// Parses and validates a sweep artifact produced by
-    /// [`TelemetrySweep::to_json`] — the schema check CI runs against
-    /// the committed `results/telemetry_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<TelemetrySweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "telemetry_sweep" {
-            return Err(format!("unexpected id {id:?}"));
-        }
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        let retry_v = cfg.get("retry").ok_or("missing object field: retry")?;
-        let config = TelemetrySweepConfig {
-            sessions: get_num(cfg, "sessions")? as usize,
-            pool_groups: get_num(cfg, "pool_groups")? as usize,
-            m: get_num(cfg, "m")? as usize,
-            bytes: get_num(cfg, "bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-            rate_per_ms: get_num(cfg, "rate_per_ms")?,
-            buckets: get_num(cfg, "buckets")? as usize,
-            link_mtbf_ms: get_num(cfg, "link_mtbf_ms")?,
-            link_mttr_ms: get_num(cfg, "link_mttr_ms")?,
-            node_mtbf_factor: get_num(cfg, "node_mtbf_factor")?,
-            node_mttr_ms: get_num(cfg, "node_mttr_ms")?,
-            churn_fraction: get_num(cfg, "churn_fraction")?,
-            retry: RetryPolicy {
-                max_retries: get_num(retry_v, "max_retries")? as u32,
-                base_backoff: get_num(retry_v, "base_backoff_us")? as u64,
-                backoff_factor: get_num(retry_v, "backoff_factor")? as u64,
-            },
-        };
-        let series_v = v
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: series")?;
-        let mut series = Vec::with_capacity(series_v.len());
-        for (i, s) in series_v.iter().enumerate() {
-            let ctx = |key: &str| format!("series[{i}]: missing field {key}");
-            // NaN (empty-bucket quantiles) serialize as null.
-            let opt_num = |obj: &Value, key: &str| -> Result<f64, String> {
-                match obj.get(key) {
-                    Some(Value::Null) => Ok(f64::NAN),
-                    Some(x) => x
-                        .as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric {key}")),
-                    None => Err(ctx(key)),
-                }
-            };
-            let time_to_recover_ms = match s.get("time_to_recover_ms") {
-                Some(Value::Null) => None,
-                Some(x) => Some(
-                    x.as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric time_to_recover_ms"))?,
-                ),
-                None => return Err(ctx("time_to_recover_ms")),
-            };
-            let rows_v = s
-                .get("buckets")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ctx("buckets"))?;
-            let mut rows = Vec::with_capacity(rows_v.len());
-            for r in rows_v {
-                let dims = r
-                    .get("blocked_ns_per_dim")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| ctx("blocked_ns_per_dim"))?
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().map(|n| n as u64).ok_or_else(|| {
-                            format!("series[{i}]: non-numeric blocked_ns_per_dim entry")
-                        })
-                    })
-                    .collect::<Result<Vec<u64>, String>>()?;
-                rows.push(TelemetryRow {
-                    start_ms: get_num(r, "start_ms")?,
-                    offered: get_num(r, "offered")? as u64,
-                    delivered: get_num(r, "delivered")? as u64,
-                    goodput_per_ms: get_num(r, "goodput_per_ms")?,
-                    p50_ms: opt_num(r, "p50_ms")?,
-                    p95_ms: opt_num(r, "p95_ms")?,
-                    cache_hits: get_num(r, "cache_hits")? as u64,
-                    cache_lookups: get_num(r, "cache_lookups")? as u64,
-                    live_faults: get_num(r, "live_faults")? as u64,
-                    blocked_ns_per_dim: dims,
-                });
-            }
-            series.push(TelemetrySeries {
-                network: s
-                    .get("network")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ctx("network"))?
-                    .to_string(),
-                nodes: get_num(s, "nodes")? as usize,
-                algorithm: s
-                    .get("algorithm")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ctx("algorithm"))?
-                    .to_string(),
-                delivery_ratio: get_num(s, "delivery_ratio")?,
-                mean_latency_ms: opt_num(s, "mean_latency_ms")?,
-                p95_ms: opt_num(s, "p95_ms")?,
-                attempts: get_num(s, "attempts")? as u64,
-                lost: get_num(s, "lost")? as u64,
-                fault_events: get_num(s, "fault_events")? as u64,
-                time_to_recover_ms,
-                churn_until_ms: get_num(s, "churn_until_ms")?,
-                horizon_ms: get_num(s, "horizon_ms")?,
-                bucket_ms: get_num(s, "bucket_ms")?,
-                rows,
-            });
-        }
-        Ok(TelemetrySweep { config, series })
-    }
-
-    /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        let c = &self.config;
-        let mut out = String::new();
-        out.push_str(
-            "Windowed telemetry: goodput dip and refill across a churn-and-recover window\n",
-        );
+        let mut out = format!("{}\n", Self::TITLE);
         out.push_str(&format!(
             "sessions/series = {}, pool = {} groups (m = {}), payload = {} B, seed = {}, {} /ms poisson\n",
             c.sessions, c.pool_groups, c.m, c.bytes, c.seed, c.rate_per_ms
@@ -733,7 +548,7 @@ mod tests {
         let cfg = tiny();
         let a = telemetry_sweep(&cfg);
         let b = telemetry_sweep(&cfg);
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
 
         // 4 cube algorithms + the torus baseline.
         assert_eq!(a.series.len(), 5);
@@ -745,8 +560,12 @@ mod tests {
             );
         }
 
-        let parsed = TelemetrySweep::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.to_json(), a.to_json(), "JSON round-trip");
+        let parsed = TelemetrySweep::from_json(&a.to_json().unwrap()).unwrap();
+        assert_eq!(
+            parsed.to_json().unwrap(),
+            a.to_json().unwrap(),
+            "JSON round-trip"
+        );
         assert_eq!(parsed.config, a.config);
     }
 
@@ -755,7 +574,7 @@ mod tests {
         let cfg = tiny();
         let serial = telemetry_sweep_with_workers(&cfg, 1);
         let pooled = telemetry_sweep_with_workers(&cfg, 4);
-        assert_eq!(serial.to_json(), pooled.to_json());
+        assert_eq!(serial.to_json().unwrap(), pooled.to_json().unwrap());
         assert_eq!(serial.to_table(), pooled.to_table());
     }
 

@@ -14,7 +14,7 @@
 //! regenerate `results/traffic_sweep.{txt,json}` byte-for-byte, and the
 //! determinism suite pins it.
 
-use crate::json::{self, Value};
+use crate::artifact::{record, Artifact, NanNull};
 use hcube::{Cube, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, CacheStats};
 use rand::rngs::StdRng;
@@ -284,245 +284,55 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
 }
 
 // ----------------------------------------------------------------------
-// Serialization (first-party JSON, schema pinned by `from_json`).
+// Artifact schema
 // ----------------------------------------------------------------------
 
-fn num_or_null(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Number(x)
-    } else {
-        Value::Null
-    }
-}
+record!(SweepConfig {
+    "sessions" => sessions,
+    "pool_groups" => pool_groups,
+    "bytes" => bytes,
+    "seed" => seed,
+    "arrivals" = "poisson",
+    "loads_64" => loads_64,
+    "loads_256" => loads_256,
+    "saturation_latency_factor" = SATURATION_LATENCY_FACTOR,
+    "saturation_min_completion" = SATURATION_MIN_COMPLETION,
+});
 
-fn loads_value(loads: &[f64]) -> Value {
-    Value::Array(loads.iter().map(|&l| Value::Number(l)).collect())
-}
+record!(CacheStats {
+    "cache_hits" => hits,
+    "cache_misses" => misses,
+    "cache_evictions" => evictions,
+    "cache_invalidations" => invalidations,
+});
 
-impl TrafficSweep {
-    /// Serializes the sweep as pretty-printed JSON (byte-stable for a
-    /// given result).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let config = Value::Object(vec![
-            (
-                "sessions".into(),
-                Value::Number(self.config.sessions as f64),
-            ),
-            (
-                "pool_groups".into(),
-                Value::Number(self.config.pool_groups as f64),
-            ),
-            ("bytes".into(), Value::Number(f64::from(self.config.bytes))),
-            ("seed".into(), Value::Number(self.config.seed as f64)),
-            ("arrivals".into(), Value::String("poisson".into())),
-            ("loads_64".into(), loads_value(&self.config.loads_64)),
-            ("loads_256".into(), loads_value(&self.config.loads_256)),
-            (
-                "saturation_latency_factor".into(),
-                Value::Number(SATURATION_LATENCY_FACTOR),
-            ),
-            (
-                "saturation_min_completion".into(),
-                Value::Number(SATURATION_MIN_COMPLETION),
-            ),
-        ]);
-        let series = Value::Array(
-            self.series
-                .iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("network".into(), Value::String(s.network.clone())),
-                        ("nodes".into(), Value::Number(s.nodes as f64)),
-                        ("algorithm".into(), Value::String(s.algorithm.clone())),
-                        ("m".into(), Value::Number(s.m as f64)),
-                        (
-                            "saturation_per_ms".into(),
-                            s.saturation_per_ms.map_or(Value::Null, Value::Number),
-                        ),
-                        (
-                            "points".into(),
-                            Value::Array(
-                                s.points
-                                    .iter()
-                                    .map(|p| {
-                                        Value::Object(vec![
-                                            (
-                                                "offered_per_ms".into(),
-                                                Value::Number(p.offered_per_ms),
-                                            ),
-                                            (
-                                                "mean_latency_ms".into(),
-                                                num_or_null(p.mean_latency_ms),
-                                            ),
-                                            (
-                                                "ci_half_width_ms".into(),
-                                                num_or_null(p.ci_half_width_ms),
-                                            ),
-                                            (
-                                                "completion_ratio".into(),
-                                                Value::Number(p.completion_ratio),
-                                            ),
-                                            (
-                                                "throughput_per_ms".into(),
-                                                Value::Number(p.throughput_per_ms),
-                                            ),
-                                            (
-                                                "cache_hit_rate".into(),
-                                                Value::Number(p.cache_hit_rate),
-                                            ),
-                                            (
-                                                "cache_hits".into(),
-                                                Value::Number(p.cache.hits as f64),
-                                            ),
-                                            (
-                                                "cache_misses".into(),
-                                                Value::Number(p.cache.misses as f64),
-                                            ),
-                                            (
-                                                "cache_evictions".into(),
-                                                Value::Number(p.cache.evictions as f64),
-                                            ),
-                                            (
-                                                "cache_invalidations".into(),
-                                                Value::Number(p.cache.invalidations as f64),
-                                            ),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("id".into(), Value::String("traffic_sweep".into())),
-            (
-                "title".into(),
-                Value::String("Open-loop multicast traffic: latency vs offered load".into()),
-            ),
-            ("config".into(), config),
-            ("series".into(), series),
-        ])
-        .to_string_pretty()
-    }
+record!(SweepPoint {
+    "offered_per_ms" => offered_per_ms,
+    "mean_latency_ms" => mean_latency_ms as NanNull,
+    "ci_half_width_ms" => ci_half_width_ms as NanNull,
+    "completion_ratio" => completion_ratio,
+    "throughput_per_ms" => throughput_per_ms,
+    "cache_hit_rate" => cache_hit_rate,
+    ..cache,
+});
 
-    /// Parses and validates a sweep artifact produced by
-    /// [`TrafficSweep::to_json`] — the schema check CI runs against the
-    /// committed `results/traffic_sweep.json`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the first missing/mistyped field.
-    pub fn from_json(input: &str) -> Result<TrafficSweep, String> {
-        let v = json::parse(input).map_err(|e| format!("invalid JSON: {e}"))?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing string field: id")?;
-        if id != "traffic_sweep" {
-            return Err(format!("unexpected id {id:?}"));
-        }
-        let cfg = v.get("config").ok_or("missing object field: config")?;
-        let get_num = |obj: &Value, key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field: {key}"))
-        };
-        let get_loads = |key: &str| -> Result<Vec<f64>, String> {
-            cfg.get(key)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("missing array field: {key}"))?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| format!("non-numeric load in {key}"))
-                })
-                .collect()
-        };
-        let config = SweepConfig {
-            sessions: get_num(cfg, "sessions")? as usize,
-            pool_groups: get_num(cfg, "pool_groups")? as usize,
-            bytes: get_num(cfg, "bytes")? as u32,
-            seed: get_num(cfg, "seed")? as u64,
-            loads_64: get_loads("loads_64")?,
-            loads_256: get_loads("loads_256")?,
-        };
-        let series_v = v
-            .get("series")
-            .and_then(Value::as_array)
-            .ok_or("missing array field: series")?;
-        let mut series = Vec::with_capacity(series_v.len());
-        for (i, s) in series_v.iter().enumerate() {
-            let ctx = |key: &str| format!("series[{i}]: missing field {key}");
-            let network = s
-                .get("network")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("network"))?
-                .to_string();
-            let algorithm = s
-                .get("algorithm")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ctx("algorithm"))?
-                .to_string();
-            let nodes = get_num(s, "nodes")? as usize;
-            let m = get_num(s, "m")? as usize;
-            let saturation_per_ms = match s.get("saturation_per_ms") {
-                Some(Value::Null) | None => None,
-                Some(x) => Some(
-                    x.as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric saturation"))?,
-                ),
-            };
-            let pts = s
-                .get("points")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ctx("points"))?;
-            let opt_num = |p: &Value, key: &str| -> Result<f64, String> {
-                match p.get(key) {
-                    Some(Value::Null) => Ok(f64::NAN),
-                    Some(x) => x
-                        .as_f64()
-                        .ok_or_else(|| format!("series[{i}]: non-numeric {key}")),
-                    None => Err(format!("series[{i}]: missing point field {key}")),
-                }
-            };
-            let points = pts
-                .iter()
-                .map(|p| {
-                    Ok(SweepPoint {
-                        offered_per_ms: get_num(p, "offered_per_ms")?,
-                        mean_latency_ms: opt_num(p, "mean_latency_ms")?,
-                        ci_half_width_ms: opt_num(p, "ci_half_width_ms")?,
-                        completion_ratio: get_num(p, "completion_ratio")?,
-                        throughput_per_ms: get_num(p, "throughput_per_ms")?,
-                        cache_hit_rate: get_num(p, "cache_hit_rate")?,
-                        cache: CacheStats {
-                            hits: get_num(p, "cache_hits")? as u64,
-                            misses: get_num(p, "cache_misses")? as u64,
-                            evictions: get_num(p, "cache_evictions")? as u64,
-                            invalidations: get_num(p, "cache_invalidations")? as u64,
-                        },
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            series.push(SweepSeries {
-                network,
-                nodes,
-                algorithm,
-                m,
-                points,
-                saturation_per_ms,
-            });
-        }
-        Ok(TrafficSweep { config, series })
-    }
+record!(SweepSeries {
+    "network" => network,
+    "nodes" => nodes,
+    "algorithm" => algorithm,
+    "m" => m,
+    "saturation_per_ms" => saturation_per_ms,
+    "points" => points,
+});
 
-    /// Renders the sweep as a plain-text report (the `.txt` artifact).
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Open-loop multicast traffic: latency vs offered load\n");
+record!(TrafficSweep { "config" => config, "series" => series });
+
+impl Artifact for TrafficSweep {
+    const ID: &'static str = "traffic_sweep";
+    const TITLE: &'static str = "Open-loop multicast traffic: latency vs offered load";
+
+    fn to_table(&self) -> String {
+        let mut out = format!("{}\n", Self::TITLE);
         out.push_str(&format!(
             "sessions/point = {}, pool = {} groups, payload = {} B, seed = {}, arrivals = poisson\n",
             self.config.sessions, self.config.pool_groups, self.config.bytes, self.config.seed
@@ -580,8 +390,8 @@ mod tests {
         let a = traffic_sweep(&cfg);
         let b = traffic_sweep(&cfg);
         assert_eq!(
-            a.to_json(),
-            b.to_json(),
+            a.to_json().unwrap(),
+            b.to_json().unwrap(),
             "sweep must regenerate bit-identically"
         );
 
@@ -591,8 +401,12 @@ mod tests {
             assert_eq!(s.points.len(), 2, "{}", s.network);
         }
 
-        let parsed = TrafficSweep::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.to_json(), a.to_json(), "JSON round-trip");
+        let parsed = TrafficSweep::from_json(&a.to_json().unwrap()).unwrap();
+        assert_eq!(
+            parsed.to_json().unwrap(),
+            a.to_json().unwrap(),
+            "JSON round-trip"
+        );
         assert_eq!(parsed, a);
     }
 

@@ -13,6 +13,7 @@
 
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
+use workloads::artifact::Artifact;
 use workloads::chaossweep::{chaos_sweep, chaos_sweep_with_workers, ChaosSweep, ChaosSweepConfig};
 use workloads::collectivessweep::{collectives_sweep, CollectivesConfig, CollectivesSweep};
 use workloads::lanesweep::{lane_sweep, LaneSweep, LaneSweepConfig};
@@ -293,7 +294,7 @@ fn run_matrix_is_independent_of_worker_count() {
 }
 
 /// The committed traffic-sweep artifact, validated with the first-party
-/// parser — the same check `traffic_sweep --check` runs in CI.
+/// parser — the same check `sweep traffic_sweep --check` runs in CI.
 const TRAFFIC_SWEEP_GOLDEN: &str = include_str!("../../../results/traffic_sweep.json");
 
 /// The committed `results/traffic_sweep.json` must parse under the
@@ -349,7 +350,7 @@ fn committed_traffic_sweep_artifact_is_valid_and_complete() {
     // Serialization is canonical: re-emitting the parsed artifact must
     // reproduce the committed bytes exactly.
     assert_eq!(
-        sweep.to_json(),
+        sweep.to_json().unwrap(),
         TRAFFIC_SWEEP_GOLDEN.trim_end_matches('\n'),
         "to_json is not canonical for the committed artifact"
     );
@@ -364,16 +365,16 @@ fn committed_traffic_sweep_artifact_is_valid_and_complete() {
 fn committed_traffic_sweep_artifact_regenerates_byte_identically() {
     let regenerated = traffic_sweep(&SweepConfig::full());
     assert_eq!(
-        regenerated.to_json(),
+        regenerated.to_json().unwrap(),
         TRAFFIC_SWEEP_GOLDEN.trim_end_matches('\n'),
         "results/traffic_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin traffic_sweep` and commit"
+         `cargo run -p bench --release --bin sweep -- traffic_sweep` and commit"
     );
 }
 
 /// The committed collectives-sweep artifact, validated with the
-/// first-party parser — the same check `collectives_sweep --check` runs
-/// in CI.
+/// first-party parser — the same check `sweep collectives_sweep --check`
+/// runs in CI.
 const COLLECTIVES_SWEEP_GOLDEN: &str = include_str!("../../../results/collectives_sweep.json");
 
 /// The committed `results/collectives_sweep.json` must parse under the
@@ -437,12 +438,12 @@ fn committed_collectives_sweep_artifact_regenerates_byte_identically() {
             .expect("regenerated sweep emits strictly"),
         COLLECTIVES_SWEEP_GOLDEN.trim_end_matches('\n'),
         "results/collectives_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin collectives_sweep` and commit"
+         `cargo run -p bench --release --bin sweep -- collectives_sweep` and commit"
     );
 }
 
 /// The committed chaos-sweep artifact, validated with the first-party
-/// parser — the same check `chaos_sweep --check` runs in CI.
+/// parser — the same check `sweep chaos_sweep --check` runs in CI.
 const CHAOS_SWEEP_GOLDEN: &str = include_str!("../../../results/chaos_sweep.json");
 
 /// The committed `results/chaos_sweep.json` must parse under the
@@ -550,7 +551,7 @@ fn committed_chaos_sweep_artifact_is_valid_and_complete() {
     // Serialization is canonical: re-emitting the parsed artifact must
     // reproduce the committed bytes exactly.
     assert_eq!(
-        sweep.to_json(),
+        sweep.to_json().unwrap(),
         CHAOS_SWEEP_GOLDEN.trim_end_matches('\n'),
         "to_json is not canonical for the committed artifact"
     );
@@ -575,8 +576,8 @@ fn chaos_sweep_is_independent_of_worker_count() {
     let serial = chaos_sweep(&cfg);
     for workers in [2, 7] {
         assert_eq!(
-            chaos_sweep_with_workers(&cfg, workers).to_json(),
-            serial.to_json(),
+            chaos_sweep_with_workers(&cfg, workers).to_json().unwrap(),
+            serial.to_json().unwrap(),
             "chaos sweep output changed at {workers} workers"
         );
     }
@@ -591,15 +592,15 @@ fn chaos_sweep_is_independent_of_worker_count() {
 fn committed_chaos_sweep_artifact_regenerates_byte_identically() {
     let regenerated = chaos_sweep_with_workers(&ChaosSweepConfig::full(), 4);
     assert_eq!(
-        regenerated.to_json(),
+        regenerated.to_json().unwrap(),
         CHAOS_SWEEP_GOLDEN.trim_end_matches('\n'),
         "results/chaos_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin chaos_sweep` and commit"
+         `cargo run -p bench --release --bin sweep -- chaos_sweep` and commit"
     );
 }
 
 /// The committed lane-sweep artifact, validated with the first-party
-/// parser — the same check `lane_sweep --check` runs in CI.
+/// parser — the same check `sweep lane_sweep --check` runs in CI.
 const LANE_SWEEP_GOLDEN: &str = include_str!("../../../results/lane_sweep.json");
 
 /// The committed `results/lane_sweep.json` must parse under the schema,
@@ -666,7 +667,7 @@ fn committed_lane_sweep_artifact_is_valid_and_complete() {
     // Serialization is canonical: re-emitting the parsed artifact must
     // reproduce the committed bytes exactly.
     assert_eq!(
-        sweep.to_json(),
+        sweep.to_json().unwrap(),
         LANE_SWEEP_GOLDEN.trim_end_matches('\n'),
         "to_json is not canonical for the committed artifact"
     );
@@ -681,16 +682,16 @@ fn committed_lane_sweep_artifact_is_valid_and_complete() {
 fn committed_lane_sweep_artifact_regenerates_byte_identically() {
     let regenerated = lane_sweep(&LaneSweepConfig::full());
     assert_eq!(
-        regenerated.to_json(),
+        regenerated.to_json().unwrap(),
         LANE_SWEEP_GOLDEN.trim_end_matches('\n'),
         "results/lane_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin lane_sweep` and commit"
+         `cargo run -p bench --release --bin sweep -- lane_sweep` and commit"
     );
 }
 
 /// The committed telemetry-sweep artifact, validated with the
-/// first-party parser — the same check `telemetry_sweep --check` runs
-/// in CI.
+/// first-party parser — the same check `sweep telemetry_sweep --check`
+/// runs in CI.
 const TELEMETRY_SWEEP_GOLDEN: &str = include_str!("../../../results/telemetry_sweep.json");
 
 /// The committed `results/telemetry_sweep.json` must parse under the
@@ -731,7 +732,7 @@ fn committed_telemetry_sweep_artifact_is_valid_and_complete() {
     // Serialization is canonical: re-emitting the parsed artifact must
     // reproduce the committed bytes exactly.
     assert_eq!(
-        sweep.to_json(),
+        sweep.to_json().unwrap(),
         TELEMETRY_SWEEP_GOLDEN.trim_end_matches('\n'),
         "to_json is not canonical for the committed artifact"
     );
@@ -746,10 +747,10 @@ fn committed_telemetry_sweep_artifact_is_valid_and_complete() {
 fn committed_telemetry_sweep_artifact_regenerates_byte_identically() {
     let regenerated = telemetry_sweep_with_workers(&TelemetrySweepConfig::full(), 4);
     assert_eq!(
-        regenerated.to_json(),
+        regenerated.to_json().unwrap(),
         TELEMETRY_SWEEP_GOLDEN.trim_end_matches('\n'),
         "results/telemetry_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin telemetry_sweep` and commit"
+         `cargo run -p bench --release --bin sweep -- telemetry_sweep` and commit"
     );
 }
 
