@@ -2,8 +2,8 @@
 //! fig11-style multicast workload (6-cube, all-port, 32 destinations,
 //! 4 KB), comparing
 //!
-//! - `baseline` — plain `simulate` (no probe parameter at all),
-//! - `noop_probe` — `simulate_observed` with [`wormsim::NoopProbe`]
+//! - `baseline` — a plain [`wormsim::Run`] (no probe attached),
+//! - `noop_probe` — a run with [`wormsim::NoopProbe`] attached
 //!   (must monomorphize away: within noise of baseline, the tentpole's
 //!   acceptance bar),
 //! - `event_recorder` — full ring-buffer + occupancy accounting,
@@ -15,15 +15,12 @@
 //!   (the telemetry layer's end-to-end cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::{Algorithm, PortModel};
 use traffic::{
     ArrivalProcess, Arrivals, DestPattern, TelemetryConfig, TelemetryProbe, TrafficSpec,
 };
-use wormsim::{
-    multicast_workload, simulate, simulate_observed, DepMessage, EventRecorder, Metrics, NoopProbe,
-    SimParams,
-};
+use wormsim::{multicast_workload, DepMessage, EventRecorder, Metrics, NoopProbe, Run, SimParams};
 
 /// Fig. 11 operating point: 6-cube, 32 random destinations, 4 KB.
 fn fig11_workload() -> (Cube, Resolution, SimParams, Vec<DepMessage>) {
@@ -40,39 +37,52 @@ fn fig11_workload() -> (Cube, Resolution, SimParams, Vec<DepMessage>) {
 
 fn bench_probe_overhead(c: &mut Criterion) {
     let (cube, resolution, params, workload) = fig11_workload();
+    let router = Ecube::new(cube, resolution);
     let mut g = c.benchmark_group("probe_overhead");
 
     g.bench_function("baseline", |b| {
-        b.iter(|| std::hint::black_box(simulate(cube, resolution, &params, &workload)))
+        b.iter(|| std::hint::black_box(Run::new(router, &params, &workload).run().unwrap()))
     });
     g.bench_function("noop_probe", |b| {
         b.iter(|| {
             let mut probe = NoopProbe;
-            std::hint::black_box(simulate_observed(
-                cube, resolution, &params, &workload, &mut probe,
-            ))
+            std::hint::black_box(
+                Run::new(router, &params, &workload)
+                    .probe(&mut probe)
+                    .run()
+                    .unwrap(),
+            )
         })
     });
     g.bench_function("event_recorder", |b| {
         b.iter(|| {
             let mut probe = EventRecorder::new();
-            std::hint::black_box(simulate_observed(
-                cube, resolution, &params, &workload, &mut probe,
-            ))
+            std::hint::black_box(
+                Run::new(router, &params, &workload)
+                    .probe(&mut probe)
+                    .run()
+                    .unwrap(),
+            )
         })
     });
     g.bench_function("metrics", |b| {
         b.iter(|| {
             let mut probe = Metrics::new();
-            std::hint::black_box(simulate_observed(
-                cube, resolution, &params, &workload, &mut probe,
-            ))
+            std::hint::black_box(
+                Run::new(router, &params, &workload)
+                    .probe(&mut probe)
+                    .run()
+                    .unwrap(),
+            )
         })
     });
     g.bench_function("telemetry_probe", |b| {
         b.iter(|| {
             let mut probe = TelemetryProbe::new();
-            let run = simulate_observed(cube, resolution, &params, &workload, &mut probe);
+            let run = Run::new(router, &params, &workload)
+                .probe(&mut probe)
+                .run()
+                .unwrap();
             std::hint::black_box((run, probe.take_intervals()))
         })
     });
@@ -99,25 +109,24 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
     g.bench_function("traffic_plain", |b| {
         b.iter(|| {
-            std::hint::black_box(traffic::run_cube(
+            std::hint::black_box(traffic::run(
                 &spec,
-                cube,
-                Resolution::HighToLow,
-                Algorithm::WSort,
+                traffic::Backend::tree(cube, Resolution::HighToLow, Algorithm::WSort),
                 &params,
+                traffic::RunOptions::default(),
             ))
         })
     });
     g.bench_function("telemetry_full", |b| {
         b.iter(|| {
-            std::hint::black_box(traffic::run_cube_with_telemetry(
+            let mut tel = None;
+            let report = traffic::run(
                 &spec,
-                cube,
-                Resolution::HighToLow,
-                Algorithm::WSort,
+                traffic::Backend::tree(cube, Resolution::HighToLow, Algorithm::WSort),
                 &params,
-                &cfg,
-            ))
+                traffic::RunOptions::default().telemetry(&cfg, &mut tel),
+            );
+            std::hint::black_box((report, tel))
         })
     });
     g.finish();

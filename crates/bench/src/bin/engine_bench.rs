@@ -27,8 +27,8 @@
 //!   flit-hop**, where flit-hops = Σ bytes × route length is the work
 //!   the wormhole model fundamentally has to move.
 //!
-//! A third family, **scaling**, measures the sharded session driver
-//! ([`traffic::run_trials`]) at 1/2/4/8 workers on the warm 8-cube
+//! A third family, **scaling**, measures the workspace's one trial
+//! pool ([`traffic::run_trials`]) at 1/2/4/8 workers on the warm 8-cube
 //! recurring-pool case: aggregate sessions/sec, speedup over one
 //! worker, and the host-portable **efficiency** (speedup /
 //! `min(workers, host_parallelism)`), which is what `--check` tracks —
@@ -64,10 +64,20 @@ use rand::SeedableRng;
 use std::time::Instant;
 use traffic::{ArrivalProcess, Arrivals, DestPattern, SessionWorkload, TrafficSpec};
 use workloads::json::Value;
-use wormsim::{
-    multicast_workload, simulate_on, simulate_on_with_scratch, DepMessage, EngineScratch,
-    SimParams, SimTime,
-};
+use wormsim::{multicast_workload, DepMessage, EngineScratch, Run, RunResult, SimParams, SimTime};
+
+/// One engine run of a well-formed workload in `scratch`.
+fn replay<R: Router>(
+    router: R,
+    params: &SimParams,
+    workload: &[DepMessage],
+    scratch: &mut EngineScratch,
+) -> RunResult {
+    Run::new(router, params, workload)
+        .scratch(scratch)
+        .run()
+        .expect("well-formed workload")
+}
 
 /// Number of alternating cold/warm batch pairs per case. Small batches
 /// (a few ms each) keep any one scheduler preemption inside a single
@@ -199,24 +209,19 @@ fn traffic_case<R: Router + Copy>(
     // Prime the persistent scratch (arenas sized, routes memoized).
     let mut warm_scratch = EngineScratch::new();
     for w in &per_session {
-        let _ = simulate_on_with_scratch(router, params, w, &mut warm_scratch);
+        let _ = replay(router, params, w, &mut warm_scratch);
     }
     let (cold_s, warm_s, ratio) = time_interleaved(
         reps,
         || {
             for w in &per_session {
                 let mut fresh = EngineScratch::new();
-                std::hint::black_box(simulate_on_with_scratch(router, params, w, &mut fresh));
+                std::hint::black_box(replay(router, params, w, &mut fresh));
             }
         },
         || {
             for w in &per_session {
-                std::hint::black_box(simulate_on_with_scratch(
-                    router,
-                    params,
-                    w,
-                    &mut warm_scratch,
-                ));
+                std::hint::black_box(replay(router, params, w, &mut warm_scratch));
             }
         },
     );
@@ -269,19 +274,14 @@ fn replay_case<R: Router + Copy>(
         .sum();
     let mut scratch = EngineScratch::new();
     // Populate the arenas and the route memo before timing.
-    let _ = simulate_on_with_scratch(router, params, workload, &mut scratch);
+    let _ = replay(router, params, workload, &mut scratch);
     let (cold_s, warm_s, ratio) = time_interleaved(
         reps,
         || {
-            std::hint::black_box(simulate_on(router, params, workload));
+            std::hint::black_box(replay(router, params, workload, &mut EngineScratch::new()));
         },
         || {
-            std::hint::black_box(simulate_on_with_scratch(
-                router,
-                params,
-                workload,
-                &mut scratch,
-            ));
+            std::hint::black_box(replay(router, params, workload, &mut scratch));
         },
     );
     let total = flit_hops * reps as f64;
@@ -304,12 +304,12 @@ fn replay_case<R: Router + Copy>(
     ])
 }
 
-/// The sharded-driver scaling curve: whole passes over the warm 8-cube
+/// The trial pool's scaling curve: whole passes over the warm 8-cube
 /// recurring-pool assembly distributed across N workers through
 /// [`traffic::run_trials`] — each worker owns one [`EngineScratch`]
 /// whose route memo stays warm across its trials, exactly the shape
-/// `sweep chaos_sweep`, `sweep telemetry_sweep` and `mcast serve` run
-/// on. Metric: aggregate **sessions/sec**; per worker count the artifact records
+/// the figure matrix, `sweep chaos_sweep` and `sweep telemetry_sweep`
+/// run on. Metric: aggregate **sessions/sec**; per worker count the artifact records
 /// the speedup over one worker and the **efficiency** — speedup divided
 /// by `min(workers, host_parallelism)` — which is the host-portable
 /// tracked ratio (a 1-core container honestly reports speedup ~1 and
@@ -346,7 +346,7 @@ fn scaling_cases(reps: usize) -> Vec<Value> {
             let (wall, _) = time_reps(1, || {
                 std::hint::black_box(traffic::run_trials(workers, trials, |_, scratch| {
                     for w in &per_session {
-                        std::hint::black_box(simulate_on_with_scratch(router, &params, w, scratch));
+                        std::hint::black_box(replay(router, &params, w, scratch));
                     }
                 }));
             });
@@ -395,7 +395,7 @@ fn scaling_cases(reps: usize) -> Vec<Value> {
 /// per-run allocation), not run-to-run jitter.
 const CHECK_FLOOR_FRACTION: f64 = 0.7;
 
-/// The absolute scaling bar of the sharded driver: >= this speedup at 8
+/// The absolute scaling bar of the trial pool: >= this speedup at 8
 /// workers, enforced by `--check` on hosts with >= 8 cores.
 const SCALING_SPEEDUP_FLOOR_AT_8: f64 = 4.0;
 
@@ -484,7 +484,7 @@ fn run_cases(reps: usize, replay_reps: usize) -> Vec<Value> {
         ));
     }
 
-    // --- scaling cases: the sharded driver at 1/2/4/8 workers ---------
+    // --- scaling cases: the trial pool at 1/2/4/8 workers -------------
     cases.extend(scaling_cases(reps));
     cases
 }
@@ -495,7 +495,7 @@ fn run_cases(reps: usize, replay_reps: usize) -> Vec<Value> {
 ///
 /// Scaling cases whose worker count exceeds the host's parallelism are
 /// untracked: their wall time measures the scheduler's time-slicing of
-/// oversubscribed threads, not the sharded driver, and jitters far
+/// oversubscribed threads, not the trial pool, and jitters far
 /// beyond the check floor. (They still appear in the artifact as the
 /// scaling curve's data points, and the absolute 8-worker speedup bar
 /// in `--check` gates hosts that really have the cores.)

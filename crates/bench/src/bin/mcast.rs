@@ -35,13 +35,13 @@ use hypercast::oracle::verify_collective;
 use hypercast::repair::{repair, NetworkFaults};
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
 use traffic::{
-    ArrivalProcess, ChaosReport, ChaosSpec, DestPattern, Telemetry, TelemetryConfig, TrafficReport,
-    TrafficSpec,
+    ArrivalProcess, Backend, ChaosReport, ChaosSpec, DestPattern, RunOptions, Telemetry,
+    TelemetryConfig, TrafficReport, TrafficSpec,
 };
 use wormsim::network::ChannelMap;
 use wormsim::{
-    simulate_observed_on, simulate_on, ChannelTrace, DepMessage, EventRecorder, FaultPlan, Metrics,
-    NetStats, SimParams, SimTime, Tee,
+    ChannelTrace, DepMessage, EventRecorder, FaultPlan, Metrics, NetStats, Run, SimParams, SimTime,
+    Tee,
 };
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -91,7 +91,6 @@ struct Args {
     chaos: Option<(f64, f64)>,
     retries: u32,
     backoff_us: u64,
-    workers: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -127,7 +126,6 @@ fn parse_args() -> Result<Args, String> {
         chaos: None,
         retries: 3,
         backoff_us: 500,
-        workers: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -305,15 +303,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--sessions must be >= 1".into());
                 }
             }
-            "--workers" => {
-                let w: usize = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
-                args.workers = Some(w);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: mcast --n <dim> [--topology cube|torus|mesh] [--arity K]\n\
@@ -325,8 +314,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20             [--trace-out FILE.json] [--metrics-out FILE.prom|FILE.json]\n\
                      \x20             [--spans-out FILE.json] [--timeseries-out FILE.json]\n\
                      \x20             [--faults K] [--fail-link V:D]... [--fail-node V]...\n\
-                     \x20             [--load R [--arrivals det|poisson|bursty[:B]] [--sessions N]\n\
-                     \x20              [--workers W]]\n\
+                     \x20             [--load R [--arrivals det|poisson|bursty[:B]] [--sessions N]]\n\
                      \x20             [--chaos MTBF:MTTR [--retries N] [--backoff B]]\n\
                      \x20      mcast serve [--max-inflight N]\n\
                      \n\
@@ -344,7 +332,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20             --spans-out FILE, --timeseries-out FILE (need --load)\n\
                      \x20 faults      --faults K, --fail-link V:D, --fail-node V\n\
                      \x20 open loop   --load R (sessions/ms), --arrivals det|poisson|bursty[:B],\n\
-                     \x20             --sessions N, --workers W (sharded session driver)\n\
+                     \x20             --sessions N\n\
                      \x20 churn       --chaos MTBF:MTTR (per-link, ms), --retries N, --backoff B (µs)\n\
                      \n\
                      observability: --trace-out writes a Chrome/Perfetto trace of the run's\n\
@@ -395,17 +383,9 @@ fn parse_args() -> Result<Args, String> {
                      delivery ratio, goodput, the retry-attempt histogram, losses, and\n\
                      time-to-recover.\n\
                      \n\
-                     sharded runs: --workers W (requires --load) partitions the sessions\n\
-                     across W threads, each session simulated alone — the paper's\n\
-                     contention-free trees make sessions independent, so this drops only\n\
-                     cross-session channel contention. The report is byte-identical at any\n\
-                     W and echoes \"workers\":W in the JSON line. Incompatible with\n\
-                     --spans-out/--timeseries-out (the flight recorder is single-threaded).\n\
-                     \n\
                      service mode: `mcast serve` runs a long-lived daemon reading one JSON\n\
-                     request per stdin line and writing one JSON response per line, with a\n\
-                     persistent tree store kept warm across requests and per-request\n\
-                     worker pools; --max-inflight N bounds the request queue (default 16,\n\
+                     request per stdin line and writing one JSON response per line, in\n\
+                     request order; --max-inflight N bounds the request queue (default 16,\n\
                      backpressures the client through the pipe). Ops: traffic, chaos,\n\
                      multicast, stats, shutdown. See DESIGN.md section 16.\n\
                      \n\
@@ -457,7 +437,10 @@ fn write_observability<R: Router + Copy>(
     metrics_out: Option<&str>,
 ) {
     let mut probe = Tee(EventRecorder::new(), Metrics::new());
-    let _run = simulate_observed_on(router, params, workload, &mut probe);
+    let _run = Run::new(router, params, workload)
+        .probe(&mut probe)
+        .run()
+        .expect("well-formed workload");
     let Tee(recorder, metrics) = probe;
     if let Some(path) = trace_out {
         let map = ChannelMap::new(router);
@@ -562,7 +545,9 @@ fn run_separate<R: Router + Copy>(router: R, args: &Args, dests: &[NodeId], json
             min_start: SimTime::ZERO,
         })
         .collect();
-    let run = simulate_on(router, &params, &workload);
+    let run = Run::new(router, &params, &workload)
+        .run()
+        .expect("well-formed workload");
     let avg = SimTime(
         run.messages
             .iter()
@@ -916,7 +901,7 @@ fn traffic_spec(args: &Args, rate: f64, pattern: DestPattern) -> TrafficSpec {
     )
 }
 
-fn print_traffic_report(label: &str, r: &TrafficReport, json: bool, workers: Option<usize>) {
+fn print_traffic_report(label: &str, r: &TrafficReport, json: bool) {
     println!(
         "{label:>9}: {} sessions ({} measured), completed {:.3}, \
          latency {:.4} ms ±{:.4} (95% CI), thru {:.3}/ms, cache hit {:.3}",
@@ -935,10 +920,7 @@ fn print_traffic_report(label: &str, r: &TrafficReport, json: bool, workers: Opt
         r.net.timed_out
     );
     if json {
-        println!(
-            "{}",
-            workloads::serve::traffic_report_json(label, r, workers)
-        );
+        println!("{}", workloads::serve::traffic_report_json(label, r, None));
     }
 }
 
@@ -949,7 +931,7 @@ fn chaos_spec(args: &Args, traffic: TrafficSpec, mtbf_ms: f64, mttr_ms: f64) -> 
     workloads::serve::chaos_wrap(traffic, mtbf_ms, mttr_ms, args.retries, args.backoff_us)
 }
 
-fn print_chaos_report(label: &str, r: &ChaosReport, json: bool, workers: Option<usize>) {
+fn print_chaos_report(label: &str, r: &ChaosReport, json: bool) {
     let hist: Vec<String> = r
         .retry_histogram
         .iter()
@@ -992,7 +974,7 @@ fn print_chaos_report(label: &str, r: &ChaosReport, json: bool, workers: Option<
         r.cache.invalidations,
     );
     if json {
-        println!("{}", workloads::serve::chaos_report_json(label, r, workers));
+        println!("{}", workloads::serve::chaos_report_json(label, r, None));
     }
 }
 
@@ -1000,8 +982,8 @@ fn print_chaos_report(label: &str, r: &ChaosReport, json: bool, workers: Option<
 /// session is one full-machine collective (the destination flags are
 /// irrelevant; allreduce roots rotate round-robin across sessions).
 fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
-    if args.chaos.is_some() || args.workers.is_some() {
-        eprintln!("error: collective traffic does not support --chaos/--workers");
+    if args.chaos.is_some() {
+        eprintln!("error: collective traffic does not support --chaos");
         std::process::exit(2);
     }
     if args.spans_out.is_some() || args.timeseries_out.is_some() {
@@ -1040,9 +1022,8 @@ fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
                 args.bytes
             );
             let spec = traffic_spec(args, rate, pattern);
-            let r =
-                traffic::run_collective_separate_on(&spec, TorusRouter::new(torus), kind, &params);
-            print_traffic_report("Separate", &r, args.json, None);
+            let backend = Backend::SeparateCollective(TorusRouter::new(torus), kind);
+            run_load(args, "Separate", spec, backend, &params);
         }
         TopologyKind::Cube => {
             let cube = match Cube::new(args.n) {
@@ -1063,15 +1044,8 @@ fn run_collective_traffic(args: &Args, rate: f64, kind: CollectiveKind) {
             );
             for family in collective_families(args) {
                 let spec = traffic_spec(args, rate, pattern.clone());
-                let r = traffic::run_collective_cube(
-                    &spec,
-                    cube,
-                    Resolution::HighToLow,
-                    kind,
-                    family,
-                    &params,
-                );
-                print_traffic_report(family.name(), &r, args.json, None);
+                let backend = Backend::collective(cube, Resolution::HighToLow, kind, family);
+                run_load(args, family.name(), spec, backend, &params);
             }
         }
     }
@@ -1102,11 +1076,6 @@ fn run_traffic(args: &Args, rate: f64) {
         std::process::exit(2);
     }
     let telemetry = args.spans_out.is_some() || args.timeseries_out.is_some();
-    if telemetry && args.workers.is_some() {
-        eprintln!("error: --workers is incompatible with --spans-out/--timeseries-out");
-        std::process::exit(2);
-    }
-    let tcfg = TelemetryConfig::default();
     let params = SimParams::ncube2(args.port);
     match args.topology {
         TopologyKind::Mesh => {
@@ -1131,49 +1100,8 @@ fn run_traffic(args: &Args, rate: f64) {
                 rate,
                 args.bytes
             );
-            if let Some((mtbf, mttr)) = args.chaos {
-                let spec = chaos_spec(args, spec, mtbf, mttr);
-                if telemetry {
-                    let (r, tel) = traffic::run_chaos_separate_with_telemetry_on(
-                        &spec,
-                        TorusRouter::new(torus),
-                        &params,
-                        &tcfg,
-                    );
-                    print_chaos_report("Separate", &r, args.json, None);
-                    write_telemetry(args, &tel);
-                } else {
-                    let r = match args.workers {
-                        Some(w) => traffic::run_chaos_separate_sharded_on(
-                            &spec,
-                            TorusRouter::new(torus),
-                            &params,
-                            w,
-                        ),
-                        None => {
-                            traffic::run_chaos_separate_on(&spec, TorusRouter::new(torus), &params)
-                        }
-                    };
-                    print_chaos_report("Separate", &r, args.json, args.workers);
-                }
-            } else if telemetry {
-                let (r, tel) = traffic::run_separate_with_telemetry_on(
-                    &spec,
-                    TorusRouter::new(torus),
-                    &params,
-                    &tcfg,
-                );
-                print_traffic_report("Separate", &r, args.json, None);
-                write_telemetry(args, &tel);
-            } else {
-                let r = match args.workers {
-                    Some(w) => {
-                        traffic::run_separate_sharded_on(&spec, TorusRouter::new(torus), &params, w)
-                    }
-                    None => traffic::run_separate_on(&spec, TorusRouter::new(torus), &params),
-                };
-                print_traffic_report("Separate", &r, args.json, args.workers);
-            }
+            let backend = Backend::Separate(TorusRouter::new(torus));
+            run_load(args, "Separate", spec, backend, &params);
         }
         TopologyKind::Cube => {
             let cube = match Cube::new(args.n) {
@@ -1202,68 +1130,41 @@ fn run_traffic(args: &Args, rate: f64) {
             let pattern = traffic_pattern(args, NodeId(args.source));
             for algo in algos {
                 let spec = traffic_spec(args, rate, pattern.clone());
-                if let Some((mtbf, mttr)) = args.chaos {
-                    let spec = chaos_spec(args, spec, mtbf, mttr);
-                    if telemetry {
-                        let (r, tel) = traffic::run_chaos_cube_with_telemetry(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                            &tcfg,
-                        );
-                        print_chaos_report(algo.name(), &r, args.json, None);
-                        write_telemetry(args, &tel);
-                    } else {
-                        let r = match args.workers {
-                            Some(w) => traffic::run_chaos_cube_sharded(
-                                &spec,
-                                cube,
-                                Resolution::HighToLow,
-                                algo,
-                                &params,
-                                w,
-                            ),
-                            None => traffic::run_chaos_cube(
-                                &spec,
-                                cube,
-                                Resolution::HighToLow,
-                                algo,
-                                &params,
-                            ),
-                        };
-                        print_chaos_report(algo.name(), &r, args.json, args.workers);
-                    }
-                } else if telemetry {
-                    let (r, tel) = traffic::run_cube_with_telemetry(
-                        &spec,
-                        cube,
-                        Resolution::HighToLow,
-                        algo,
-                        &params,
-                        &tcfg,
-                    );
-                    print_traffic_report(algo.name(), &r, args.json, None);
-                    write_telemetry(args, &tel);
-                } else {
-                    let r = match args.workers {
-                        Some(w) => traffic::run_cube_sharded(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                            w,
-                        ),
-                        None => {
-                            traffic::run_cube(&spec, cube, Resolution::HighToLow, algo, &params)
-                        }
-                    };
-                    print_traffic_report(algo.name(), &r, args.json, args.workers);
-                }
+                let backend = Backend::tree(cube, Resolution::HighToLow, algo);
+                run_load(args, algo.name(), spec, backend, &params);
             }
         }
+    }
+}
+
+/// Runs one open-loop configuration, as chaos under `--chaos`, prints
+/// its report, and writes the flight recorder's files when asked.
+fn run_load<R: Router + Copy>(
+    args: &Args,
+    label: &str,
+    spec: TrafficSpec,
+    backend: Backend<R>,
+    params: &SimParams,
+) {
+    let tcfg = TelemetryConfig::default();
+    let mut tel = None;
+    let mut opts = RunOptions::default();
+    if args.spans_out.is_some() || args.timeseries_out.is_some() {
+        opts = opts.telemetry(&tcfg, &mut tel);
+    }
+    match args.chaos {
+        Some((mtbf, mttr)) => {
+            let spec = chaos_spec(args, spec, mtbf, mttr);
+            let r = traffic::run_chaos(&spec, backend, params, opts);
+            print_chaos_report(label, &r, args.json);
+        }
+        None => {
+            let r = traffic::run(&spec, backend, params, opts);
+            print_traffic_report(label, &r, args.json);
+        }
+    }
+    if let Some(tel) = &tel {
+        write_telemetry(args, tel);
     }
 }
 
@@ -1298,14 +1199,8 @@ fn run_serve(flags: &[String]) {
                     std::process::exit(2);
                 });
             }
-            "--max-workers" => {
-                opts.max_workers = take(&mut i).parse().unwrap_or_else(|e| {
-                    eprintln!("error: --max-workers: {e}");
-                    std::process::exit(2);
-                });
-            }
             other => {
-                eprintln!("error: unknown serve flag {other} (serve takes --max-inflight, --max-sessions, --max-workers)");
+                eprintln!("error: unknown serve flag {other} (serve takes --max-inflight, --max-sessions)");
                 std::process::exit(2);
             }
         }
@@ -1351,10 +1246,6 @@ fn main() {
     if let Some(rate) = args.load {
         run_traffic(&args, rate);
         return;
-    }
-    if args.workers.is_some() {
-        eprintln!("error: --workers requires --load (it shards the open-loop session driver)");
-        std::process::exit(2);
     }
     if args.chaos.is_some() {
         eprintln!("error: --chaos requires --load (churn acts on open-loop traffic)");
@@ -1519,7 +1410,9 @@ fn main() {
                     })
                     .collect();
                 let router = Ecube::with_lanes(cube, Resolution::HighToLow, lanes);
-                let run = simulate_on(router, &params, &workload);
+                let run = Run::new(router, &params, &workload)
+                    .run()
+                    .expect("well-formed workload");
                 let trace = ChannelTrace::reconstruct_on(router, &params, &workload, &run);
                 println!("{}", trace.render_timeline(64));
                 println!(

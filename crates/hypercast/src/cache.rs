@@ -30,37 +30,27 @@ use std::sync::Arc;
 
 /// The complete input of a tree construction, with the destination set
 /// canonicalized (sorted ascending). Two calls that build the same tree
-/// always produce the same key.
+/// always produce the same key. `epoch` is 0 for pristine-cube trees
+/// (they are fault-independent) and the cache's current epoch for trees
+/// routed around faults (`repaired`), so a stale repaired tree can never
+/// be served after the topology changes.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct TreeKey {
-    /// Tree-construction algorithm.
-    pub algo: Algorithm,
-    /// The cube the multicast runs in.
-    pub cube: Cube,
-    /// Address-resolution order of the router.
-    pub resolution: Resolution,
-    /// Port model the tree is scheduled under.
-    pub port: PortModel,
-    /// Multicast source.
-    pub source: NodeId,
-    /// Destination set, sorted ascending (canonical form).
-    pub dests: Vec<NodeId>,
-    /// Fault epoch the tree was built under. Always 0 for pristine-cube
-    /// trees (they are fault-independent); the cache's current epoch for
-    /// trees routed around faults, so a stale repaired tree can never be
-    /// served after the topology changes.
-    pub epoch: u64,
-    /// Whether the tree went through [`repair`](crate::repair::repair())
-    /// against the epoch's fault state.
-    pub repaired: bool,
+struct TreeKey {
+    algo: Algorithm,
+    cube: Cube,
+    resolution: Resolution,
+    port: PortModel,
+    source: NodeId,
+    dests: Vec<NodeId>,
+    epoch: u64,
+    repaired: bool,
 }
 
 impl TreeKey {
     /// Builds the canonical key for a construction call (sorts a copy of
     /// `dests`; duplicates are kept and will surface as the same
     /// [`HcubeError::DuplicateAddress`] the uncached build reports).
-    #[must_use]
-    pub fn new(
+    fn new(
         algo: Algorithm,
         cube: Cube,
         resolution: Resolution,
@@ -294,32 +284,6 @@ impl TreeCache {
         Ok(tree)
     }
 
-    /// Returns the tree for `key`, calling `make` for it on a miss. The
-    /// hit/miss/eviction accounting is identical to
-    /// [`get_or_build`](TreeCache::get_or_build) — this is the
-    /// bring-your-own-tree entry point used by the sharded traffic
-    /// driver to *replay* a run's lookup sequence against trees that
-    /// were already built concurrently (in a
-    /// [`TreeStore`]), so the reported [`CacheStats`] stay a pure
-    /// function of the lookup order, not of thread scheduling.
-    ///
-    /// The key is taken verbatim: callers are responsible for
-    /// canonicalizing it ([`TreeKey::new`] sorts the destination set)
-    /// and for stamping `epoch`/`repaired` exactly as the equivalent
-    /// build call would have.
-    pub fn get_or_insert_with<F>(&mut self, key: TreeKey, make: F) -> Arc<MulticastTree>
-    where
-        F: FnOnce() -> Arc<MulticastTree>,
-    {
-        if let Some(tree) = self.lookup(&key) {
-            return tree;
-        }
-        self.stats.misses += 1;
-        let tree = make();
-        self.insert(key, &tree);
-        tree
-    }
-
     /// Hit path: refreshes the LRU position and counts the hit.
     fn lookup(&mut self, key: &TreeKey) -> Option<Arc<MulticastTree>> {
         let (stamp, tree) = self.map.get_mut(key)?;
@@ -350,150 +314,6 @@ impl TreeCache {
                 }
             }
         }
-    }
-}
-
-/// Hit/miss counters of a [`TreeStore`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Lookups served from the store.
-    pub hits: u64,
-    /// Lookups that had to build the tree.
-    pub misses: u64,
-}
-
-#[derive(Debug, Default)]
-struct StoreInner {
-    map: HashMap<TreeKey, Arc<MulticastTree>>,
-    stats: StoreStats,
-}
-
-/// A thread-safe, unbounded build memo of multicast trees, shared by
-/// the worker threads of a sharded run (and across the requests of a
-/// long-running `mcast serve` daemon). Keyed by the same canonical
-/// [`TreeKey`] as [`TreeCache`], but with no LRU order, no eviction,
-/// and interior locking so workers can share one store behind an `Arc`.
-///
-/// The store is deliberately **not** the determinism surface: its
-/// hit/miss split depends on thread interleaving, so reported
-/// [`CacheStats`] always come from a serial [`TreeCache`] replay of the
-/// run's lookup order (see `TreeCache::get_or_insert_with`), never from
-/// the store. The store only short-circuits redundant builds, which is
-/// invisible in any output because tree construction is a pure function
-/// of the key.
-///
-/// Builds run *outside* the lock: two workers racing on the same cold
-/// key may both build, and the first insert wins — harmless, because
-/// both build the identical tree.
-#[derive(Debug, Default)]
-pub struct TreeStore {
-    inner: std::sync::Mutex<StoreInner>,
-}
-
-impl TreeStore {
-    /// Creates an empty store.
-    #[must_use]
-    pub fn new() -> TreeStore {
-        TreeStore::default()
-    }
-
-    /// Returns the tree for `key`, building it on a miss. For a
-    /// `repaired` key the pristine tree is built and then routed around
-    /// `faults` (which must be the fault state of the epoch the key is
-    /// stamped with); for a pristine key `faults` must be `None`.
-    ///
-    /// # Errors
-    /// Exactly the errors of [`Algorithm::build`]; failed builds are
-    /// never stored.
-    ///
-    /// # Panics
-    /// Panics if `key.repaired` disagrees with `faults.is_some()`, or
-    /// if the store lock was poisoned by a panicking worker.
-    pub fn get_or_build(
-        &self,
-        key: &TreeKey,
-        faults: Option<&NetworkFaults>,
-    ) -> Result<Arc<MulticastTree>, HcubeError> {
-        assert_eq!(
-            key.repaired,
-            faults.is_some(),
-            "repaired keys need the epoch's fault state; pristine keys must not have one"
-        );
-        if let Some(tree) = self.get(key) {
-            return Ok(tree);
-        }
-        // Build outside the lock; a concurrent duplicate build is
-        // harmless (pure function of the key) and first-insert wins.
-        let pristine =
-            key.algo
-                .build(key.cube, key.resolution, key.port, key.source, &key.dests)?;
-        let tree = match faults {
-            Some(faults) => Arc::new(repair(&pristine, faults).tree),
-            None => Arc::new(pristine),
-        };
-        let mut inner = self.inner.lock().expect("tree store lock poisoned");
-        Ok(Arc::clone(inner.map.entry(key.clone()).or_insert(tree)))
-    }
-
-    /// Returns the stored tree for `key` without building, counting a
-    /// hit or a miss.
-    ///
-    /// # Panics
-    /// Panics if the store lock was poisoned by a panicking worker.
-    #[must_use]
-    pub fn get(&self, key: &TreeKey) -> Option<Arc<MulticastTree>> {
-        let mut inner = self.inner.lock().expect("tree store lock poisoned");
-        match inner.map.get(key) {
-            Some(tree) => {
-                let tree = Arc::clone(tree);
-                inner.stats.hits += 1;
-                Some(tree)
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Counter snapshot (operational only — scheduling-dependent).
-    ///
-    /// # Panics
-    /// Panics if the store lock was poisoned by a panicking worker.
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        self.inner.lock().expect("tree store lock poisoned").stats
-    }
-
-    /// Number of trees currently stored.
-    ///
-    /// # Panics
-    /// Panics if the store lock was poisoned by a panicking worker.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("tree store lock poisoned")
-            .map
-            .len()
-    }
-
-    /// Whether the store is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every stored tree (counters are preserved).
-    ///
-    /// # Panics
-    /// Panics if the store lock was poisoned by a panicking worker.
-    pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("tree store lock poisoned")
-            .map
-            .clear();
     }
 }
 
@@ -667,86 +487,6 @@ mod tests {
         assert_eq!(c.stats().hits, 1);
         build_repaired(&mut c, &[3, 7], &faults);
         assert_eq!(c.stats().misses, 4);
-    }
-
-    #[test]
-    fn get_or_insert_with_matches_get_or_build_accounting() {
-        let mut built = TreeCache::new(2);
-        let mut replay = TreeCache::new(2);
-        let store = TreeStore::new();
-        let groups: &[&[u32]] = &[&[1], &[2], &[1], &[3], &[1], &[2]];
-        for d in groups {
-            let tree = build_cached(&mut built, d);
-            let key = TreeKey::new(
-                Algorithm::WSort,
-                Cube::of(5),
-                Resolution::HighToLow,
-                PortModel::AllPort,
-                NodeId(0),
-                &dests(d),
-            );
-            let stored = store.get_or_build(&key, None).unwrap();
-            let replayed = replay.get_or_insert_with(key, || Arc::clone(&stored));
-            assert_eq!(tree.unicasts, replayed.unicasts);
-        }
-        assert_eq!(built.stats(), replay.stats());
-        assert_eq!(built.len(), replay.len());
-    }
-
-    #[test]
-    fn store_memoizes_and_counts() {
-        let store = TreeStore::new();
-        let key = TreeKey::new(
-            Algorithm::WSort,
-            Cube::of(5),
-            Resolution::HighToLow,
-            PortModel::AllPort,
-            NodeId(0),
-            &dests(&[9, 1, 5]),
-        );
-        let a = store.get_or_build(&key, None).unwrap();
-        let b = store.get_or_build(&key, None).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(store.len(), 1);
-        // First call missed, second hit; every get_or_build probes once.
-        assert_eq!(store.stats(), StoreStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn store_repaired_trees_match_cache_repaired_trees() {
-        let mut cache = TreeCache::new(8);
-        let mut faults = NetworkFaults::new();
-        faults.fail_node(NodeId(5));
-        let via_cache = build_repaired(&mut cache, &[1, 5, 9], &faults);
-
-        let store = TreeStore::new();
-        let mut key = TreeKey::new(
-            Algorithm::WSort,
-            Cube::of(5),
-            Resolution::HighToLow,
-            PortModel::AllPort,
-            NodeId(0),
-            &dests(&[1, 5, 9]),
-        );
-        key.repaired = true;
-        let via_store = store.get_or_build(&key, Some(&faults)).unwrap();
-        assert_eq!(via_cache.unicasts, via_store.unicasts);
-        assert_eq!(via_cache.steps, via_store.steps);
-    }
-
-    #[test]
-    fn store_failed_builds_are_not_stored() {
-        let store = TreeStore::new();
-        let key = TreeKey::new(
-            Algorithm::WSort,
-            Cube::of(3),
-            Resolution::HighToLow,
-            PortModel::AllPort,
-            NodeId(0),
-            &dests(&[1, 1]),
-        );
-        assert!(store.get_or_build(&key, None).is_err());
-        assert!(store.is_empty());
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod verify;
 
 pub use algorithms::Algorithm;
 pub use bine::bine_broadcast;
-pub use cache::{CacheStats, StoreStats, TreeCache, TreeKey, TreeStore};
+pub use cache::{CacheStats, TreeCache};
 pub use collectives::{
     CollectiveKind, CollectiveOp, CollectiveSchedule, Segments, Transfer, TreeFamily,
 };

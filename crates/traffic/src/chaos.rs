@@ -1,7 +1,7 @@
 //! The chaos engine: open-loop traffic under online fault churn, with
 //! self-healing retries.
 //!
-//! [`run_chaos_cube`] extends [`run_cube`](crate::run_cube) with a
+//! [`run_chaos`] extends [`run`](crate::run) with a
 //! [`ChurnSpec`] failure/repair process and a
 //! [`RetryPolicy`]:
 //!
@@ -33,14 +33,15 @@
 //! repaired tree only enters on the retry. With churn disabled
 //! ([`ChurnSpec::is_quiet`]) the whole machinery degenerates to a
 //! single epoch with an empty plan and the run is byte-identical to
-//! [`run_cube`](crate::run_cube) (pinned by the equivalence tests).
+//! [`run`](crate::run) (pinned by the equivalence tests).
 //!
 //! **Backoff units.** [`RetryPolicy`] backoffs are abstract units; the
 //! chaos engine interprets them as **microseconds** of simulated time.
 
 use crate::churn::ChurnSpec;
-use crate::engine::{push_tree_session, TrafficSpec};
+use crate::engine::{push_tree_session, Backend, RunOptions, TrafficSpec};
 use crate::stats::BatchMeans;
+use crate::telemetry::ChaosCollector;
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
 use hypercast::protocol::RetryPolicy;
 use hypercast::{Algorithm, CacheStats, NetworkFaults, TreeCache};
@@ -48,9 +49,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::fmt;
+use wormsim::network::ChannelMap;
 use wormsim::{
-    simulate_observed_with_faults_on_with_scratch, DepMessage, EngineScratch, FaultCause,
-    FaultEpoch, FaultTimeline, NetStats, NoopProbe, Outcome, Probe, SimTime,
+    DepMessage, EngineScratch, FaultCause, FaultEpoch, FaultTimeline, NetStats, Outcome, Run,
+    SimParams, SimTime,
 };
 
 /// Configuration of one chaos run: plain open-loop traffic plus a churn
@@ -254,122 +256,147 @@ pub(crate) struct WaveSpan {
     pub(crate) cache_hit: bool,
 }
 
-/// A flight recorder threaded through the epoch-wave loop. The plain
-/// chaos entry points use [`NoTelemetry`], which monomorphizes to the
-/// unobserved engine and records nothing — byte-identity of the plain
-/// path is pinned by the zero-churn equivalence tests.
-pub(crate) trait WaveTelemetry {
-    /// The engine probe simulated waves run under.
-    type P: Probe;
-    /// The probe to observe the next wave with.
-    fn probe(&mut self) -> &mut Self::P;
-    /// Called once per simulated wave, after the engine run, with the
-    /// wave's attempts (in launch order), their workload spans, the raw
-    /// run result, and the epoch's fault plan (deadline included).
-    fn record_wave(
-        &mut self,
-        attempts: &[Attempt],
-        spans: &[WaveSpan],
-        run: &wormsim::RunResult,
-        plan: &wormsim::FaultPlan,
-    );
-}
-
-/// The no-op recorder: a [`NoopProbe`] and empty hooks.
-#[derive(Default)]
-pub(crate) struct NoTelemetry(NoopProbe);
-
-impl WaveTelemetry for NoTelemetry {
-    type P = NoopProbe;
-    fn probe(&mut self) -> &mut NoopProbe {
-        &mut self.0
-    }
-    fn record_wave(
-        &mut self,
-        _attempts: &[Attempt],
-        _spans: &[WaveSpan],
-        _run: &wormsim::RunResult,
-        _plan: &wormsim::FaultPlan,
-    ) {
-    }
-}
-
-/// Runs open-loop multicast traffic on a hypercube under online fault
-/// churn. See the module docs for the execution model.
+/// Runs open-loop traffic under online fault churn, with self-healing
+/// retries. See the module docs for the execution model.
+///
+/// [`Backend::Tree`] retries rebuild their trees through
+/// [`hypercast::repair`](hypercast::repair::repair); with
+/// [`Backend::Separate`] each attempt re-sends one independent unicast
+/// per destination, so recovery relies entirely on the victim node or
+/// link reviving before the retry budget runs out (the baseline the
+/// tree algorithms' repair path is measured against). Churn strikes at
+/// the router's (link, lane) granularity on separate backends, and per
+/// link on the hypercube. [`RunOptions::timeline`] replaces the churn
+/// process with an explicit timeline; the rest of `spec` applies
+/// unchanged.
 ///
 /// # Panics
-/// See [`run_cube`](crate::run_cube); additionally panics on a
-/// malformed [`ChurnSpec`] (nonpositive MTBF).
+/// See [`run`](crate::run); additionally panics on a malformed
+/// [`ChurnSpec`] (nonpositive MTBF) and on the collective backends,
+/// which have no chaos mode.
+#[must_use]
+pub fn run_chaos<R: Router + Copy>(
+    spec: &ChaosSpec,
+    backend: Backend<R>,
+    params: &SimParams,
+    opts: RunOptions,
+) -> ChaosReport {
+    match backend {
+        Backend::Tree {
+            cube,
+            resolution,
+            algo,
+        } => chaos_on(
+            spec,
+            Ecube::new(cube, resolution),
+            Some((algo, cube, resolution)),
+            params,
+            opts,
+        ),
+        Backend::Separate(router) => chaos_on(spec, router, None, params, opts),
+        Backend::Collective { .. } | Backend::SeparateCollective(..) => {
+            panic!("collective traffic has no chaos mode")
+        }
+    }
+}
+
+/// [`run_chaos`] of tree multicast on a hypercube with default options.
+///
+/// Kept under this name because the `perfbench-trace` benchmark binary
+/// links it; new code uses [`run_chaos`].
+///
+/// # Panics
+/// See [`run_chaos`].
 #[must_use]
 pub fn run_chaos_cube(
     spec: &ChaosSpec,
     cube: Cube,
     resolution: Resolution,
     algo: Algorithm,
-    params: &wormsim::SimParams,
+    params: &SimParams,
 ) -> ChaosReport {
-    let mut scratch = EngineScratch::new();
-    run_chaos_cube_with_scratch(spec, cube, resolution, algo, params, &mut scratch)
-}
-
-/// Scratch-reusing [`run_chaos_cube`]; byte-identical reports.
-///
-/// # Panics
-/// See [`run_chaos_cube`].
-#[must_use]
-pub fn run_chaos_cube_with_scratch(
-    spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &wormsim::SimParams,
-    scratch: &mut EngineScratch,
-) -> ChaosReport {
-    let timeline = spec.churn.timeline_on(&cube, spec.traffic.seed);
-    run_chaos_cube_on_timeline(spec, cube, resolution, algo, params, &timeline, scratch)
-}
-
-/// [`run_chaos_cube`] against an explicit, already-rendered fault
-/// timeline (scripted outages, tests). The [`ChurnSpec`] inside `spec`
-/// is ignored; everything else applies unchanged.
-///
-/// # Panics
-/// See [`run_chaos_cube`].
-#[must_use]
-pub fn run_chaos_cube_on_timeline(
-    spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &wormsim::SimParams,
-    timeline: &FaultTimeline,
-    scratch: &mut EngineScratch,
-) -> ChaosReport {
-    run_chaos_cube_on_timeline_telemetry(
+    run_chaos(
         spec,
-        cube,
-        resolution,
-        algo,
+        Backend::tree(cube, resolution, algo),
         params,
-        timeline,
-        scratch,
-        &mut NoTelemetry::default(),
+        RunOptions::default(),
     )
 }
 
-/// [`run_chaos_cube_on_timeline`] with a [`WaveTelemetry`] recorder
-/// observing every wave. The report is byte-identical regardless of the
-/// recorder (probes never perturb the engine).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chaos_cube_on_timeline_telemetry<T: WaveTelemetry>(
+/// [`run_chaos`] of separate addressing on `router` with default
+/// options.
+///
+/// Kept under this name because the `perfbench-trace` benchmark binary
+/// links it; new code uses [`run_chaos`].
+///
+/// # Panics
+/// See [`run_chaos`].
+#[must_use]
+pub fn run_chaos_separate_on<R: Router + Copy>(
     spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &wormsim::SimParams,
+    router: R,
+    params: &SimParams,
+) -> ChaosReport
+where
+    R::Topo: Topology,
+{
+    run_chaos(
+        spec,
+        Backend::Separate(router),
+        params,
+        RunOptions::default(),
+    )
+}
+
+/// The chaos run on `router`; `tree` is `Some((algo, cube, resolution))`
+/// for tree multicast on the hypercube `router` routes, `None` for
+/// separate addressing.
+fn chaos_on<R: Router + Copy>(
+    spec: &ChaosSpec,
+    router: R,
+    tree: Option<(Algorithm, Cube, Resolution)>,
+    params: &SimParams,
+    opts: RunOptions,
+) -> ChaosReport {
+    let generated;
+    let timeline = match opts.timeline {
+        Some(timeline) => timeline,
+        None => {
+            let seed = spec.traffic.seed;
+            generated = match tree {
+                Some((_, cube, _)) => spec.churn.timeline_on(&cube, seed),
+                None => spec
+                    .churn
+                    .timeline_on_lanes(&router.topology(), router.lanes(), seed),
+            };
+            &generated
+        }
+    };
+    let mut fresh = EngineScratch::new();
+    let scratch = opts.scratch.unwrap_or(&mut fresh);
+    let Some((cfg, out)) = opts.telemetry else {
+        return chaos_waves(spec, router, tree, params, timeline, scratch, None);
+    };
+    let mut collector = ChaosCollector::new(tree.is_some());
+    let recorder = Some(&mut collector);
+    let report = chaos_waves(spec, router, tree, params, timeline, scratch, recorder);
+    let map = ChannelMap::new(router);
+    *out = Some(collector.finish(&report, &timeline.epochs(), &map, cfg));
+    report
+}
+
+/// Draws every session up front, then runs the epoch-wave loop, with
+/// the flight recorder observing every wave when one is given. The
+/// report is byte-identical regardless of the recorder (probes never
+/// perturb the engine, and the unobserved waves run the bare engine).
+fn chaos_waves<R: Router + Copy>(
+    spec: &ChaosSpec,
+    router: R,
+    tree: Option<(Algorithm, Cube, Resolution)>,
+    params: &SimParams,
     timeline: &FaultTimeline,
     scratch: &mut EngineScratch,
-    tel: &mut T,
+    mut recorder: Option<&mut ChaosCollector>,
 ) -> ChaosReport {
     // Draw the arrival schedule and every destination pattern up front,
     // in exactly the plain engine's RNG order — churn must not perturb
@@ -379,39 +406,22 @@ pub(crate) fn run_chaos_cube_on_timeline_telemetry<T: WaveTelemetry>(
         .traffic
         .arrivals
         .schedule(&mut rng, spec.traffic.sessions);
+    let topo = router.topology();
     let draws: Vec<(NodeId, Vec<NodeId>)> = schedule
         .iter()
-        .map(|_| spec.traffic.pattern.draw_cube(&mut rng, cube))
+        .map(|_| match tree {
+            Some((_, cube, _)) => spec.traffic.pattern.draw_cube(&mut rng, cube),
+            None => spec.traffic.pattern.draw_on(&mut rng, &topo),
+        })
         .collect();
 
-    let mut cache = TreeCache::new(spec.traffic.cache_capacity);
-    let build = |cache: &mut TreeCache,
-                 attempt: &Attempt,
-                 faults: &NetworkFaults|
-     -> std::sync::Arc<hypercast::MulticastTree> {
-        let (source, dests) = &draws[attempt.session];
-        if attempt.number == 1 {
-            // End-to-end fault detection: the first attempt always
-            // replays the pristine tree (the source has not yet learned
-            // of any fault).
-            cache
-                .get_or_build(algo, cube, resolution, params.port_model, *source, dests)
-                .expect("traffic destination draw produced an invalid multicast")
-        } else {
-            cache
-                .get_or_build_repaired(
-                    algo,
-                    cube,
-                    resolution,
-                    params.port_model,
-                    *source,
-                    dests,
-                    faults,
-                )
-                .expect("traffic destination draw produced an invalid multicast")
-        }
+    // Separate addressing builds no trees.
+    let capacity = if tree.is_some() {
+        spec.traffic.cache_capacity
+    } else {
+        0
     };
-
+    let mut cache = TreeCache::new(capacity);
     run_epoch_waves(
         spec,
         &schedule,
@@ -422,148 +432,67 @@ pub(crate) fn run_chaos_cube_on_timeline_telemetry<T: WaveTelemetry>(
             let mut workload: Vec<DepMessage> = Vec::new();
             let mut spans = Vec::with_capacity(attempts.len());
             for attempt in attempts {
+                let (source, dests) = &draws[attempt.session];
+                let Some((algo, cube, resolution)) = tree else {
+                    let base = workload.len();
+                    for &dst in dests {
+                        workload.push(DepMessage {
+                            src: *source,
+                            dst,
+                            bytes: spec.traffic.bytes,
+                            deps: vec![],
+                            min_start: attempt.launch,
+                        });
+                    }
+                    spans.push(WaveSpan {
+                        range: base..workload.len(),
+                        missing: 0,
+                        cache_hit: false,
+                    });
+                    continue;
+                };
                 let before = cache.stats();
-                let tree = build(cache, attempt, faults);
+                // End-to-end fault detection: the first attempt always
+                // replays the pristine tree (the source has not yet
+                // learned of any fault).
+                let built = if attempt.number == 1 {
+                    cache.get_or_build(algo, cube, resolution, params.port_model, *source, dests)
+                } else {
+                    cache.get_or_build_repaired(
+                        algo,
+                        cube,
+                        resolution,
+                        params.port_model,
+                        *source,
+                        dests,
+                        faults,
+                    )
+                };
+                let tree = built.expect("traffic destination draw produced an invalid multicast");
                 let cache_hit = cache.stats().since(before).hits > 0;
                 let range =
                     push_tree_session(&mut workload, &tree, spec.traffic.bytes, attempt.launch);
                 // Coverage check: which requested destinations does the
                 // (possibly repaired) tree actually reach?
                 let covered: BTreeSet<NodeId> = tree.unicasts.iter().map(|u| u.dst).collect();
-                let missing = draws[attempt.session]
-                    .1
-                    .iter()
-                    .filter(|d| !covered.contains(d))
-                    .count();
+                let missing = dests.iter().filter(|d| !covered.contains(d)).count();
                 spans.push(WaveSpan {
                     range,
                     missing,
                     cache_hit,
                 });
             }
-            let run = simulate_observed_with_faults_on_with_scratch(
-                Ecube::new(cube, resolution),
-                params,
-                &workload,
-                plan,
-                tel.probe(),
-                scratch,
-            )
-            .expect("windowed chaos runs cannot deadlock");
-            tel.record_wave(attempts, &spans, &run, plan);
-            (run, spans)
-        },
-    )
-}
-
-/// Separate-addressing chaos on any routed topology: each attempt
-/// re-sends one independent unicast per destination — there is no tree
-/// and no repair, so recovery relies entirely on the victim node or
-/// link reviving before the retry budget runs out (the baseline the
-/// tree algorithms' repair path is measured against).
-///
-/// # Panics
-/// See [`run_separate_on`](crate::run_separate_on).
-#[must_use]
-pub fn run_chaos_separate_on<R: Router + Copy>(
-    spec: &ChaosSpec,
-    router: R,
-    params: &wormsim::SimParams,
-) -> ChaosReport
-where
-    R::Topo: Topology,
-{
-    let mut scratch = EngineScratch::new();
-    run_chaos_separate_on_with_scratch(spec, router, params, &mut scratch)
-}
-
-/// Scratch-reusing [`run_chaos_separate_on`]; byte-identical reports.
-///
-/// # Panics
-/// See [`run_chaos_separate_on`].
-#[must_use]
-pub fn run_chaos_separate_on_with_scratch<R: Router + Copy>(
-    spec: &ChaosSpec,
-    router: R,
-    params: &wormsim::SimParams,
-    scratch: &mut EngineScratch,
-) -> ChaosReport
-where
-    R::Topo: Topology,
-{
-    run_chaos_separate_telemetry_on_with_scratch(spec, router, params, scratch, &mut {
-        NoTelemetry::default()
-    })
-}
-
-/// [`run_chaos_separate_on_with_scratch`] with a [`WaveTelemetry`]
-/// recorder observing every wave; byte-identical reports.
-pub(crate) fn run_chaos_separate_telemetry_on_with_scratch<R: Router + Copy, T: WaveTelemetry>(
-    spec: &ChaosSpec,
-    router: R,
-    params: &wormsim::SimParams,
-    scratch: &mut EngineScratch,
-    tel: &mut T,
-) -> ChaosReport
-where
-    R::Topo: Topology,
-{
-    let topo = router.topology();
-    // Churn at the router's (link, lane) fault granularity: every lane
-    // is an independent failure element. For the dateline torus this is
-    // the same per-virtual-channel element space the old 4n-port
-    // encoding churned over (byte-identity pinned in `churn`'s tests).
-    let timeline = spec
-        .churn
-        .timeline_on_lanes(&topo, router.lanes(), spec.traffic.seed);
-    let mut rng = StdRng::seed_from_u64(spec.traffic.seed);
-    let schedule = spec
-        .traffic
-        .arrivals
-        .schedule(&mut rng, spec.traffic.sessions);
-    let draws: Vec<(NodeId, Vec<NodeId>)> = schedule
-        .iter()
-        .map(|_| spec.traffic.pattern.draw_on(&mut rng, &topo))
-        .collect();
-
-    let mut cache = TreeCache::new(0); // separate addressing builds no trees
-    run_epoch_waves(
-        spec,
-        &schedule,
-        &timeline,
-        &mut cache,
-        scratch,
-        |_cache, attempts, _faults, plan, scratch| {
-            let mut workload: Vec<DepMessage> = Vec::new();
-            let mut spans = Vec::with_capacity(attempts.len());
-            for attempt in attempts {
-                let (source, dests) = &draws[attempt.session];
-                let base = workload.len();
-                for &dst in dests {
-                    workload.push(DepMessage {
-                        src: *source,
-                        dst,
-                        bytes: spec.traffic.bytes,
-                        deps: vec![],
-                        min_start: attempt.launch,
-                    });
-                }
-                spans.push(WaveSpan {
-                    range: base..workload.len(),
-                    missing: 0,
-                    cache_hit: false,
-                });
+            let engine = Run::new(router, params, &workload)
+                .faults(plan)
+                .scratch(scratch);
+            let run = match recorder.as_deref_mut() {
+                None => engine.run(),
+                Some(recorder) => engine.probe(&mut recorder.probe).run(),
             }
-            let run = simulate_observed_with_faults_on_with_scratch(
-                router,
-                params,
-                &workload,
-                plan,
-                tel.probe(),
-                scratch,
-            )
             .expect("windowed chaos runs cannot deadlock");
-            tel.record_wave(attempts, &spans, &run, plan);
+            if let Some(recorder) = recorder.as_deref_mut() {
+                recorder.record_wave(attempts, &spans, &run);
+            }
             (run, spans)
         },
     )
@@ -713,9 +642,7 @@ pub(crate) fn classify(msgs: &[wormsim::MessageResult], missing: usize) -> Attem
 }
 
 /// Assembles the final report from terminal session records.
-/// `pub(crate)` so the sharded driver can assemble the identical report
-/// from its per-session attempt chains.
-pub(crate) fn assemble_chaos(
+fn assemble_chaos(
     spec: &ChaosSpec,
     sessions: Vec<ChaosSession>,
     timeline: &FaultTimeline,
@@ -791,11 +718,19 @@ pub(crate) fn assemble_chaos(
 mod tests {
     use super::*;
     use crate::arrivals::{ArrivalProcess, Arrivals};
-    use crate::engine::{run_cube, run_separate_on};
+    use crate::engine::{run, Backend, RunOptions};
     use crate::patterns::DestPattern;
     use hcube::{Torus, TorusRouter};
     use hypercast::PortModel;
     use wormsim::{FaultEvent, FaultEventKind, SimParams};
+
+    fn five_cube(algo: Algorithm) -> Backend {
+        Backend::tree(Cube::of(5), Resolution::HighToLow, algo)
+    }
+
+    fn cube_chaos(spec: &ChaosSpec, algo: Algorithm, params: &SimParams) -> ChaosReport {
+        run_chaos(spec, five_cube(algo), params, RunOptions::default())
+    }
 
     fn traffic_spec(rate: f64, sessions: usize, seed: u64) -> TrafficSpec {
         TrafficSpec::new(
@@ -854,17 +789,14 @@ mod tests {
         // to pin that cut sessions are terminal (not retried).
         for rate in [2.0, 60.0] {
             let ts = traffic_spec(rate, 40, 11);
-            let plain = run_cube(
+            let plain = run(
                 &ts,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
+                five_cube(Algorithm::WSort),
                 &params,
+                RunOptions::default(),
             );
-            let chaos = run_chaos_cube(
+            let chaos = cube_chaos(
                 &ChaosSpec::new(ts, ChurnSpec::quiet()),
-                Cube::of(5),
-                Resolution::HighToLow,
                 Algorithm::WSort,
                 &params,
             );
@@ -881,11 +813,17 @@ mod tests {
         let params = SimParams::ncube2(PortModel::AllPort);
         let torus = Torus::of(4, 2);
         let ts = traffic_spec(1.0, 25, 9);
-        let plain = run_separate_on(&ts, TorusRouter::new(torus), &params);
-        let chaos = run_chaos_separate_on(
-            &ChaosSpec::new(ts, ChurnSpec::quiet()),
-            TorusRouter::new(torus),
+        let plain = run(
+            &ts,
+            Backend::Separate(TorusRouter::new(torus)),
             &params,
+            RunOptions::default(),
+        );
+        let chaos = run_chaos(
+            &ChaosSpec::new(ts, ChurnSpec::quiet()),
+            Backend::Separate(TorusRouter::new(torus)),
+            &params,
+            RunOptions::default(),
         );
         assert_eq!(plain_view(&plain), chaos_view(&chaos));
     }
@@ -894,22 +832,14 @@ mod tests {
     fn chaos_run_is_byte_deterministic_and_scratch_invariant() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let spec = ChaosSpec::new(traffic_spec(2.0, 40, 11), churny(SimTime::from_ms(10)));
-        let fresh = run_chaos_cube(
-            &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let fresh = cube_chaos(&spec, Algorithm::WSort, &params);
         let mut scratch = EngineScratch::new();
         for _ in 0..2 {
-            let again = run_chaos_cube_with_scratch(
+            let again = run_chaos(
                 &spec,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
+                five_cube(Algorithm::WSort),
                 &params,
-                &mut scratch,
+                RunOptions::default().scratch(&mut scratch),
             );
             assert_eq!(format!("{fresh:?}"), format!("{again:?}"));
         }
@@ -921,13 +851,7 @@ mod tests {
         let mut ts = traffic_spec(2.0, 60, 3);
         ts.horizon = SimTime::from_ms(60);
         let spec = ChaosSpec::new(ts, churny(SimTime::from_ms(15)));
-        let r = run_chaos_cube(
-            &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let r = cube_chaos(&spec, Algorithm::WSort, &params);
         assert!(r.fault_events > 0, "this churn spec must produce events");
         assert!(r.epochs > 1);
         assert!(
@@ -971,14 +895,13 @@ mod tests {
             kind: FaultEventKind::NodeDown(victim),
         }]);
         let spec = ChaosSpec::new(ts, ChurnSpec::quiet());
-        let r = run_chaos_cube_on_timeline(
+        let r = run_chaos(
             &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            five_cube(Algorithm::WSort),
             &params,
-            &timeline,
-            &mut EngineScratch::new(),
+            RunOptions::default()
+                .scratch(&mut EngineScratch::new())
+                .timeline(&timeline),
         );
         let s = &r.sessions[0];
         assert!(!s.delivered);
@@ -1030,14 +953,13 @@ mod tests {
             },
         ]);
         let spec = ChaosSpec::new(ts, ChurnSpec::quiet());
-        let r = run_chaos_cube_on_timeline(
+        let r = run_chaos(
             &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            five_cube(Algorithm::WSort),
             &params,
-            &timeline,
-            &mut EngineScratch::new(),
+            RunOptions::default()
+                .scratch(&mut EngineScratch::new())
+                .timeline(&timeline),
         );
         let s = &r.sessions[0];
         assert!(s.delivered, "the retry must land after the revival");

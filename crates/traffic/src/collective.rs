@@ -10,12 +10,13 @@
 //! layout. Bine trees are built directly (they are cheaper to construct
 //! than to cache). The assembled workload then runs under the same
 //! windowed engine as plain multicast traffic, so reports are directly
-//! comparable.
+//! comparable: [`run`](crate::run) with [`Backend::Collective`] or
+//! [`Backend::SeparateCollective`](crate::Backend::SeparateCollective).
+//!
+//! [`Backend::Collective`]: crate::Backend::Collective
 
-use crate::engine::{
-    run_sessions_on_with_scratch, SessionSpan, SessionWorkload, TrafficReport, TrafficSpec,
-};
-use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
+use crate::engine::{SessionSpan, SessionWorkload, TrafficSpec};
+use hcube::{Cube, NodeId, Resolution, Router, Topology};
 use hypercast::collectives::{
     allgather, allgather_separate, allreduce, allreduce_separate, reduce_scatter,
     reduce_scatter_separate,
@@ -23,7 +24,7 @@ use hypercast::collectives::{
 use hypercast::{CollectiveKind, CollectiveSchedule, TreeCache, TreeFamily};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wormsim::{DepMessage, EngineScratch, SimParams};
+use wormsim::{DepMessage, SimParams};
 
 /// Appends one collective session to `workload`: one [`DepMessage`] per
 /// op, dependency indices offset to the session's base, `min_start` =
@@ -112,68 +113,18 @@ pub fn assemble_collective_cube_sessions(
     SessionWorkload::from_parts(workload, spans, cache.stats())
 }
 
-/// Runs open-loop collective traffic on a hypercube: every session is
-/// one full-machine `kind` collective built from `family` trees.
-///
-/// Fully deterministic: identical inputs give byte-identical reports.
-///
-/// # Panics
-/// See [`assemble_collective_cube_sessions`].
-#[must_use]
-pub fn run_collective_cube(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    kind: CollectiveKind,
-    family: TreeFamily,
-    params: &SimParams,
-) -> TrafficReport {
-    let mut scratch = EngineScratch::new();
-    run_collective_cube_with_scratch(spec, cube, resolution, kind, family, params, &mut scratch)
-}
-
-/// Scratch-reusing [`run_collective_cube`]: the collectives-sweep hot
-/// path. Reports are byte-identical to [`run_collective_cube`].
-///
-/// # Panics
-/// See [`assemble_collective_cube_sessions`].
-#[must_use]
-pub fn run_collective_cube_with_scratch(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    kind: CollectiveKind,
-    family: TreeFamily,
-    params: &SimParams,
-    scratch: &mut EngineScratch,
-) -> TrafficReport {
-    let sessions = assemble_collective_cube_sessions(spec, cube, resolution, kind, family, params);
-    run_sessions_on_with_scratch(
-        spec,
-        Ecube::new(cube, resolution),
-        &sessions,
-        params,
-        scratch,
-    )
-}
-
-/// Runs open-loop **separate-addressing** collective traffic on any
+/// Assembles a **separate-addressing** collective traffic run on any
 /// routed topology (the torus backend): no trees, no cache — each
 /// session replays the direct-exchange schedule of its collective.
 /// Allreduce roots rotate round-robin across sessions.
 ///
 /// # Panics
 /// If the topology has fewer than two nodes.
-#[must_use]
-pub fn run_collective_separate_on<R: Router>(
+pub(crate) fn assemble_collective_separate_sessions_on<R: Router>(
     spec: &TrafficSpec,
-    router: R,
+    router: &R,
     kind: CollectiveKind,
-    params: &SimParams,
-) -> TrafficReport
-where
-    R::Topo: Topology,
-{
+) -> SessionWorkload {
     let topo = router.topology();
     let nodes = topo.node_count() as u32;
     let mut rng = StdRng::seed_from_u64(spec.seed);
@@ -196,15 +147,14 @@ where
             cache_hit: false,
         });
     }
-    let sessions = SessionWorkload::from_parts(workload, spans, hypercast::CacheStats::default());
-    let mut scratch = EngineScratch::new();
-    run_sessions_on_with_scratch(spec, router, &sessions, params, &mut scratch)
+    SessionWorkload::from_parts(workload, spans, hypercast::CacheStats::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrivals::{ArrivalProcess, Arrivals};
+    use crate::engine::{run, Backend, RunOptions};
     use crate::patterns::DestPattern;
     use hcube::{Torus, TorusRouter};
     use hypercast::{Algorithm, PortModel};
@@ -224,22 +174,14 @@ mod tests {
     fn collective_traffic_is_deterministic() {
         let params = SimParams::ncube2(PortModel::AllPort);
         for kind in CollectiveKind::ALL {
-            let a = run_collective_cube(
-                &spec(12),
+            let backend = Backend::collective(
                 Cube::of(4),
                 Resolution::HighToLow,
                 kind,
                 TreeFamily::Alg(Algorithm::WSort),
-                &params,
             );
-            let b = run_collective_cube(
-                &spec(12),
-                Cube::of(4),
-                Resolution::HighToLow,
-                kind,
-                TreeFamily::Alg(Algorithm::WSort),
-                &params,
-            );
+            let a = run(&spec(12), backend, &params, RunOptions::default());
+            let b = run(&spec(12), backend, &params, RunOptions::default());
             assert_eq!(a.latency.mean, b.latency.mean, "{}", kind.name());
             assert_eq!(a.completed_measured, b.completed_measured);
             assert_eq!(a.net.makespan, b.net.makespan);
@@ -285,8 +227,8 @@ mod tests {
         let params = SimParams::ncube2(PortModel::AllPort);
         let torus = Torus::of(4, 2);
         for kind in CollectiveKind::ALL {
-            let report =
-                run_collective_separate_on(&spec(6), TorusRouter::new(torus), kind, &params);
+            let backend = Backend::SeparateCollective(TorusRouter::new(torus), kind);
+            let report = run(&spec(6), backend, &params, RunOptions::default());
             assert_eq!(report.sessions.len(), 6, "{}", kind.name());
             assert!(report.completion_ratio > 0.0, "{}", kind.name());
         }

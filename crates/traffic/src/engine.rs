@@ -8,8 +8,12 @@
 //! session's arrival time. Forwarding dependencies stay *within* a
 //! session; across sessions the only coupling is physical channel
 //! contention, exactly as in the network. The whole run executes under
-//! [`wormsim::simulate_window_on`], so a saturated backlog is cut off at
-//! the horizon instead of extending the run without bound.
+//! a [`wormsim::Run::window`], so a saturated backlog is cut off at the
+//! horizon instead of extending the run without bound.
+//!
+//! [`run`] is the one entry point: a [`Backend`] says what sessions
+//! send (trees, separate unicasts, or collectives) and
+//! [`RunOptions`] adds a reusable scratch or the flight recorder.
 //!
 //! Hypercube sessions build their trees through a [`TreeCache`]: under
 //! recurring destination patterns (the [`DestPattern::Pool`] population)
@@ -17,15 +21,19 @@
 //! constructions; the report carries the cache counters.
 
 use crate::arrivals::Arrivals;
+use crate::collective::{
+    assemble_collective_cube_sessions, assemble_collective_separate_sessions_on,
+};
 use crate::patterns::DestPattern;
 use crate::stats::{BatchMeans, LoadPoint};
+use crate::telemetry::{traffic_telemetry, Telemetry, TelemetryConfig, TelemetryProbe};
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
-use hypercast::{Algorithm, CacheStats, TreeCache};
+use hypercast::{Algorithm, CacheStats, CollectiveKind, TreeCache, TreeFamily};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use wormsim::network::ChannelMap;
 use wormsim::{
-    simulate_window_on_with_scratch, DepMessage, EngineScratch, NetStats, RunResult, SimParams,
-    SimTime,
+    DepMessage, EngineScratch, FaultTimeline, NetStats, Run, RunResult, SimParams, SimTime,
 };
 
 /// Configuration of one open-loop traffic run.
@@ -158,7 +166,7 @@ pub(crate) struct SessionSpan {
 ///
 /// Produced by [`assemble_cube_sessions`] / [`assemble_separate_sessions_on`]
 /// and consumed (by reference — the same assembly can be replayed any
-/// number of times) by [`run_sessions_on_with_scratch`]. Splitting
+/// number of times) by [`run`] or [`run_sessions_on_with_scratch`]. Splitting
 /// assembly from simulation is what lets the `engine_bench` harness
 /// time the engine hot path alone, without tree construction or report
 /// assembly diluting the measurement.
@@ -332,67 +340,216 @@ pub(crate) fn assemble(
     }
 }
 
-/// Runs open-loop multicast traffic on a hypercube: every session
-/// builds (or cache-hits) an `algo` tree and replays it with the
-/// session's arrival as `min_start`.
+/// What each session of an open-loop run sends, and over which network.
 ///
-/// Fully deterministic: identical `(spec, cube, resolution, algo,
-/// params)` give byte-identical reports.
-///
-/// # Panics
-/// On invalid pattern draws (the [`DestPattern`] contracts) or a
-/// malformed [`DestPattern::Fixed`] set (duplicate or out-of-range
-/// destinations — the same panics as [`Algorithm::build`] would
-/// surface through the cache).
-#[must_use]
-pub fn run_cube(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-) -> TrafficReport {
-    let mut scratch = EngineScratch::new();
-    run_cube_with_scratch(spec, cube, resolution, algo, params, &mut scratch)
+/// Build the hypercube variants with [`Backend::tree`] and
+/// [`Backend::collective`], which fix the unused router parameter; the
+/// router-generic variants are written directly.
+#[derive(Clone, Copy, Debug)]
+pub enum Backend<R = Ecube> {
+    /// One `algo` multicast tree per session on a hypercube, built
+    /// through the spec's [`TreeCache`].
+    Tree {
+        /// The hypercube.
+        cube: Cube,
+        /// E-cube resolution order.
+        resolution: Resolution,
+        /// Tree-construction algorithm.
+        algo: Algorithm,
+    },
+    /// Separate addressing on any routed topology: one independent
+    /// unicast per destination, no trees and no cache. This is the
+    /// torus backend; the paper's tree algorithms are
+    /// hypercube-specific.
+    Separate(R),
+    /// One full-machine `kind` collective per session on a hypercube,
+    /// built from `family` trees (see [`crate::collective`]).
+    Collective {
+        /// The hypercube.
+        cube: Cube,
+        /// E-cube resolution order.
+        resolution: Resolution,
+        /// The collective every session runs.
+        kind: CollectiveKind,
+        /// The tree family its schedule is built from.
+        family: TreeFamily,
+    },
+    /// One full-machine `kind` collective per session as a
+    /// direct-exchange schedule on any routed topology.
+    SeparateCollective(R, CollectiveKind),
 }
 
-/// Scratch-reusing [`run_cube`]: the sweep hot path. One
-/// [`EngineScratch`] per worker lets every session of every load point
-/// replay into the same arenas — and, through the scratch's route
-/// memo, recurring sessions (the [`TreeCache`] hit path) never
-/// recompute an E-cube route. Reports are byte-identical to
-/// [`run_cube`].
+impl Backend {
+    /// [`Backend::Tree`].
+    #[must_use]
+    pub fn tree(cube: Cube, resolution: Resolution, algo: Algorithm) -> Backend {
+        Backend::Tree {
+            cube,
+            resolution,
+            algo,
+        }
+    }
+
+    /// [`Backend::Collective`].
+    #[must_use]
+    pub fn collective(
+        cube: Cube,
+        resolution: Resolution,
+        kind: CollectiveKind,
+        family: TreeFamily,
+    ) -> Backend {
+        Backend::Collective {
+            cube,
+            resolution,
+            kind,
+            family,
+        }
+    }
+}
+
+/// Optional inputs of [`run`] and [`run_chaos`](crate::run_chaos).
+/// None of them changes a report's bytes.
+#[derive(Debug, Default)]
+pub struct RunOptions<'a> {
+    pub(crate) scratch: Option<&'a mut EngineScratch>,
+    pub(crate) telemetry: Option<(&'a TelemetryConfig, &'a mut Option<Telemetry>)>,
+    pub(crate) timeline: Option<&'a FaultTimeline>,
+}
+
+impl<'a> RunOptions<'a> {
+    /// Replays the run into a caller-owned [`EngineScratch`] instead of
+    /// a fresh one: reused arenas and memoized routes.
+    #[must_use]
+    pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
+    }
+
+    /// Attaches the flight recorder: the run is observed once and the
+    /// derived [`Telemetry`] is stored in `out`.
+    #[must_use]
+    pub fn telemetry(mut self, cfg: &'a TelemetryConfig, out: &'a mut Option<Telemetry>) -> Self {
+        self.telemetry = Some((cfg, out));
+        self
+    }
+
+    /// Runs a chaos run against an explicit, already rendered fault
+    /// timeline (scripted outages, tests) instead of the one its
+    /// [`ChurnSpec`](crate::ChurnSpec) generates. Only
+    /// [`run_chaos`](crate::run_chaos) reads it.
+    #[must_use]
+    pub fn timeline(mut self, timeline: &'a FaultTimeline) -> Self {
+        self.timeline = Some(timeline);
+        self
+    }
+}
+
+/// Runs open-loop traffic: every session of `spec` arrives by its
+/// arrival process and sends what `backend` says, sessions contend for
+/// channels in one shared network, and the run executes under the
+/// spec's observation window.
+///
+/// Fully deterministic: identical inputs give byte-identical reports,
+/// whatever the options. See the crate docs for an example.
 ///
 /// # Panics
-/// See [`run_cube`].
+/// On invalid pattern draws (the [`DestPattern`] contracts, including
+/// [`DestPattern::SubcubeBiased`] off the hypercube), a malformed
+/// [`DestPattern::Fixed`] set (duplicate or out-of-range destinations,
+/// the panics of [`Algorithm::build`]), or options carrying a fault
+/// timeline.
 #[must_use]
-pub fn run_cube_with_scratch(
+pub fn run<R: Router + Copy>(
     spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
+    backend: Backend<R>,
     params: &SimParams,
-    scratch: &mut EngineScratch,
+    opts: RunOptions,
 ) -> TrafficReport {
-    let sessions = assemble_cube_sessions(spec, cube, resolution, algo, params);
-    run_sessions_on_with_scratch(
+    assert!(
+        opts.timeline.is_none(),
+        "a fault timeline only applies to run_chaos"
+    );
+    match backend {
+        Backend::Tree {
+            cube,
+            resolution,
+            algo,
+        } => {
+            let sessions = assemble_cube_sessions(spec, cube, resolution, algo, params);
+            let router = Ecube::new(cube, resolution);
+            simulate_sessions(spec, router, &sessions, params, opts, true)
+        }
+        Backend::Separate(router) => {
+            let sessions = assemble_separate_sessions_on(spec, &router);
+            simulate_sessions(spec, router, &sessions, params, opts, false)
+        }
+        Backend::Collective {
+            cube,
+            resolution,
+            kind,
+            family,
+        } => {
+            let sessions =
+                assemble_collective_cube_sessions(spec, cube, resolution, kind, family, params);
+            let lookups = matches!(family, TreeFamily::Alg(_));
+            let router = Ecube::new(cube, resolution);
+            simulate_sessions(spec, router, &sessions, params, opts, lookups)
+        }
+        Backend::SeparateCollective(router, kind) => {
+            let sessions = assemble_collective_separate_sessions_on(spec, &router, kind);
+            simulate_sessions(spec, router, &sessions, params, opts, false)
+        }
+    }
+}
+
+/// Simulates an assembled run under the spec's window, observed when
+/// the options ask for telemetry, and attributes the results back to
+/// sessions. `lookups`: whether sessions looked their trees up in the
+/// cache (the telemetry spans' `cache_hit` is `None` otherwise).
+fn simulate_sessions<R: Router + Copy>(
+    spec: &TrafficSpec,
+    router: R,
+    sessions: &SessionWorkload,
+    params: &SimParams,
+    opts: RunOptions,
+    lookups: bool,
+) -> TrafficReport {
+    let mut fresh = EngineScratch::new();
+    let scratch = opts.scratch.unwrap_or(&mut fresh);
+    let engine = Run::new(router, params, &sessions.workload)
+        .window(spec.horizon)
+        .scratch(scratch);
+    let Some((cfg, out)) = opts.telemetry else {
+        let run = engine.run().expect("windowed traffic runs cannot deadlock");
+        return assemble(spec, &run, &sessions.spans, sessions.cache);
+    };
+    let mut probe = TelemetryProbe::new();
+    let run = engine
+        .probe(&mut probe)
+        .run()
+        .expect("windowed traffic runs cannot deadlock");
+    let intervals = probe.take_intervals();
+    *out = Some(traffic_telemetry(
         spec,
-        Ecube::new(cube, resolution),
-        &sessions,
-        params,
-        scratch,
-    )
+        sessions,
+        &run,
+        &intervals,
+        &ChannelMap::new(router),
+        cfg,
+        lookups,
+    ));
+    assemble(spec, &run, &sessions.spans, sessions.cache)
 }
 
 /// Assembles the windowed workload of a hypercube traffic run without
 /// simulating it: arrival schedule, per-session tree builds (through
 /// the [`TreeCache`]), and dependency wiring.
 ///
-/// Deterministic for identical inputs; [`run_cube`] is exactly this
-/// followed by [`run_sessions_on_with_scratch`].
+/// Deterministic for identical inputs; [`run`] with [`Backend::Tree`]
+/// is exactly this followed by the windowed engine run.
 ///
 /// # Panics
-/// See [`run_cube`].
+/// See [`run`].
 #[must_use]
 pub fn assemble_cube_sessions(
     spec: &TrafficSpec,
@@ -431,12 +588,11 @@ pub fn assemble_cube_sessions(
 }
 
 /// Simulates a pre-assembled [`SessionWorkload`] under the spec's
-/// observation window and attributes the results back to sessions.
+/// observation window in a caller-owned scratch and attributes the
+/// results back to sessions: the engine half of [`run`].
 ///
-/// This is the engine hot path in isolation: the same assembly can be
-/// replayed any number of times (the `engine_bench` harness does
-/// exactly that, cold vs warm), and replaying through one scratch is
-/// byte-identical to a fresh run.
+/// Kept under this name because the `perfbench-trace` benchmark binary
+/// links it; new code uses [`run`].
 ///
 /// # Panics
 /// If `sessions` references nodes outside `router`'s topology.
@@ -448,51 +604,12 @@ pub fn run_sessions_on_with_scratch<R: Router>(
     params: &SimParams,
     scratch: &mut EngineScratch,
 ) -> TrafficReport {
-    let run =
-        simulate_window_on_with_scratch(router, params, &sessions.workload, spec.horizon, scratch)
-            .expect("windowed traffic runs cannot deadlock");
+    let run = Run::new(router, params, &sessions.workload)
+        .window(spec.horizon)
+        .scratch(scratch)
+        .run()
+        .expect("windowed traffic runs cannot deadlock");
     assemble(spec, &run, &sessions.spans, sessions.cache)
-}
-
-/// Runs open-loop **separate-addressing** traffic on any routed
-/// topology: each session sends one independent unicast per destination
-/// (no tree, no cache). This is the backend the torus uses — the
-/// paper's tree algorithms are hypercube-specific.
-///
-/// # Panics
-/// On invalid pattern draws, including [`DestPattern::SubcubeBiased`]
-/// (hypercube-only; see [`DestPattern::is_topology_generic`]).
-#[must_use]
-pub fn run_separate_on<R: Router>(
-    spec: &TrafficSpec,
-    router: R,
-    params: &SimParams,
-) -> TrafficReport
-where
-    R::Topo: Topology,
-{
-    let mut scratch = EngineScratch::new();
-    run_separate_on_with_scratch(spec, router, params, &mut scratch)
-}
-
-/// Scratch-reusing [`run_separate_on`]: same semantics, reused engine
-/// arenas and memoized routes. Reports are byte-identical to
-/// [`run_separate_on`].
-///
-/// # Panics
-/// See [`run_separate_on`].
-#[must_use]
-pub fn run_separate_on_with_scratch<R: Router>(
-    spec: &TrafficSpec,
-    router: R,
-    params: &SimParams,
-    scratch: &mut EngineScratch,
-) -> TrafficReport
-where
-    R::Topo: Topology,
-{
-    let sessions = assemble_separate_sessions_on(spec, &router);
-    run_sessions_on_with_scratch(spec, router, &sessions, params, scratch)
 }
 
 /// Assembles the windowed workload of a separate-addressing traffic run
@@ -500,7 +617,7 @@ where
 /// trees) without simulating it.
 ///
 /// # Panics
-/// See [`run_separate_on`].
+/// See [`run`].
 #[must_use]
 pub fn assemble_separate_sessions_on<R: Router>(spec: &TrafficSpec, router: &R) -> SessionWorkload
 where
@@ -544,6 +661,14 @@ mod tests {
     use hcube::{Torus, TorusRouter};
     use hypercast::PortModel;
 
+    fn five_cube(algo: Algorithm) -> Backend {
+        Backend::tree(Cube::of(5), Resolution::HighToLow, algo)
+    }
+
+    fn cube_run(spec: &TrafficSpec, algo: Algorithm, params: &SimParams) -> TrafficReport {
+        run(spec, five_cube(algo), params, RunOptions::default())
+    }
+
     fn spec(rate: f64, sessions: usize, seed: u64) -> TrafficSpec {
         TrafficSpec::new(
             Arrivals::new(ArrivalProcess::Poisson, rate),
@@ -557,20 +682,8 @@ mod tests {
     fn cube_run_is_byte_deterministic() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let s = spec(2.0, 40, 11);
-        let a = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
-        let b = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let a = cube_run(&s, Algorithm::WSort, &params);
+        let b = cube_run(&s, Algorithm::WSort, &params);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(a.sessions.len(), 40);
         assert_eq!(a.measured_sessions, 36);
@@ -579,20 +692,8 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let a = run_cube(
-            &spec(2.0, 30, 1),
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
-        let b = run_cube(
-            &spec(2.0, 30, 2),
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let a = cube_run(&spec(2.0, 30, 1), Algorithm::WSort, &params);
+        let b = cube_run(&spec(2.0, 30, 2), Algorithm::WSort, &params);
         assert_ne!(format!("{:?}", a.sessions), format!("{:?}", b.sessions));
     }
 
@@ -603,13 +704,7 @@ mod tests {
         let pool = DestPattern::uniform_pool(&mut rng, &Cube::of(5), 4, 6);
         let mut s = TrafficSpec::new(Arrivals::new(ArrivalProcess::Poisson, 1.0), pool, 50, 7);
         s.cache_capacity = 16;
-        let r = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let r = cube_run(&s, Algorithm::WSort, &params);
         assert!(r.cache.hits > 0, "pool workload must hit the cache");
         assert!(r.cache.misses <= 4, "at most one miss per distinct group");
         assert!(r.cache.hit_rate() > 0.5);
@@ -618,13 +713,7 @@ mod tests {
     #[test]
     fn light_load_completes_everything() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let r = run_cube(
-            &spec(0.5, 30, 5),
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let r = cube_run(&spec(0.5, 30, 5), Algorithm::WSort, &params);
         assert_eq!(r.completed_measured, r.measured_sessions);
         assert!((r.completion_ratio - 1.0).abs() < 1e-12);
         assert!(r.latency.mean > 0.0);
@@ -637,13 +726,7 @@ mod tests {
         let params = SimParams::ncube2(PortModel::OnePort);
         let mut s = spec(2000.0, 200, 5);
         s.horizon = SimTime::from_ms(2);
-        let r = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::Separate,
-            &params,
-        );
+        let r = cube_run(&s, Algorithm::Separate, &params);
         assert!(
             r.completion_ratio < 1.0,
             "an impossible load must overflow the window (ratio {})",
@@ -656,22 +739,14 @@ mod tests {
     fn scratch_reuse_reports_are_byte_identical() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let s = spec(2.0, 40, 11);
-        let fresh = run_cube(
-            &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
-            &params,
-        );
+        let fresh = cube_run(&s, Algorithm::WSort, &params);
         let mut scratch = EngineScratch::new();
         for _ in 0..2 {
-            let again = run_cube_with_scratch(
+            let again = run(
                 &s,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
+                five_cube(Algorithm::WSort),
                 &params,
-                &mut scratch,
+                RunOptions::default().scratch(&mut scratch),
             );
             assert_eq!(
                 format!("{fresh:?}"),
@@ -687,9 +762,18 @@ mod tests {
         // memo restamps and the torus report still matches fresh.
         let torus = Torus::of(4, 2);
         let ts = spec(1.0, 25, 9);
-        let fresh = run_separate_on(&ts, TorusRouter::new(torus), &params);
-        let again =
-            run_separate_on_with_scratch(&ts, TorusRouter::new(torus), &params, &mut scratch);
+        let fresh = run(
+            &ts,
+            Backend::Separate(TorusRouter::new(torus)),
+            &params,
+            RunOptions::default(),
+        );
+        let again = run(
+            &ts,
+            Backend::Separate(TorusRouter::new(torus)),
+            &params,
+            RunOptions::default().scratch(&mut scratch),
+        );
         assert_eq!(format!("{fresh:?}"), format!("{again:?}"));
     }
 
@@ -720,11 +804,13 @@ mod tests {
             }
             // A standalone session replay is a complete, runnable
             // workload: everything delivers on an uncontended network.
-            let run = wormsim::simulate_on(
+            let run = Run::new(
                 hcube::Ecube::new(Cube::of(5), Resolution::HighToLow),
                 &params,
                 &w,
-            );
+            )
+            .run()
+            .unwrap();
             assert!(run.messages.iter().all(|m| m.outcome.is_delivered()));
         }
         assert_eq!(total, assembly.messages().len());
@@ -735,8 +821,18 @@ mod tests {
         let params = SimParams::ncube2(PortModel::AllPort);
         let torus = Torus::of(4, 2);
         let s = spec(1.0, 25, 9);
-        let a = run_separate_on(&s, TorusRouter::new(torus), &params);
-        let b = run_separate_on(&s, TorusRouter::new(torus), &params);
+        let a = run(
+            &s,
+            Backend::Separate(TorusRouter::new(torus)),
+            &params,
+            RunOptions::default(),
+        );
+        let b = run(
+            &s,
+            Backend::Separate(TorusRouter::new(torus)),
+            &params,
+            RunOptions::default(),
+        );
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(a.cache, CacheStats::default(), "no trees, no cache traffic");
         assert!(a.completed_measured > 0);

@@ -18,36 +18,35 @@
 //!   subcube-biased, hot-spot, or a finite [`DestPattern::Pool`] of
 //!   recurring groups (drawing through [`hcube::sampling`], the same
 //!   primitives the figure workloads use);
-//! * [`engine`] — the session scheduler: each arrival becomes a batch of
-//!   [`wormsim::DepMessage`]s whose `min_start` is the arrival time,
-//!   trees come from a [`hypercast::TreeCache`] (recurring groups are
-//!   pointer-clone hits), and the whole run executes under
-//!   [`wormsim::simulate_window_on`] so saturation cannot run away;
+//! * [`engine`] — the session scheduler and the one entry point
+//!   [`run`]: each arrival becomes a batch of [`wormsim::DepMessage`]s
+//!   whose `min_start` is the arrival time, trees come from a
+//!   [`hypercast::TreeCache`] (recurring groups are pointer-clone
+//!   hits), and the whole run executes under one windowed
+//!   [`wormsim::Run`] so saturation cannot run away. A [`Backend`]
+//!   picks tree multicast on a hypercube, separate addressing on any
+//!   router, or a [`collective`] per session;
 //! * [`stats`] — steady-state output analysis: warmup truncation,
 //!   batch-means confidence intervals, throughput, and the
 //!   [`stats::saturation_point`] detector for latency-vs-load sweeps;
-//! * [`churn`] / [`chaos`] — online fault churn and self-healing
-//!   recovery: a seed-deterministic MTBF/MTTR failure/repair process
-//!   rendered into epoch-numbered fault plans, with faulted sessions
-//!   retried under exponential backoff through
+//! * [`churn`] / [`chaos`] — [`run_chaos`], online fault churn and
+//!   self-healing recovery: a seed-deterministic MTBF/MTTR
+//!   failure/repair process rendered into epoch-numbered fault plans,
+//!   with faulted sessions retried under exponential backoff through
 //!   [`hypercast::repair`](hypercast::repair::repair)-rebuilt trees,
 //!   surfacing delivery ratio, goodput, retry distributions, and
 //!   time-to-recover;
-//! * [`shard`] — the sharded session driver: the paper's
-//!   contention-free trees make sessions mutually independent, so the
-//!   sharded entry points simulate each session (or chaos retry chain)
-//!   alone on one of N worker threads — each with its own
-//!   [`wormsim::EngineScratch`], chaos workers sharing one
-//!   [`hypercast::TreeStore`] — and merge results in session order, so
-//!   every report is byte-identical at any worker count;
-//! * [`telemetry`] — the flight recorder: every `*_with_telemetry`
-//!   entry point runs the same workload once, observed, returning the
+//! * [`telemetry`] — the flight recorder: [`RunOptions::telemetry`]
+//!   runs the same workload once, observed, returning the
 //!   byte-identical report **plus** per-session spans with an exact
 //!   latency decomposition (queueing / head-flit blocking / transit,
 //!   causally chained through retries) and a deterministic windowed
 //!   time-series (goodput, latency quantiles, cache hit rate, live
 //!   faults, per-dimension blocked time), exportable as Perfetto
 //!   traces, Prometheus metrics, or standalone JSON.
+//!
+//! Independent runs (sweep points, trials) fan out over
+//! [`run_trials`], the workspace's one worker pool.
 //!
 //! **Zero-load anchoring.** A one-session run of a
 //! [`DestPattern::Fixed`] pattern is byte-identical to the single-shot
@@ -62,7 +61,7 @@
 //! ```
 //! use hcube::{Cube, Resolution};
 //! use hypercast::{Algorithm, PortModel};
-//! use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
+//! use traffic::{ArrivalProcess, Arrivals, Backend, DestPattern, RunOptions, TrafficSpec};
 //! use wormsim::SimParams;
 //!
 //! let spec = TrafficSpec::new(
@@ -71,9 +70,11 @@
 //!     50,
 //!     42,
 //! );
-//! let report = traffic::run_cube(
-//!     &spec, Cube::of(6), Resolution::HighToLow, Algorithm::WSort,
+//! let report = traffic::run(
+//!     &spec,
+//!     Backend::tree(Cube::of(6), Resolution::HighToLow, Algorithm::WSort),
 //!     &SimParams::ncube2(PortModel::AllPort),
+//!     RunOptions::default(),
 //! );
 //! assert_eq!(report.sessions.len(), 50);
 //! assert!(report.completion_ratio > 0.0);
@@ -89,35 +90,24 @@ pub mod churn;
 pub mod collective;
 pub mod engine;
 pub mod patterns;
-pub mod shard;
 pub mod stats;
 pub mod telemetry;
 
 pub use arrivals::{ArrivalProcess, Arrivals};
 pub use chaos::{
-    run_chaos_cube, run_chaos_cube_on_timeline, run_chaos_cube_with_scratch, run_chaos_separate_on,
-    run_chaos_separate_on_with_scratch, ChaosReport, ChaosSession, ChaosSpec, RetriesExhausted,
-    SessionFailure,
+    run_chaos, run_chaos_cube, run_chaos_separate_on, ChaosReport, ChaosSession, ChaosSpec,
+    RetriesExhausted, SessionFailure,
 };
 pub use churn::ChurnSpec;
-pub use collective::{
-    assemble_collective_cube_sessions, run_collective_cube, run_collective_cube_with_scratch,
-    run_collective_separate_on,
-};
+pub use collective::assemble_collective_cube_sessions;
 pub use engine::{
-    assemble_cube_sessions, assemble_separate_sessions_on, run_cube, run_cube_with_scratch,
-    run_separate_on, run_separate_on_with_scratch, run_sessions_on_with_scratch, SessionRecord,
-    SessionWorkload, TrafficReport, TrafficSpec,
+    assemble_cube_sessions, assemble_separate_sessions_on, run, run_sessions_on_with_scratch,
+    Backend, RunOptions, SessionRecord, SessionWorkload, TrafficReport, TrafficSpec,
 };
 pub use patterns::DestPattern;
-pub use shard::{
-    run_chaos_cube_sharded, run_chaos_cube_sharded_with_store, run_chaos_separate_sharded_on,
-    run_cube_sharded, run_separate_sharded_on, run_sessions_sharded_on, run_trials,
-};
 pub use stats::{saturation_point, BatchMeans, LoadPoint, Quantiles};
 pub use telemetry::{
-    run_chaos_cube_on_timeline_with_telemetry, run_chaos_cube_with_telemetry,
-    run_chaos_separate_with_telemetry_on, run_cube_with_telemetry, run_separate_with_telemetry_on,
     AttemptSpan, PhaseBreakdown, SessionTrace, SpanOutcome, Telemetry, TelemetryBucket,
     TelemetryConfig, TelemetryProbe, TimeSeries,
 };
+pub use wormsim::run_trials;

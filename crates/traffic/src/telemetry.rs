@@ -1,11 +1,11 @@
 //! The flight recorder: session-level spans and windowed time-series
 //! telemetry over the traffic and chaos engines.
 //!
-//! Every `*_with_telemetry` entry point runs the **same workload as its
-//! plain counterpart, once, observed** — probes are statically
-//! dispatched and never perturb the engine (pinned by the byte-identity
-//! tests), so the returned report is byte-identical to the unobserved
-//! run and the telemetry is derived from the very same
+//! [`RunOptions::telemetry`](crate::RunOptions::telemetry) runs the
+//! **same workload as the plain run, once, observed** — probes are
+//! statically dispatched and never perturb the engine (pinned by the
+//! byte-identity tests), so the returned report is byte-identical to
+//! the unobserved run and the telemetry is derived from the very same
 //! [`wormsim::RunResult`]s.
 //!
 //! Two views come out of one run:
@@ -48,21 +48,13 @@
 //! — the build environment is offline, so serialization leans on
 //! [`wormsim::json_escape`] instead of serde.
 
-use crate::chaos::{
-    classify, run_chaos_cube_on_timeline_telemetry, run_chaos_separate_telemetry_on_with_scratch,
-    Attempt, AttemptOutcome, ChaosReport, ChaosSpec, SessionFailure, WaveSpan, WaveTelemetry,
-};
-use crate::engine::{
-    assemble, assemble_cube_sessions, assemble_separate_sessions_on, SessionWorkload,
-    TrafficReport, TrafficSpec,
-};
+use crate::chaos::{classify, Attempt, AttemptOutcome, ChaosReport, SessionFailure, WaveSpan};
+use crate::engine::{SessionWorkload, TrafficSpec};
 use crate::stats::Quantiles;
-use hcube::{Cube, Ecube, Resolution, Router, Topology};
-use hypercast::Algorithm;
+use hcube::Router;
 use wormsim::{
-    json_escape, simulate_window_observed_on_with_scratch, BlockedInterval, ChannelMap,
-    EngineScratch, FaultEpoch, FaultPlan, FaultTimeline, Histogram, MessageResult, MetricsRegistry,
-    Probe, RunResult, SimParams, SimTime,
+    json_escape, BlockedInterval, ChannelMap, FaultEpoch, FaultPlan, Histogram, MessageResult,
+    MetricsRegistry, Probe, RunResult, SimTime,
 };
 
 /// Telemetry layer configuration.
@@ -720,7 +712,7 @@ fn build_series(
 
 /// Builds the traffic-path telemetry (single wave) from an observed
 /// run's message results and the probe's blocking intervals.
-fn traffic_telemetry<R: Router>(
+pub(crate) fn traffic_telemetry<R: Router>(
     spec: &TrafficSpec,
     assembly: &SessionWorkload,
     run: &RunResult,
@@ -765,80 +757,11 @@ fn traffic_telemetry<R: Router>(
     }
 }
 
-/// [`run_cube`](crate::run_cube) with the flight recorder attached: one
-/// observed engine run yields both the byte-identical [`TrafficReport`]
-/// and the derived [`Telemetry`].
-///
-/// # Panics
-/// See [`run_cube`](crate::run_cube).
-#[must_use]
-pub fn run_cube_with_telemetry(
-    spec: &TrafficSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-    cfg: &TelemetryConfig,
-) -> (TrafficReport, Telemetry) {
-    let assembly = assemble_cube_sessions(spec, cube, resolution, algo, params);
-    let mut probe = TelemetryProbe::new();
-    let mut scratch = EngineScratch::new();
-    let run = simulate_window_observed_on_with_scratch(
-        Ecube::new(cube, resolution),
-        params,
-        assembly.messages(),
-        spec.horizon,
-        &mut probe,
-        &mut scratch,
-    )
-    .expect("windowed traffic runs cannot deadlock");
-    let report = assemble(spec, &run, &assembly.spans, assembly.cache_stats());
-    let map = ChannelMap::new(Ecube::new(cube, resolution));
-    let intervals = probe.take_intervals();
-    let telemetry = traffic_telemetry(spec, &assembly, &run, &intervals, &map, cfg, true);
-    (report, telemetry)
-}
-
-/// [`run_separate_on`](crate::run_separate_on) with the flight recorder
-/// attached: observed separate-addressing traffic on any routed
-/// topology. No trees are built, so span cache fields are `None` and
-/// the series' cache counters stay zero.
-///
-/// # Panics
-/// See [`run_separate_on`](crate::run_separate_on).
-#[must_use]
-pub fn run_separate_with_telemetry_on<R: Router + Copy>(
-    spec: &TrafficSpec,
-    router: R,
-    params: &SimParams,
-    cfg: &TelemetryConfig,
-) -> (TrafficReport, Telemetry)
-where
-    R::Topo: Topology,
-{
-    let assembly = assemble_separate_sessions_on(spec, &router);
-    let mut probe = TelemetryProbe::new();
-    let mut scratch = EngineScratch::new();
-    let run = simulate_window_observed_on_with_scratch(
-        router,
-        params,
-        assembly.messages(),
-        spec.horizon,
-        &mut probe,
-        &mut scratch,
-    )
-    .expect("windowed traffic runs cannot deadlock");
-    let report = assemble(spec, &run, &assembly.spans, assembly.cache_stats());
-    let map = ChannelMap::new(router);
-    let intervals = probe.take_intervals();
-    let telemetry = traffic_telemetry(spec, &assembly, &run, &intervals, &map, cfg, false);
-    (report, telemetry)
-}
-
-/// The chaos-path collector: implements [`WaveTelemetry`] to record
-/// every wave's attempts and blocking intervals as the epoch loop runs.
-struct ChaosCollector {
-    probe: TelemetryProbe,
+/// The chaos-path collector: records every wave's attempts and
+/// blocking intervals as the epoch loop runs.
+pub(crate) struct ChaosCollector {
+    /// The probe every observed wave runs under.
+    pub(crate) probe: TelemetryProbe,
     waves: usize,
     /// `(session, span)` per simulated attempt, in wave order.
     attempts: Vec<(usize, AttemptSpan)>,
@@ -849,7 +772,7 @@ struct ChaosCollector {
 }
 
 impl ChaosCollector {
-    fn new(lookups: bool) -> ChaosCollector {
+    pub(crate) fn new(lookups: bool) -> ChaosCollector {
         ChaosCollector {
             probe: TelemetryProbe::new(),
             waves: 0,
@@ -860,7 +783,7 @@ impl ChaosCollector {
     }
 
     /// Assembles the final telemetry once the epoch loop has finished.
-    fn finish<R: Router>(
+    pub(crate) fn finish<R: Router>(
         mut self,
         report: &ChaosReport,
         epochs: &[FaultEpoch],
@@ -910,19 +833,14 @@ impl ChaosCollector {
     }
 }
 
-impl WaveTelemetry for ChaosCollector {
-    type P = TelemetryProbe;
-
-    fn probe(&mut self) -> &mut TelemetryProbe {
-        &mut self.probe
-    }
-
-    fn record_wave(
+impl ChaosCollector {
+    /// Records one simulated wave: its attempts (in launch order), their
+    /// workload spans, and the raw run result.
+    pub(crate) fn record_wave(
         &mut self,
         attempts: &[Attempt],
         spans: &[WaveSpan],
         run: &RunResult,
-        _plan: &FaultPlan,
     ) {
         let wave = self.waves;
         self.waves += 1;
@@ -946,92 +864,6 @@ impl WaveTelemetry for ChaosCollector {
         }
         self.intervals.extend(self.probe.take_intervals());
     }
-}
-
-/// [`run_chaos_cube`](crate::run_chaos_cube) with the flight recorder
-/// attached: the byte-identical [`ChaosReport`] plus per-attempt spans
-/// (causally chained through the retry/repair machinery) and the
-/// windowed time-series, whose goodput dip and refill around each fault
-/// epoch is the run's time-to-recover made visible.
-///
-/// # Panics
-/// See [`run_chaos_cube`](crate::run_chaos_cube).
-#[must_use]
-pub fn run_chaos_cube_with_telemetry(
-    spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-    cfg: &TelemetryConfig,
-) -> (ChaosReport, Telemetry) {
-    let timeline = spec.churn.timeline_on(&cube, spec.traffic.seed);
-    run_chaos_cube_on_timeline_with_telemetry(spec, cube, resolution, algo, params, &timeline, cfg)
-}
-
-/// [`run_chaos_cube_with_telemetry`] against an explicit, already
-/// rendered fault timeline (scripted outages, tests).
-///
-/// # Panics
-/// See [`run_chaos_cube`](crate::run_chaos_cube).
-#[must_use]
-pub fn run_chaos_cube_on_timeline_with_telemetry(
-    spec: &ChaosSpec,
-    cube: Cube,
-    resolution: Resolution,
-    algo: Algorithm,
-    params: &SimParams,
-    timeline: &FaultTimeline,
-    cfg: &TelemetryConfig,
-) -> (ChaosReport, Telemetry) {
-    let mut scratch = EngineScratch::new();
-    let mut collector = ChaosCollector::new(true);
-    let report = run_chaos_cube_on_timeline_telemetry(
-        spec,
-        cube,
-        resolution,
-        algo,
-        params,
-        timeline,
-        &mut scratch,
-        &mut collector,
-    );
-    let map = ChannelMap::new(Ecube::new(cube, resolution));
-    let telemetry = collector.finish(&report, &timeline.epochs(), &map, cfg);
-    (report, telemetry)
-}
-
-/// [`run_chaos_separate_on`](crate::run_chaos_separate_on) with the
-/// flight recorder attached.
-///
-/// # Panics
-/// See [`run_chaos_separate_on`](crate::run_chaos_separate_on).
-#[must_use]
-pub fn run_chaos_separate_with_telemetry_on<R: Router + Copy>(
-    spec: &ChaosSpec,
-    router: R,
-    params: &SimParams,
-    cfg: &TelemetryConfig,
-) -> (ChaosReport, Telemetry)
-where
-    R::Topo: Topology,
-{
-    let mut scratch = EngineScratch::new();
-    let mut collector = ChaosCollector::new(false);
-    let report = run_chaos_separate_telemetry_on_with_scratch(
-        spec,
-        router,
-        params,
-        &mut scratch,
-        &mut collector,
-    );
-    let topo = router.topology();
-    let timeline = spec
-        .churn
-        .timeline_on_lanes(&topo, router.lanes(), spec.traffic.seed);
-    let map = ChannelMap::new(router);
-    let telemetry = collector.finish(&report, &timeline.epochs(), &map, cfg);
-    (report, telemetry)
 }
 
 /// JSON float formatting: shortest round-trip for finite values, `null`
@@ -1064,12 +896,45 @@ fn format_us(ns: u64) -> String {
 mod tests {
     use super::*;
     use crate::arrivals::{ArrivalProcess, Arrivals};
-    use crate::chaos::run_chaos_cube;
+    use crate::chaos::{run_chaos, ChaosSpec};
     use crate::churn::ChurnSpec;
-    use crate::engine::{run_cube, run_separate_on};
+    use crate::engine::{run, Backend, RunOptions, TrafficReport};
     use crate::patterns::DestPattern;
-    use hcube::{Torus, TorusRouter};
-    use hypercast::PortModel;
+    use hcube::{Cube, Resolution, Torus, TorusRouter};
+    use hypercast::{Algorithm, PortModel};
+    use wormsim::SimParams;
+
+    fn five_cube(algo: Algorithm) -> Backend {
+        Backend::tree(Cube::of(5), Resolution::HighToLow, algo)
+    }
+
+    fn observed<R: Router + Copy>(
+        spec: &TrafficSpec,
+        backend: Backend<R>,
+        params: &SimParams,
+        cfg: &TelemetryConfig,
+    ) -> (TrafficReport, Telemetry) {
+        let mut tel = None;
+        let report = run(
+            spec,
+            backend,
+            params,
+            RunOptions::default().telemetry(cfg, &mut tel),
+        );
+        (report, tel.expect("telemetry was requested"))
+    }
+
+    fn observed_chaos<R: Router + Copy>(
+        spec: &ChaosSpec,
+        backend: Backend<R>,
+        params: &SimParams,
+        cfg: &TelemetryConfig,
+    ) -> (ChaosReport, Telemetry) {
+        let mut tel = None;
+        let opts = RunOptions::default().telemetry(cfg, &mut tel);
+        let report = run_chaos(spec, backend, params, opts);
+        (report, tel.expect("telemetry was requested"))
+    }
 
     fn spec(rate: f64, sessions: usize, seed: u64) -> TrafficSpec {
         TrafficSpec::new(
@@ -1095,18 +960,15 @@ mod tests {
         let params = SimParams::ncube2(PortModel::AllPort);
         for rate in [2.0, 60.0] {
             let s = spec(rate, 40, 11);
-            let plain = run_cube(
+            let plain = run(
                 &s,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
+                five_cube(Algorithm::WSort),
                 &params,
+                RunOptions::default(),
             );
-            let (observed, tel) = run_cube_with_telemetry(
+            let (observed, tel) = observed(
                 &s,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
+                five_cube(Algorithm::WSort),
                 &params,
                 &TelemetryConfig::default(),
             );
@@ -1120,11 +982,9 @@ mod tests {
     fn span_decomposition_sums_exactly_to_the_reported_latency() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let s = spec(30.0, 60, 7);
-        let (report, tel) = run_cube_with_telemetry(
+        let (report, tel) = observed(
             &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            five_cube(Algorithm::WSort),
             &params,
             &TelemetryConfig::default(),
         );
@@ -1164,11 +1024,9 @@ mod tests {
         let pool = DestPattern::uniform_pool(&mut rng, &Cube::of(5), 4, 6);
         let mut s = TrafficSpec::new(Arrivals::new(ArrivalProcess::Poisson, 30.0), pool, 80, 7);
         s.cache_capacity = 16;
-        let (report, tel) = run_cube_with_telemetry(
+        let (report, tel) = observed(
             &s,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            five_cube(Algorithm::WSort),
             &params,
             &TelemetryConfig::new(16),
         );
@@ -1205,18 +1063,15 @@ mod tests {
         let mut ts = spec(2.0, 60, 3);
         ts.horizon = SimTime::from_ms(60);
         let cspec = ChaosSpec::new(ts, churny(SimTime::from_ms(15)));
-        let plain = run_chaos_cube(
+        let plain = run_chaos(
             &cspec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            five_cube(Algorithm::WSort),
             &params,
+            RunOptions::default(),
         );
-        let (observed, tel) = run_chaos_cube_with_telemetry(
+        let (observed, tel) = observed_chaos(
             &cspec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            five_cube(Algorithm::WSort),
             &params,
             &TelemetryConfig::new(20),
         );
@@ -1270,10 +1125,15 @@ mod tests {
         let params = SimParams::ncube2(PortModel::AllPort);
         let torus = Torus::of(4, 2);
         let ts = spec(1.0, 25, 9);
-        let plain = run_separate_on(&ts, TorusRouter::new(torus), &params);
-        let (observed, tel) = run_separate_with_telemetry_on(
+        let plain = run(
             &ts,
-            TorusRouter::new(torus),
+            Backend::Separate(TorusRouter::new(torus)),
+            &params,
+            RunOptions::default(),
+        );
+        let (observed, tel) = observed(
+            &ts,
+            Backend::Separate(TorusRouter::new(torus)),
             &params,
             &TelemetryConfig::default(),
         );
@@ -1293,11 +1153,9 @@ mod tests {
     #[test]
     fn exporters_emit_wellformed_documents() {
         let params = SimParams::ncube2(PortModel::AllPort);
-        let (_, tel) = run_cube_with_telemetry(
+        let (_, tel) = observed(
             &spec(10.0, 30, 5),
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            five_cube(Algorithm::WSort),
             &params,
             &TelemetryConfig::new(8),
         );
@@ -1328,11 +1186,9 @@ mod tests {
         let mut ts = spec(4.0, 120, 17);
         ts.horizon = SimTime::from_ms(40);
         let cspec = ChaosSpec::new(ts, churny(SimTime::from_ms(12)));
-        let (report, tel) = run_chaos_cube_with_telemetry(
+        let (report, tel) = observed_chaos(
             &cspec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            five_cube(Algorithm::WSort),
             &params,
             &TelemetryConfig::new(20),
         );

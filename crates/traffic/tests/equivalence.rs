@@ -3,11 +3,18 @@
 //! the hypercube and on the torus. This is what licenses comparing
 //! loaded measurements against the validated single-shot model — the
 //! traffic path adds scheduling machinery but no new physics.
+//!
+//! Option identity: [`traffic::run`] and [`traffic::run_chaos`] give
+//! byte-identical reports whatever their [`RunOptions`].
 
-use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
-use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
-use wormsim::{simulate_multicast, simulate_on, DepMessage, SimParams, SimTime};
+use traffic::{
+    ArrivalProcess, Arrivals, Backend, ChaosSpec, ChurnSpec, DestPattern, RunOptions, Telemetry,
+    TelemetryConfig, TrafficSpec,
+};
+use workloads::serve::{chaos_report_json, traffic_report_json};
+use wormsim::{simulate_multicast, DepMessage, EngineScratch, Run, SimParams, SimTime};
 
 fn one_shot_spec(source: NodeId, dests: Vec<NodeId>) -> TrafficSpec {
     let mut spec = TrafficSpec::new(
@@ -44,7 +51,12 @@ fn zero_load_cube_run_matches_simulate_multicast_byte_for_byte() {
         let single = simulate_multicast(&tree, &params, 4096);
 
         let spec = one_shot_spec(NodeId(5), dests.clone());
-        let report = traffic::run_cube(&spec, cube, Resolution::HighToLow, algo, &params);
+        let report = traffic::run(
+            &spec,
+            traffic::Backend::tree(cube, Resolution::HighToLow, algo),
+            &params,
+            traffic::RunOptions::default(),
+        );
 
         assert_eq!(report.sessions.len(), 1, "{algo:?}");
         let session = &report.sessions[0];
@@ -81,10 +93,17 @@ fn zero_load_torus_run_matches_simulate_on_byte_for_byte() {
             min_start: SimTime::ZERO,
         })
         .collect();
-    let single = simulate_on(TorusRouter::new(torus), &params, &workload);
+    let single = Run::new(TorusRouter::new(torus), &params, &workload)
+        .run()
+        .unwrap();
 
     let spec = one_shot_spec(source, dests.clone());
-    let report = traffic::run_separate_on(&spec, TorusRouter::new(torus), &params);
+    let report = traffic::run(
+        &spec,
+        traffic::Backend::Separate(TorusRouter::new(torus)),
+        &params,
+        traffic::RunOptions::default(),
+    );
 
     let session = &report.sessions[0];
     assert!(session.delivered);
@@ -119,24 +138,110 @@ fn traffic_reports_are_byte_deterministic_across_backends() {
             30,
             4242,
         );
-        let a = traffic::run_cube(
+        let a = traffic::run(
             &spec,
-            Cube::of(6),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            traffic::Backend::tree(Cube::of(6), Resolution::HighToLow, Algorithm::WSort),
             &params,
+            traffic::RunOptions::default(),
         );
-        let b = traffic::run_cube(
+        let b = traffic::run(
             &spec,
-            Cube::of(6),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            traffic::Backend::tree(Cube::of(6), Resolution::HighToLow, Algorithm::WSort),
             &params,
+            traffic::RunOptions::default(),
         );
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "{process}");
 
-        let t1 = traffic::run_separate_on(&spec, TorusRouter::new(Torus::of(4, 3)), &params);
-        let t2 = traffic::run_separate_on(&spec, TorusRouter::new(Torus::of(4, 3)), &params);
+        let t1 = traffic::run(
+            &spec,
+            traffic::Backend::Separate(TorusRouter::new(Torus::of(4, 3))),
+            &params,
+            traffic::RunOptions::default(),
+        );
+        let t2 = traffic::run(
+            &spec,
+            traffic::Backend::Separate(TorusRouter::new(Torus::of(4, 3))),
+            &params,
+            traffic::RunOptions::default(),
+        );
         assert_eq!(format!("{t1:?}"), format!("{t2:?}"), "{process}");
     }
+}
+
+fn options<'a>(
+    scratch: &'a mut EngineScratch,
+    telemetry: Option<(&'a TelemetryConfig, &'a mut Option<Telemetry>)>,
+) -> RunOptions<'a> {
+    let opts = RunOptions::default().scratch(scratch);
+    match telemetry {
+        Some((cfg, out)) => opts.telemetry(cfg, out),
+        None => opts,
+    }
+}
+
+/// Asserts that `run` and `run_chaos` of `backend` give byte-identical
+/// reports under {fresh, reused scratch} × {telemetry off, on},
+/// rendered through the serve formatters (plus `{:?}`, which covers
+/// every field). The reused scratch has served every earlier cell.
+fn assert_option_identity<R: Router + Copy>(
+    label: &str,
+    backend: Backend<R>,
+    scratch: &mut EngineScratch,
+) {
+    let params = SimParams::ncube2(PortModel::AllPort);
+    let mut traffic = TrafficSpec::new(
+        Arrivals::new(ArrivalProcess::Poisson, 2.0),
+        DestPattern::UniformRandom { m: 5 },
+        40,
+        17,
+    );
+    traffic.horizon = SimTime::from_ms(40);
+    let chaos = ChaosSpec::new(
+        traffic.clone(),
+        ChurnSpec {
+            link_mtbf_ms: 8.0,
+            link_mttr_ms: 2.0,
+            node_mtbf_ms: 32.0,
+            node_mttr_ms: 3.0,
+            churn_until: SimTime::from_ms(20),
+        },
+    );
+    let cfg = TelemetryConfig::default();
+    let (mut plain, mut churned) = (Vec::new(), Vec::new());
+    for reuse in [false, true] {
+        for observe in [false, true] {
+            let mut fresh = EngineScratch::new();
+            let mut tel = None;
+            let s = if reuse { &mut *scratch } else { &mut fresh };
+            let opts = options(s, observe.then_some((&cfg, &mut tel)));
+            let r = traffic::run(&traffic, backend, &params, opts);
+            plain.push(format!("{} {r:?}", traffic_report_json("x", &r, None)));
+            assert_eq!(tel.is_some(), observe);
+
+            let mut tel = None;
+            let s = if reuse { &mut *scratch } else { &mut fresh };
+            let opts = options(s, observe.then_some((&cfg, &mut tel)));
+            let r = traffic::run_chaos(&chaos, backend, &params, opts);
+            churned.push(format!("{} {r:?}", chaos_report_json("x", &r, None)));
+            assert_eq!(tel.is_some(), observe);
+        }
+    }
+    for cells in [&plain, &churned] {
+        for (i, cell) in cells.iter().enumerate() {
+            assert_eq!(cell, &cells[0], "{label}: option cell {i} diverged");
+        }
+    }
+    assert!(
+        !churned[0].contains("\"fault_events\":0,"),
+        "{label}: the chaos cells must see churn"
+    );
+}
+
+#[test]
+fn run_and_run_chaos_reports_are_identical_under_every_option() {
+    let mut scratch = EngineScratch::new();
+    let cube = Backend::tree(Cube::of(5), Resolution::HighToLow, Algorithm::WSort);
+    assert_option_identity("cube", cube, &mut scratch);
+    let torus = Backend::Separate(TorusRouter::new(Torus::of(4, 2)));
+    assert_option_identity("torus", torus, &mut scratch);
 }

@@ -4,7 +4,7 @@
 
 use crate::figure::{Figure, Series};
 use crate::sweep::{run_matrix, MatrixResult};
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::bounds::min_steps_port_limited;
 use hypercast::contention::contention_witnesses;
 use hypercast::{Algorithm, PortModel};
@@ -240,7 +240,7 @@ pub fn ablation_contention(trials: usize) -> Figure {
 /// degradation.
 #[must_use]
 pub fn ablation_background_load(trials: usize) -> Figure {
-    use wormsim::{simulate, DepMessage, SimTime};
+    use wormsim::{DepMessage, Run, SimTime};
     let loads: Vec<usize> = vec![0, 8, 16, 32, 64, 128, 256];
     let cube = Cube::of(8);
     let params = SimParams::ncube2(PortModel::AllPort);
@@ -305,7 +305,9 @@ pub fn ablation_background_load(trials: usize) -> Figure {
                     .collect();
                 let tree_len = workload.len();
                 workload.extend(background.iter().cloned());
-                let run = simulate(cube, Resolution::HighToLow, &params, &workload);
+                let run = Run::new(Ecube::new(cube, Resolution::HighToLow), &params, &workload)
+                    .run()
+                    .expect("well-formed workload");
                 let max_delay = run.messages[..tree_len]
                     .iter()
                     .map(|m| m.delivered)
@@ -560,7 +562,7 @@ pub fn ablation_concurrency(trials: usize) -> Figure {
 /// event model (%). Zero when traffic is contention-free.
 #[must_use]
 pub fn ablation_model_fidelity(trials: usize) -> Figure {
-    use wormsim::{simulate, simulate_flits, DepMessage, FlitMessage, SimTime};
+    use wormsim::{simulate_flits, DepMessage, FlitMessage, Run, SimTime};
     let batch_sizes: Vec<usize> = vec![1, 2, 4, 8, 16, 32];
     let cube = Cube::of(5);
     let flits = 64u32;
@@ -619,7 +621,13 @@ pub fn ablation_model_fidelity(trials: usize) -> Figure {
                     start_cycle: 0,
                 })
                 .collect();
-            let er = simulate(cube, Resolution::HighToLow, &cycle_params, &event_w);
+            let er = Run::new(
+                Ecube::new(cube, Resolution::HighToLow),
+                &cycle_params,
+                &event_w,
+            )
+            .run()
+            .expect("well-formed workload");
             let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
             let em = er
                 .messages

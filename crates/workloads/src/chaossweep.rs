@@ -234,19 +234,17 @@ fn run_task(cfg: &ChaosSweepConfig, task: &RunTask, scratch: &mut EngineScratch)
     let params = SimParams::ncube2(hypercast::PortModel::AllPort);
     let spec = chaos_spec_for(cfg, task);
     let report = match task.target {
-        RunTarget::Cube { cube, algo } => traffic::run_chaos_cube_with_scratch(
+        RunTarget::Cube { cube, algo } => traffic::run_chaos(
             &spec,
-            cube,
-            Resolution::HighToLow,
-            algo,
+            traffic::Backend::tree(cube, Resolution::HighToLow, algo),
             &params,
-            scratch,
+            traffic::RunOptions::default().scratch(scratch),
         ),
-        RunTarget::Torus { torus } => traffic::run_chaos_separate_on_with_scratch(
+        RunTarget::Torus { torus } => traffic::run_chaos(
             &spec,
-            TorusRouter::new(torus),
+            traffic::Backend::Separate(TorusRouter::new(torus)),
             &params,
-            scratch,
+            traffic::RunOptions::default().scratch(scratch),
         ),
     };
     point_for(task, &report)
@@ -319,7 +317,7 @@ pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> Chaos
         }
     }
 
-    // The sharded trial driver: per-worker scratch (reuse across runs is
+    // The trial pool: per-worker scratch (reuse across runs is
     // byte-invisible), task-indexed merge, so the sweep is worker-count
     // invariant.
     let mut points = traffic::run_trials(workers, tasks.len(), |i, scratch| {

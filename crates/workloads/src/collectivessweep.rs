@@ -223,13 +223,11 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
             );
             spec.bytes = cfg.traffic_bytes;
             spec.horizon = horizon_for(cfg.traffic_sessions, cfg.traffic_rate_per_ms);
-            let r = traffic::run_collective_cube(
+            let r = traffic::run(
                 &spec,
-                tcube,
-                Resolution::HighToLow,
-                kind,
-                family,
+                traffic::Backend::collective(tcube, Resolution::HighToLow, kind, family),
                 &params,
+                traffic::RunOptions::default(),
             );
             traffic_rows.push(TrafficRow {
                 suite: kind.name().into(),

@@ -33,9 +33,7 @@ use crate::figure::{Figure, Series};
 use hcube::{Cube, Ecube, Mesh, MeshXY, MinimalAdaptive, NodeId, Resolution, Router};
 use hypercast::{Algorithm, PortModel};
 use wormsim::network::ChannelMap;
-use wormsim::{
-    multicast_workload, simulate_observed_on, DepMessage, EventRecorder, SimParams, SimTime,
-};
+use wormsim::{multicast_workload, DepMessage, EventRecorder, Run, SimParams, SimTime};
 
 /// Cube dimension of the heatmap experiment (64 nodes, as Figure 11).
 const N: u8 = 6;
@@ -85,8 +83,10 @@ pub fn contention_heatmap(trials: usize) -> Figure {
                 .expect("valid multicast input");
             let workload = multicast_workload(&tree, BYTES);
             let mut rec = EventRecorder::new();
-            let _run =
-                simulate_observed_on(Ecube::new(cube, resolution), &params, &workload, &mut rec);
+            let _run = Run::new(Ecube::new(cube, resolution), &params, &workload)
+                .probe(&mut rec)
+                .run()
+                .expect("well-formed workload");
             let mut per_dim = vec![0u64; N as usize];
             for ch in 0..map.externals() {
                 per_dim[map.dim_of(ch) as usize] += rec.blocked_ns(ch);
@@ -169,7 +169,10 @@ fn mesh_series<R: Router + Copy>(
             })
             .collect();
         let mut rec = EventRecorder::new();
-        let _run = simulate_observed_on(router, params, &workload, &mut rec);
+        let _run = Run::new(router, params, &workload)
+            .probe(&mut rec)
+            .run()
+            .expect("well-formed workload");
         let mut per_dim = vec![0u64; dims];
         for ch in 0..map.externals() {
             per_dim[map.dim_of(ch) as usize] += rec.blocked_ns(ch);

@@ -39,7 +39,7 @@ use hypercast::contention::min_lanes_for_concurrent;
 use hypercast::{Algorithm, MulticastTree, PortModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wormsim::{multicast_workload, simulate_on_with_scratch, DepMessage, EngineScratch, SimParams};
+use wormsim::{multicast_workload, DepMessage, EngineScratch, Run, SimParams};
 
 /// Sweep dimensions and seeding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,7 +159,10 @@ fn sample<R: hcube::Router>(
     workload: &[DepMessage],
     scratch: &mut EngineScratch,
 ) -> Sample {
-    let run = simulate_on_with_scratch(router, params, workload, scratch);
+    let run = Run::new(router, params, workload)
+        .scratch(scratch)
+        .run()
+        .expect("well-formed workload");
     debug_assert_eq!(run.delivered_count(), workload.len());
     Sample {
         blocks: run.stats.blocks as f64,

@@ -33,9 +33,9 @@
 //! * [`artifact`] — the one schema mechanism behind every sweep
 //!   artifact: declared fields, strict emit, path-named parse errors;
 //! * [`serve`] — the long-running service mode behind `mcast serve`:
-//!   newline-delimited JSON requests dispatched onto the sharded
-//!   session drivers with a persistent tree store, plus the spec
-//!   builders and report formatters shared with the one-shot CLI;
+//!   newline-delimited JSON requests run through `traffic::run` and
+//!   `traffic::run_chaos`, plus the spec constructors and report
+//!   formatters shared with the one-shot CLI;
 //! * [`stats`] — summary statistics.
 //!
 //! Regeneration binaries live in the `bench` crate

@@ -1,12 +1,11 @@
 //! Long-running service mode: the `mcast serve` request loop.
 //!
-//! The one-shot CLI pays the process spawn, argument parse, and a cold
-//! tree cache on every invocation. This module turns the same entry
-//! points into a daemon: newline-delimited JSON requests on stdin,
-//! newline-delimited JSON responses on stdout, a persistent
-//! [`hypercast::TreeStore`] kept warm across requests, and the sharded
-//! session drivers of [`traffic::shard`] parallelizing each request
-//! across a worker pool.
+//! The one-shot CLI pays the process spawn and argument parse on every
+//! invocation. This module turns the same entry points into a daemon:
+//! newline-delimited JSON requests on stdin, newline-delimited JSON
+//! responses on stdout. Every traffic and chaos request runs through
+//! [`traffic::run`] or [`traffic::run_chaos`], exactly as the one-shot
+//! CLI does.
 //!
 //! ## Protocol
 //!
@@ -25,8 +24,7 @@
 //! ```
 //!
 //! Success wraps the *byte-identical* JSON object the one-shot CLI
-//! prints for the same configuration (plus a `"workers":N` echo when
-//! the request asked for a sharded run):
+//! prints for the same configuration:
 //!
 //! ```text
 //! {"id":1,"ok":true,"result":{"mode":"traffic","algo":"W-sort",...}}
@@ -39,7 +37,8 @@
 //! ```
 //!
 //! with `kind` one of `bad_json` (the line is not JSON), `bad_request`
-//! (unknown op / unknown field / invalid value), `oversized` (a value
+//! (unknown op / unknown field / invalid value, including an integer
+//! too large for its field), `oversized` (a value
 //! exceeds the server's configured caps), or `deadline_exceeded` (the
 //! request carried a `deadline_ms` and spent longer than that queued).
 //!
@@ -48,10 +47,12 @@
 //! A reader thread parses lines into a bounded channel
 //! ([`ServeOptions::max_inflight`] entries); when the queue is full the
 //! reader stops consuming stdin, which backpressures the client through
-//! the pipe. A single executor drains the queue **in request order** —
-//! parallelism lives *inside* a request (the sharded drivers fan its
-//! sessions across `workers` threads), so responses never interleave
-//! and the output order is deterministic. `shutdown` answers after
+//! the pipe. A single executor drains the queue **in request order**,
+//! so responses never interleave and the output order is
+//! deterministic. Every request simulates its sessions contending in
+//! one shared network; there is no per-request worker pool, and a
+//! `workers` field is refused like any unknown field. `shutdown`
+//! answers after
 //! every request queued before it (the reader stops at the shutdown
 //! line), making drain graceful by construction.
 //!
@@ -61,15 +62,16 @@
 //! one-shot CLI and the daemon, so serve-vs-CLI equivalence is
 //! structural, not coincidental.
 
+use std::convert::Infallible;
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
 use std::time::Instant;
 
 use hcube::{Cube, NodeId, Resolution, Topology, Torus, TorusRouter};
-use hypercast::{Algorithm, PortModel, RetryPolicy, TreeStore};
+use hypercast::{Algorithm, PortModel, RetryPolicy};
 use traffic::{
-    ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, TrafficReport,
-    TrafficSpec,
+    ArrivalProcess, Arrivals, Backend, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, RunOptions,
+    TrafficReport, TrafficSpec,
 };
 use wormsim::{SimParams, SimReport, SimTime};
 
@@ -140,21 +142,14 @@ fn fin(x: f64) -> String {
     }
 }
 
-/// Appends `,"workers":N` inside the closing brace when the run was
-/// sharded, so one-shot (contended) output stays byte-identical.
-fn with_workers(mut line: String, workers: Option<usize>) -> String {
-    if let Some(w) = workers {
-        line.truncate(line.len() - 1);
-        line.push_str(&format!(",\"workers\":{w}}}"));
-    }
-    line
-}
-
 /// The one-line JSON summary of an open-loop traffic report — the
 /// exact object `mcast --load --json` prints.
+///
+/// The last parameter can only be `None`; it exists because the
+/// `perfbench-trace` benchmark binary passes it.
 #[must_use]
-pub fn traffic_report_json(label: &str, r: &TrafficReport, workers: Option<usize>) -> String {
-    let line = format!(
+pub fn traffic_report_json(label: &str, r: &TrafficReport, _: Option<Infallible>) -> String {
+    format!(
         "{{\"mode\":\"traffic\",\"algo\":\"{label}\",\"offered_per_ms\":{},\
          \"sessions\":{},\"measured\":{},\"completion_ratio\":{},\
          \"mean_latency_ms\":{},\"ci_half_width_ms\":{},\"throughput_per_ms\":{},\
@@ -168,16 +163,16 @@ pub fn traffic_report_json(label: &str, r: &TrafficReport, workers: Option<usize
         r.throughput_per_ms,
         r.cache.hit_rate(),
         r.net.timed_out,
-    );
-    with_workers(line, workers)
+    )
 }
 
 /// The one-line JSON summary of a chaos report — the exact object
-/// `mcast --load --chaos --json` prints.
+/// `mcast --load --chaos --json` prints. The last parameter is as in
+/// [`traffic_report_json`].
 #[must_use]
-pub fn chaos_report_json(label: &str, r: &ChaosReport, workers: Option<usize>) -> String {
+pub fn chaos_report_json(label: &str, r: &ChaosReport, _: Option<Infallible>) -> String {
     let hist: Vec<String> = r.retry_histogram.iter().map(u64::to_string).collect();
-    let line = format!(
+    format!(
         "{{\"mode\":\"chaos\",\"algo\":\"{label}\",\"offered_per_ms\":{},\
          \"sessions\":{},\"measured\":{},\"delivery_ratio\":{},\
          \"goodput_per_ms\":{},\"mean_latency_ms\":{},\"ci_half_width_ms\":{},\
@@ -197,8 +192,7 @@ pub fn chaos_report_json(label: &str, r: &ChaosReport, workers: Option<usize>) -
             .map_or("null".into(), |t| format!("{}", t.as_ms())),
         r.epochs,
         r.fault_events,
-    );
-    with_workers(line, workers)
+    )
 }
 
 /// The one-line JSON summary of a single-shot multicast — the exact
@@ -247,8 +241,6 @@ pub struct ServeOptions {
     pub max_nodes: usize,
     /// Destination-set size ceiling (explicit `dests` or `random` m).
     pub max_dests: usize,
-    /// Worker-pool size ceiling for sharded requests.
-    pub max_workers: usize,
     /// Request-line length ceiling in bytes.
     pub max_line_bytes: usize,
 }
@@ -260,7 +252,6 @@ impl Default for ServeOptions {
             max_sessions: 20_000,
             max_nodes: 1024,
             max_dests: 256,
-            max_workers: 64,
             max_line_bytes: 1 << 20,
         }
     }
@@ -358,6 +349,13 @@ fn as_uint(v: &Value, key: &str) -> Result<u64, Refusal> {
 
 fn uint_field(f: &mut Fields, key: &str, default: u64) -> Result<u64, Refusal> {
     f.get(key).map_or(Ok(default), |v| as_uint(v, key))
+}
+
+/// A [`uint_field`] narrowed to the field's type: a value that does
+/// not fit is refused by name, never wrapped into a small one.
+fn int_field<T: TryFrom<u64>>(f: &mut Fields, key: &str, default: u64) -> Result<T, Refusal> {
+    let v = uint_field(f, key, default)?;
+    T::try_from(v).map_err(|_| bad_request(format!("`{key}` {v} is out of range")))
 }
 
 fn float_field(f: &mut Fields, key: &str) -> Result<Option<f64>, Refusal> {
@@ -494,21 +492,16 @@ fn request_id(v: &Value) -> Result<u64, Refusal> {
 }
 
 /// The traffic/chaos shared front half: topology + pattern + spec
-/// fields, then the matching (sharded or contended) engine entry point.
-fn run_load(
-    chaos: bool,
-    f: &mut Fields,
-    store: &TreeStore,
-    opts: &ServeOptions,
-) -> Result<String, Refusal> {
+/// fields, then [`traffic::run`] or [`traffic::run_chaos`].
+fn run_load(chaos: bool, f: &mut Fields, opts: &ServeOptions) -> Result<String, Refusal> {
     let topology = str_field(f, "topology")?.unwrap_or("cube");
-    let n = uint_field(f, "n", 6)? as u8;
+    let n: u8 = int_field(f, "n", 6)?;
     let rate = match float_field(f, "load")? {
         Some(r) if r > 0.0 => r,
         Some(_) => return Err(bad_request("`load` must be > 0 sessions/ms")),
         None => return Err(bad_request("`load` (sessions/ms) is required")),
     };
-    let sessions = uint_field(f, "sessions", 100)? as usize;
+    let sessions: usize = int_field(f, "sessions", 100)?;
     if sessions == 0 {
         return Err(bad_request("`sessions` must be >= 1"));
     }
@@ -528,22 +521,6 @@ fn run_load(
         return Err(bad_request("`bytes` must be between 1 and 2^32-1"));
     }
     let bytes = bytes as u32;
-    let workers = match f.get("workers") {
-        None => None,
-        Some(v) => {
-            let w = as_uint(v, "workers")? as usize;
-            if w == 0 {
-                return Err(bad_request("`workers` must be >= 1"));
-            }
-            if w > opts.max_workers {
-                return Err(oversized(format!(
-                    "{w} workers exceed the cap of {}",
-                    opts.max_workers
-                )));
-            }
-            Some(w)
-        }
-    };
     let source = uint_field(f, "source", 0)?;
     let port = parse_port(f)?;
     let params = SimParams::ncube2(port);
@@ -556,7 +533,7 @@ fn run_load(
             Some(x) if x > 0.0 => x,
             _ => return Err(bad_request("`mttr_ms` must be a number > 0")),
         };
-        let retries = uint_field(f, "retries", 3)? as u32;
+        let retries: u32 = int_field(f, "retries", 3)?;
         let backoff_us = uint_field(f, "backoff_us", 500)?;
         if backoff_us == 0 {
             return Err(bad_request("`backoff_us` must be >= 1"));
@@ -579,49 +556,11 @@ fn run_load(
             }
             let pattern = parse_pattern(f, source, cube.node_count(), opts)?;
             let spec = load_spec(arrivals, rate, pattern, sessions, seed, bytes);
-            match retry {
-                Some((mtbf, mttr, retries, backoff_us)) => {
-                    let spec = chaos_wrap(spec, mtbf, mttr, retries, backoff_us);
-                    let r = match workers {
-                        Some(w) => traffic::run_chaos_cube_sharded_with_store(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                            w,
-                            store,
-                        ),
-                        None => traffic::run_chaos_cube(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                        ),
-                    };
-                    Ok(chaos_report_json(algo.name(), &r, workers))
-                }
-                None => {
-                    let r = match workers {
-                        Some(w) => traffic::run_cube_sharded(
-                            &spec,
-                            cube,
-                            Resolution::HighToLow,
-                            algo,
-                            &params,
-                            w,
-                        ),
-                        None => {
-                            traffic::run_cube(&spec, cube, Resolution::HighToLow, algo, &params)
-                        }
-                    };
-                    Ok(traffic_report_json(algo.name(), &r, workers))
-                }
-            }
+            let backend = Backend::tree(cube, Resolution::HighToLow, algo);
+            Ok(run_spec(algo.name(), spec, retry, backend, &params))
         }
         "torus" => {
-            let arity = uint_field(f, "arity", 4)? as u16;
+            let arity: u16 = int_field(f, "arity", 4)?;
             let torus = Torus::new(arity, n).map_err(|e| bad_request(e.to_string()))?;
             if torus.node_count() > opts.max_nodes {
                 return Err(oversized(format!(
@@ -632,26 +571,8 @@ fn run_load(
             }
             let pattern = parse_pattern(f, source, torus.node_count(), opts)?;
             let spec = load_spec(arrivals, rate, pattern, sessions, seed, bytes);
-            let router = TorusRouter::new(torus);
-            match retry {
-                Some((mtbf, mttr, retries, backoff_us)) => {
-                    let spec = chaos_wrap(spec, mtbf, mttr, retries, backoff_us);
-                    let r = match workers {
-                        Some(w) => {
-                            traffic::run_chaos_separate_sharded_on(&spec, router, &params, w)
-                        }
-                        None => traffic::run_chaos_separate_on(&spec, router, &params),
-                    };
-                    Ok(chaos_report_json("Separate", &r, workers))
-                }
-                None => {
-                    let r = match workers {
-                        Some(w) => traffic::run_separate_sharded_on(&spec, router, &params, w),
-                        None => traffic::run_separate_on(&spec, router, &params),
-                    };
-                    Ok(traffic_report_json("Separate", &r, workers))
-                }
-            }
+            let backend = Backend::Separate(TorusRouter::new(torus));
+            Ok(run_spec("Separate", spec, retry, backend, &params))
         }
         other => Err(bad_request(format!(
             "unknown topology `{other}` (cube or torus)"
@@ -659,10 +580,33 @@ fn run_load(
     }
 }
 
+/// Runs a traffic spec, or its chaos wrapping when `retry` carries the
+/// `(mtbf_ms, mttr_ms, retries, backoff_us)` of a chaos request, and
+/// formats the report.
+fn run_spec<R: hcube::Router + Copy>(
+    label: &str,
+    spec: TrafficSpec,
+    retry: Option<(f64, f64, u32, u64)>,
+    backend: Backend<R>,
+    params: &SimParams,
+) -> String {
+    match retry {
+        Some((mtbf, mttr, retries, backoff_us)) => {
+            let spec = chaos_wrap(spec, mtbf, mttr, retries, backoff_us);
+            let r = traffic::run_chaos(&spec, backend, params, RunOptions::default());
+            chaos_report_json(label, &r, None)
+        }
+        None => {
+            let r = traffic::run(&spec, backend, params, RunOptions::default());
+            traffic_report_json(label, &r, None)
+        }
+    }
+}
+
 /// A single-shot multicast request: build the tree, replay it on an
 /// idle network, return the CLI's summary object.
 fn run_multicast(f: &mut Fields, opts: &ServeOptions) -> Result<String, Refusal> {
-    let n = uint_field(f, "n", 6)? as u8;
+    let n: u8 = int_field(f, "n", 6)?;
     let cube = Cube::new(n).map_err(|e| bad_request(e.to_string()))?;
     if cube.node_count() > opts.max_nodes {
         return Err(oversized(format!(
@@ -706,7 +650,6 @@ fn run_multicast(f: &mut Fields, opts: &ServeOptions) -> Result<String, Refusal>
 fn execute(
     v: &Value,
     received: Instant,
-    store: &TreeStore,
     opts: &ServeOptions,
     summary: &ServeSummary,
 ) -> Result<(Option<String>, Executed), Refusal> {
@@ -732,7 +675,7 @@ fn execute(
     }
     let executed = match op {
         "traffic" | "chaos" => {
-            let line = run_load(op == "chaos", &mut f, store, opts)?;
+            let line = run_load(op == "chaos", &mut f, opts)?;
             f.finish()?;
             Executed::Line(line)
         }
@@ -743,15 +686,9 @@ fn execute(
         }
         "stats" => {
             f.finish()?;
-            let s = store.stats();
             Executed::Line(format!(
-                "{{\"mode\":\"stats\",\"served\":{},\"errors\":{},\"store_trees\":{},\
-                 \"store_hits\":{},\"store_misses\":{}}}",
-                summary.served,
-                summary.errors,
-                store.len(),
-                s.hits,
-                s.misses
+                "{{\"mode\":\"stats\",\"served\":{},\"errors\":{}}}",
+                summary.served, summary.errors
             ))
         }
         "shutdown" => {
@@ -846,12 +783,6 @@ fn read_requests(mut input: impl BufRead, tx: mpsc::SyncSender<Job>, max_line_by
 /// `output` in request order. A malformed line (`bad_json`) is the
 /// only way a request can fail without an echoed id.
 ///
-/// The [`TreeStore`] persists across requests, so a chaos request
-/// replaying a group pool the previous request already built gets its
-/// repaired trees as pointer clones — the warm-daemon advantage the
-/// one-shot CLI cannot have. Store warmth never changes response
-/// bytes (pinned by the `traffic::shard` warmth-invariance test).
-///
 /// # Errors
 ///
 /// Propagates `output` write failures; request-level problems become
@@ -869,7 +800,6 @@ where
     let max_line_bytes = opts.max_line_bytes;
     std::thread::scope(|scope| {
         scope.spawn(move || read_requests(input, tx, max_line_bytes));
-        let store = TreeStore::new();
         let mut summary = ServeSummary::default();
         for job in rx {
             let (id, outcome) = match &job.parsed {
@@ -882,11 +812,12 @@ where
                 ),
                 Ok(v) => match request_id(v) {
                     Err(r) => (None, Err(r)),
-                    Ok(id) => (Some(id), execute(v, job.received, &store, opts, &summary)),
+                    Ok(id) => (Some(id), execute(v, job.received, opts, &summary)),
                 },
             };
             match outcome {
-                Ok((tag, Executed::Line(result))) => {
+                Ok((tag, executed)) => {
+                    let (Executed::Line(result) | Executed::Shutdown(result)) = &executed;
                     writeln!(
                         output,
                         "{{\"id\":{}{},\"ok\":true,\"result\":{result}}}",
@@ -895,18 +826,10 @@ where
                     )?;
                     output.flush()?;
                     summary.served += 1;
-                }
-                Ok((tag, Executed::Shutdown(result))) => {
-                    writeln!(
-                        output,
-                        "{{\"id\":{}{},\"ok\":true,\"result\":{result}}}",
-                        id_json(id),
-                        tag_json(tag.as_deref())
-                    )?;
-                    output.flush()?;
-                    summary.served += 1;
-                    summary.shutdown = true;
-                    break;
+                    if let Executed::Shutdown(_) = executed {
+                        summary.shutdown = true;
+                        break;
+                    }
                 }
                 Err(refusal) => {
                     writeln!(
@@ -942,19 +865,6 @@ mod tests {
         (lines, summary)
     }
 
-    fn strip_workers(line: &str) -> String {
-        match line.find(",\"workers\":") {
-            None => line.to_string(),
-            Some(i) => {
-                let rest = &line[i + 11..];
-                let end = rest
-                    .find(|c: char| !c.is_ascii_digit())
-                    .expect("workers echo is followed by a brace");
-                format!("{}{}", &line[..i], &rest[end..])
-            }
-        }
-    }
-
     const TRAFFIC: &str = "{\"id\":1,\"op\":\"traffic\",\"n\":5,\"algo\":\"wsort\",\"load\":2.0,\
          \"random\":6,\"sessions\":40,\"seed\":7}";
 
@@ -969,12 +879,11 @@ mod tests {
             7,
             4096,
         );
-        let report = traffic::run_cube(
+        let report = traffic::run(
             &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            traffic::Backend::tree(Cube::of(5), Resolution::HighToLow, Algorithm::WSort),
             &SimParams::ncube2(PortModel::AllPort),
+            traffic::RunOptions::default(),
         );
         let expected = format!(
             "{{\"id\":1,\"ok\":true,\"result\":{}}}",
@@ -992,37 +901,76 @@ mod tests {
     }
 
     #[test]
-    fn responses_are_worker_count_invariant_up_to_the_echo() {
-        // Sharded (independent-session) responses are a distinct mode
-        // from the contended engine, but within the mode the worker
-        // count is invisible beyond the `"workers":N` echo.
-        let request = |workers: usize| {
-            TRAFFIC.replace(
-                ",\"seed\":7}",
-                &format!(",\"seed\":7,\"workers\":{workers}}}"),
-            )
-        };
-        let base = serve(&request(1), &ServeOptions::default()).0;
-        for workers in [2, 8] {
-            let (lines, _) = serve(&request(workers), &ServeOptions::default());
+    fn integers_too_large_for_their_field_are_refused_by_name() {
+        // Each value passes the u64 check but would wrap into a small,
+        // valid one if narrowed with `as`.
+        let cases = [
+            (
+                "{\"id\":1,\"op\":\"multicast\",\"n\":262,\"dests\":[3,9]}",
+                "`n`",
+            ),
+            (
+                "{\"id\":2,\"op\":\"traffic\",\"n\":262,\"load\":1.0,\"random\":4}",
+                "`n`",
+            ),
+            (
+                "{\"id\":3,\"op\":\"traffic\",\"topology\":\"torus\",\"n\":2,\
+                 \"arity\":65540,\"load\":1.0,\"random\":4}",
+                "`arity`",
+            ),
+            (
+                "{\"id\":4,\"op\":\"chaos\",\"n\":4,\"load\":1.0,\"random\":4,\
+                 \"mtbf_ms\":8.0,\"mttr_ms\":2.0,\"retries\":4294967299}",
+                "`retries`",
+            ),
+        ];
+        for (request, field) in cases {
+            let (lines, _) = serve(request, &ServeOptions::default());
             assert!(
-                lines[0].contains(&format!("\"workers\":{workers}")),
-                "the sharded response echoes its worker count: {}",
+                lines[0].contains("\"ok\":false,\"error\":{\"kind\":\"bad_request\"")
+                    && lines[0].contains(&format!("{field} ")),
+                "{request} -> {}",
                 lines[0]
-            );
-            assert_eq!(
-                strip_workers(&lines[0]),
-                strip_workers(&base[0]),
-                "workers={workers} changed response bytes beyond the echo"
             );
         }
     }
 
     #[test]
+    fn a_flood_through_one_slot_is_answered_once_each_in_order() {
+        const REQUESTS: u64 = 1200;
+        let mut input = String::new();
+        for id in 0..REQUESTS {
+            input.push_str(&match id % 4 {
+                0 => format!("{{\"id\":{id},\"op\":\"stats\"}}\n"),
+                1 => format!("{{\"id\":{id},\"op\":\"multicast\",\"n\":4,\"dests\":[3,9]}}\n"),
+                2 => format!("{{\"id\":{id},\"op\":\"warp\"}}\n"),
+                _ => format!(
+                    "{{\"id\":{id},\"op\":\"traffic\",\"n\":3,\"load\":1.0,\
+                     \"random\":2,\"sessions\":2,\"seed\":{id}}}\n"
+                ),
+            });
+        }
+        let opts = ServeOptions {
+            max_inflight: 1,
+            ..ServeOptions::default()
+        };
+        let (lines, summary) = serve(&input, &opts);
+        assert_eq!(lines.len() as u64, REQUESTS);
+        for (id, line) in lines.iter().enumerate() {
+            assert!(
+                line.starts_with(&format!("{{\"id\":{id},")),
+                "response {id} out of order: {line}"
+            );
+        }
+        assert_eq!(summary.served + summary.errors, REQUESTS);
+        assert_eq!(summary.errors, REQUESTS / 4);
+        assert!(!summary.shutdown);
+    }
+
+    #[test]
     fn responses_are_interleaving_invariant() {
         let chaos = "{\"id\":2,\"op\":\"chaos\",\"n\":5,\"algo\":\"combine\",\"load\":1.5,\
-                     \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0,\
-                     \"workers\":2}";
+                     \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0}";
         let ab = serve(&format!("{TRAFFIC}\n{chaos}\n"), &ServeOptions::default()).0;
         let ba = serve(&format!("{chaos}\n{TRAFFIC}\n"), &ServeOptions::default()).0;
         assert_eq!(ab.len(), 2);
@@ -1034,10 +982,9 @@ mod tests {
     }
 
     #[test]
-    fn chaos_response_matches_the_one_shot_engine_and_store_stays_warm() {
+    fn chaos_response_matches_the_one_shot_engine() {
         let req = "{\"id\":4,\"op\":\"chaos\",\"n\":5,\"algo\":\"wsort\",\"load\":1.5,\
-                   \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0,\
-                   \"workers\":2}";
+                   \"random\":5,\"sessions\":30,\"seed\":3,\"mtbf_ms\":8.0,\"mttr_ms\":2.0}";
         let stats = "{\"id\":5,\"op\":\"stats\"}";
         let input = format!("{req}\n{req}\n{stats}\n");
         let (lines, _) = serve(&input, &ServeOptions::default());
@@ -1060,27 +1007,22 @@ mod tests {
             3,
             500,
         );
-        let report = traffic::run_chaos_cube_sharded_with_store(
+        let report = traffic::run_chaos(
             &spec,
-            Cube::of(5),
-            Resolution::HighToLow,
-            Algorithm::WSort,
+            Backend::tree(Cube::of(5), Resolution::HighToLow, Algorithm::WSort),
             &SimParams::ncube2(PortModel::AllPort),
-            2,
-            &TreeStore::new(),
+            RunOptions::default(),
         );
         assert_eq!(
             lines[0],
             format!(
                 "{{\"id\":4,\"ok\":true,\"result\":{}}}",
-                chaos_report_json("W-sort", &report, Some(2))
+                chaos_report_json("W-sort", &report, None)
             )
         );
-        // The second identical request hit the persistent store.
-        assert!(
-            lines[2].contains("\"store_hits\":") && !lines[2].contains("\"store_hits\":0,"),
-            "the second chaos request should reuse stored trees: {}",
-            lines[2]
+        assert_eq!(
+            lines[2],
+            "{\"id\":5,\"ok\":true,\"result\":{\"mode\":\"stats\",\"served\":2,\"errors\":0}}"
         );
     }
 
@@ -1163,10 +1105,11 @@ mod tests {
             "{\"id\":4,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"sessions\":999999}\n",
             "{\"id\":5,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"deadline_ms\":0}\n",
             "{\"id\":6,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"sessions\":20,\"n\":5}\n",
+            "{\"id\":8,\"op\":\"traffic\",\"load\":1.0,\"random\":4,\"workers\":2}\n",
             "{\"id\":7,\"op\":\"shutdown\"}\n",
         );
         let (lines, summary) = serve(input, &ServeOptions::default());
-        assert_eq!(lines.len(), 8);
+        assert_eq!(lines.len(), 9);
         assert!(lines[0].starts_with("{\"id\":null,\"ok\":false,\"error\":{\"kind\":\"bad_json\""));
         assert!(
             lines[1].starts_with("{\"id\":null,\"ok\":false,\"error\":{\"kind\":\"bad_request\"")
@@ -1180,12 +1123,17 @@ mod tests {
             "the daemon keeps serving after errors: {}",
             lines[6]
         );
-        assert!(lines[7].contains("\"mode\":\"shutdown\""));
+        assert!(
+            lines[7].contains("\"kind\":\"bad_request\"") && lines[7].contains("`workers`"),
+            "there is no worker pool to ask for: {}",
+            lines[7]
+        );
+        assert!(lines[8].contains("\"mode\":\"shutdown\""));
         assert_eq!(
             summary,
             ServeSummary {
                 served: 2,
-                errors: 6,
+                errors: 7,
                 shutdown: true
             }
         );

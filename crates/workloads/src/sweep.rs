@@ -3,11 +3,12 @@
 //! A sweep evaluates a metric function over (point × trial × algorithm),
 //! with the *same* randomly drawn destination set shared by all
 //! algorithms within a trial (paired comparison, as in the paper), and
-//! aggregates per-(point, algorithm) summaries. Trials of different
-//! points run concurrently on scoped threads; results are deterministic
-//! because every trial's RNG is keyed by (experiment, point, trial).
+//! aggregates per-(point, algorithm) summaries. Trials run on the
+//! workspace's one worker pool, [`wormsim::run_trials`]; results are
+//! deterministic because every trial's RNG is keyed by (experiment,
+//! point, trial) and the pool returns results in trial order.
 //!
-//! Every worker thread owns one [`wormsim::EngineScratch`] handed to the
+//! Every worker owns one [`wormsim::EngineScratch`] handed to the
 //! metric on each call, so metrics that replay trees through the engine
 //! reuse the worker's event heap, channel table, and route memo instead
 //! of reallocating per trial. Scratch reuse is byte-invisible (the
@@ -18,8 +19,6 @@ use crate::destsets::{random_dests, trial_rng};
 use crate::stats::Summary;
 use hcube::{Cube, NodeId};
 use hypercast::Algorithm;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use wormsim::EngineScratch;
 
 /// Sweep results: `cells[point][algo]` holds `K` metric summaries.
@@ -104,59 +103,29 @@ where
 {
     assert!(workers > 0, "need at least one worker");
     let source = NodeId(0);
-    // samples[point][algo][k][trial] — trial-indexed (not push-ordered),
-    // so the floating-point aggregation order is independent of how the
-    // scheduler interleaves workers.
-    let results: Vec<Mutex<Vec<Vec<Vec<f64>>>>> = points
-        .iter()
-        .map(|_| Mutex::new(vec![vec![vec![0.0; trials]; K]; algos.len()]))
-        .collect();
-
-    let next = AtomicUsize::new(0);
-    let total_tasks = points.len() * trials;
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(total_tasks.max(1)) {
-            scope.spawn(|| {
-                // One engine arena per worker, reused across every trial
-                // this worker picks up.
-                let mut scratch = EngineScratch::new();
-                loop {
-                    let task = next.fetch_add(1, Ordering::Relaxed);
-                    if task >= total_tasks {
-                        break;
-                    }
-                    let point = task / trials;
-                    let trial = task % trials;
-                    let m = points[point];
-                    let mut rng = trial_rng(experiment, point, trial);
-                    let dests = random_dests(&mut rng, cube, source, m);
-                    let mut row: Vec<[f64; K]> = Vec::with_capacity(algos.len());
-                    for &algo in algos {
-                        row.push(metric(cube, source, &dests, algo, &mut scratch));
-                    }
-                    let mut cell = results[point].lock().expect("sweep mutex poisoned");
-                    for (ai, vals) in row.into_iter().enumerate() {
-                        for (k, v) in vals.into_iter().enumerate() {
-                            cell[ai][k][trial] = v;
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let cells = results
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .expect("sweep mutex poisoned")
-                .into_iter()
-                .map(|per_algo| {
-                    let mut out = [Summary::of(&[]); K];
-                    for (k, samples) in per_algo.into_iter().enumerate() {
-                        out[k] = Summary::of(&samples);
-                    }
-                    out
+    // One task per (point, trial), in point-major order; the pool
+    // returns every task's per-algorithm row in task order.
+    let rows: Vec<Vec<[f64; K]>> =
+        wormsim::run_trials(workers, points.len() * trials, |task, scratch| {
+            let (point, trial) = (task / trials, task % trials);
+            let mut rng = trial_rng(experiment, point, trial);
+            let dests = random_dests(&mut rng, cube, source, points[point]);
+            algos
+                .iter()
+                .map(|&algo| metric(cube, source, &dests, algo, scratch))
+                .collect()
+        });
+    // samples[algo][k][trial] per point, trial-indexed, so the
+    // floating-point aggregation order is independent of scheduling.
+    let cells = (0..points.len())
+        .map(|point| {
+            let point_rows = &rows[point * trials..(point + 1) * trials];
+            (0..algos.len())
+                .map(|ai| {
+                    std::array::from_fn(|k| {
+                        let samples: Vec<f64> = point_rows.iter().map(|row| row[ai][k]).collect();
+                        Summary::of(&samples)
+                    })
                 })
                 .collect()
         })

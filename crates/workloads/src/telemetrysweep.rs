@@ -6,7 +6,7 @@
 //! addressing, each driven by Poisson multicast sessions while an
 //! MTBF/MTTR churn process kills and revives links and nodes during the
 //! first part of the window and then stops. The run goes through
-//! [`traffic::run_chaos_cube_with_telemetry`] — the flight recorder —
+//! [`traffic::run_chaos`] with the flight recorder attached
 //! and each series commits its windowed time-series: offered/delivered
 //! sessions, goodput, latency quantiles, cache hit counters, live fault
 //! elements, and per-dimension head-flit blocked time, bucket by bucket.
@@ -28,10 +28,10 @@ use hypercast::{Algorithm, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traffic::{
-    ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, Quantiles, Telemetry,
-    TelemetryConfig, TrafficSpec,
+    ArrivalProcess, Arrivals, Backend, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, Quantiles,
+    RunOptions, Telemetry, TelemetryConfig, TrafficSpec,
 };
-use wormsim::{Histogram, SimParams, SimTime};
+use wormsim::{EngineScratch, Histogram, SimParams, SimTime};
 
 /// Sweep dimensions, churn shape, and seeding.
 #[derive(Clone, Debug, PartialEq)]
@@ -264,26 +264,29 @@ fn series_for(
     }
 }
 
-fn run_task(cfg: &TelemetrySweepConfig, task: &RunTask) -> TelemetrySeries {
+fn run_task(
+    cfg: &TelemetrySweepConfig,
+    task: &RunTask,
+    scratch: &mut EngineScratch,
+) -> TelemetrySeries {
     let params = SimParams::ncube2(hypercast::PortModel::AllPort);
     let spec = chaos_spec_for(cfg, task);
     let tcfg = TelemetryConfig::new(cfg.buckets);
-    let (report, tel) = match task.target {
-        RunTarget::Cube { cube, algo } => traffic::run_chaos_cube_with_telemetry(
-            &spec,
-            cube,
-            Resolution::HighToLow,
-            algo,
-            &params,
-            &tcfg,
-        ),
-        RunTarget::Torus { torus } => traffic::run_chaos_separate_with_telemetry_on(
-            &spec,
-            TorusRouter::new(torus),
-            &params,
-            &tcfg,
-        ),
+    let mut tel = None;
+    let opts = RunOptions::default()
+        .scratch(scratch)
+        .telemetry(&tcfg, &mut tel);
+    let report = match task.target {
+        RunTarget::Cube { cube, algo } => {
+            let backend = Backend::tree(cube, Resolution::HighToLow, algo);
+            traffic::run_chaos(&spec, backend, &params, opts)
+        }
+        RunTarget::Torus { torus } => {
+            let backend = Backend::Separate(TorusRouter::new(torus));
+            traffic::run_chaos(&spec, backend, &params, opts)
+        }
     };
+    let tel = tel.expect("telemetry was requested");
     series_for(task, &spec, &report, &tel)
 }
 
@@ -330,10 +333,12 @@ pub fn telemetry_sweep_with_workers(cfg: &TelemetrySweepConfig, workers: usize) 
         seed: run_seed(cfg.seed, "torus4x3", "Separate", 0),
     });
 
-    // The sharded trial driver: task-indexed merge keeps the sweep
-    // worker-count invariant. The telemetry entry points allocate their
-    // own engine arenas, so the per-worker scratch goes unused here.
-    let series = traffic::run_trials(workers, tasks.len(), |i, _scratch| run_task(cfg, &tasks[i]));
+    // The trial pool: per-worker scratch (reuse across runs is
+    // byte-invisible), task-indexed merge, so the sweep is worker-count
+    // invariant.
+    let series = traffic::run_trials(workers, tasks.len(), |i, scratch| {
+        run_task(cfg, &tasks[i], scratch)
+    });
     TelemetrySweep {
         config: cfg.clone(),
         series,

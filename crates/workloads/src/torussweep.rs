@@ -12,9 +12,9 @@
 //! point is an apples-to-apples replay.
 
 use crate::figure::{Figure, Series};
-use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Ecube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::PortModel;
-use wormsim::{simulate, simulate_on, DepMessage, SimParams, SimTime};
+use wormsim::{DepMessage, Run, SimParams, SimTime};
 
 /// Separate-addressing workload: one independent unicast from the source
 /// to each destination.
@@ -74,8 +74,12 @@ pub fn torus_sweep(trials: usize) -> Figure {
             let dests = crate::destsets::random_dests(&mut rng, cube, NodeId(0), m);
             let workload = separate_workload(NodeId(0), &dests, 4096);
 
-            let on_cube = simulate(cube, Resolution::HighToLow, &params, &workload);
-            let on_torus = simulate_on(router, &params, &workload);
+            let on_cube = Run::new(Ecube::new(cube, Resolution::HighToLow), &params, &workload)
+                .run()
+                .expect("well-formed workload");
+            let on_torus = Run::new(router, &params, &workload)
+                .run()
+                .expect("well-formed workload");
 
             samples[0].push(avg_delay_ms(&on_cube));
             samples[1].push(avg_delay_ms(&on_torus));

@@ -205,13 +205,11 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
                         rate,
                         run_seed(cfg.seed, network, algo.name(), pi),
                     );
-                    let r = traffic::run_cube_with_scratch(
+                    let r = traffic::run(
                         &spec,
-                        cube,
-                        Resolution::HighToLow,
-                        algo,
+                        traffic::Backend::tree(cube, Resolution::HighToLow, algo),
                         &params,
-                        &mut scratch,
+                        traffic::RunOptions::default().scratch(&mut scratch),
                     );
                     SweepPoint {
                         offered_per_ms: rate,
@@ -251,11 +249,11 @@ pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
                 rate,
                 run_seed(cfg.seed, "torus4x3", "Separate", pi),
             );
-            let r = traffic::run_separate_on_with_scratch(
+            let r = traffic::run(
                 &spec,
-                TorusRouter::new(torus),
+                traffic::Backend::Separate(TorusRouter::new(torus)),
                 &params,
-                &mut scratch,
+                traffic::RunOptions::default().scratch(&mut scratch),
             );
             SweepPoint {
                 offered_per_ms: rate,

@@ -11,7 +11,7 @@
 //! 3. worker-count independence of [`run_matrix_with_workers`] — the
 //!    parallel sweep must aggregate identically at 1, 2, and 7 threads.
 
-use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
 use workloads::artifact::Artifact;
 use workloads::chaossweep::{chaos_sweep, chaos_sweep_with_workers, ChaosSweep, ChaosSweepConfig};
@@ -22,7 +22,12 @@ use workloads::telemetrysweep::{
     telemetry_sweep_with_workers, TelemetrySweep, TelemetrySweepConfig,
 };
 use workloads::trafficsweep::{traffic_sweep, SweepConfig, TrafficSweep};
-use wormsim::{simulate, simulate_on, DepMessage, RunResult, SimParams, SimTime};
+use wormsim::{DepMessage, Run, RunResult, SimParams, SimTime};
+
+/// A fault-free, unobserved run of a well-formed workload.
+fn replay<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    Run::new(router, params, workload).run().unwrap()
+}
 
 /// Golden output of `fig11 --trials 2`, captured from the pre-refactor
 /// monolithic engine. `fig11_12` must keep regenerating it byte for
@@ -74,9 +79,9 @@ fn cube_runs_are_byte_identical_across_repeats() {
     let w = contentious_workload(16);
     for port in [PortModel::AllPort, PortModel::OnePort] {
         let params = SimParams::ncube2(port);
-        let first = simulate(cube, Resolution::HighToLow, &params, &w);
+        let first = replay(Ecube::new(cube, Resolution::HighToLow), &params, &w);
         for _ in 0..3 {
-            let again = simulate(cube, Resolution::HighToLow, &params, &w);
+            let again = replay(Ecube::new(cube, Resolution::HighToLow), &params, &w);
             assert_runs_identical(&first, &again);
         }
     }
@@ -88,9 +93,9 @@ fn torus_runs_are_byte_identical_across_repeats() {
     let router = TorusRouter::new(torus);
     let params = SimParams::ncube2(PortModel::AllPort);
     let w = contentious_workload(16);
-    let first = simulate_on(router, &params, &w);
+    let first = replay(router, &params, &w);
     for _ in 0..3 {
-        assert_runs_identical(&first, &simulate_on(router, &params, &w));
+        assert_runs_identical(&first, &replay(router, &params, &w));
     }
 }
 
@@ -105,21 +110,20 @@ fn single_lane_routers_match_the_default_byte_for_byte() {
     let params = SimParams::ncube2(PortModel::AllPort);
     let w = contentious_workload(16);
     let cube = Cube::of(4);
+    let default = Ecube::new(cube, Resolution::HighToLow);
+    let lanes = |n| Ecube::with_lanes(cube, Resolution::HighToLow, n);
 
     for port in [PortModel::AllPort, PortModel::OnePort] {
         let params = SimParams::ncube2(port);
-        let base = simulate_on(hcube::Ecube::new(cube, Resolution::HighToLow), &params, &w);
-        let lane1 = simulate_on(
-            hcube::Ecube::with_lanes(cube, Resolution::HighToLow, 1),
-            &params,
-            &w,
+        assert_runs_identical(
+            &replay(default, &params, &w),
+            &replay(lanes(1), &params, &w),
         );
-        assert_runs_identical(&base, &lane1);
     }
 
     let torus = Torus::of(4, 2);
-    let base = simulate_on(TorusRouter::new(torus), &params, &w);
-    let m1 = simulate_on(TorusRouter::with_lane_multiplier(torus, 1), &params, &w);
+    let base = replay(TorusRouter::new(torus), &params, &w);
+    let m1 = replay(TorusRouter::with_lane_multiplier(torus, 1), &params, &w);
     assert_runs_identical(&base, &m1);
 
     let mut plan = wormsim::FaultPlan::random_links(cube, 4, 5);
@@ -130,27 +134,15 @@ fn single_lane_routers_match_the_default_byte_for_byte() {
         SimTime::from_ns(40_000),
     )
     .deadline_all(SimTime::from_ns(120_000));
-    let base = wormsim::simulate_with_faults_on(
-        hcube::Ecube::new(cube, Resolution::HighToLow),
-        &params,
-        &w,
-        &plan,
-    )
-    .expect("faulted workload is well-formed");
-    let lane1 = wormsim::simulate_with_faults_on(
-        hcube::Ecube::with_lanes(cube, Resolution::HighToLow, 1),
-        &params,
-        &w,
-        &plan,
-    )
-    .expect("faulted workload is well-formed");
-    assert_runs_identical(&base, &lane1);
+    let faulted = |router| {
+        Run::new(router, &params, &w)
+            .faults(&plan)
+            .run()
+            .expect("faulted workload is well-formed")
+    };
+    assert_runs_identical(&faulted(default), &faulted(lanes(1)));
 
-    let wide = simulate_on(
-        hcube::Ecube::with_lanes(cube, Resolution::HighToLow, 4),
-        &params,
-        &w,
-    );
+    let wide = replay(lanes(4), &params, &w);
     assert_eq!(
         wide.delivered_count(),
         w.len(),
@@ -186,24 +178,29 @@ fn scratch_reuse_is_byte_identical_to_fresh_allocation() {
     .deadline_all(SimTime::from_ns(120_000));
 
     for _ in 0..3 {
-        let fresh = simulate_on(cube_router, &params, &w);
-        let reused = wormsim::simulate_on_with_scratch(cube_router, &params, &w, &mut scratch);
+        let fresh = replay(cube_router, &params, &w);
+        let reused = Run::new(cube_router, &params, &w)
+            .scratch(&mut scratch)
+            .run()
+            .unwrap();
         assert_runs_identical(&fresh, &reused);
 
-        let fresh = simulate_on(torus_router, &params, &w);
-        let reused = wormsim::simulate_on_with_scratch(torus_router, &params, &w, &mut scratch);
+        let fresh = replay(torus_router, &params, &w);
+        let reused = Run::new(torus_router, &params, &w)
+            .scratch(&mut scratch)
+            .run()
+            .unwrap();
         assert_runs_identical(&fresh, &reused);
 
-        let fresh = wormsim::simulate_with_faults_on(cube_router, &params, &w, &plan)
+        let fresh = Run::new(cube_router, &params, &w)
+            .faults(&plan)
+            .run()
             .expect("faulted workload is well-formed");
-        let reused = wormsim::simulate_with_faults_on_with_scratch(
-            cube_router,
-            &params,
-            &w,
-            &plan,
-            &mut scratch,
-        )
-        .expect("faulted workload is well-formed");
+        let reused = Run::new(cube_router, &params, &w)
+            .faults(&plan)
+            .scratch(&mut scratch)
+            .run()
+            .expect("faulted workload is well-formed");
         assert_runs_identical(&fresh, &reused);
         assert!(
             fresh.stats.timed_out > 0 || fresh.messages.iter().any(|m| !m.outcome.is_delivered()),
@@ -236,9 +233,10 @@ fn observed_runs_match_unobserved_runs_bit_for_bit() {
     let cube = Cube::of(4);
     let w = contentious_workload(16);
     let params = SimParams::ncube2(PortModel::AllPort);
-    let plain = simulate(cube, Resolution::HighToLow, &params, &w);
+    let router = Ecube::new(cube, Resolution::HighToLow);
+    let plain = replay(router, &params, &w);
     let mut rec = wormsim::EventRecorder::new();
-    let observed = wormsim::simulate_observed(cube, Resolution::HighToLow, &params, &w, &mut rec);
+    let observed = Run::new(router, &params, &w).probe(&mut rec).run().unwrap();
     assert_runs_identical(&plain, &observed);
 }
 
@@ -752,94 +750,4 @@ fn committed_telemetry_sweep_artifact_regenerates_byte_identically() {
         "results/telemetry_sweep.json diverged from regeneration — rerun \
          `cargo run -p bench --release --bin sweep -- telemetry_sweep` and commit"
     );
-}
-
-/// The sharded session driver's central contract: a sharded report is
-/// byte-identical at 1, 2, and 8 workers, on every path it serves —
-/// plain cube traffic, the torus separate-addressing backend, and both
-/// chaos retry engines. The `{:?}` rendering covers every field of the
-/// report (per-session records, batch-means latency, cache and network
-/// counters), so any scheduling leak shows up as a byte diff.
-#[test]
-fn sharded_reports_are_byte_identical_across_worker_counts() {
-    use traffic::{ArrivalProcess, Arrivals, ChaosSpec, ChurnSpec, DestPattern, TrafficSpec};
-
-    let spec = TrafficSpec::new(
-        Arrivals::new(ArrivalProcess::Poisson, 2.0),
-        DestPattern::UniformRandom { m: 6 },
-        40,
-        11,
-    );
-    let params = SimParams::ncube2(PortModel::AllPort);
-    let chaos = ChaosSpec {
-        traffic: spec.clone(),
-        churn: ChurnSpec {
-            link_mtbf_ms: 8.0,
-            link_mttr_ms: 2.0,
-            node_mtbf_ms: 32.0,
-            node_mttr_ms: 3.0,
-            churn_until: SimTime::from_ms(15),
-        },
-        retry: hypercast::RetryPolicy {
-            max_retries: 3,
-            base_backoff: 500,
-            backoff_factor: 4,
-        },
-    };
-    let torus = Torus::new(4, 3).expect("a 4-ary 3-cube builds");
-
-    let cube_run = |w: usize| {
-        format!(
-            "{:?}",
-            traffic::run_cube_sharded(
-                &spec,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-                w,
-            )
-        )
-    };
-    let torus_run = |w: usize| {
-        format!(
-            "{:?}",
-            traffic::run_separate_sharded_on(&spec, TorusRouter::new(torus), &params, w)
-        )
-    };
-    let chaos_cube_run = |w: usize| {
-        format!(
-            "{:?}",
-            traffic::run_chaos_cube_sharded(
-                &chaos,
-                Cube::of(5),
-                Resolution::HighToLow,
-                Algorithm::WSort,
-                &params,
-                w,
-            )
-        )
-    };
-    let chaos_torus_run = |w: usize| {
-        format!(
-            "{:?}",
-            traffic::run_chaos_separate_sharded_on(&chaos, TorusRouter::new(torus), &params, w)
-        )
-    };
-
-    for (label, run) in [
-        ("cube", &cube_run as &dyn Fn(usize) -> String),
-        ("torus", &torus_run),
-        ("chaos cube", &chaos_cube_run),
-        ("chaos torus", &chaos_torus_run),
-    ] {
-        let serial = run(1);
-        for workers in [2, 8] {
-            assert_eq!(
-                run(workers),
-                serial,
-                "the sharded {label} report changed at {workers} workers"
-            );
-        }
-    }
 }

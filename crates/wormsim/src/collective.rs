@@ -8,7 +8,7 @@
 //! dateline-lane router — which is how the collectives sweep compares
 //! topologies under one timing model.
 
-use crate::engine::{simulate_on, DepMessage};
+use crate::engine::{DepMessage, Run};
 use crate::multicast::SimReport;
 use crate::params::SimParams;
 use crate::time::SimTime;
@@ -42,7 +42,9 @@ pub fn simulate_collective_on<R: Router>(
     params: &SimParams,
 ) -> SimReport {
     let workload = collective_workload(sched);
-    let run = simulate_on(router, params, &workload);
+    let run = Run::new(router, params, &workload)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"));
     let deliveries = sched
         .ops
         .iter()

@@ -23,14 +23,23 @@
 //! state machines; `arbitration` — per-channel holder/FIFO state;
 //! `watchdog` — the post-drain deadlock classifier; `outcomes` — the
 //! public result and error types; `core` — the event loop itself. The
-//! loop is **generic over the router**: [`simulate_on`] runs any
-//! [`Router`] backend (hypercube E-cube, torus dimension-ordered with
-//! dateline virtual channels, …), while [`simulate`] keeps the classic
-//! cube-shaped entry point.
+//! loop is **generic over the router**: it runs any [`Router`] backend
+//! (hypercube E-cube, torus dimension-ordered with dateline virtual
+//! channels, …).
+//!
+//! ## One entry point
+//!
+//! Every run goes through [`Run`]:
+//! `Run::new(router, &params, &workload)` plus the optional
+//! [`faults`](Run::faults), [`window`](Run::window),
+//! [`probe`](Run::probe) and [`scratch`](Run::scratch), ended by
+//! [`run`](Run::run), which returns one `Result`. `Run` is
+//! statically dispatched: the default probe is [`NoopProbe`], so an
+//! unobserved run compiles to the bare event loop.
 //!
 //! ## Faults and the watchdog
 //!
-//! [`simulate_with_faults`] threads a [`FaultPlan`] through the run:
+//! [`Run::faults`] threads a [`FaultPlan`] through the run:
 //! dead channels abort worms ([`Outcome::Failed`]), stall windows delay
 //! acquisition, deadlines abort undelivered messages
 //! ([`Outcome::TimedOut`]), and stuck channels wedge their waiters
@@ -60,34 +69,207 @@ use crate::params::SimParams;
 use crate::probe::{NoopProbe, Probe};
 use crate::scratch::EngineScratch;
 use crate::time::SimTime;
-use hcube::{Cube, Ecube, Resolution, Router};
+use hcube::Router;
 
-/// Runs a dependency workload on any routed topology with a fault
-/// plan, an in-loop [`Probe`] observer, and a caller-owned
-/// [`EngineScratch`] — the fully general core every other entry point
-/// delegates to.
+/// One engine run: a dependency workload on a routed topology, with an
+/// optional fault plan, observation window, probe and scratch.
 ///
-/// The scratch is *reset*, never reallocated: reusing one scratch
-/// across runs keeps the event heap, message table, channel table, and
-/// memoized routes warm (see [`crate::scratch`]). Results are
-/// byte-identical to the fresh-allocation path. Even on an `Err`
-/// return the scratch stays safe to reuse — the channel table marks
-/// itself dirty and sweeps on the next reset.
+/// ```
+/// use hcube::{Cube, Ecube, NodeId, Resolution};
+/// use hypercast::PortModel;
+/// use wormsim::{DepMessage, Run, SimParams, SimTime};
 ///
-/// The probe is statically dispatched: passing [`NoopProbe`]
-/// monomorphizes every observation point away, so the uninstrumented
-/// entry points cost nothing for the instrumentation they don't use.
-/// The probe is borrowed (not consumed) so its recording survives even
-/// an `Err` return — a deadlocked run still leaves its
-/// [`EventRecorder`](crate::probe::EventRecorder) full of blocked
-/// events and the watchdog alarm.
+/// // A two-stage forward: 0 → 4, then 4 → 6 after delivery.
+/// let workload = vec![
+///     DepMessage { src: NodeId(0), dst: NodeId(4), bytes: 1024,
+///                  deps: vec![], min_start: SimTime::ZERO },
+///     DepMessage { src: NodeId(4), dst: NodeId(6), bytes: 1024,
+///                  deps: vec![0], min_start: SimTime::ZERO },
+/// ];
+/// let router = Ecube::new(Cube::of(3), Resolution::HighToLow);
+/// let params = SimParams::ncube2(PortModel::AllPort);
+/// let run = Run::new(router, &params, &workload).run().unwrap();
+/// assert!(run.messages[1].injected >= run.messages[0].delivered);
+/// assert_eq!(run.stats.blocks, 0);
+/// ```
 ///
-/// # Errors
-/// [`SimError::SelfSend`] / [`SimError::DependencyOutOfRange`] /
-/// [`SimError::WorkloadTooLarge`] / [`SimError::DependencyCycle`] for
-/// malformed workloads, and [`SimError::Deadlock`] when blocked worms
-/// can never progress.
-pub fn simulate_observed_with_faults_on_with_scratch<R: Router, P: Probe>(
+/// Fault-free runs of valid workloads cannot fail; callers that know
+/// their workload is well formed `expect` the result.
+#[must_use = "a Run does nothing until `.run()` is called"]
+pub struct Run<'a, R: Router, P: Probe = NoopProbe> {
+    router: R,
+    params: &'a SimParams,
+    workload: &'a [DepMessage],
+    faults: Option<&'a FaultPlan>,
+    horizon: Option<SimTime>,
+    probe: Option<&'a mut P>,
+    scratch: Option<&'a mut EngineScratch>,
+}
+
+impl<'a, R: Router> Run<'a, R> {
+    /// A fault-free, unbounded, unobserved run of `workload` on
+    /// `router`, in a fresh scratch. Any [`Router`] backend works:
+    ///
+    /// ```
+    /// use hcube::{NodeId, Torus, TorusRouter};
+    /// use hypercast::PortModel;
+    /// use wormsim::{DepMessage, Run, SimParams, SimTime};
+    ///
+    /// let torus = Torus::of(4, 2);
+    /// let params = SimParams::ncube2(PortModel::AllPort);
+    /// let w = [DepMessage { src: torus.node_at(&[0, 0]), dst: torus.node_at(&[2, 3]),
+    ///                       bytes: 1024, deps: vec![], min_start: SimTime::ZERO }];
+    /// let run = Run::new(TorusRouter::new(torus), &params, &w).run().unwrap();
+    /// assert!(run.messages[0].outcome.is_delivered());
+    /// ```
+    pub fn new(router: R, params: &'a SimParams, workload: &'a [DepMessage]) -> Run<'a, R> {
+        Run {
+            router,
+            params,
+            workload,
+            faults: None,
+            horizon: None,
+            probe: None,
+            scratch: None,
+        }
+    }
+}
+
+impl<'a, R: Router, P: Probe> Run<'a, R, P> {
+    /// Injects a fault plan: dead channels abort worms
+    /// ([`Outcome::Failed`]), stall windows delay acquisition,
+    /// deadlines abort undelivered messages ([`Outcome::TimedOut`]),
+    /// and stuck channels wedge their waiters, which the watchdog
+    /// reports as [`SimError::Deadlock`].
+    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// Bounds the run by an observation window: messages still
+    /// undelivered at `horizon` abort with [`Outcome::TimedOut`]
+    /// instead of extending the run.
+    ///
+    /// This is the open-loop `traffic` engine's mode: a saturated
+    /// network would otherwise let the backlog, and the simulated run,
+    /// grow without bound. The window is a global deadline, so windowed
+    /// runs share every code path with unbounded ones; below
+    /// saturation, a window larger than the natural makespan changes
+    /// nothing. A message whose `min_start` lies beyond the horizon
+    /// times out at the horizon. With [`faults`](Run::faults) as well,
+    /// the window overrides the plan's own default deadline (the plan
+    /// is copied once for the run).
+    ///
+    /// ```
+    /// use hcube::{Cube, Ecube, NodeId, Resolution};
+    /// use hypercast::PortModel;
+    /// use wormsim::{DepMessage, Outcome, Run, SimParams, SimTime};
+    ///
+    /// let router = Ecube::new(Cube::of(3), Resolution::HighToLow);
+    /// let params = SimParams::ncube2(PortModel::AllPort);
+    /// let workload = [
+    ///     DepMessage { src: NodeId(0), dst: NodeId(1), bytes: 64,
+    ///                  deps: vec![], min_start: SimTime::ZERO },
+    ///     // Arrives after the window closes: times out, never runs.
+    ///     DepMessage { src: NodeId(0), dst: NodeId(2), bytes: 64,
+    ///                  deps: vec![], min_start: SimTime::from_us(900) },
+    /// ];
+    /// let run = Run::new(router, &params, &workload)
+    ///     .window(SimTime::from_us(800))
+    ///     .run()
+    ///     .unwrap();
+    /// assert!(run.messages[0].outcome.is_delivered());
+    /// assert_eq!(run.messages[1].outcome, Outcome::TimedOut);
+    /// ```
+    pub fn window(mut self, horizon: SimTime) -> Self {
+        self.horizon = Some(horizon);
+        self
+    }
+
+    /// Runs in a caller-owned [`EngineScratch`] instead of a fresh one.
+    ///
+    /// The scratch is *reset*, never reallocated: reusing one scratch
+    /// across runs keeps the event heap, message table, channel table
+    /// and memoized routes warm (see [`crate::scratch`]). Results are
+    /// byte-identical to a fresh scratch. Even after an `Err` the
+    /// scratch stays safe to reuse: the channel table marks itself
+    /// dirty and sweeps on the next reset.
+    pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
+    }
+
+    /// Attaches an in-loop [`Probe`] observer. The probe is borrowed,
+    /// not consumed, so its recording survives even an `Err`: a
+    /// deadlocked run still leaves an
+    /// [`EventRecorder`](crate::probe::EventRecorder) full of blocked
+    /// events and the watchdog alarm. Dispatch is static.
+    ///
+    /// ```
+    /// use hcube::{Cube, Ecube, NodeId, Resolution};
+    /// use hypercast::PortModel;
+    /// use wormsim::{DepMessage, EventRecorder, Run, SimParams, SimTime};
+    ///
+    /// let router = Ecube::new(Cube::of(4), Resolution::HighToLow);
+    /// let params = SimParams::ncube2(PortModel::AllPort);
+    /// let w = [DepMessage { src: NodeId(0), dst: NodeId(0b0111), bytes: 1024,
+    ///                       deps: vec![], min_start: SimTime::ZERO }];
+    /// let mut rec = EventRecorder::new();
+    /// let run = Run::new(router, &params, &w).probe(&mut rec).run().unwrap();
+    /// // Exact per-channel holds: one occupancy interval per hop.
+    /// assert_eq!(rec.occupancies().len(), 3);
+    /// assert_eq!(rec.latencies().len(), run.delivered_count());
+    /// ```
+    pub fn probe<Q: Probe>(self, probe: &'a mut Q) -> Run<'a, R, Q> {
+        Run {
+            router: self.router,
+            params: self.params,
+            workload: self.workload,
+            faults: self.faults,
+            horizon: self.horizon,
+            probe: Some(probe),
+            scratch: self.scratch,
+        }
+    }
+
+    /// Executes the run.
+    ///
+    /// # Errors
+    /// [`SimError::SelfSend`] / [`SimError::DependencyOutOfRange`] /
+    /// [`SimError::WorkloadTooLarge`] / [`SimError::DependencyCycle`]
+    /// for malformed workloads, and [`SimError::Deadlock`] when blocked
+    /// worms can never progress. A windowed run cannot deadlock: the
+    /// horizon rescues every waiter.
+    pub fn run(self) -> Result<RunResult, SimError> {
+        let windowed;
+        let plan = match (self.faults, self.horizon) {
+            (Some(plan), None) => plan,
+            (plan, horizon) => {
+                let mut p = plan.cloned().unwrap_or_default();
+                if let Some(h) = horizon {
+                    p.deadline_all(h);
+                }
+                windowed = p;
+                &windowed
+            }
+        };
+        let mut fresh;
+        let scratch = match self.scratch {
+            Some(s) => s,
+            None => {
+                fresh = EngineScratch::new();
+                &mut fresh
+            }
+        };
+        let (router, params, workload) = (self.router, self.params, self.workload);
+        match self.probe {
+            Some(probe) => execute(router, params, workload, plan, probe, scratch),
+            None => execute(router, params, workload, plan, &mut NoopProbe, scratch),
+        }
+    }
+}
+
+fn execute<R: Router, P: Probe>(
     router: R,
     params: &SimParams,
     workload: &[DepMessage],
@@ -100,313 +282,14 @@ pub fn simulate_observed_with_faults_on_with_scratch<R: Router, P: Probe>(
     Ok(engine.into_result())
 }
 
-/// Runs a dependency workload on any routed topology with a fault plan
-/// and an in-loop [`Probe`] observer, allocating a fresh scratch
-/// (see [`simulate_observed_with_faults_on_with_scratch`] to reuse one).
+/// A windowed, observed run in a caller-owned scratch:
+/// `Run::new(router, params, workload).window(horizon).probe(probe).scratch(scratch).run()`.
+///
+/// Kept under this name because the `perfbench-trace` benchmark binary
+/// links it; new code uses [`Run`].
 ///
 /// # Errors
-/// [`SimError::SelfSend`] / [`SimError::DependencyOutOfRange`] /
-/// [`SimError::DependencyCycle`] for malformed workloads, and
-/// [`SimError::Deadlock`] when blocked worms can never progress.
-pub fn simulate_observed_with_faults_on<R: Router, P: Probe>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    plan: &FaultPlan,
-    probe: &mut P,
-) -> Result<RunResult, SimError> {
-    let mut scratch = EngineScratch::new();
-    simulate_observed_with_faults_on_with_scratch(
-        router,
-        params,
-        workload,
-        plan,
-        probe,
-        &mut scratch,
-    )
-}
-
-/// Fault-free [`simulate_observed_with_faults_on`]: any router, any
-/// probe, typed errors.
-///
-/// # Errors
-/// See [`simulate_observed_with_faults_on`]; without faults only the
-/// malformed workload variants can occur.
-pub fn try_simulate_observed_on<R: Router, P: Probe>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    probe: &mut P,
-) -> Result<RunResult, SimError> {
-    simulate_observed_with_faults_on(router, params, workload, &FaultPlan::none(), probe)
-}
-
-/// Runs a fault-free dependency workload on any routed topology with an
-/// in-loop [`Probe`] observer, panicking on malformed workloads.
-///
-/// ```
-/// use hcube::{Cube, Ecube, NodeId, Resolution};
-/// use hypercast::PortModel;
-/// use wormsim::{simulate_observed_on, DepMessage, EventRecorder, SimParams, SimTime};
-///
-/// let router = Ecube::new(Cube::of(4), Resolution::HighToLow);
-/// let mut rec = EventRecorder::new();
-/// let run = simulate_observed_on(
-///     router,
-///     &SimParams::ncube2(PortModel::AllPort),
-///     &[DepMessage { src: NodeId(0), dst: NodeId(0b0111), bytes: 1024,
-///                    deps: vec![], min_start: SimTime::ZERO }],
-///     &mut rec,
-/// );
-/// // Exact per-channel holds: one occupancy interval per hop.
-/// assert_eq!(rec.occupancies().len(), 3);
-/// assert_eq!(rec.latencies().len(), run.delivered_count());
-/// ```
-///
-/// # Panics
-/// Panics on malformed workloads: self-sends, out-of-range dependency
-/// indices, or dependency cycles.
-#[must_use]
-pub fn simulate_observed_on<R: Router, P: Probe>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    probe: &mut P,
-) -> RunResult {
-    match try_simulate_observed_on(router, params, workload, probe) {
-        Ok(run) => run,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Observed hypercube run (the classic cube-shaped entry point with a
-/// probe attached; delegates to [`simulate_observed_on`] with an E-cube
-/// router).
-///
-/// # Panics
-/// Panics on malformed workloads: self-sends, out-of-range dependency
-/// indices, or dependency cycles.
-#[must_use]
-pub fn simulate_observed<P: Probe>(
-    cube: Cube,
-    resolution: Resolution,
-    params: &SimParams,
-    workload: &[DepMessage],
-    probe: &mut P,
-) -> RunResult {
-    simulate_observed_on(Ecube::new(cube, resolution), params, workload, probe)
-}
-
-/// Runs a dependency workload on any routed topology with a fault plan
-/// injected — the topology-generic core every cube-shaped entry point
-/// delegates to (unobserved: a [`NoopProbe`] monomorphizes the
-/// instrumentation away).
-///
-/// # Errors
-/// [`SimError::SelfSend`] / [`SimError::DependencyOutOfRange`] /
-/// [`SimError::DependencyCycle`] for malformed workloads, and
-/// [`SimError::Deadlock`] when blocked worms can never progress.
-pub fn simulate_with_faults_on<R: Router>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    plan: &FaultPlan,
-) -> Result<RunResult, SimError> {
-    simulate_observed_with_faults_on(router, params, workload, plan, &mut NoopProbe)
-}
-
-/// Fault-free [`simulate_with_faults_on`]: same typed errors, no plan.
-///
-/// # Errors
-/// See [`simulate_with_faults_on`]; without faults only the malformed
-/// workload variants can occur.
-pub fn try_simulate_on<R: Router>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-) -> Result<RunResult, SimError> {
-    simulate_with_faults_on(router, params, workload, &FaultPlan::none())
-}
-
-/// Runs a dependency workload on any routed topology, panicking on
-/// malformed workloads (see [`try_simulate_on`] for the `Result` form).
-///
-/// ```
-/// use hcube::{NodeId, Torus, TorusRouter};
-/// use hypercast::PortModel;
-/// use wormsim::{simulate_on, DepMessage, SimParams, SimTime};
-///
-/// let torus = Torus::of(4, 2);
-/// let run = simulate_on(
-///     TorusRouter::new(torus),
-///     &SimParams::ncube2(PortModel::AllPort),
-///     &[DepMessage { src: torus.node_at(&[0, 0]), dst: torus.node_at(&[2, 3]),
-///                    bytes: 1024, deps: vec![], min_start: SimTime::ZERO }],
-/// );
-/// assert!(run.messages[0].outcome.is_delivered());
-/// ```
-///
-/// # Panics
-/// Panics on malformed workloads: self-sends, out-of-range dependency
-/// indices, or dependency cycles.
-#[must_use]
-pub fn simulate_on<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
-    match try_simulate_on(router, params, workload) {
-        Ok(run) => run,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Scratch-reusing [`simulate_with_faults_on`]: same semantics, but the
-/// engine's arenas come from (and return to) `scratch` instead of the
-/// allocator. Byte-identical to the fresh-allocation path.
-///
-/// # Errors
-/// See [`simulate_with_faults_on`].
-pub fn simulate_with_faults_on_with_scratch<R: Router>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    plan: &FaultPlan,
-    scratch: &mut EngineScratch,
-) -> Result<RunResult, SimError> {
-    simulate_observed_with_faults_on_with_scratch(
-        router,
-        params,
-        workload,
-        plan,
-        &mut NoopProbe,
-        scratch,
-    )
-}
-
-/// Scratch-reusing [`try_simulate_on`]: fault-free, typed errors,
-/// reused arenas.
-///
-/// # Errors
-/// See [`try_simulate_on`].
-pub fn try_simulate_on_with_scratch<R: Router>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    scratch: &mut EngineScratch,
-) -> Result<RunResult, SimError> {
-    simulate_with_faults_on_with_scratch(router, params, workload, &FaultPlan::none(), scratch)
-}
-
-/// Scratch-reusing [`simulate_on`]: the hot-path entry point for
-/// recurring sessions — reset instead of reallocate, memoized routes,
-/// byte-identical results.
-///
-/// # Panics
-/// Panics on malformed workloads: self-sends, out-of-range dependency
-/// indices, or dependency cycles.
-#[must_use]
-pub fn simulate_on_with_scratch<R: Router>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    scratch: &mut EngineScratch,
-) -> RunResult {
-    match try_simulate_on_with_scratch(router, params, workload, scratch) {
-        Ok(run) => run,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs a dependency workload inside a **bounded observation window**:
-/// messages still undelivered when `horizon` expires are aborted with
-/// [`Outcome::TimedOut`] instead of extending the run.
-///
-/// This is the entry point of the open-loop `traffic` engine: a
-/// saturated network (arrival rate above the service rate) would
-/// otherwise let the backlog — and the simulated run — grow without
-/// bound. The window is implemented as a [`FaultPlan`] whose only fault
-/// is a global deadline, so windowed runs share every code path with
-/// the unbounded ones; below saturation, a window larger than the
-/// natural makespan changes nothing (the run is bit-identical to
-/// [`simulate_on`]).
-///
-/// `min_start` staggering is fully respected: a message whose
-/// `min_start` lies beyond the horizon simply times out at the horizon.
-///
-/// ```
-/// use hcube::{Cube, Ecube, NodeId, Resolution};
-/// use hypercast::PortModel;
-/// use wormsim::{simulate_window_on, DepMessage, Outcome, SimParams, SimTime};
-///
-/// let router = Ecube::new(Cube::of(3), Resolution::HighToLow);
-/// let params = SimParams::ncube2(PortModel::AllPort);
-/// let workload = [
-///     DepMessage { src: NodeId(0), dst: NodeId(1), bytes: 64,
-///                  deps: vec![], min_start: SimTime::ZERO },
-///     // Arrives after the window closes: times out, never runs.
-///     DepMessage { src: NodeId(0), dst: NodeId(2), bytes: 64,
-///                  deps: vec![], min_start: SimTime::from_us(900) },
-/// ];
-/// let run = simulate_window_on(router, &params, &workload,
-///                              SimTime::from_us(800)).unwrap();
-/// assert!(run.messages[0].outcome.is_delivered());
-/// assert_eq!(run.messages[1].outcome, Outcome::TimedOut);
-/// ```
-///
-/// # Errors
-/// The malformed-workload errors of [`try_simulate_on`]. Deadlocks
-/// cannot wedge the run — the horizon deadline rescues every waiter —
-/// but a malformed dependency graph is still rejected up front.
-pub fn simulate_window_on<R: Router>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    horizon: SimTime,
-) -> Result<RunResult, SimError> {
-    simulate_window_observed_on(router, params, workload, horizon, &mut NoopProbe)
-}
-
-/// Scratch-reusing [`simulate_window_on`]: the open-loop traffic
-/// engine's hot path. Each worker replays its sessions into one
-/// [`EngineScratch`], so sustained-load sweeps stop paying a fresh
-/// `Engine` allocation per session.
-///
-/// # Errors
-/// See [`simulate_window_on`].
-pub fn simulate_window_on_with_scratch<R: Router>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    horizon: SimTime,
-    scratch: &mut EngineScratch,
-) -> Result<RunResult, SimError> {
-    let mut plan = FaultPlan::none();
-    plan.deadline_all(horizon);
-    simulate_with_faults_on_with_scratch(router, params, workload, &plan, scratch)
-}
-
-/// [`simulate_window_on`] with an in-loop [`Probe`] observer attached:
-/// the open-loop traffic engine uses this to feed the Metrics/Perfetto
-/// layer during sustained-load runs.
-///
-/// # Errors
-/// See [`simulate_window_on`].
-pub fn simulate_window_observed_on<R: Router, P: Probe>(
-    router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
-    horizon: SimTime,
-    probe: &mut P,
-) -> Result<RunResult, SimError> {
-    let mut plan = FaultPlan::none();
-    plan.deadline_all(horizon);
-    simulate_observed_with_faults_on(router, params, workload, &plan, probe)
-}
-
-/// Scratch-reusing [`simulate_window_observed_on`]: windowed execution,
-/// an in-loop [`Probe`] observer, and a caller-owned
-/// [`EngineScratch`] — the telemetry layer's hot path, where sustained
-/// traffic runs are observed without paying a fresh arena per run.
-///
-/// # Errors
-/// See [`simulate_window_on`].
+/// See [`Run::run`].
 pub fn simulate_window_observed_on_with_scratch<R: Router, P: Probe>(
     router: R,
     params: &SimParams,
@@ -415,81 +298,9 @@ pub fn simulate_window_observed_on_with_scratch<R: Router, P: Probe>(
     probe: &mut P,
     scratch: &mut EngineScratch,
 ) -> Result<RunResult, SimError> {
-    let mut plan = FaultPlan::none();
-    plan.deadline_all(horizon);
-    simulate_observed_with_faults_on_with_scratch(router, params, workload, &plan, probe, scratch)
-}
-
-/// Runs a dependency workload through the wormhole network model with a
-/// fault plan injected.
-///
-/// Per-message outcomes land in [`MessageResult::outcome`]; lost
-/// messages have [`Outcome::Failed`] or [`Outcome::TimedOut`] and their
-/// `delivered` field records the abort time. A wedged network (stuck
-/// channels with no deadline to rescue the waiters) is a typed
-/// [`SimError::Deadlock`] from the watchdog, not a hang.
-///
-/// # Errors
-/// [`SimError::SelfSend`] / [`SimError::DependencyOutOfRange`] /
-/// [`SimError::DependencyCycle`] for malformed workloads, and
-/// [`SimError::Deadlock`] when blocked worms can never progress.
-pub fn simulate_with_faults(
-    cube: Cube,
-    resolution: Resolution,
-    params: &SimParams,
-    workload: &[DepMessage],
-    plan: &FaultPlan,
-) -> Result<RunResult, SimError> {
-    simulate_with_faults_on(Ecube::new(cube, resolution), params, workload, plan)
-}
-
-/// Fault-free [`simulate_with_faults`]: same typed errors, no plan.
-///
-/// # Errors
-/// See [`simulate_with_faults`]; without faults only the malformed
-/// workload variants can occur.
-pub fn try_simulate(
-    cube: Cube,
-    resolution: Resolution,
-    params: &SimParams,
-    workload: &[DepMessage],
-) -> Result<RunResult, SimError> {
-    simulate_with_faults(cube, resolution, params, workload, &FaultPlan::none())
-}
-
-/// Runs a dependency workload through the wormhole network model.
-///
-/// ```
-/// use hcube::{Cube, NodeId, Resolution};
-/// use hypercast::PortModel;
-/// use wormsim::{simulate, DepMessage, SimParams, SimTime};
-///
-/// // A two-stage forward: 0 → 4, then 4 → 6 after delivery.
-/// let workload = vec![
-///     DepMessage { src: NodeId(0), dst: NodeId(4), bytes: 1024,
-///                  deps: vec![], min_start: SimTime::ZERO },
-///     DepMessage { src: NodeId(4), dst: NodeId(6), bytes: 1024,
-///                  deps: vec![0], min_start: SimTime::ZERO },
-/// ];
-/// let params = SimParams::ncube2(PortModel::AllPort);
-/// let run = simulate(Cube::of(3), Resolution::HighToLow, &params, &workload);
-/// assert!(run.messages[1].injected >= run.messages[0].delivered);
-/// assert_eq!(run.stats.blocks, 0);
-/// ```
-///
-/// # Panics
-/// Panics on malformed workloads: self-sends, out-of-range dependency
-/// indices, or dependency cycles (messages that never become eligible).
-/// Use [`try_simulate`] for a `Result` instead.
-#[must_use]
-pub fn simulate(
-    cube: Cube,
-    resolution: Resolution,
-    params: &SimParams,
-    workload: &[DepMessage],
-) -> RunResult {
-    match try_simulate(cube, resolution, params, workload) {
-        Ok(run) => run,
-        Err(e) => panic!("{e}"),
-    }
+    Run::new(router, params, workload)
+        .window(horizon)
+        .probe(probe)
+        .scratch(scratch)
+        .run()
 }

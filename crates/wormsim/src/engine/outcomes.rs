@@ -117,7 +117,7 @@ impl NetStats {
     }
 }
 
-/// Outcome of [`simulate`](crate::engine::simulate).
+/// Outcome of [`Run::run`](crate::Run::run).
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// Per-message results, indexed like the input workload.

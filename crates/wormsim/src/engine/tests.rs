@@ -4,8 +4,17 @@
 
 use super::*;
 use crate::time::SimTime;
-use hcube::{Dim, NodeId, Torus, TorusRouter};
+use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::PortModel;
+
+/// A fault-free, unobserved run of a well-formed workload.
+fn ecube(cube: Cube) -> Ecube {
+    Ecube::new(cube, Resolution::HighToLow)
+}
+
+fn replay<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    Run::new(router, params, workload).run().unwrap()
+}
 
 fn msg(src: u32, dst: u32, bytes: u32, deps: Vec<usize>) -> DepMessage {
     DepMessage {
@@ -18,7 +27,9 @@ fn msg(src: u32, dst: u32, bytes: u32, deps: Vec<usize>) -> DepMessage {
 }
 
 fn run(n: u8, params: &SimParams, workload: &[DepMessage]) -> RunResult {
-    simulate(Cube::of(n), Resolution::HighToLow, params, workload)
+    Run::new(ecube(Cube::of(n)), params, workload)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
@@ -193,20 +204,20 @@ fn rejects_self_send() {
 fn typed_errors_for_malformed_workloads() {
     let p = SimParams::ideal(PortModel::AllPort);
     let cube = Cube::of(3);
-    let r = try_simulate(cube, Resolution::HighToLow, &p, &[msg(1, 1, 10, vec![])]);
+    let r = Run::new(ecube(cube), &p, &[msg(1, 1, 10, vec![])]).run();
     assert_eq!(r.unwrap_err(), SimError::SelfSend { index: 0 });
-    let r = try_simulate(cube, Resolution::HighToLow, &p, &[msg(0, 1, 10, vec![9])]);
+    let r = Run::new(ecube(cube), &p, &[msg(0, 1, 10, vec![9])]).run();
     assert_eq!(
         r.unwrap_err(),
         SimError::DependencyOutOfRange { index: 0, dep: 9 }
     );
     // Two messages depending on each other: a cycle.
-    let r = try_simulate(
-        cube,
-        Resolution::HighToLow,
+    let r = Run::new(
+        ecube(cube),
         &p,
         &[msg(0, 1, 10, vec![1]), msg(2, 3, 10, vec![0])],
-    );
+    )
+    .run();
     match r.unwrap_err() {
         SimError::DependencyCycle { stuck } => assert_eq!(stuck, vec![0, 1]),
         e => panic!("expected cycle, got {e}"),
@@ -259,7 +270,7 @@ fn generic_cube_run_equals_classic_entry_point() {
     let p = SimParams::ncube2(PortModel::AllPort);
     let workload: Vec<DepMessage> = (1..8u32).map(|d| msg(0, d, 4096, vec![])).collect();
     let classic = run(3, &p, &workload);
-    let generic = simulate_on(
+    let generic = replay(
         Ecube::new(Cube::of(3), Resolution::HighToLow),
         &p,
         &workload,
@@ -275,7 +286,7 @@ fn torus_unicast_delivers_with_minimal_hops_latency() {
     let p = SimParams::ncube2(PortModel::AllPort);
     let src = torus.node_at(&[0, 0]);
     let dst = torus.node_at(&[3, 2]); // 1 wrap hop + 2 hops = distance 3
-    let r = simulate_on(
+    let r = replay(
         router,
         &p,
         &[DepMessage {
@@ -318,7 +329,9 @@ fn torus_wrap_heavy_traffic_never_wedges() {
             }
         })
         .collect();
-    let r = try_simulate_on(router, &p, &workload).expect("dateline VCs prevent deadlock");
+    let r = Run::new(router, &p, &workload)
+        .run()
+        .expect("dateline VCs prevent deadlock");
     assert_eq!(r.delivered_count(), workload.len());
 }
 
@@ -338,8 +351,8 @@ fn torus_runs_are_deterministic() {
             min_start: SimTime::ZERO,
         })
         .collect();
-    let a = simulate_on(router, &p, &workload);
-    let b = simulate_on(router, &p, &workload);
+    let a = replay(router, &p, &workload);
+    let b = replay(router, &p, &workload);
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.stats, b.stats);
 }
@@ -352,7 +365,9 @@ fn with_faults(
     workload: &[DepMessage],
     plan: &FaultPlan,
 ) -> Result<RunResult, SimError> {
-    simulate_with_faults(Cube::of(n), Resolution::HighToLow, params, workload, plan)
+    Run::new(ecube(Cube::of(n)), params, workload)
+        .faults(plan)
+        .run()
 }
 
 #[test]
@@ -443,7 +458,7 @@ fn torus_dead_node_aborts_routes_through_it() {
     // [0,0] → [2,0] routes through [1,0] (dimension-ordered, + way).
     let mut plan = FaultPlan::none();
     plan.fail_node(torus.node_at(&[1, 0]));
-    let r = simulate_with_faults_on(
+    let r = Run::new(
         router,
         &p,
         &[DepMessage {
@@ -453,8 +468,9 @@ fn torus_dead_node_aborts_routes_through_it() {
             deps: vec![],
             min_start: SimTime::ZERO,
         }],
-        &plan,
     )
+    .faults(&plan)
+    .run()
     .unwrap();
     assert_eq!(
         r.messages[0].outcome,
@@ -573,13 +589,10 @@ fn window_below_saturation_is_bit_identical_to_unbounded() {
         msg(0b100, 0b110, 4096, vec![0]),
     ];
     let unbounded = run(3, &p, &workload);
-    let windowed = simulate_window_on(
-        Ecube::new(Cube::of(3), Resolution::HighToLow),
-        &p,
-        &workload,
-        SimTime::from_ms(1_000),
-    )
-    .unwrap();
+    let windowed = Run::new(ecube(Cube::of(3)), &p, &workload)
+        .window(SimTime::from_ms(1_000))
+        .run()
+        .unwrap();
     assert_eq!(
         format!("{:?}", windowed.messages),
         format!("{:?}", unbounded.messages)
@@ -595,13 +608,10 @@ fn window_times_out_arrivals_beyond_the_horizon() {
     let p = SimParams::ncube2(PortModel::AllPort);
     let mut late = msg(0, 0b001, 64, vec![]);
     late.min_start = SimTime::from_ms(2);
-    let r = simulate_window_on(
-        Ecube::new(Cube::of(3), Resolution::HighToLow),
-        &p,
-        &[msg(0, 0b010, 64, vec![]), late],
-        SimTime::from_ms(1),
-    )
-    .unwrap();
+    let r = Run::new(ecube(Cube::of(3)), &p, &[msg(0, 0b010, 64, vec![]), late])
+        .window(SimTime::from_ms(1))
+        .run()
+        .unwrap();
     assert_eq!(r.messages[0].outcome, Outcome::Delivered);
     assert_eq!(r.messages[1].outcome, Outcome::TimedOut);
     assert_eq!(r.messages[1].delivered, SimTime::from_ms(1));
@@ -619,7 +629,9 @@ fn window_works_on_the_torus() {
         deps: vec![],
         min_start: SimTime::ZERO,
     }];
-    let r =
-        simulate_window_on(TorusRouter::new(torus), &p, &workload, SimTime::from_ms(50)).unwrap();
+    let r = Run::new(TorusRouter::new(torus), &p, &workload)
+        .window(SimTime::from_ms(50))
+        .run()
+        .unwrap();
     assert!(r.messages[0].outcome.is_delivered());
 }

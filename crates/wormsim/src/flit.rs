@@ -250,10 +250,16 @@ fn release(i: usize, ch: usize, owner: &mut [Option<usize>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, DepMessage};
+    use crate::engine::{DepMessage, Run, RunResult};
     use crate::params::SimParams;
     use crate::time::SimTime;
     use hypercast::PortModel;
+
+    /// A fault-free, unobserved run of a well-formed workload on `cube`.
+    fn replay(cube: Cube, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+        let router = Ecube::new(cube, Resolution::HighToLow);
+        Run::new(router, params, workload).run().unwrap()
+    }
 
     fn fm(src: u32, dst: u32, flits: u32) -> FlitMessage {
         FlitMessage {
@@ -311,7 +317,7 @@ mod tests {
             })
             .collect();
         let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
-        let er = simulate(cube, Resolution::HighToLow, &cycle_params(), &event_w);
+        let er = replay(cube, &cycle_params(), &event_w);
         for (f, e) in fr.iter().zip(&er.messages) {
             assert_eq!(e.delivered.as_ns(), f.delivered_cycle + 1);
             assert_eq!(f.blocked_cycles, 0);
@@ -338,7 +344,7 @@ mod tests {
                 min_start: SimTime::ZERO,
             })
             .collect();
-        let er = simulate(cube, Resolution::HighToLow, &cycle_params(), &event_w);
+        let er = replay(cube, &cycle_params(), &event_w);
         // Both models: follower blocked.
         assert!(fr[1].blocked_cycles > 0);
         assert!(er.messages[1].blocks + er.messages[1].port_waits > 0);
@@ -451,7 +457,7 @@ mod tests {
                 min_start: SimTime::ZERO,
             })
             .collect();
-        let er = simulate(cube, Resolution::HighToLow, &cycle_params(), &event_w);
+        let er = replay(cube, &cycle_params(), &event_w);
         // Flit run with each message starting when the event model says
         // its parent delivered (so both models see the same send times).
         let flit_w: Vec<FlitMessage> = tree

@@ -17,7 +17,7 @@
 //! * one-port nodes are modeled with virtual injection and consumption
 //!   channels, so port serialization falls out of ordinary contention.
 //!
-//! [`engine::simulate`] executes arbitrary dependency workloads;
+//! [`Run`] executes arbitrary dependency workloads;
 //! [`multicast::simulate_multicast`] and
 //! [`multicast::simulate_reduction`] replay `hypercast` trees, producing
 //! the per-destination delays plotted in the paper's Figures 11–14.
@@ -57,13 +57,8 @@ pub mod trace;
 
 pub use collective::{collective_workload, simulate_collective, simulate_collective_on};
 pub use engine::{
-    simulate, simulate_observed, simulate_observed_on, simulate_observed_with_faults_on,
-    simulate_observed_with_faults_on_with_scratch, simulate_on, simulate_on_with_scratch,
-    simulate_window_observed_on, simulate_window_observed_on_with_scratch, simulate_window_on,
-    simulate_window_on_with_scratch, simulate_with_faults, simulate_with_faults_on,
-    simulate_with_faults_on_with_scratch, try_simulate, try_simulate_observed_on, try_simulate_on,
-    try_simulate_on_with_scratch, DepMessage, FaultCause, MessageResult, NetStats, Outcome,
-    RunResult, SimError,
+    simulate_window_observed_on_with_scratch, DepMessage, FaultCause, MessageResult, NetStats,
+    Outcome, Run, RunResult, SimError,
 };
 pub use faults::{FaultEpoch, FaultEvent, FaultEventKind, FaultPlan, FaultTimeline};
 pub use flit::{simulate_flits, simulate_flits_on, FlitMessage, FlitResult};
@@ -79,6 +74,6 @@ pub use params::SimParams;
 pub use probe::{
     json_escape, BlockedInterval, EventRecorder, NoopProbe, Probe, ProbeEvent, Tee, WatchdogAlarm,
 };
-pub use scratch::EngineScratch;
+pub use scratch::{run_trials, EngineScratch};
 pub use time::SimTime;
 pub use trace::ChannelTrace;

@@ -8,16 +8,13 @@
 //! abstraction; contention-freedom (Definition 4) is what guarantees the
 //! self-timed execution never blocks.
 
-use crate::engine::{
-    simulate, simulate_observed, simulate_on, simulate_on_with_scratch, simulate_with_faults,
-    DepMessage, NetStats, RunResult, SimError,
-};
+use crate::engine::{DepMessage, NetStats, Run, RunResult, SimError};
 use crate::faults::FaultPlan;
 use crate::params::SimParams;
 use crate::probe::Probe;
 use crate::scratch::EngineScratch;
 use crate::time::SimTime;
-use hcube::NodeId;
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::collectives::ReductionSchedule;
 use hypercast::MulticastTree;
 use std::collections::HashMap;
@@ -65,6 +62,27 @@ impl SimReport {
             stats: run.stats.clone(),
         }
     }
+}
+
+/// Replays a well-formed workload on the E-cube router of `cube`.
+///
+/// # Panics
+/// On a malformed workload (the workloads built here never are).
+fn replay(cube: Cube, resolution: Resolution, params: &SimParams, w: &[DepMessage]) -> RunResult {
+    Run::new(Ecube::new(cube, resolution), params, w)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The report of a run whose message `i` is `tree`'s unicast `i`.
+fn tree_report(tree: &MulticastTree, run: &RunResult) -> SimReport {
+    let deliveries = tree
+        .unicasts
+        .iter()
+        .zip(&run.messages)
+        .map(|(u, r)| (u.dst, r.delivered))
+        .collect();
+    SimReport::from_run(deliveries, run)
 }
 
 /// Converts a multicast tree into the engine's dependency workload: one
@@ -124,7 +142,9 @@ pub fn simulate_multicast_with_faults(
     plan: &FaultPlan,
 ) -> Result<FaultSimReport, SimError> {
     let workload = multicast_workload(tree, bytes);
-    let run = simulate_with_faults(tree.cube, tree.resolution, params, &workload, plan)?;
+    let run = Run::new(Ecube::new(tree.cube, tree.resolution), params, &workload)
+        .faults(plan)
+        .run()?;
     let mut deliveries = Vec::new();
     let mut lost = Vec::new();
     for (u, r) in tree.unicasts.iter().zip(&run.messages) {
@@ -162,14 +182,7 @@ pub fn simulate_multicast_with_faults(
 #[must_use]
 pub fn simulate_multicast(tree: &MulticastTree, params: &SimParams, bytes: u32) -> SimReport {
     let workload = multicast_workload(tree, bytes);
-    let run = simulate(tree.cube, tree.resolution, params, &workload);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
+    tree_report(tree, &replay(tree.cube, tree.resolution, params, &workload))
 }
 
 /// [`simulate_multicast`] replayed through a reusable [`EngineScratch`]:
@@ -187,15 +200,9 @@ pub fn simulate_multicast_with_scratch(
     scratch: &mut EngineScratch,
 ) -> SimReport {
     let workload = multicast_workload(tree, bytes);
-    let router = hcube::Ecube::new(tree.cube, tree.resolution);
-    let run = simulate_on_with_scratch(router, params, &workload, scratch);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
+    let router = Ecube::new(tree.cube, tree.resolution);
+    let run = Run::new(router, params, &workload).scratch(scratch).run();
+    tree_report(tree, &run.unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// [`simulate_multicast`] on an E-cube router carrying `lanes` virtual
@@ -211,15 +218,9 @@ pub fn simulate_multicast_lanes(
     lanes: u8,
 ) -> SimReport {
     let workload = multicast_workload(tree, bytes);
-    let router = hcube::Ecube::with_lanes(tree.cube, tree.resolution, lanes);
-    let run = simulate_on(router, params, &workload);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
+    let router = Ecube::with_lanes(tree.cube, tree.resolution, lanes);
+    let run = Run::new(router, params, &workload).run();
+    tree_report(tree, &run.unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// [`simulate_multicast`] with an in-loop [`Probe`] observer attached:
@@ -239,14 +240,9 @@ pub fn simulate_multicast_observed<P: Probe>(
     probe: &mut P,
 ) -> SimReport {
     let workload = multicast_workload(tree, bytes);
-    let run = simulate_observed(tree.cube, tree.resolution, params, &workload, probe);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
+    let router = Ecube::new(tree.cube, tree.resolution);
+    let run = Run::new(router, params, &workload).probe(probe).run();
+    tree_report(tree, &run.unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Simulates a reduction schedule: every node contributes a `bytes`-byte
@@ -256,8 +252,8 @@ pub fn simulate_multicast_observed<P: Probe>(
 #[must_use]
 pub fn simulate_reduction(
     sched: &ReductionSchedule,
-    cube: hcube::Cube,
-    resolution: hcube::Resolution,
+    cube: Cube,
+    resolution: Resolution,
     params: &SimParams,
     bytes: u32,
 ) -> SimReport {
@@ -277,7 +273,7 @@ pub fn simulate_reduction(
             min_start: SimTime::ZERO,
         })
         .collect();
-    let run = simulate(cube, resolution, params, &workload);
+    let run = replay(cube, resolution, params, &workload);
     let deliveries = sched
         .unicasts
         .iter()
@@ -371,7 +367,7 @@ pub fn simulate_concurrent_multicasts(
         }
         ranges.push(base..workload.len());
     }
-    let run = simulate(cube, resolution, params, &workload);
+    let run = replay(cube, resolution, params, &workload);
     let per_tree = trees
         .iter()
         .zip(ranges)
@@ -443,14 +439,7 @@ pub fn simulate_scatter(
             min_start: SimTime::ZERO,
         })
         .collect();
-    let run = simulate(tree.cube, tree.resolution, params, &workload);
-    let deliveries = tree
-        .unicasts
-        .iter()
-        .zip(&run.messages)
-        .map(|(u, r)| (u.dst, r.delivered))
-        .collect();
-    SimReport::from_run(deliveries, &run)
+    tree_report(tree, &replay(tree.cube, tree.resolution, params, &workload))
 }
 
 /// Simulates a concatenation gather: each participant sends its subtree's
@@ -458,8 +447,8 @@ pub fn simulate_scatter(
 #[must_use]
 pub fn simulate_gather(
     sched: &hypercast::collectives::GatherSchedule,
-    cube: hcube::Cube,
-    resolution: hcube::Resolution,
+    cube: Cube,
+    resolution: Resolution,
     params: &SimParams,
 ) -> SimReport {
     let mut inbound: HashMap<NodeId, Vec<usize>> = HashMap::new();
@@ -479,7 +468,7 @@ pub fn simulate_gather(
             min_start: SimTime::ZERO,
         })
         .collect();
-    let run = simulate(cube, resolution, params, &workload);
+    let run = replay(cube, resolution, params, &workload);
     let deliveries = sched
         .unicasts
         .iter()
@@ -532,7 +521,7 @@ pub fn simulate_chunked_multicast(
             });
         }
     }
-    let run = simulate(tree.cube, tree.resolution, params, &workload);
+    let run = replay(tree.cube, tree.resolution, params, &workload);
     // Per destination: the max over its chunks.
     let deliveries: Vec<(NodeId, SimTime)> = tree
         .unicasts
@@ -554,14 +543,14 @@ pub fn simulate_chunked_multicast(
 /// engine to the closed-form model).
 #[must_use]
 pub fn simulate_unicast(
-    cube: hcube::Cube,
-    resolution: hcube::Resolution,
+    cube: Cube,
+    resolution: Resolution,
     params: &SimParams,
     src: NodeId,
     dst: NodeId,
     bytes: u32,
 ) -> SimTime {
-    let run = simulate(
+    let run = replay(
         cube,
         resolution,
         params,

@@ -1,12 +1,10 @@
 //! Reusable engine arenas: run many workloads without reallocating.
 //!
-//! Every `simulate*` entry point ultimately runs through an
-//! [`EngineScratch`]: the fresh-allocation entry points create one on
-//! the spot, while the `*_with_scratch` variants
-//! ([`simulate_on_with_scratch`](crate::engine::simulate_on_with_scratch),
-//! [`simulate_window_on_with_scratch`](crate::engine::simulate_window_on_with_scratch),
-//! …) accept a caller-owned scratch and *reset* it instead — the event
-//! heap, message table, channel arbitration table, dead-channel flags,
+//! Every engine run goes through an [`EngineScratch`]: a
+//! [`Run`](crate::Run) without [`scratch`](crate::Run::scratch) creates
+//! one on the spot, while a run given a caller-owned scratch *resets*
+//! it instead — the event heap, message table, channel arbitration
+//! table, dead-channel flags,
 //! CPU-serialization clocks, and the failure-cascade stack all keep
 //! their allocations between runs, and the embedded
 //! [`RouteMemo`] keeps the routes themselves.
@@ -27,6 +25,8 @@ use crate::engine::events::EventQueue;
 use crate::engine::worm::{MsgState, Outcome};
 use crate::network::RouteMemo;
 use crate::time::SimTime;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The reusable arena behind the engine's hot path.
 ///
@@ -38,15 +38,15 @@ use crate::time::SimTime;
 /// ```
 /// use hcube::{Cube, Ecube, NodeId, Resolution};
 /// use hypercast::PortModel;
-/// use wormsim::{simulate_on_with_scratch, DepMessage, EngineScratch, SimParams, SimTime};
+/// use wormsim::{DepMessage, EngineScratch, Run, SimParams, SimTime};
 ///
 /// let router = Ecube::new(Cube::of(4), Resolution::HighToLow);
 /// let params = SimParams::ncube2(PortModel::AllPort);
 /// let w = [DepMessage { src: NodeId(0), dst: NodeId(5), bytes: 256,
 ///                       deps: vec![], min_start: SimTime::ZERO }];
 /// let mut scratch = EngineScratch::new();
-/// let first = simulate_on_with_scratch(router, &params, &w, &mut scratch);
-/// let again = simulate_on_with_scratch(router, &params, &w, &mut scratch);
+/// let first = Run::new(router, &params, &w).scratch(&mut scratch).run().unwrap();
+/// let again = Run::new(router, &params, &w).scratch(&mut scratch).run().unwrap();
 /// assert_eq!(first.messages, again.messages); // byte-identical replay
 /// assert!(scratch.route_memo().hits() > 0);   // routes were reused
 /// ```
@@ -107,5 +107,79 @@ impl std::fmt::Debug for EngineScratch {
             .field("memo_hits", &self.memo.hits())
             .field("memo_misses", &self.memo.misses())
             .finish_non_exhaustive()
+    }
+}
+
+/// Runs `count` independent trials across `workers` threads and
+/// returns the results **in trial order**, regardless of which worker
+/// ran what.
+///
+/// Each worker owns one [`EngineScratch`] for its whole lifetime and
+/// claims trials from a shared atomic counter; results land in their
+/// trial's slot. With `workers == 1` (or fewer than two trials)
+/// everything runs inline on the calling thread, in one scratch, and
+/// no threads are spawned.
+///
+/// This is the one slot-fill pool in the workspace: the figure matrix
+/// (`workloads::sweep`), the chaos and telemetry sweeps and
+/// `engine_bench` all drive their trials through it.
+///
+/// # Panics
+/// If `workers == 0`, or if a worker thread panics (the panic is
+/// propagated by the thread scope).
+pub fn run_trials<T, F>(workers: usize, count: usize, run: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut EngineScratch) -> T + Sync,
+{
+    assert!(workers > 0, "a trial pool needs at least one worker");
+    if workers == 1 || count <= 1 {
+        let mut scratch = EngineScratch::new();
+        return (0..count).map(|i| run(i, &mut scratch)).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(count) {
+            scope.spawn(|| {
+                let mut scratch = EngineScratch::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    let out = run(i, &mut scratch);
+                    *slots[i].lock().expect("trial slot lock poisoned") = Some(out);
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("trial slot lock poisoned")
+                .expect("every trial slot is filled before the scope ends")
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_trials_returns_results_in_trial_order() {
+        for workers in [1, 2, 5] {
+            let out = run_trials(workers, 17, |i, _scratch| i * i);
+            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(run_trials(3, 0, |i, _| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_workers_panics() {
+        let _ = run_trials(0, 4, |i, _| i);
     }
 }

@@ -174,9 +174,14 @@ impl ChannelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, simulate_on};
+    use crate::engine::Run;
     use hcube::{NodeId, Torus, TorusRouter};
     use hypercast::PortModel;
+
+    /// A fault-free, unobserved run of a well-formed workload.
+    fn replay<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+        Run::new(router, params, workload).run().unwrap()
+    }
 
     fn msg(src: u32, dst: u32, bytes: u32) -> DepMessage {
         DepMessage {
@@ -191,7 +196,7 @@ mod tests {
     fn setup(workload: &[DepMessage]) -> (Cube, SimParams, ChannelTrace, RunResult) {
         let cube = Cube::of(4);
         let params = SimParams::ncube2(PortModel::AllPort);
-        let run = simulate(cube, Resolution::HighToLow, &params, workload);
+        let run = replay(Ecube::new(cube, Resolution::HighToLow), &params, workload);
         let trace = ChannelTrace::reconstruct(cube, Resolution::HighToLow, &params, workload, &run);
         (cube, params, trace, run)
     }
@@ -241,7 +246,7 @@ mod tests {
         let cube = Cube::of(3);
         let params = SimParams::ncube2(PortModel::OnePort);
         let w = vec![msg(0, 0b111, 128)];
-        let run = simulate(cube, Resolution::HighToLow, &params, &w);
+        let run = replay(Ecube::new(cube, Resolution::HighToLow), &params, &w);
         let trace = ChannelTrace::reconstruct(cube, Resolution::HighToLow, &params, &w, &run);
         assert_eq!(trace.occupancies.len(), 3, "injection/consumption excluded");
         assert!(trace
@@ -262,7 +267,7 @@ mod tests {
             deps: Vec::new(),
             min_start: SimTime::ZERO,
         }];
-        let run = simulate_on(router, &params, &w);
+        let run = replay(router, &params, &w);
         let trace = ChannelTrace::reconstruct_on(router, &params, &w, &run);
         assert_eq!(trace.occupancies.len(), 2);
         let s = trace.render_timeline(32);

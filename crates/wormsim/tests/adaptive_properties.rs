@@ -12,12 +12,15 @@
 //! must never produce [`SimError::Deadlock`] — faults may abort
 //! individual worms (`Failed`), never wedge the network.
 
-use hcube::{Mesh, MeshXY, MinimalAdaptive, NodeId};
+use hcube::{Mesh, MeshXY, MinimalAdaptive, NodeId, Router};
 use hypercast::PortModel;
 use proptest::prelude::*;
-use wormsim::{
-    simulate_on, simulate_with_faults_on, DepMessage, FaultPlan, SimError, SimParams, SimTime,
-};
+use wormsim::{DepMessage, FaultPlan, Run, RunResult, SimError, SimParams, SimTime};
+
+/// A fault-free, unobserved run of a well-formed workload.
+fn replay<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    Run::new(router, params, workload).run().unwrap()
+}
 
 fn msg(src: NodeId, dst: NodeId, bytes: u32) -> DepMessage {
     DepMessage {
@@ -59,11 +62,11 @@ proptest! {
             .iter()
             .map(|&(s, d)| msg(NodeId(s), NodeId(d), bytes))
             .collect();
-        let run = simulate_on(MinimalAdaptive::with_lanes(mesh, lanes), &params, &workload);
+        let run = replay(MinimalAdaptive::with_lanes(mesh, lanes), &params, &workload);
         prop_assert_eq!(run.delivered_count(), workload.len());
         // The deterministic XY baseline drains the same workload (same
         // delivery set; timings may differ).
-        let xy = simulate_on(MeshXY::with_lanes(mesh, lanes), &params, &workload);
+        let xy = replay(MeshXY::with_lanes(mesh, lanes), &params, &workload);
         prop_assert_eq!(xy.delivered_count(), workload.len());
     }
 
@@ -99,7 +102,7 @@ proptest! {
             plan.fail_lane(v, hcube::Dim(0), (seed % u64::from(lanes)) as u8);
         }
         let router = MinimalAdaptive::with_lanes(mesh, lanes);
-        match simulate_with_faults_on(router, &params, &workload, &plan) {
+        match Run::new(router, &params, &workload).faults(&plan).run() {
             Ok(run) => {
                 // Every message either delivered or was aborted by the
                 // plan — nothing is left in limbo.
@@ -133,7 +136,7 @@ fn single_lane_all_to_all_drains() {
                 .map(move |d| msg(s, d, 1024))
         })
         .collect();
-    let run = simulate_on(MinimalAdaptive::new(mesh), &params, &workload);
+    let run = replay(MinimalAdaptive::new(mesh), &params, &workload);
     assert_eq!(run.delivered_count(), workload.len());
     assert!(run.stats.blocks > 0, "all-to-all must actually contend");
 }

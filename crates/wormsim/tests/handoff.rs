@@ -14,9 +14,15 @@
 //! tests pin the neighbouring invariants (hand-off chains, scratch
 //! replay of the same scenario).
 
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::PortModel;
-use wormsim::{simulate, simulate_on_with_scratch, DepMessage, EngineScratch, SimParams, SimTime};
+use wormsim::{DepMessage, EngineScratch, Run, RunResult, SimParams, SimTime};
+
+/// A fault-free, unobserved run of a well-formed workload on `cube`.
+fn replay(cube: Cube, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    let router = Ecube::new(cube, Resolution::HighToLow);
+    Run::new(router, params, workload).run().unwrap()
+}
 
 fn msg(src: u32, dst: u32, bytes: u32, min_start: u64) -> DepMessage {
     DepMessage {
@@ -50,7 +56,7 @@ fn msg(src: u32, dst: u32, bytes: u32, min_start: u64) -> DepMessage {
 fn fifo_waiter_is_not_stolen_by_a_same_time_arrival() {
     let params = SimParams::ideal(PortModel::AllPort);
     let workload = [msg(0, 1, 10, 0), msg(0, 1, 10, 1), msg(0, 1, 10, 11)];
-    let run = simulate(Cube::of(2), Resolution::HighToLow, &params, &workload);
+    let run = replay(Cube::of(2), &params, &workload);
 
     let a = &run.messages[0];
     let b = &run.messages[1];
@@ -87,7 +93,7 @@ fn handoff_chain_preserves_arrival_order() {
         msg(0, 1, 10, 2),
         msg(0, 1, 10, 5),
     ];
-    let run = simulate(Cube::of(2), Resolution::HighToLow, &params, &workload);
+    let run = replay(Cube::of(2), &params, &workload);
     // Holder delivers at 11; then waiters in arrival order 2, 1, 3 at
     // 22, 33, 44.
     assert_eq!(run.messages[0].delivered, SimTime::from_ns(11));
@@ -103,11 +109,14 @@ fn handoff_chain_preserves_arrival_order() {
 fn handoff_semantics_survive_scratch_reuse() {
     let params = SimParams::ideal(PortModel::AllPort);
     let workload = [msg(0, 1, 10, 0), msg(0, 1, 10, 1), msg(0, 1, 10, 11)];
-    let fresh = simulate(Cube::of(2), Resolution::HighToLow, &params, &workload);
+    let fresh = replay(Cube::of(2), &params, &workload);
     let router = hcube::Ecube::new(Cube::of(2), Resolution::HighToLow);
     let mut scratch = EngineScratch::new();
     for _ in 0..3 {
-        let again = simulate_on_with_scratch(router, &params, &workload, &mut scratch);
+        let again = Run::new(router, &params, &workload)
+            .scratch(&mut scratch)
+            .run()
+            .unwrap();
         assert_eq!(fresh.messages, again.messages);
         assert_eq!(fresh.stats, again.stats);
     }

@@ -14,14 +14,24 @@
 //! 3. **Observation is passive** — an attached recorder never perturbs
 //!    the schedule.
 
-use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
 use proptest::prelude::*;
 use wormsim::network::ChannelMap;
 use wormsim::{
-    multicast_workload, simulate, simulate_observed_on, simulate_observed_with_faults_on,
-    ChannelTrace, DepMessage, EventRecorder, FaultPlan, ProbeEvent, SimError, SimParams, SimTime,
+    multicast_workload, ChannelTrace, DepMessage, EventRecorder, FaultPlan, ProbeEvent, Run,
+    RunResult, SimError, SimParams, SimTime,
 };
+
+/// A fault-free run of a well-formed workload, recorded into `rec`.
+fn record<R: Router>(
+    router: R,
+    params: &SimParams,
+    workload: &[DepMessage],
+    rec: &mut EventRecorder,
+) -> RunResult {
+    Run::new(router, params, workload).probe(rec).run().unwrap()
+}
 
 fn msg(src: u32, dst: u32, bytes: u32) -> DepMessage {
     DepMessage {
@@ -105,7 +115,7 @@ proptest! {
         let workload = multicast_workload(&tree, bytes);
         let router = Ecube::new(cube, Resolution::HighToLow);
         let mut rec = EventRecorder::new();
-        let run = simulate_observed_on(router, &params, &workload, &mut rec);
+        let run = record(router, &params, &workload, &mut rec);
         let trace = ChannelTrace::reconstruct_on(router, &params, &workload, &run);
         let map = ChannelMap::new(router);
         // One exact interval per held channel: route lengths add up.
@@ -143,7 +153,7 @@ proptest! {
         let workload = multicast_workload(&tree, bytes);
         let router = Ecube::new(cube, Resolution::HighToLow);
         let mut rec = EventRecorder::new();
-        let run = simulate_observed_on(router, &params, &workload, &mut rec);
+        let run = record(router, &params, &workload, &mut rec);
         prop_assert_eq!(run.stats.blocks, 0);
         let trace = ChannelTrace::reconstruct_on(router, &params, &workload, &run);
         let mut exact: Vec<(usize, usize, SimTime, SimTime)> = rec
@@ -173,14 +183,11 @@ proptest! {
             .build(cube, Resolution::HighToLow, PortModel::AllPort, NodeId(src), &dests)
             .unwrap();
         let workload = multicast_workload(&tree, 4096);
-        let plain = simulate(cube, Resolution::HighToLow, &params, &workload);
+        let plain = Run::new(Ecube::new(cube, Resolution::HighToLow), &params, &workload)
+            .run()
+            .unwrap();
         let mut rec = EventRecorder::new();
-        let observed = simulate_observed_on(
-            Ecube::new(cube, Resolution::HighToLow),
-            &params,
-            &workload,
-            &mut rec,
-        );
+        let observed = record(Ecube::new(cube, Resolution::HighToLow), &params, &workload, &mut rec);
         prop_assert_eq!(plain.messages, observed.messages);
         prop_assert_eq!(plain.stats, observed.stats);
         prop_assert_eq!(rec.latencies().len(), observed.delivered_count());
@@ -248,7 +255,7 @@ fn netstats_matches_recorder_cube_all_port() {
     let router = Ecube::new(cube, Resolution::HighToLow);
     let map = ChannelMap::new(router);
     let mut rec = EventRecorder::new();
-    let run = simulate_observed_on(router, &params, &hot_spot(16, 2048), &mut rec);
+    let run = record(router, &params, &hot_spot(16, 2048), &mut rec);
     assert!(run.stats.blocks > 0, "hot-spot must contend");
     assert_stats_match_recorder(&map, &run.stats, &rec);
 }
@@ -260,7 +267,7 @@ fn netstats_matches_recorder_cube_one_port() {
     let router = Ecube::new(cube, Resolution::HighToLow);
     let map = ChannelMap::new(router);
     let mut rec = EventRecorder::new();
-    let run = simulate_observed_on(router, &params, &hot_spot(16, 2048), &mut rec);
+    let run = record(router, &params, &hot_spot(16, 2048), &mut rec);
     assert!(
         run.stats.port_waits > 0,
         "one-port hot-spot must serialize on the consumption channel"
@@ -276,7 +283,7 @@ fn netstats_matches_recorder_torus() {
     let map = ChannelMap::new(router);
     let workload = hot_spot(16, 2048);
     let mut rec = EventRecorder::new();
-    let run = simulate_observed_on(router, &params, &workload, &mut rec);
+    let run = record(router, &params, &workload, &mut rec);
     assert!(run.stats.blocks > 0, "torus hot-spot must contend");
     assert_stats_match_recorder(&map, &run.stats, &rec);
     // Cross-check the separately computed utilization against a direct
@@ -312,7 +319,7 @@ fn netstats_matches_recorder_under_multicast_contention() {
     let router = Ecube::new(cube, Resolution::HighToLow);
     let map = ChannelMap::new(router);
     let mut rec = EventRecorder::new();
-    let run = simulate_observed_on(router, &params, &multicast_workload(&tree, 4096), &mut rec);
+    let run = record(router, &params, &multicast_workload(&tree, 4096), &mut rec);
     assert_stats_match_recorder(&map, &run.stats, &rec);
 }
 
@@ -370,7 +377,7 @@ fn netstats_matches_recorder_multi_lane_cube() {
     let map = ChannelMap::new(router);
     let params = SimParams::ncube2(PortModel::AllPort);
     let mut rec = EventRecorder::new();
-    let run = simulate_observed_on(router, &params, &hot_spot(16, 2048), &mut rec);
+    let run = record(router, &params, &hot_spot(16, 2048), &mut rec);
     assert_eq!(run.delivered_count(), 15);
     assert_stats_match_recorder(&map, &run.stats, &rec);
     assert_lane_stats_match_recorder(&map, &run.stats, &rec);
@@ -393,7 +400,7 @@ fn netstats_matches_recorder_multi_lane_torus() {
     let map = ChannelMap::new(router);
     let params = SimParams::ncube2(PortModel::AllPort);
     let mut rec = EventRecorder::new();
-    let run = simulate_observed_on(router, &params, &hot_spot(16, 2048), &mut rec);
+    let run = record(router, &params, &hot_spot(16, 2048), &mut rec);
     assert_eq!(run.delivered_count(), 15);
     assert_stats_match_recorder(&map, &run.stats, &rec);
     assert_lane_stats_match_recorder(&map, &run.stats, &rec);
@@ -415,7 +422,10 @@ fn deadlock_emits_matching_watchdog_alarm_and_blocked_events() {
     let workload = [msg(0, 0b011, 4096), msg(0b100, 0b010, 4096)];
     let router = Ecube::new(Cube::of(3), Resolution::HighToLow);
     let mut rec = EventRecorder::new();
-    let err = simulate_observed_with_faults_on(router, &params, &workload, &plan, &mut rec)
+    let err = Run::new(router, &params, &workload)
+        .faults(&plan)
+        .probe(&mut rec)
+        .run()
         .expect_err("stuck channel must deadlock");
     let SimError::Deadlock {
         at,
@@ -465,7 +475,10 @@ fn deadline_rescue_emits_timeout_events_not_alarms() {
     let workload = [msg(0, 0b011, 4096), msg(0b100, 0b010, 4096)];
     let router = Ecube::new(Cube::of(3), Resolution::HighToLow);
     let mut rec = EventRecorder::new();
-    let run = simulate_observed_with_faults_on(router, &params, &workload, &plan, &mut rec)
+    let run = Run::new(router, &params, &workload)
+        .faults(&plan)
+        .probe(&mut rec)
+        .run()
         .expect("deadline converts the wedge into timeouts");
     assert_eq!(run.stats.timed_out, 2);
     assert!(rec.alarms().is_empty(), "no deadlock alarm when rescued");
@@ -493,7 +506,7 @@ fn one_port_blocking_is_port_wait_not_contention() {
     let map = ChannelMap::new(router);
     let workload = [msg(0, 0b001, 4096), msg(0, 0b010, 4096)];
     let mut rec = EventRecorder::new();
-    let run = simulate_observed_on(router, &params, &workload, &mut rec);
+    let run = record(router, &params, &workload, &mut rec);
     assert!(run.stats.port_waits > 0);
     assert_eq!(run.stats.blocks, 0);
     let contention: u64 = (0..map.externals())

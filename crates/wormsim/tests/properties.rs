@@ -2,10 +2,16 @@
 //! proved contention-free must never block a channel in the physical
 //! model, and the timing model must respect basic monotonicity.
 
-use hcube::{Cube, NodeId, Resolution, Topology};
+use hcube::{Cube, Ecube, NodeId, Resolution, Topology};
 use hypercast::{Algorithm, PortModel};
 use proptest::prelude::*;
-use wormsim::{simulate, simulate_multicast, DepMessage, SimParams, SimTime};
+use wormsim::{simulate_multicast, DepMessage, Run, RunResult, SimParams, SimTime};
+
+/// A fault-free, unobserved run of a well-formed workload on `cube`.
+fn replay(cube: Cube, params: &SimParams, workload: &[DepMessage]) -> RunResult {
+    let router = Ecube::new(cube, Resolution::HighToLow);
+    Run::new(router, params, workload).run().unwrap()
+}
 
 fn instance() -> impl Strategy<Value = (u8, u32, Vec<u32>)> {
     (3u8..=7).prop_flat_map(|n| {
@@ -145,7 +151,7 @@ proptest! {
             DepMessage { src, dst, bytes, deps: vec![], min_start: SimTime::ZERO }
         }).collect();
         let port = if allport { PortModel::AllPort } else { PortModel::OnePort };
-        let run = wormsim::try_simulate_on(router, &SimParams::ncube2(port), &workload)
+        let run = Run::new(router, &SimParams::ncube2(port), &workload).run()
             .expect("dateline VCs must prevent deadlock");
         prop_assert_eq!(run.delivered_count(), workload.len());
         for (m, r) in workload.iter().zip(&run.messages) {
@@ -233,7 +239,7 @@ proptest! {
                 }
             })
             .collect();
-        let run = simulate(cube, Resolution::HighToLow, &params, &workload);
+        let run = replay(cube, &params, &workload);
         prop_assert_eq!(run.messages.len(), workload.len());
         for (m, r) in workload.iter().zip(&run.messages) {
             // Injection respects min_start and the send software cost.
@@ -252,7 +258,7 @@ proptest! {
         let max = run.messages.iter().map(|r| r.delivered).max().unwrap();
         prop_assert_eq!(run.stats.makespan, max);
         // Determinism.
-        let again = simulate(cube, Resolution::HighToLow, &params, &workload);
+        let again = replay(cube, &params, &workload);
         prop_assert_eq!(run.messages, again.messages);
     }
 
@@ -315,7 +321,7 @@ proptest! {
             deps: inbound.get(&u.src).map(|&i| vec![i]).unwrap_or_default(),
             min_start: SimTime::ZERO,
         }).collect();
-        let er = wormsim::simulate(cube, Resolution::HighToLow, &cycle_params, &event_w);
+        let er = replay(cube, &cycle_params, &event_w);
         let flit_w: Vec<wormsim::FlitMessage> = tree.unicasts.iter().map(|u| {
             let start = inbound.get(&u.src).map(|&i| er.messages[i].delivered.as_ns()).unwrap_or(0);
             wormsim::FlitMessage { src: u.src, dst: u.dst, flits: 16, start_cycle: start }
@@ -365,7 +371,7 @@ proptest! {
         let flit_w: Vec<wormsim::FlitMessage> = w.iter().map(|&(s, d)| wormsim::FlitMessage {
             src: s, dst: d, flits, start_cycle: 0,
         }).collect();
-        let er = wormsim::simulate(cube, Resolution::HighToLow, &cycle_params, &event_w);
+        let er = replay(cube, &cycle_params, &event_w);
         let fr = wormsim::simulate_flits(cube, Resolution::HighToLow, &flit_w);
         let event_makespan = er.messages.iter().map(|m| m.delivered.as_ns()).max().unwrap();
         let flit_makespan = fr.iter().map(|f| f.delivered_cycle).max().unwrap();

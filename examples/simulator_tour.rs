@@ -6,9 +6,9 @@
 //! cargo run -p bench --release --example simulator_tour
 //! ```
 
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::PortModel;
-use wormsim::{simulate, simulate_unicast, DepMessage, SimParams, SimTime};
+use wormsim::{simulate_unicast, DepMessage, Run, SimParams, SimTime};
 
 fn msg(src: u32, dst: u32, bytes: u32, deps: Vec<usize>) -> DepMessage {
     DepMessage {
@@ -44,15 +44,16 @@ fn main() {
 
     println!("\n== 3. Channel contention ==");
     // Two worms colliding mid-path: 000000→000011 and 000110→000011.
-    let run = simulate(
-        cube,
-        res,
+    let run = Run::new(
+        Ecube::new(cube, res),
         &params,
         &[
             msg(0b000000, 0b000011, 4096, vec![]),
             msg(0b000110, 0b000011, 4096, vec![]),
         ],
-    );
+    )
+    .run()
+    .unwrap();
     for (i, m) in run.messages.iter().enumerate() {
         println!(
             "  worm {i}: delivered {} (blocked {} times, {} waiting)",
@@ -64,16 +65,17 @@ fn main() {
     println!("\n== 4. One-port vs all-port fan-out (three 4 KB sends) ==");
     for port in [PortModel::OnePort, PortModel::AllPort] {
         let p = SimParams::ncube2(port);
-        let run = simulate(
-            cube,
-            res,
+        let run = Run::new(
+            Ecube::new(cube, res),
             &p,
             &[
                 msg(0, 0b000001, 4096, vec![]),
                 msg(0, 0b000010, 4096, vec![]),
                 msg(0, 0b000100, 4096, vec![]),
             ],
-        );
+        )
+        .run()
+        .unwrap();
         let last = run.messages.iter().map(|m| m.delivered).max().unwrap();
         println!(
             "  {:>9}: last of 3 parallel sends delivered at {last} (port waits {})",
@@ -85,16 +87,17 @@ fn main() {
 
     println!("\n== 5. Dependency pipelines ==");
     // A 3-stage forward chain: 0 → 8 → 12 → 14.
-    let run = simulate(
-        cube,
-        res,
+    let run = Run::new(
+        Ecube::new(cube, res),
         &params,
         &[
             msg(0, 0b001000, 4096, vec![]),
             msg(0b001000, 0b001100, 4096, vec![0]),
             msg(0b001100, 0b001110, 4096, vec![1]),
         ],
-    );
+    )
+    .run()
+    .unwrap();
     for (i, m) in run.messages.iter().enumerate() {
         println!(
             "  stage {i}: injected {} delivered {}",

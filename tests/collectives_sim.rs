@@ -203,13 +203,11 @@ fn collective_traffic_runs_end_to_end() {
     spec.bytes = 128;
     for family in [TreeFamily::Alg(Algorithm::WSort), TreeFamily::Bine] {
         for kind in CollectiveKind::ALL {
-            let r = traffic::run_collective_cube(
+            let r = traffic::run(
                 &spec,
-                Cube::of(4),
-                Resolution::HighToLow,
-                kind,
-                family,
+                traffic::Backend::collective(Cube::of(4), Resolution::HighToLow, kind, family),
                 &params,
+                traffic::RunOptions::default(),
             );
             assert_eq!(r.sessions.len(), 6, "{} {}", kind.name(), family.name());
             assert!(

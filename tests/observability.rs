@@ -8,8 +8,7 @@ use hypercast::{Algorithm, PortModel};
 use workloads::json::{parse, Value};
 use wormsim::network::ChannelMap;
 use wormsim::{
-    multicast_workload, simulate_observed_on, DepMessage, EventRecorder, Metrics, SimParams,
-    SimTime, Tee,
+    multicast_workload, DepMessage, EventRecorder, Metrics, Run, SimParams, SimTime, Tee,
 };
 
 /// A contended multicast run with both sinks attached, returning the
@@ -29,12 +28,10 @@ fn observed_run() -> (String, wormsim::MetricsRegistry) {
         .unwrap();
     let router = Ecube::new(cube, Resolution::HighToLow);
     let mut probe = Tee(EventRecorder::new(), Metrics::new());
-    let _run = simulate_observed_on(
-        router,
-        &params,
-        &multicast_workload(&tree, 4096),
-        &mut probe,
-    );
+    let _run = Run::new(router, &params, &multicast_workload(&tree, 4096))
+        .probe(&mut probe)
+        .run()
+        .unwrap();
     let map = ChannelMap::new(router);
     (probe.0.to_chrome_trace(&map), probe.1.snapshot())
 }
@@ -134,7 +131,10 @@ fn perfetto_trace_works_on_the_torus_backend() {
         })
         .collect();
     let mut rec = EventRecorder::new();
-    let _ = simulate_observed_on(router, &params, &workload, &mut rec);
+    let _ = Run::new(router, &params, &workload)
+        .probe(&mut rec)
+        .run()
+        .unwrap();
     let map = ChannelMap::new(router);
     let doc = parse(&rec.to_chrome_trace(&map)).expect("torus trace parses");
     let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
