@@ -34,11 +34,16 @@ pub enum SplitRule {
 /// Sends are recorded in issue order (highest split first), which is the
 /// transmission order on a one-port node.
 pub(crate) fn chain_split_plan(chain: &[NodeId], rule: SplitRule) -> SendPlan {
-    let mut plan: SendPlan = vec![Vec::new(); chain.len()];
+    let mut plan = SendPlan::with_capacity(chain.len().saturating_sub(1));
     if chain.len() <= 1 {
         return plan;
     }
-    let mut stack = vec![(0usize, chain.len() - 1)];
+    // One entry per holder (the source, then each receiver), so the
+    // stack never outgrows the chain. Popping a holder issues all of its
+    // sends before any child's, which keeps each sender's group
+    // contiguous and parents first.
+    let mut stack = Vec::with_capacity(chain.len());
+    stack.push((0usize, chain.len() - 1));
     while let Some((left, mut right)) = stack.pop() {
         while left < right {
             // x: position of the first bit difference between the local
@@ -59,7 +64,7 @@ pub(crate) fn chain_split_plan(chain: &[NodeId], rule: SplitRule) -> SendPlan {
                 SplitRule::HighDim => highdim,
                 SplitRule::Max => highdim.max(center),
             };
-            plan[left].push(next);
+            plan.push(left, next);
             stack.push((next, right));
             right = next - 1;
         }
@@ -76,7 +81,7 @@ mod tests {
     }
 
     /// Expands a plan into (sender, receiver) relative-address pairs.
-    fn edges(chain: &[NodeId], plan: &SendPlan) -> Vec<(u32, u32)> {
+    fn edges(chain: &[NodeId], plan: &[Vec<usize>]) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for (s, sends) in plan.iter().enumerate() {
             for &d in sends {
@@ -91,7 +96,7 @@ mod tests {
     fn every_non_source_received_exactly_once() {
         let chain = ids(&[0, 1, 3, 5, 7, 11, 12, 14, 15]);
         for rule in [SplitRule::Center, SplitRule::HighDim, SplitRule::Max] {
-            let plan = chain_split_plan(&chain, rule);
+            let plan = chain_split_plan(&chain, rule).nested(chain.len());
             let mut seen = vec![false; chain.len()];
             seen[0] = true;
             for sends in &plan {
@@ -107,7 +112,7 @@ mod tests {
     #[test]
     fn maxport_sends_leave_on_distinct_channels() {
         let chain = ids(&[0, 1, 3, 5, 7, 11, 12, 14, 15]);
-        let plan = chain_split_plan(&chain, SplitRule::HighDim);
+        let plan = chain_split_plan(&chain, SplitRule::HighDim).nested(chain.len());
         for (s, sends) in plan.iter().enumerate() {
             let mut dims: Vec<u8> = sends
                 .iter()
@@ -125,13 +130,13 @@ mod tests {
         // Source 0000 → {1001, 1010, 1011}: Maxport builds the degenerate
         // chain 0→1001→1010→1011 (three sequential sends).
         let chain = ids(&[0b0000, 0b1001, 0b1010, 0b1011]);
-        let plan = chain_split_plan(&chain, SplitRule::HighDim);
+        let plan = chain_split_plan(&chain, SplitRule::HighDim).nested(chain.len());
         assert_eq!(
             edges(&chain, &plan),
             vec![(0b0000, 0b1001), (0b1001, 0b1010), (0b1010, 0b1011)]
         );
         // U-cube on the same set: 0→1010 (carrying 1011), 0→1001.
-        let plan = chain_split_plan(&chain, SplitRule::Center);
+        let plan = chain_split_plan(&chain, SplitRule::Center).nested(chain.len());
         assert_eq!(
             edges(&chain, &plan),
             vec![(0b0000, 0b1001), (0b0000, 0b1010), (0b1010, 0b1011)]
@@ -154,14 +159,14 @@ mod tests {
         // so the source's first send targets chain[4] = 7 — which is why
         // the paper's Figure 8(a) shows node 7 responsible for 11 and 12.
         let chain = ids(&[0, 1, 3, 5, 7, 11, 12, 14, 15]);
-        let plan = chain_split_plan(&chain, SplitRule::Center);
+        let plan = chain_split_plan(&chain, SplitRule::Center).nested(chain.len());
         assert_eq!(plan[0][0], 4);
     }
 
     #[test]
     fn maxport_first_send_targets_first_of_high_subcube() {
         let chain = ids(&[0, 1, 3, 5, 7, 11, 12, 14, 15]);
-        let plan = chain_split_plan(&chain, SplitRule::HighDim);
+        let plan = chain_split_plan(&chain, SplitRule::HighDim).nested(chain.len());
         // Highest spanned dimension is 3; the first chain element with
         // bit 3 set is 11 at index 5 — here highdim coincides with center.
         assert_eq!(plan[0][0], 5);
@@ -173,7 +178,7 @@ mod tests {
     fn single_destination_chain() {
         let chain = ids(&[0, 9]);
         for rule in [SplitRule::Center, SplitRule::HighDim, SplitRule::Max] {
-            let plan = chain_split_plan(&chain, rule);
+            let plan = chain_split_plan(&chain, rule).nested(chain.len());
             assert_eq!(plan[0], vec![1]);
             assert!(plan[1].is_empty());
         }
@@ -183,7 +188,7 @@ mod tests {
     fn empty_destination_chain() {
         let chain = ids(&[0]);
         for rule in [SplitRule::Center, SplitRule::HighDim, SplitRule::Max] {
-            let plan = chain_split_plan(&chain, rule);
+            let plan = chain_split_plan(&chain, rule).nested(chain.len());
             assert_eq!(plan, vec![Vec::<usize>::new()]);
         }
     }

@@ -21,11 +21,13 @@ use hcube::NodeId;
 /// All sends of a holder therefore target disjoint subcubes and leave on
 /// distinct channels.
 pub(crate) fn cube_split_plan(chain: &[NodeId], n: u8) -> SendPlan {
-    let mut plan: SendPlan = vec![Vec::new(); chain.len()];
+    let mut plan = SendPlan::with_capacity(chain.len().saturating_sub(1));
     if chain.len() <= 1 {
         return plan;
     }
-    let mut stack = vec![(0usize, chain.len() - 1, n)];
+    // One entry per holder, as in `chain_split_plan`.
+    let mut stack = Vec::with_capacity(chain.len());
+    stack.push((0usize, chain.len() - 1, n));
     while let Some((left, mut right, mut ns)) = stack.pop() {
         while left < right {
             debug_assert!(
@@ -38,7 +40,7 @@ pub(crate) fn cube_split_plan(chain: &[NodeId], n: u8) -> SendPlan {
                 // The half not containing the holder has destinations:
                 // hand its whole contiguous block to its first node.
                 let next = left + c;
-                plan[left].push(next);
+                plan.push(left, next);
                 stack.push((next, right, ns - 1));
                 right = next - 1;
             }
@@ -79,7 +81,7 @@ mod tests {
         // The paper's weighted chain D̂ = {0,1,3,5,7,14,15,12,11}. The
         // source sends to 1, 3, 5 and 14; node 14 delivers 15, 12 and 11.
         let chain = ids(&[0, 1, 3, 5, 7, 14, 15, 12, 11]);
-        let plan = cube_split_plan(&chain, 4);
+        let plan = cube_split_plan(&chain, 4).nested(chain.len());
         let mut edge_list: Vec<(u32, u32)> = Vec::new();
         for (s, v) in plan.iter().enumerate() {
             for &d in v {
@@ -105,7 +107,7 @@ mod tests {
     #[test]
     fn holder_keeps_its_own_half_every_level() {
         let chain = ids(&[0, 1, 3, 5, 7, 14, 15, 12, 11]);
-        let plan = cube_split_plan(&chain, 4);
+        let plan = cube_split_plan(&chain, 4).nested(chain.len());
         // Source's sends in issue order: the 3-cube block head (14), then
         // lower dimensions: 5, 3, 1.
         assert_eq!(plan[0], vec![5, 3, 2, 1]);
@@ -113,8 +115,11 @@ mod tests {
 
     #[test]
     fn single_and_empty_chains() {
-        assert_eq!(cube_split_plan(&ids(&[0]), 4), vec![Vec::<usize>::new()]);
-        let plan = cube_split_plan(&ids(&[0, 12]), 4);
+        assert_eq!(
+            cube_split_plan(&ids(&[0]), 4).nested(1),
+            vec![Vec::<usize>::new()]
+        );
+        let plan = cube_split_plan(&ids(&[0, 12]), 4).nested(2);
         assert_eq!(plan[0], vec![1]);
     }
 }

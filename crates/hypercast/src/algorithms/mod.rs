@@ -20,7 +20,7 @@ pub(crate) mod dimtree;
 pub(crate) mod separate;
 pub mod weighted_sort;
 
-use crate::schedule::{schedule, PortModel};
+use crate::schedule::{schedule, PortModel, SendPlan};
 use crate::tree::MulticastTree;
 use chain_split::SplitRule;
 use hcube::chain::relative_chain;
@@ -121,6 +121,22 @@ impl Algorithm {
             cube.check_node(d)?;
         }
         let n = cube.dimension();
+        let (chain, plan) = self.plan(resolution, source, dests, n)?;
+        Ok(schedule(
+            cube, resolution, source, &chain, &plan, port_model,
+        ))
+    }
+
+    /// The canonical relative chain (relays included, for
+    /// [`Algorithm::DimTree`]) and the forwarding plan over it that
+    /// [`Algorithm::build`] schedules.
+    pub(crate) fn plan(
+        self,
+        resolution: Resolution,
+        source: NodeId,
+        dests: &[NodeId],
+        n: u8,
+    ) -> Result<(Vec<NodeId>, SendPlan), HcubeError> {
         let mut chain = relative_chain(resolution, n, source, dests)?;
         let plan = match self {
             Algorithm::UCube => chain_split::chain_split_plan(&chain, SplitRule::Center),
@@ -137,9 +153,7 @@ impl Algorithm {
                 plan
             }
         };
-        Ok(schedule(
-            cube, resolution, source, &chain, &plan, port_model,
-        ))
+        Ok((chain, plan))
     }
 }
 

@@ -11,9 +11,9 @@ use crate::schedule::SendPlan;
 /// Builds the separate-addressing plan: the source transmits directly to
 /// every chain position, in chain order.
 pub(crate) fn separate_plan(chain_len: usize) -> SendPlan {
-    let mut plan: SendPlan = vec![Vec::new(); chain_len];
-    if chain_len > 1 {
-        plan[0] = (1..chain_len).collect();
+    let mut plan = SendPlan::with_capacity(chain_len.saturating_sub(1));
+    for d in 1..chain_len {
+        plan.push(0, d);
     }
     plan
 }
@@ -24,13 +24,13 @@ mod tests {
 
     #[test]
     fn all_sends_from_source() {
-        let plan = separate_plan(5);
+        let plan = separate_plan(5).nested(5);
         assert_eq!(plan[0], vec![1, 2, 3, 4]);
         assert!(plan[1..].iter().all(|v| v.is_empty()));
     }
 
     #[test]
     fn no_destinations() {
-        assert_eq!(separate_plan(1), vec![Vec::<usize>::new()]);
+        assert_eq!(separate_plan(1).nested(1), vec![Vec::<usize>::new()]);
     }
 }

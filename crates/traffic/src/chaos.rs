@@ -39,7 +39,7 @@
 //! chaos engine interprets them as **microseconds** of simulated time.
 
 use crate::churn::ChurnSpec;
-use crate::engine::{push_tree_session, Backend, RunOptions, TrafficSpec};
+use crate::engine::{Backend, RunOptions, TrafficSpec};
 use crate::stats::BatchMeans;
 use crate::telemetry::ChaosCollector;
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
@@ -51,8 +51,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 use wormsim::network::ChannelMap;
 use wormsim::{
-    DepMessage, EngineScratch, FaultCause, FaultEpoch, FaultTimeline, NetStats, Outcome, Run,
-    SimParams, SimTime,
+    DepMessage, EngineScratch, FaultCause, FaultEpoch, FaultTimeline, InboundIndex, NetStats,
+    Outcome, Run, SimParams, SimTime,
 };
 
 /// Configuration of one chaos run: plain open-loop traffic plus a churn
@@ -422,6 +422,7 @@ fn chaos_waves<R: Router + Copy>(
         0
     };
     let mut cache = TreeCache::new(capacity);
+    let mut inbound = InboundIndex::default();
     run_epoch_waves(
         spec,
         &schedule,
@@ -471,7 +472,7 @@ fn chaos_waves<R: Router + Copy>(
                 let tree = built.expect("traffic destination draw produced an invalid multicast");
                 let cache_hit = cache.stats().since(before).hits > 0;
                 let range =
-                    push_tree_session(&mut workload, &tree, spec.traffic.bytes, attempt.launch);
+                    inbound.append(&mut workload, &tree, spec.traffic.bytes, attempt.launch);
                 // Coverage check: which requested destinations does the
                 // (possibly repaired) tree actually reach?
                 let covered: BTreeSet<NodeId> = tree.unicasts.iter().map(|u| u.dst).collect();

@@ -33,7 +33,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wormsim::network::ChannelMap;
 use wormsim::{
-    DepMessage, EngineScratch, FaultTimeline, NetStats, Run, RunResult, SimParams, SimTime,
+    DepMessage, EngineScratch, FaultTimeline, InboundIndex, NetStats, Run, RunResult, SimParams,
+    SimTime,
 };
 
 /// Configuration of one open-loop traffic run.
@@ -238,32 +239,6 @@ impl SessionWorkload {
             })
             .collect()
     }
-}
-
-/// Appends one session's tree unicasts to `workload` (deps offset to
-/// the session's base, `min_start` = arrival). Shared with the chaos
-/// engine, whose retry waves lay out the same per-session batches.
-pub(crate) fn push_tree_session(
-    workload: &mut Vec<DepMessage>,
-    tree: &hypercast::MulticastTree,
-    bytes: u32,
-    arrival: SimTime,
-) -> std::ops::Range<usize> {
-    let base = workload.len();
-    let mut inbound: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-    for (i, u) in tree.unicasts.iter().enumerate() {
-        inbound.insert(u.dst, base + i);
-    }
-    for u in &tree.unicasts {
-        workload.push(DepMessage {
-            src: u.src,
-            dst: u.dst,
-            bytes,
-            deps: inbound.get(&u.src).map(|&i| vec![i]).unwrap_or_default(),
-            min_start: arrival,
-        });
-    }
-    base..workload.len()
 }
 
 /// Attributes a finished run back to its sessions and assembles the
@@ -563,6 +538,7 @@ pub fn assemble_cube_sessions(
     let mut cache = TreeCache::new(spec.cache_capacity);
     let mut workload: Vec<DepMessage> = Vec::new();
     let mut spans = Vec::with_capacity(schedule.len());
+    let mut inbound = InboundIndex::default();
     for &arrival in &schedule {
         let (source, dests) = spec.pattern.draw_cube(&mut rng, cube);
         let before = cache.stats();
@@ -570,7 +546,7 @@ pub fn assemble_cube_sessions(
             .get_or_build(algo, cube, resolution, params.port_model, source, &dests)
             .expect("traffic destination draw produced an invalid multicast");
         let cache_hit = cache.stats().since(before).hits > 0;
-        let range = push_tree_session(&mut workload, &tree, spec.bytes, arrival);
+        let range = inbound.append(&mut workload, &tree, spec.bytes, arrival);
         // Deliveries are attributed in tree (unicast) order.
         let dests_in_tree_order: Vec<NodeId> = tree.unicasts.iter().map(|u| u.dst).collect();
         spans.push(SessionSpan {

@@ -67,7 +67,8 @@ pub use multicast::{
     multicast_workload, simulate_chunked_multicast, simulate_concurrent_multicasts,
     simulate_gather, simulate_multicast, simulate_multicast_lanes, simulate_multicast_observed,
     simulate_multicast_with_faults, simulate_multicast_with_scratch, simulate_reduction,
-    simulate_scatter, simulate_unicast, ConcurrentReport, FaultSimReport, SimReport, TreeReport,
+    simulate_scatter, simulate_unicast, ConcurrentReport, FaultSimReport, InboundIndex, SimReport,
+    TreeReport,
 };
 pub use network::{ChannelMap, RouteMemo};
 pub use params::SimParams;

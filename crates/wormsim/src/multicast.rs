@@ -16,8 +16,9 @@ use crate::scratch::EngineScratch;
 use crate::time::SimTime;
 use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::collectives::ReductionSchedule;
-use hypercast::MulticastTree;
+use hypercast::{MulticastTree, Unicast};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Delivery-time summary of a simulated collective operation.
 #[derive(Clone, Debug)]
@@ -90,25 +91,80 @@ fn tree_report(tree: &MulticastTree, run: &RunResult) -> SimReport {
 /// node's inbound unicast (self-timed execution).
 ///
 /// Every multicast entry point builds its workload through this helper,
-/// so observed and unobserved runs simulate byte-identical inputs.
+/// so observed and unobserved runs simulate byte-identical inputs. It
+/// allocates the workload, one [`InboundIndex`] table, and one `deps`
+/// vector per forward.
 #[must_use]
 pub fn multicast_workload(tree: &MulticastTree, bytes: u32) -> Vec<DepMessage> {
-    // Tree unicasts are sorted by (step, src, order); map each node's
-    // inbound unicast index so forwards can depend on it.
-    let mut inbound: HashMap<NodeId, usize> = HashMap::new();
-    for (i, u) in tree.unicasts.iter().enumerate() {
-        inbound.insert(u.dst, i);
+    let mut workload = Vec::with_capacity(tree.unicasts.len());
+    InboundIndex::default().append(&mut workload, tree, bytes, SimTime::ZERO);
+    workload
+}
+
+/// A dense, node-indexed table of inbound unicasts: for a tree, which of
+/// its unicasts delivers the payload to each node. Every builder that
+/// turns a [`MulticastTree`] into dependency messages (one dependency per
+/// forward) goes through it.
+///
+/// The table is sized by the cube's node count on first use, like the
+/// per-node state every engine run resets. Each use clears exactly the
+/// entries it wrote, so one table reused across many trees (the sessions
+/// of a traffic run) costs O(m) per tree after that.
+#[derive(Clone, Debug, Default)]
+pub struct InboundIndex {
+    /// Per node: the index in the current tree's unicasts of the unicast
+    /// delivering to it, or [`InboundIndex::NONE`].
+    slot: Vec<u32>,
+}
+
+impl InboundIndex {
+    const NONE: u32 = u32::MAX;
+
+    /// Appends one [`DepMessage`] per unicast of `tree` to `workload`, in
+    /// tree order, each released at `min_start`; a forward depends on
+    /// the appended message that delivers the payload to its sender.
+    /// Returns the appended range.
+    pub fn append(
+        &mut self,
+        workload: &mut Vec<DepMessage>,
+        tree: &MulticastTree,
+        bytes: u32,
+        min_start: SimTime,
+    ) -> Range<usize> {
+        let base = workload.len();
+        self.for_each(tree, |u, parent| {
+            workload.push(DepMessage {
+                src: u.src,
+                dst: u.dst,
+                bytes,
+                deps: parent.map(|i| vec![base + i]).unwrap_or_default(),
+                min_start,
+            });
+        });
+        base..workload.len()
     }
-    tree.unicasts
-        .iter()
-        .map(|u| DepMessage {
-            src: u.src,
-            dst: u.dst,
-            bytes,
-            deps: inbound.get(&u.src).map(|&i| vec![i]).unwrap_or_default(),
-            min_start: SimTime::ZERO,
-        })
-        .collect()
+
+    /// Calls `f(unicast, parent)` for each unicast of `tree`, in order.
+    /// `parent` is the index in `tree.unicasts` of the unicast that
+    /// delivers the payload to the unicast's sender, or `None` when the
+    /// sender never receives it (the source).
+    fn for_each(&mut self, tree: &MulticastTree, mut f: impl FnMut(&Unicast, Option<usize>)) {
+        let nodes = tree.cube.node_count();
+        if self.slot.len() < nodes {
+            self.slot.resize(nodes, Self::NONE);
+        }
+        // A tree has fewer unicasts than its cube (≤ 2^24) has nodes.
+        for (i, u) in tree.unicasts.iter().enumerate() {
+            self.slot[u.dst.0 as usize] = i as u32;
+        }
+        for u in &tree.unicasts {
+            let parent = self.slot[u.src.0 as usize];
+            f(u, (parent != Self::NONE).then_some(parent as usize));
+        }
+        for u in &tree.unicasts {
+            self.slot[u.dst.0 as usize] = Self::NONE;
+        }
+    }
 }
 
 /// Outcome of a multicast replayed over a faulty network.
@@ -348,24 +404,11 @@ pub fn simulate_concurrent_multicasts(
     let resolution = first.resolution;
     let mut workload: Vec<DepMessage> = Vec::new();
     let mut ranges = Vec::with_capacity(trees.len());
+    let mut inbound = InboundIndex::default();
     for tree in trees {
         assert_eq!(tree.cube, cube, "concurrent trees must share a cube");
         assert_eq!(tree.resolution, resolution, "and a resolution order");
-        let base = workload.len();
-        let mut inbound: HashMap<NodeId, usize> = HashMap::new();
-        for (i, u) in tree.unicasts.iter().enumerate() {
-            inbound.insert(u.dst, base + i);
-        }
-        for u in &tree.unicasts {
-            workload.push(DepMessage {
-                src: u.src,
-                dst: u.dst,
-                bytes,
-                deps: inbound.get(&u.src).map(|&i| vec![i]).unwrap_or_default(),
-                min_start: SimTime::ZERO,
-            });
-        }
-        ranges.push(base..workload.len());
+        ranges.push(inbound.append(&mut workload, tree, bytes, SimTime::ZERO));
     }
     let run = replay(cube, resolution, params, &workload);
     let per_tree = trees
@@ -421,24 +464,12 @@ pub fn simulate_scatter(
     params: &SimParams,
 ) -> SimReport {
     let tree = &sched.tree;
-    let mut inbound: HashMap<NodeId, usize> = HashMap::new();
-    for (i, u) in tree.unicasts.iter().enumerate() {
-        inbound.insert(u.dst, i);
+    let mut workload = multicast_workload(tree, 0);
+    for (m, &bytes) in workload.iter_mut().zip(&sched.bytes_per_edge) {
+        // Oversized blocks saturate instead of panicking; 4 GiB per edge
+        // is already far outside the modeled machine.
+        m.bytes = u32::try_from(bytes).unwrap_or(u32::MAX);
     }
-    let workload: Vec<DepMessage> = tree
-        .unicasts
-        .iter()
-        .zip(&sched.bytes_per_edge)
-        .map(|(u, &bytes)| DepMessage {
-            src: u.src,
-            dst: u.dst,
-            // Oversized blocks saturate instead of panicking; 4 GiB per
-            // edge is already far outside the modeled machine.
-            bytes: u32::try_from(bytes).unwrap_or(u32::MAX),
-            deps: inbound.get(&u.src).map(|&i| vec![i]).unwrap_or_default(),
-            min_start: SimTime::ZERO,
-        })
-        .collect();
     tree_report(tree, &replay(tree.cube, tree.resolution, params, &workload))
 }
 
@@ -498,29 +529,23 @@ pub fn simulate_chunked_multicast(
 ) -> SimReport {
     assert!(chunks >= 1, "at least one chunk");
     let chunk_bytes = bytes.div_ceil(chunks);
-    let mut inbound: HashMap<NodeId, usize> = HashMap::new();
-    for (i, u) in tree.unicasts.iter().enumerate() {
-        inbound.insert(u.dst, i);
-    }
     // Message index: edge e, chunk c → e * chunks + c.
     let e_count = tree.unicasts.len();
     let mut workload = Vec::with_capacity(e_count * chunks as usize);
-    for u in &tree.unicasts {
-        for c in 0..chunks {
-            let deps = match inbound.get(&u.src) {
-                // Chunk c may be forwarded once chunk c arrived here.
-                Some(&parent_edge) => vec![parent_edge * chunks as usize + c as usize],
-                None => Vec::new(),
-            };
+    InboundIndex::default().for_each(tree, |u, parent| {
+        for c in 0..chunks as usize {
             workload.push(DepMessage {
                 src: u.src,
                 dst: u.dst,
                 bytes: chunk_bytes,
-                deps,
+                // Chunk c may be forwarded once chunk c arrived here.
+                deps: parent
+                    .map(|e| vec![e * chunks as usize + c])
+                    .unwrap_or_default(),
                 min_start: SimTime::ZERO,
             });
         }
-    }
+    });
     let run = replay(tree.cube, tree.resolution, params, &workload);
     // Per destination: the max over its chunks.
     let deliveries: Vec<(NodeId, SimTime)> = tree

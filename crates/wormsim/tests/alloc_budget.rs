@@ -1,0 +1,85 @@
+//! Allocation budget of the tree → workload conversion:
+//! `multicast_workload` allocates the workload, one inbound table, and
+//! one `deps` vector per forward — nothing per node or per lookup.
+
+use hcube::{Cube, NodeId, Resolution};
+use hypercast::{Algorithm, PortModel};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use wormsim::multicast_workload;
+
+thread_local! {
+    /// Allocation calls made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // Fails only while the thread is being torn down, after the test.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
+/// calls per thread.
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments; the counter is a plain statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded verbatim; the caller upholds the contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded verbatim; the caller upholds the contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn multicast_workload_allocates_two_plus_one_per_forward() {
+    let source = NodeId(0b10_1100_1101);
+    for n in [6u8, 10] {
+        let cube = Cube::of(n);
+        let nodes = 1u32 << n;
+        for m in [1, 7, 63, nodes as usize - 1] {
+            let dests: Vec<NodeId> = (0..nodes)
+                .map(|i| NodeId((i.wrapping_mul(389) + 17) % nodes))
+                .filter(|&v| v != NodeId(source.0 % nodes))
+                .take(m)
+                .collect();
+            for algo in Algorithm::PAPER {
+                let src = NodeId(source.0 % nodes);
+                let tree = algo
+                    .build(cube, Resolution::HighToLow, PortModel::AllPort, src, &dests)
+                    .unwrap();
+                let forwards = tree.unicasts.iter().filter(|u| u.src != src).count() as u64;
+                let before = ALLOCS.with(Cell::get);
+                let workload = multicast_workload(&tree, 4096);
+                let calls = ALLOCS.with(Cell::get) - before;
+                assert_eq!(workload.len(), tree.unicasts.len());
+                assert_eq!(
+                    calls,
+                    2 + forwards,
+                    "{algo}, n = {n}, m = {m}: {forwards} forwards"
+                );
+            }
+        }
+    }
+}
