@@ -7,9 +7,10 @@
 //!   (must monomorphize away: within noise of baseline, the tentpole's
 //!   acceptance bar),
 //! - `event_recorder` — full ring-buffer + occupancy accounting,
-//! - `metrics` — counter/histogram registry,
-//! - `telemetry_probe` — the traffic flight recorder's blocking-interval
-//!   sink ([`traffic::TelemetryProbe`]),
+//! - `recorder_metrics` — the recorder plus its fold into the
+//!   counter/histogram registry ([`wormsim::EventRecorder::metrics`]),
+//! - `telemetry_probe` — the traffic flight recorder's sink of granted
+//!   blocking episodes ([`traffic::TelemetryProbe`]),
 //! - `telemetry_full` — an entire observed traffic run with span +
 //!   time-series assembly vs `traffic_plain`, the same run unobserved
 //!   (the telemetry layer's end-to-end cost).
@@ -20,7 +21,7 @@ use hypercast::{Algorithm, PortModel};
 use traffic::{
     ArrivalProcess, Arrivals, DestPattern, TelemetryConfig, TelemetryProbe, TrafficSpec,
 };
-use wormsim::{multicast_workload, DepMessage, EventRecorder, Metrics, NoopProbe, Run, SimParams};
+use wormsim::{multicast_workload, DepMessage, EventRecorder, NoopProbe, Run, SimParams};
 
 /// Fig. 11 operating point: 6-cube, 32 random destinations, 4 KB.
 fn fig11_workload() -> (Cube, Resolution, SimParams, Vec<DepMessage>) {
@@ -65,15 +66,14 @@ fn bench_probe_overhead(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("metrics", |b| {
+    g.bench_function("recorder_metrics", |b| {
         b.iter(|| {
-            let mut probe = Metrics::new();
-            std::hint::black_box(
-                Run::new(router, &params, &workload)
-                    .probe(&mut probe)
-                    .run()
-                    .unwrap(),
-            )
+            let mut probe = EventRecorder::new();
+            let run = Run::new(router, &params, &workload)
+                .probe(&mut probe)
+                .run()
+                .unwrap();
+            std::hint::black_box((run, probe.metrics()))
         })
     });
     g.bench_function("telemetry_probe", |b| {
@@ -91,7 +91,7 @@ fn bench_probe_overhead(c: &mut Criterion) {
 
 /// Open-loop operating point for the end-to-end comparison: a loaded
 /// 5-cube pool run, small enough for criterion, contended enough that
-/// the blocking-interval sink sees real traffic.
+/// the telemetry sink sees real blocking episodes.
 fn traffic_spec() -> TrafficSpec {
     let mut rng = workloads::destsets::trial_rng("probe_overhead", 1, 0);
     let pool = DestPattern::uniform_pool(&mut rng, &Cube::of(5), 4, 6);

@@ -40,8 +40,7 @@ use traffic::{
 };
 use wormsim::network::ChannelMap;
 use wormsim::{
-    ChannelTrace, DepMessage, EventRecorder, FaultPlan, Metrics, NetStats, Run, SimParams, SimTime,
-    Tee,
+    ChannelTrace, DepMessage, EventRecorder, FaultPlan, NetStats, Run, SimParams, SimTime,
 };
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -422,10 +421,10 @@ fn stats_line(stats: &NetStats) -> String {
     )
 }
 
-/// Re-runs the workload with an in-loop `Tee(EventRecorder, Metrics)`
-/// probe and writes the requested observability artifacts: a
-/// Chrome/Perfetto trace (`--trace-out`) and/or a metrics export
-/// (`--metrics-out`; Prometheus text for `.prom`, JSON otherwise).
+/// Re-runs the workload with an in-loop `EventRecorder` and writes the
+/// requested observability artifacts: a Chrome/Perfetto trace
+/// (`--trace-out`) and/or the recorder's metrics fold (`--metrics-out`;
+/// Prometheus text for `.prom`, JSON otherwise).
 ///
 /// The observed replay is byte-deterministic, so its schedule is
 /// identical to the reporting run that preceded it.
@@ -436,12 +435,11 @@ fn write_observability<R: Router + Copy>(
     trace_out: Option<&str>,
     metrics_out: Option<&str>,
 ) {
-    let mut probe = Tee(EventRecorder::new(), Metrics::new());
+    let mut recorder = EventRecorder::new();
     let _run = Run::new(router, params, workload)
-        .probe(&mut probe)
+        .probe(&mut recorder)
         .run()
         .expect("well-formed workload");
-    let Tee(recorder, metrics) = probe;
     if let Some(path) = trace_out {
         let map = ChannelMap::new(router);
         write_artifact(path, &recorder.to_chrome_trace(&map), "--trace-out");
@@ -452,7 +450,7 @@ fn write_observability<R: Router + Copy>(
         );
     }
     if let Some(path) = metrics_out {
-        let registry = metrics.snapshot();
+        let registry = recorder.metrics();
         let text = if path.ends_with(".prom") {
             registry.to_prometheus_text()
         } else {
@@ -1393,22 +1391,7 @@ fn main() {
         if args.algo.is_some() && !args.json {
             println!("\n{}", tree.render());
             if args.trace {
-                let workload: Vec<DepMessage> = tree
-                    .unicasts
-                    .iter()
-                    .map(|u| DepMessage {
-                        src: u.src,
-                        dst: u.dst,
-                        bytes: args.bytes,
-                        deps: tree
-                            .unicasts
-                            .iter()
-                            .position(|p| p.dst == u.src)
-                            .map(|i| vec![i])
-                            .unwrap_or_default(),
-                        min_start: SimTime::ZERO,
-                    })
-                    .collect();
+                let workload = wormsim::multicast_workload(&tree, args.bytes);
                 let router = Ecube::with_lanes(cube, Resolution::HighToLow, lanes);
                 let run = Run::new(router, &params, &workload)
                     .run()

@@ -42,8 +42,8 @@
 //!   latency decomposition (queueing / head-flit blocking / transit,
 //!   causally chained through retries) and a deterministic windowed
 //!   time-series (goodput, latency quantiles, cache hit rate, live
-//!   faults, per-dimension blocked time), exportable as Perfetto
-//!   traces, Prometheus metrics, or standalone JSON.
+//!   faults, per-dimension blocked time), exportable as standalone
+//!   JSON.
 //!
 //! Independent runs (sweep points, trials) fan out over
 //! [`run_trials`], the workspace's one worker pool.

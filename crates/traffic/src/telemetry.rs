@@ -27,10 +27,10 @@
 //!   fixed buckets, each carrying offered/delivered session counts,
 //!   goodput, a log₂ latency histogram with p50/p95/p99, cache hit
 //!   counters, the live fault-element count at the bucket's start, and
-//!   per-dimension head-flit blocked time (attributed from the probe's
-//!   closed blocking intervals). The series is built by a deterministic
-//!   fold over the session traces — byte-identical no matter how a
-//!   caller later shards sessions across workers.
+//!   per-dimension head-flit blocked time (attributed from the blocking
+//!   episodes the engine closes at a grant). The series is built by a
+//!   deterministic fold over the session traces — byte-identical no
+//!   matter how a caller later shards sessions across workers.
 //!
 //! **Reconciliation contract.** Bucket sums equal the aggregate report
 //! exactly: Σ offered = sessions, Σ delivered = delivered sessions,
@@ -40,21 +40,17 @@
 //! classification as the engine's own accounting). The tests in this
 //! module pin every identity.
 //!
-//! Exporters: [`Telemetry::to_chrome_trace`] (Perfetto, one track per
-//! epoch wave plus counter tracks for the series),
-//! [`Telemetry::to_metrics`] (a [`wormsim::MetricsRegistry`] for
-//! Prometheus/JSON), and hand-rolled JSON documents
-//! ([`Telemetry::spans_to_json_string`], [`TimeSeries::to_json_string`])
-//! — the build environment is offline, so serialization leans on
-//! [`wormsim::json_escape`] instead of serde.
+//! Exporters: hand-rolled JSON documents
+//! ([`Telemetry::spans_to_json_string`], [`TimeSeries::to_json_string`]);
+//! the workspace has no serde.
 
 use crate::chaos::{classify, Attempt, AttemptOutcome, ChaosReport, SessionFailure, WaveSpan};
 use crate::engine::{SessionWorkload, TrafficSpec};
 use crate::stats::Quantiles;
 use hcube::Router;
 use wormsim::{
-    json_escape, BlockedInterval, ChannelMap, FaultEpoch, FaultPlan, Histogram, MessageResult,
-    MetricsRegistry, Probe, RunResult, SimTime,
+    BlockedInterval, ChannelMap, FaultEpoch, FaultPlan, Histogram, MessageResult, Probe, RunResult,
+    SimTime,
 };
 
 /// Telemetry layer configuration.
@@ -123,7 +119,7 @@ pub enum SpanOutcome {
 }
 
 impl SpanOutcome {
-    /// Stable lower-case label (used by the JSON and Perfetto exporters).
+    /// Stable lower-case label (used by the spans JSON exporter).
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
@@ -351,164 +347,15 @@ impl Telemetry {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Serializes the telemetry as Chrome/Perfetto trace JSON: one
-    /// track (`tid`) per **epoch wave** on a "sessions (by wave)"
-    /// process — each attempt a slice named `s<session>#<attempt>`
-    /// carrying its decomposition in `args` — plus counter tracks for
-    /// the time-series (goodput, live faults, cache hit rate, p95).
-    /// Loadable in `ui.perfetto.dev` and `chrome://tracing`.
-    #[must_use]
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from(
-            "{\n  \"displayTimeUnit\": \"ns\",\n  \"otherData\": {\"generator\": \"traffic-telemetry\"},\n  \"traceEvents\": [\n",
-        );
-        let mut first = true;
-        let mut emit = |s: String, out: &mut String| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("    ");
-            out.push_str(&s);
-        };
-        emit(
-            "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \"args\": {\"name\": \"sessions (by wave)\"}}".into(),
-            &mut out,
-        );
-        emit(
-            "{\"ph\": \"M\", \"pid\": 2, \"tid\": 0, \"name\": \"process_name\", \"args\": {\"name\": \"telemetry series\"}}".into(),
-            &mut out,
-        );
-        for w in 0..self.waves.max(1) {
-            emit(
-                format!(
-                    "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {w}, \"name\": \"thread_name\", \"args\": {{\"name\": \"{}\"}}}}",
-                    json_escape(&format!("wave {w}"))
-                ),
-                &mut out,
-            );
-        }
-        for s in &self.sessions {
-            for a in &s.attempts {
-                emit(
-                    format!(
-                        "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {}, \"dur\": {}, \
-                         \"name\": \"s{}#{}\", \"args\": {{\"session\": {}, \"outcome\": \"{}\", \
-                         \"cache_hit\": {}, \"queueing_ns\": {}, \"blocked_ns\": {}, \
-                         \"transit_ns\": {}}}}}",
-                        a.wave,
-                        format_us(a.launch.as_ns()),
-                        format_us(a.duration().as_ns().max(1)),
-                        s.session,
-                        a.number,
-                        s.session,
-                        a.outcome.label(),
-                        match a.cache_hit {
-                            Some(true) => "true",
-                            Some(false) => "false",
-                            None => "null",
-                        },
-                        a.phases.queueing.as_ns(),
-                        a.phases.blocked.as_ns(),
-                        a.phases.transit.as_ns(),
-                    ),
-                    &mut out,
-                );
-            }
-        }
-        for b in &self.series.buckets {
-            let ts = format_us(b.start.as_ns());
-            let hit_rate = if b.cache_lookups > 0 {
-                b.cache_hits as f64 / b.cache_lookups as f64
-            } else {
-                0.0
-            };
-            for (name, value) in [
-                ("goodput_per_ms", jf(b.goodput_per_ms)),
-                ("offered", b.offered.to_string()),
-                ("live_faults", b.live_faults.to_string()),
-                ("cache_hit_rate", jf(hit_rate)),
-                (
-                    "p95_ms",
-                    if b.quantiles.p95_ms.is_finite() {
-                        jf(b.quantiles.p95_ms)
-                    } else {
-                        "0".into()
-                    },
-                ),
-            ] {
-                emit(
-                    format!(
-                        "{{\"ph\": \"C\", \"pid\": 2, \"tid\": 0, \"ts\": {ts}, \"name\": \"{name}\", \"args\": {{\"{name}\": {value}}}}}"
-                    ),
-                    &mut out,
-                );
-            }
-        }
-        out.push_str("\n  ]\n}");
-        out
-    }
-
-    /// Aggregates the telemetry into a [`MetricsRegistry`] for the
-    /// Prometheus-text and metrics-JSON exporters.
-    #[must_use]
-    pub fn to_metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.inc("telemetry_sessions_total", self.sessions.len() as u64);
-        reg.inc(
-            "telemetry_sessions_delivered_total",
-            self.sessions.iter().filter(|s| s.delivered).count() as u64,
-        );
-        reg.inc(
-            "telemetry_attempts_total",
-            self.sessions.iter().map(|s| s.attempts.len() as u64).sum(),
-        );
-        let (mut lookups, mut hits) = (0u64, 0u64);
-        for s in &self.sessions {
-            for a in &s.attempts {
-                if let Some(hit) = a.cache_hit {
-                    lookups += 1;
-                    hits += u64::from(hit);
-                }
-                if a.outcome == SpanOutcome::Delivered {
-                    reg.observe("attempt_queueing_ns", a.phases.queueing.as_ns());
-                    reg.observe("attempt_blocked_ns", a.phases.blocked.as_ns());
-                    reg.observe("attempt_transit_ns", a.phases.transit.as_ns());
-                }
-            }
-            if s.delivered {
-                reg.observe("session_latency_ns", s.latency().as_ns());
-                reg.observe("session_backoff_ns", s.backoff.as_ns());
-            }
-        }
-        reg.inc("telemetry_cache_lookups_total", lookups);
-        reg.inc("telemetry_cache_hits_total", hits);
-        reg.inc(
-            "telemetry_blocked_ns_total",
-            self.series
-                .buckets
-                .iter()
-                .flat_map(|b| b.blocked_ns_per_dim.iter())
-                .sum(),
-        );
-        reg.set_gauge("telemetry_waves", self.waves as f64);
-        reg.set_gauge("telemetry_buckets", self.series.buckets.len() as f64);
-        reg.set_gauge("telemetry_bucket_ms", self.series.bucket_ns as f64 / 1e6);
-        reg
-    }
 }
 
-/// The telemetry probe: records every head-flit blocking episode as a
-/// closed `[from, until)` interval, closing at the grant — exactly when
-/// the engine charges the wait to its own accounting, so the closed
-/// intervals reconcile with [`wormsim::NetStats`] to the nanosecond.
-/// Waits still open at an abort are discarded (the engine never charges
-/// them either).
+/// The telemetry probe: keeps the blocking episodes the engine closes
+/// at a grant — exactly the waits the engine charges to its own
+/// accounting, so they reconcile with [`wormsim::NetStats`] to the
+/// nanosecond. Waits an abort cuts short are dropped (the engine never
+/// charges a queued wait it aborts).
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryProbe {
-    /// Per-message open wait: `(channel, hop, since)`.
-    waiting: Vec<Option<(usize, usize, SimTime)>>,
     closed: Vec<BlockedInterval>,
 }
 
@@ -519,40 +366,17 @@ impl TelemetryProbe {
         TelemetryProbe::default()
     }
 
-    /// Drains the closed intervals and resets the per-message wait
-    /// table (message indices restart per wave).
+    /// Drains the granted episodes collected so far.
     pub fn take_intervals(&mut self) -> Vec<BlockedInterval> {
-        self.waiting.clear();
         std::mem::take(&mut self.closed)
     }
 }
 
 impl Probe for TelemetryProbe {
     #[inline]
-    fn on_channel_blocked(&mut self, t: SimTime, msg: usize, ch: usize, hop: usize, _depth: usize) {
-        if msg >= self.waiting.len() {
-            self.waiting.resize(msg + 1, None);
-        }
-        // A stall-window retry re-blocks on the same channel: the wait
-        // is continuous, so keep the original start.
-        match self.waiting[msg] {
-            Some((wch, _, _)) if wch == ch => {}
-            _ => self.waiting[msg] = Some((ch, hop, t)),
-        }
-    }
-
-    #[inline]
-    fn on_channel_granted(&mut self, t: SimTime, msg: usize, _ch: usize, _hop: usize) {
-        if let Some(slot) = self.waiting.get_mut(msg) {
-            if let Some((channel, hop, from)) = slot.take() {
-                self.closed.push(BlockedInterval {
-                    message: msg,
-                    channel,
-                    hop,
-                    from,
-                    until: t,
-                });
-            }
+    fn on_wait_closed(&mut self, iv: BlockedInterval, granted: bool) {
+        if granted {
+            self.closed.push(iv);
         }
     }
 }
@@ -876,22 +700,6 @@ fn jf(v: f64) -> String {
     }
 }
 
-/// Nanoseconds → the Chrome trace format's microsecond unit, fraction
-/// preserved.
-fn format_us(ns: u64) -> String {
-    let whole = ns / 1_000;
-    let frac = ns % 1_000;
-    if frac == 0 {
-        format!("{whole}")
-    } else {
-        let mut s = format!("{whole}.{frac:03}");
-        while s.ends_with('0') {
-            s.pop();
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1167,15 +975,6 @@ mod tests {
         assert!(series.starts_with('{') && series.trim_end().ends_with('}'));
         assert!(series.contains("\"schema\": \"telemetry-timeseries/v1\""));
         assert!(series.contains("\"goodput_per_ms\""));
-        let trace = tel.to_chrome_trace();
-        assert!(trace.contains("\"traceEvents\""));
-        assert!(trace.contains("sessions (by wave)"));
-        assert!(trace.contains("\"ph\": \"C\""));
-        let reg = tel.to_metrics();
-        assert_eq!(reg.counter("telemetry_sessions_total"), 30);
-        assert!(reg.histogram("session_latency_ns").is_some());
-        let prom = reg.to_prometheus_text();
-        assert!(prom.contains("telemetry_sessions_total"));
     }
 
     #[test]

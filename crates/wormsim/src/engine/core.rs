@@ -21,7 +21,7 @@ use crate::engine::worm::{DepMessage, FaultCause, MessageResult, MsgState, Outco
 use crate::faults::FaultPlan;
 use crate::network::ChannelMap;
 use crate::params::SimParams;
-use crate::probe::Probe;
+use crate::probe::{BlockedInterval, Probe};
 use crate::scratch::EngineScratch;
 use crate::time::SimTime;
 use hcube::{NodeId, Router, Topology};
@@ -203,6 +203,28 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
         }
     }
 
+    /// Opens `m`'s blocking episode at `t`, unless one is open: the wait
+    /// after a stall park's reopen retry continues the park's episode.
+    fn open_wait(&mut self, m: usize, t: SimTime) {
+        self.scratch.msgs[m].episode.get_or_insert(t);
+    }
+
+    /// Closes `m`'s open blocking episode on hop `hop` at `t` — at a
+    /// grant when `granted`, else at an abort — and hands it to the
+    /// probe.
+    fn close_wait(&mut self, m: usize, hop: usize, t: SimTime, granted: bool) {
+        if let Some(from) = self.scratch.msgs[m].episode.take() {
+            let iv = BlockedInterval {
+                message: m,
+                channel: self.route_channel(m, hop),
+                hop,
+                from,
+                until: t,
+            };
+            self.probe.on_wait_closed(iv, granted);
+        }
+    }
+
     /// Marks `m` finished, records stats, and cascades failure to
     /// dependents that now can never be sent.
     fn finish(&mut self, m: usize, t: SimTime, outcome: Outcome) {
@@ -273,7 +295,7 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
             }
             if let Some((w, whop)) = waiter {
                 debug_assert!(self.scratch.msgs[w].outcome.is_none());
-                self.scratch.msgs[w].waiting_on = None;
+                self.scratch.msgs[w].queued = false;
                 let waited = grant_t.saturating_sub(self.scratch.msgs[w].wait_since);
                 self.scratch.msgs[w].blocked_time += waited;
                 if self.map.is_virtual(ch) || whop == 0 {
@@ -285,6 +307,7 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
                     debug_assert_eq!(self.scratch.msgs[w].taken.len(), whop);
                     self.scratch.msgs[w].taken.push(ch);
                 }
+                self.close_wait(w, whop, grant_t, true);
                 self.probe.on_channel_granted(grant_t, w, ch, whop);
                 self.advance_after_grant(w, whop, ch, grant_t);
             }
@@ -295,16 +318,19 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
 
     /// Aborts an in-flight (or not-yet-started) message: releases held
     /// channels, leaves any wait queue, settles an open stall park,
-    /// finishes with `outcome`.
+    /// closes its blocking episode, finishes with `outcome`.
     fn abort(&mut self, m: usize, t: SimTime, outcome: Outcome) {
         self.settle_stall(m, t);
         let held = self.scratch.msgs[m].acquired;
         if held > 0 {
             self.release_channels(m, held, t);
         }
-        if let Some(ch) = self.scratch.msgs[m].waiting_on.take() {
-            self.scratch.channels.remove_waiter(ch, m);
+        // A blocked worm holds hops `0..held` and waits on hop `held`.
+        if std::mem::take(&mut self.scratch.msgs[m].queued) {
+            let rep = self.route_channel(m, held);
+            self.scratch.channels.remove_waiter(rep, m);
         }
+        self.close_wait(m, held, t, false);
         self.finish(m, t, outcome);
     }
 
@@ -481,6 +507,7 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
                 self.stats.blocks += 1;
             }
             self.scratch.msgs[m].stall = Some((t, port));
+            self.open_wait(m, t);
             let depth = self.scratch.channels.queue_len(rep);
             self.probe.on_channel_blocked(t, m, rep, hop, depth);
             self.scratch.queue.push(reopen, Event::TryAcquire(m, hop));
@@ -492,6 +519,7 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
                 debug_assert_eq!(self.scratch.msgs[m].taken.len(), hop);
                 self.scratch.msgs[m].taken.push(ch);
             }
+            self.close_wait(m, hop, t, true);
             self.probe.on_channel_granted(t, m, ch, hop);
             self.advance_after_grant(m, hop, ch, t);
         } else {
@@ -501,7 +529,7 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
             // source-side port serialization (Theorem 3's benign
             // case), not network contention.
             self.scratch.msgs[m].wait_since = t;
-            self.scratch.msgs[m].waiting_on = Some(rep);
+            self.scratch.msgs[m].queued = true;
             if self.map.is_virtual(rep) || hop == 0 {
                 self.scratch.msgs[m].port_waits += 1;
                 self.stats.port_waits += 1;
@@ -509,6 +537,7 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
                 self.scratch.msgs[m].blocks += 1;
                 self.stats.blocks += 1;
             }
+            self.open_wait(m, t);
             let depth = self.scratch.channels.enqueue(rep, m, hop);
             self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth as u32);
             self.probe.on_channel_blocked(t, m, rep, hop, depth);

@@ -24,7 +24,7 @@ use crate::time::SimTime;
 /// processed event.
 pub(crate) fn verdict(msgs: &[MsgState], channels: &Channels, at: SimTime) -> SimError {
     let waiters: Vec<usize> = (0..msgs.len())
-        .filter(|&i| msgs[i].outcome.is_none() && msgs[i].waiting_on.is_some())
+        .filter(|&i| msgs[i].outcome.is_none() && msgs[i].queued)
         .collect();
     if waiters.is_empty() {
         let stuck: Vec<usize> = (0..msgs.len())

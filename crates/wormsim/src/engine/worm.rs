@@ -130,13 +130,18 @@ pub(crate) struct MsgState {
     /// with a single lane per class the route memo *is* the truth and
     /// this stays empty (the allocation-free hot path).
     pub taken: Vec<usize>,
-    /// Channel whose queue this message currently sits in, if blocked.
-    pub waiting_on: Option<usize>,
+    /// Whether this message sits blocked in the FIFO of its current
+    /// hop's route channel (hop `acquired`).
+    pub queued: bool,
     /// An open stall-window park: `(since, port_classified)`. The
     /// blocked time is charged when the window actually elapses (the
     /// reopen retry) or pro-rated at an abort — never upfront, so a
     /// deadline that fires mid-window cannot overcount.
     pub stall: Option<(SimTime, bool)>,
+    /// Start of the open blocking episode on hop `acquired`: set at the
+    /// first block, kept through a stall park's reopen retry, taken
+    /// when the episode closes at the grant or an abort.
+    pub episode: Option<SimTime>,
     /// Terminal state, once reached; time in `finished_at`.
     pub outcome: Option<Outcome>,
     /// Time the terminal state was reached.
@@ -159,8 +164,9 @@ impl MsgState {
             port_waits: 0,
             acquired: 0,
             taken: Vec::new(),
-            waiting_on: None,
+            queued: false,
             stall: None,
+            episode: None,
             outcome: None,
             finished_at: SimTime::ZERO,
         }
@@ -182,8 +188,9 @@ impl MsgState {
         self.port_waits = 0;
         self.acquired = 0;
         self.taken.clear();
-        self.waiting_on = None;
+        self.queued = false;
         self.stall = None;
+        self.episode = None;
         self.outcome = None;
         self.finished_at = SimTime::ZERO;
     }

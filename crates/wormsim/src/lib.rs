@@ -62,7 +62,7 @@ pub use engine::{
 };
 pub use faults::{FaultEpoch, FaultEvent, FaultEventKind, FaultPlan, FaultTimeline};
 pub use flit::{simulate_flits, simulate_flits_on, FlitMessage, FlitResult};
-pub use metrics::{Histogram, Metrics, MetricsRegistry};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use multicast::{
     multicast_workload, simulate_chunked_multicast, simulate_concurrent_multicasts,
     simulate_gather, simulate_multicast, simulate_multicast_lanes, simulate_multicast_observed,
@@ -73,7 +73,7 @@ pub use multicast::{
 pub use network::{ChannelMap, RouteMemo};
 pub use params::SimParams;
 pub use probe::{
-    json_escape, BlockedInterval, EventRecorder, NoopProbe, Probe, ProbeEvent, Tee, WatchdogAlarm,
+    json_escape, BlockedInterval, EventRecorder, NoopProbe, Probe, ProbeEvent, WatchdogAlarm,
 };
 pub use scratch::{run_trials, EngineScratch};
 pub use time::SimTime;

@@ -1,11 +1,8 @@
-//! A metrics registry sink: counters, gauges, and log-bucketed
-//! histograms fed by the [`Probe`] event stream,
+//! A metrics registry: counters, gauges, and log-bucketed histograms,
 //! with JSON and Prometheus-text exporters.
 //!
-//! [`Metrics`] is the third shipped probe sink (next to
-//! [`NoopProbe`](crate::probe::NoopProbe) and
-//! [`EventRecorder`](crate::probe::EventRecorder)): it aggregates the
-//! event stream into a small fixed vocabulary —
+//! [`EventRecorder::metrics`](crate::probe::EventRecorder::metrics)
+//! folds a finished recording into a small fixed vocabulary —
 //!
 //! * **counters** — `events_total`, `injected_total`, `delivered_total`,
 //!   `channel_grants_total`, `channel_blocks_total`, `faults_total`,
@@ -15,15 +12,12 @@
 //!   `events_per_sim_ms`;
 //! * **histograms** (log₂ buckets) — `latency_ns` (injection→delivery),
 //!   `blocked_episode_ns` (per completed blocking episode),
-//!   `queue_depth` (FIFO depth at each enqueue).
+//!   `queue_depth` (FIFO depth at each block).
 //!
-//! Export a snapshot with [`Metrics::snapshot`], then
-//! [`MetricsRegistry::to_prometheus_text`] (the Prometheus exposition
-//! format) or [`MetricsRegistry::to_json`].
+//! Export the registry with [`MetricsRegistry::to_prometheus_text`]
+//! (the Prometheus exposition format) or [`MetricsRegistry::to_json`].
 
-use crate::engine::FaultCause;
-use crate::probe::{json_escape, Probe};
-use crate::time::SimTime;
+use crate::probe::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -169,20 +163,17 @@ impl MetricsRegistry {
         self.gauges.insert(name.to_string(), v);
     }
 
-    /// Raises gauge `name` to `v` if `v` is larger (creating it at `v`).
-    pub fn max_gauge(&mut self, name: &str, v: f64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(v);
-        if v > *g {
-            *g = v;
-        }
-    }
-
     /// Records `v` into histogram `name` (creating it empty).
     pub fn observe(&mut self, name: &str, v: u64) {
         self.histograms
             .entry(name.to_string())
             .or_default()
             .observe(v);
+    }
+
+    /// Sets histogram `name` to `h`.
+    pub fn set_histogram(&mut self, name: &str, h: Histogram) {
+        self.histograms.insert(name.to_string(), h);
     }
 
     /// Counter value (0 if absent).
@@ -300,136 +291,6 @@ fn write_map<'a, V: 'a>(
     }
 }
 
-/// The metrics probe sink: aggregates the engine's event stream into a
-/// [`MetricsRegistry`].
-///
-/// Keeps per-message open-wait state so blocking *episodes* (block →
-/// grant/abort) are measured exactly, mirroring
-/// [`EventRecorder`](crate::probe::EventRecorder)'s accounting.
-#[derive(Clone, Debug, Default)]
-pub struct Metrics {
-    registry: MetricsRegistry,
-    /// Open blocking episode per message: `(ch, since)`.
-    waiting: Vec<Option<(usize, SimTime)>>,
-    end_time: SimTime,
-}
-
-impl Metrics {
-    /// An empty metrics sink.
-    #[must_use]
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    fn close_wait(&mut self, msg: usize, t: SimTime) {
-        if msg < self.waiting.len() {
-            if let Some((_, since)) = self.waiting[msg].take() {
-                let waited = t.saturating_sub(since).as_ns();
-                self.registry.inc("blocked_ns_total", waited);
-                self.registry.observe("blocked_episode_ns", waited);
-            }
-        }
-    }
-
-    /// A snapshot of the registry with derived gauges (`makespan_ns`,
-    /// `events_per_sim_ms`) filled in.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsRegistry {
-        let mut reg = self.registry.clone();
-        reg.set_gauge("makespan_ns", self.end_time.as_ns() as f64);
-        let ms = self.end_time.as_ms();
-        if ms > 0.0 {
-            reg.set_gauge("events_per_sim_ms", reg.counter("events_total") as f64 / ms);
-        }
-        reg
-    }
-}
-
-impl Probe for Metrics {
-    fn on_eligible(&mut self, t: SimTime, _msg: usize) {
-        self.end_time = self.end_time.max(t);
-        self.registry.inc("events_total", 1);
-    }
-
-    fn on_injected(&mut self, t: SimTime, _msg: usize, _route_len: usize) {
-        self.end_time = self.end_time.max(t);
-        self.registry.inc("events_total", 1);
-        self.registry.inc("injected_total", 1);
-    }
-
-    fn on_channel_requested(&mut self, t: SimTime, _msg: usize, _ch: usize, _hop: usize) {
-        self.end_time = self.end_time.max(t);
-        self.registry.inc("events_total", 1);
-    }
-
-    fn on_channel_granted(&mut self, t: SimTime, msg: usize, _ch: usize, _hop: usize) {
-        self.end_time = self.end_time.max(t);
-        self.close_wait(msg, t);
-        self.registry.inc("events_total", 1);
-        self.registry.inc("channel_grants_total", 1);
-    }
-
-    fn on_channel_blocked(&mut self, t: SimTime, msg: usize, ch: usize, _hop: usize, depth: usize) {
-        self.end_time = self.end_time.max(t);
-        if msg >= self.waiting.len() {
-            self.waiting.resize(msg + 1, None);
-        }
-        match self.waiting[msg] {
-            Some((wch, _)) if wch == ch => {}
-            _ => self.waiting[msg] = Some((ch, t)),
-        }
-        self.registry.inc("events_total", 1);
-        self.registry.inc("channel_blocks_total", 1);
-        self.registry.observe("queue_depth", depth as u64);
-        self.registry.max_gauge("max_queue_depth", depth as f64);
-    }
-
-    fn on_channel_released(&mut self, t: SimTime, _msg: usize, _ch: usize, held_since: SimTime) {
-        self.end_time = self.end_time.max(t);
-        self.registry.inc("events_total", 1);
-        self.registry
-            .inc("busy_ns_total", t.saturating_sub(held_since).as_ns());
-    }
-
-    fn on_header_advanced(&mut self, t: SimTime, _msg: usize, _hop: usize) {
-        self.end_time = self.end_time.max(t);
-        self.registry.inc("events_total", 1);
-    }
-
-    fn on_tail_drained(&mut self, t: SimTime, _msg: usize) {
-        self.end_time = self.end_time.max(t);
-        self.registry.inc("events_total", 1);
-    }
-
-    fn on_delivered(&mut self, t: SimTime, _msg: usize, injected: SimTime) {
-        self.end_time = self.end_time.max(t);
-        self.registry.inc("events_total", 1);
-        self.registry.inc("delivered_total", 1);
-        self.registry
-            .observe("latency_ns", t.saturating_sub(injected).as_ns());
-    }
-
-    fn on_fault(&mut self, t: SimTime, msg: usize, _cause: FaultCause) {
-        self.end_time = self.end_time.max(t);
-        self.close_wait(msg, t);
-        self.registry.inc("events_total", 1);
-        self.registry.inc("faults_total", 1);
-    }
-
-    fn on_timeout(&mut self, t: SimTime, msg: usize) {
-        self.end_time = self.end_time.max(t);
-        self.close_wait(msg, t);
-        self.registry.inc("events_total", 1);
-        self.registry.inc("timeouts_total", 1);
-    }
-
-    fn on_watchdog_alarm(&mut self, t: SimTime, _holders: &[usize], _waiters: &[usize]) {
-        self.end_time = self.end_time.max(t);
-        self.registry.inc("events_total", 1);
-        self.registry.inc("watchdog_alarms_total", 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,16 +351,35 @@ mod tests {
 
     #[test]
     fn metrics_probe_tracks_blocking_episodes() {
-        let mut m = Metrics::new();
-        m.on_injected(SimTime::ZERO, 0, 2);
-        m.on_channel_blocked(SimTime::from_ns(10), 0, 5, 1, 2);
-        m.on_channel_granted(SimTime::from_ns(40), 0, 5, 1);
-        m.on_delivered(SimTime::from_ns(100), 0, SimTime::ZERO);
-        let reg = m.snapshot();
+        use crate::probe::{BlockedInterval, EventRecorder, Probe};
+        use crate::time::SimTime;
+        let mut r = EventRecorder::new();
+        r.on_injected(SimTime::ZERO, 0, 2);
+        r.on_channel_blocked(SimTime::from_ns(10), 0, 5, 1, 2);
+        r.on_wait_closed(
+            BlockedInterval {
+                message: 0,
+                channel: 5,
+                hop: 1,
+                from: SimTime::from_ns(10),
+                until: SimTime::from_ns(40),
+            },
+            true,
+        );
+        r.on_channel_granted(SimTime::from_ns(40), 0, 5, 1);
+        r.on_delivered(SimTime::from_ns(100), 0, SimTime::ZERO);
+        let reg = r.metrics();
         assert_eq!(reg.counter("blocked_ns_total"), 30);
         assert_eq!(reg.counter("channel_blocks_total"), 1);
         assert_eq!(reg.counter("delivered_total"), 1);
+        assert_eq!(reg.counter("events_total"), 4);
         assert_eq!(reg.histogram("latency_ns").unwrap().count(), 1);
+        assert_eq!(reg.histogram("queue_depth").unwrap().sum(), 2);
         assert_eq!(reg.gauge("makespan_ns"), Some(100.0));
+        assert_eq!(reg.gauge("max_queue_depth"), Some(2.0));
+        // Keys appear only once their first event was observed.
+        assert!(reg.histogram("blocked_episode_ns").is_some());
+        assert_eq!(reg.gauge("events_per_sim_ms"), Some(4.0 / 100e-6));
+        assert!(!reg.to_json().contains("faults_total"));
     }
 }

@@ -285,9 +285,9 @@ pub fn simulate_multicast_lanes(
 /// reported to `probe` as it happens.
 ///
 /// Pair with [`EventRecorder`](crate::probe::EventRecorder) for exact
-/// per-channel contention accounting or
-/// [`Metrics`](crate::metrics::Metrics) for aggregate counters; combine
-/// both with [`Tee`](crate::probe::Tee).
+/// per-channel contention accounting; its
+/// [`metrics`](crate::probe::EventRecorder::metrics) fold gives the
+/// aggregate counters.
 #[must_use]
 pub fn simulate_multicast_observed<P: Probe>(
     tree: &MulticastTree,

@@ -12,7 +12,12 @@
 //! event loop is generic over `P: Probe`, so the default [`NoopProbe`]
 //! monomorphizes to nothing — the uninstrumented entry points compile to
 //! the exact same loop as before (guarded by the `probe_overhead`
-//! criterion bench). Three sinks ship with the crate:
+//! criterion bench).
+//!
+//! Blocking episodes have one source: the engine. It tracks every wait
+//! to charge [`NetStats`](crate::NetStats), and it hands each contiguous
+//! wait to [`Probe::on_wait_closed`] exactly once, so no sink keeps a
+//! per-message wait table of its own. Two sinks ship with the crate:
 //!
 //! * [`NoopProbe`] — the zero-cost default;
 //! * [`EventRecorder`] — a bounded ring buffer of timestamped
@@ -20,13 +25,11 @@
 //!   per-channel hold and blocked time, hold/block intervals, queue
 //!   depths, injection→delivery latencies, and watchdog alarms; it
 //!   exports Chrome/Perfetto trace JSON
-//!   ([`EventRecorder::to_chrome_trace`]);
-//! * [`crate::metrics::Metrics`] — a counters/gauges/histograms registry
-//!   with JSON and Prometheus-text exporters.
-//!
-//! [`Tee`] composes two sinks for a single run.
+//!   ([`EventRecorder::to_chrome_trace`]) and folds into a
+//!   [`MetricsRegistry`] ([`EventRecorder::metrics`]).
 
 use crate::engine::FaultCause;
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::network::ChannelMap;
 use crate::time::SimTime;
 use crate::trace::Occupancy;
@@ -65,8 +68,9 @@ pub trait Probe {
 
     /// The request found `ch` busy (or stalled by a fault window): the
     /// worm blocks in place holding everything acquired so far. `depth`
-    /// is the channel's FIFO depth after the worm queued (0 for a
-    /// transient stall-window retry, which does not queue).
+    /// is the channel's FIFO depth after the worm queued; a worm parked
+    /// by a stall window does not queue, and `depth` is the FIFO's
+    /// current length.
     #[inline]
     fn on_channel_blocked(
         &mut self,
@@ -77,6 +81,18 @@ pub trait Probe {
         _depth: usize,
     ) {
     }
+
+    /// A blocking episode ended: `iv.message` waited for `iv.channel`
+    /// (the channel its block named) over `[iv.from, iv.until]`.
+    /// Called once per contiguous wait — at the grant (`granted`, right
+    /// before [`on_channel_granted`](Probe::on_channel_granted)) or when
+    /// an abort cuts the wait short (`!granted`, right before
+    /// [`on_fault`](Probe::on_fault) or [`on_timeout`](Probe::on_timeout)).
+    /// A stall-window park and the same-channel wait that follows its
+    /// reopen retry form one episode, starting at the first block. A
+    /// wait the run ends in (a deadlock) never closes.
+    #[inline]
+    fn on_wait_closed(&mut self, _iv: BlockedInterval, _granted: bool) {}
 
     /// `ch`, held by `msg` since `held_since`, was released (tail drain
     /// or abort).
@@ -119,79 +135,6 @@ pub struct NoopProbe;
 
 impl Probe for NoopProbe {}
 
-/// Fans every event out to two sinks (e.g. an [`EventRecorder`] and a
-/// [`crate::metrics::Metrics`] registry in one run).
-#[derive(Clone, Debug, Default)]
-pub struct Tee<A: Probe, B: Probe>(
-    /// First sink.
-    pub A,
-    /// Second sink.
-    pub B,
-);
-
-impl<A: Probe, B: Probe> Probe for Tee<A, B> {
-    #[inline]
-    fn on_eligible(&mut self, t: SimTime, msg: usize) {
-        self.0.on_eligible(t, msg);
-        self.1.on_eligible(t, msg);
-    }
-    #[inline]
-    fn on_injected(&mut self, t: SimTime, msg: usize, route_len: usize) {
-        self.0.on_injected(t, msg, route_len);
-        self.1.on_injected(t, msg, route_len);
-    }
-    #[inline]
-    fn on_channel_requested(&mut self, t: SimTime, msg: usize, ch: usize, hop: usize) {
-        self.0.on_channel_requested(t, msg, ch, hop);
-        self.1.on_channel_requested(t, msg, ch, hop);
-    }
-    #[inline]
-    fn on_channel_granted(&mut self, t: SimTime, msg: usize, ch: usize, hop: usize) {
-        self.0.on_channel_granted(t, msg, ch, hop);
-        self.1.on_channel_granted(t, msg, ch, hop);
-    }
-    #[inline]
-    fn on_channel_blocked(&mut self, t: SimTime, msg: usize, ch: usize, hop: usize, depth: usize) {
-        self.0.on_channel_blocked(t, msg, ch, hop, depth);
-        self.1.on_channel_blocked(t, msg, ch, hop, depth);
-    }
-    #[inline]
-    fn on_channel_released(&mut self, t: SimTime, msg: usize, ch: usize, held_since: SimTime) {
-        self.0.on_channel_released(t, msg, ch, held_since);
-        self.1.on_channel_released(t, msg, ch, held_since);
-    }
-    #[inline]
-    fn on_header_advanced(&mut self, t: SimTime, msg: usize, hop: usize) {
-        self.0.on_header_advanced(t, msg, hop);
-        self.1.on_header_advanced(t, msg, hop);
-    }
-    #[inline]
-    fn on_tail_drained(&mut self, t: SimTime, msg: usize) {
-        self.0.on_tail_drained(t, msg);
-        self.1.on_tail_drained(t, msg);
-    }
-    #[inline]
-    fn on_delivered(&mut self, t: SimTime, msg: usize, injected: SimTime) {
-        self.0.on_delivered(t, msg, injected);
-        self.1.on_delivered(t, msg, injected);
-    }
-    #[inline]
-    fn on_fault(&mut self, t: SimTime, msg: usize, cause: FaultCause) {
-        self.0.on_fault(t, msg, cause);
-        self.1.on_fault(t, msg, cause);
-    }
-    #[inline]
-    fn on_timeout(&mut self, t: SimTime, msg: usize) {
-        self.0.on_timeout(t, msg);
-        self.1.on_timeout(t, msg);
-    }
-    #[inline]
-    fn on_watchdog_alarm(&mut self, t: SimTime, holders: &[usize], waiters: &[usize]) {
-        self.0.on_watchdog_alarm(t, holders, waiters);
-        self.1.on_watchdog_alarm(t, holders, waiters);
-    }
-}
-
 /// One recorded event of the engine's taxonomy (the ring-buffer form;
 /// watchdog alarms additionally land in
 /// [`EventRecorder::alarms`] with their full holder/waiter sets).
@@ -206,7 +149,8 @@ pub enum ProbeEvent {
     ChannelRequested { msg: usize, ch: usize, hop: usize },
     /// Request granted.
     ChannelGranted { msg: usize, ch: usize, hop: usize },
-    /// Request blocked (FIFO depth after queuing; 0 for stall retries).
+    /// Request blocked (FIFO depth after queuing; the FIFO's current
+    /// length for a stall-window park).
     ChannelBlocked {
         msg: usize,
         ch: usize,
@@ -271,8 +215,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 ///
 /// The ring is bounded (oldest events drop first, counted in
 /// [`dropped`](EventRecorder::dropped)); the *accounting* — occupancy
-/// intervals, blocked intervals, per-channel totals, latencies, alarms —
-/// is exact and never dropped, which is what the envelope-soundness and
+/// intervals, blocked intervals (as the engine closes them), per-channel
+/// totals, latencies, alarms, and the event counts
+/// [`metrics`](EventRecorder::metrics) folds — is exact and never
+/// dropped, which is what the envelope-soundness and
 /// utilization-exactness tests rely on.
 #[derive(Clone, Debug)]
 pub struct EventRecorder {
@@ -289,10 +235,16 @@ pub struct EventRecorder {
     // --- exact interval logs
     occupancies: Vec<Occupancy>,
     blocked: Vec<BlockedInterval>,
-    // --- per-message open wait, indexed by message: (ch, hop, since)
-    waiting: Vec<Option<(usize, usize, SimTime)>>,
     latencies: Vec<(usize, SimTime)>,
     alarms: Vec<WatchdogAlarm>,
+    // --- exact event counts the ring cannot give once it drops
+    injected: u64,
+    grants: u64,
+    blocks: u64,
+    faults: u64,
+    timeouts: u64,
+    /// FIFO depth at each block.
+    queue_depth: Histogram,
 }
 
 impl Default for EventRecorder {
@@ -330,9 +282,14 @@ impl EventRecorder {
             max_depth: Vec::new(),
             occupancies: Vec::new(),
             blocked: Vec::new(),
-            waiting: Vec::new(),
             latencies: Vec::new(),
             alarms: Vec::new(),
+            injected: 0,
+            grants: 0,
+            blocks: 0,
+            faults: 0,
+            timeouts: 0,
+            queue_depth: Histogram::default(),
         }
     }
 
@@ -344,28 +301,6 @@ impl EventRecorder {
             self.dropped += 1;
         }
         self.events.push_back((t, e));
-    }
-
-    /// Closes `msg`'s open blocking episode (grant or abort) at `t`.
-    fn close_wait(&mut self, msg: usize, t: SimTime) {
-        if msg < self.waiting.len() {
-            if let Some((ch, hop, since)) = self.waiting[msg].take() {
-                let waited = t.saturating_sub(since).as_ns();
-                grow(&mut self.channel_blocked_ns, ch);
-                self.channel_blocked_ns[ch] += waited;
-                if hop == 0 {
-                    grow(&mut self.channel_blocked_hop0_ns, ch);
-                    self.channel_blocked_hop0_ns[ch] += waited;
-                }
-                self.blocked.push(BlockedInterval {
-                    message: msg,
-                    channel: ch,
-                    hop,
-                    from: since,
-                    until: t,
-                });
-            }
-        }
     }
 
     /// The ring-buffered events, oldest first.
@@ -424,7 +359,7 @@ impl EventRecorder {
         &self.occupancies
     }
 
-    /// The exact blocking episodes, in close order.
+    /// The exact blocking episodes, in the order the engine closed them.
     #[must_use]
     pub fn blocked_intervals(&self) -> &[BlockedInterval] {
         &self.blocked
@@ -440,6 +375,52 @@ impl EventRecorder {
     #[must_use]
     pub fn alarms(&self) -> &[WatchdogAlarm] {
         &self.alarms
+    }
+
+    /// Folds the recording into a [`MetricsRegistry`] (the vocabulary is
+    /// listed in [`crate::metrics`]). A counter or histogram appears only
+    /// once its first event was observed; `makespan_ns` always appears,
+    /// `events_per_sim_ms` once simulated time has passed.
+    #[must_use]
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        for (name, n) in [
+            ("events_total", self.total_events),
+            ("injected_total", self.injected),
+            ("channel_grants_total", self.grants),
+            ("channel_blocks_total", self.blocks),
+            ("faults_total", self.faults),
+            ("timeouts_total", self.timeouts),
+            ("watchdog_alarms_total", self.alarms.len() as u64),
+            ("delivered_total", self.latencies.len() as u64),
+        ] {
+            if n > 0 {
+                reg.inc(name, n);
+            }
+        }
+        if !self.blocked.is_empty() {
+            reg.inc("blocked_ns_total", self.channel_blocked_ns.iter().sum());
+        }
+        if !self.occupancies.is_empty() {
+            reg.inc("busy_ns_total", self.channel_busy_ns.iter().sum());
+        }
+        for (_, latency) in &self.latencies {
+            reg.observe("latency_ns", latency.as_ns());
+        }
+        for b in &self.blocked {
+            reg.observe("blocked_episode_ns", b.until.saturating_sub(b.from).as_ns());
+        }
+        if self.blocks > 0 {
+            reg.set_histogram("queue_depth", self.queue_depth.clone());
+            let deepest = self.max_depth.iter().max().copied().unwrap_or(0);
+            reg.set_gauge("max_queue_depth", f64::from(deepest));
+        }
+        reg.set_gauge("makespan_ns", self.end_time.as_ns() as f64);
+        let ms = self.end_time.as_ms();
+        if ms > 0.0 {
+            reg.set_gauge("events_per_sim_ms", self.total_events as f64 / ms);
+        }
+        reg
     }
 
     /// Serializes the recording as Chrome trace JSON (the Chrome/Perfetto
@@ -623,6 +604,7 @@ impl Probe for EventRecorder {
     }
 
     fn on_injected(&mut self, t: SimTime, msg: usize, route_len: usize) {
+        self.injected += 1;
         self.push(t, ProbeEvent::Injected { msg, route_len });
     }
 
@@ -631,18 +613,13 @@ impl Probe for EventRecorder {
     }
 
     fn on_channel_granted(&mut self, t: SimTime, msg: usize, ch: usize, hop: usize) {
-        self.close_wait(msg, t);
+        self.grants += 1;
         self.push(t, ProbeEvent::ChannelGranted { msg, ch, hop });
     }
 
     fn on_channel_blocked(&mut self, t: SimTime, msg: usize, ch: usize, hop: usize, depth: usize) {
-        grow(&mut self.waiting, msg);
-        // A stall-window retry re-blocks on the same channel: the wait is
-        // continuous, so keep the original start.
-        match self.waiting[msg] {
-            Some((wch, _, _)) if wch == ch => {}
-            _ => self.waiting[msg] = Some((ch, hop, t)),
-        }
+        self.blocks += 1;
+        self.queue_depth.observe(depth as u64);
         grow(&mut self.max_depth, ch);
         self.max_depth[ch] = self.max_depth[ch].max(depth as u32);
         self.push(
@@ -654,6 +631,17 @@ impl Probe for EventRecorder {
                 depth,
             },
         );
+    }
+
+    fn on_wait_closed(&mut self, iv: BlockedInterval, _granted: bool) {
+        let waited = iv.until.saturating_sub(iv.from).as_ns();
+        grow(&mut self.channel_blocked_ns, iv.channel);
+        self.channel_blocked_ns[iv.channel] += waited;
+        if iv.hop == 0 {
+            grow(&mut self.channel_blocked_hop0_ns, iv.channel);
+            self.channel_blocked_hop0_ns[iv.channel] += waited;
+        }
+        self.blocked.push(iv);
     }
 
     fn on_channel_released(&mut self, t: SimTime, msg: usize, ch: usize, held_since: SimTime) {
@@ -689,12 +677,12 @@ impl Probe for EventRecorder {
     }
 
     fn on_fault(&mut self, t: SimTime, msg: usize, cause: FaultCause) {
-        self.close_wait(msg, t);
+        self.faults += 1;
         self.push(t, ProbeEvent::Fault { msg, cause });
     }
 
     fn on_timeout(&mut self, t: SimTime, msg: usize) {
-        self.close_wait(msg, t);
+        self.timeouts += 1;
         self.push(t, ProbeEvent::TimedOut { msg });
     }
 
@@ -735,32 +723,62 @@ mod tests {
 
     #[test]
     fn blocked_interval_spans_block_to_grant() {
+        use crate::{DepMessage, FaultPlan, Run, SimParams};
+        use hcube::{Cube, Dim, Ecube, NodeId, Resolution};
+        // Two worms share one channel that a stall window closes until
+        // `reopen`. The first parks and is granted at the reopen; the
+        // second parks too, finds the channel taken at the reopen and
+        // queues behind it — one episode from its park to its grant.
+        let reopen = SimTime::from_ms(5);
+        let mut plan = FaultPlan::none();
+        plan.stall(NodeId(0), Dim(0), SimTime::ZERO, reopen);
+        let msg = DepMessage {
+            src: NodeId(0),
+            dst: NodeId(1),
+            bytes: 1024,
+            deps: vec![],
+            min_start: SimTime::ZERO,
+        };
+        let workload = [msg.clone(), msg];
+        let params = SimParams::ncube2(hypercast::PortModel::AllPort);
         let mut r = EventRecorder::new();
-        r.on_channel_blocked(SimTime::from_ns(5), 7, 2, 1, 3);
-        // A stall retry on the same channel keeps the original start.
-        r.on_channel_blocked(SimTime::from_ns(8), 7, 2, 1, 0);
-        r.on_channel_granted(SimTime::from_ns(12), 7, 2, 1);
-        assert_eq!(r.blocked_ns(2), 7);
+        let run = Run::new(
+            Ecube::new(Cube::of(1), Resolution::HighToLow),
+            &params,
+            &workload,
+        )
+        .faults(&plan)
+        .probe(&mut r)
+        .run()
+        .unwrap();
+        let [a, b] = [run.messages[0], run.messages[1]];
+        let iv = |message, from, until| BlockedInterval {
+            message,
+            channel: 0,
+            hop: 0,
+            from,
+            until,
+        };
         assert_eq!(
             r.blocked_intervals(),
-            &[BlockedInterval {
-                message: 7,
-                channel: 2,
-                hop: 1,
-                from: SimTime::from_ns(5),
-                until: SimTime::from_ns(12),
-            }]
+            &[iv(0, a.injected, reopen), iv(1, b.injected, a.network_done)]
         );
-        assert_eq!(r.max_queue_depth(2), 3);
+        assert_eq!(r.blocked_ns(0), (a.blocked_time + b.blocked_time).as_ns());
+        assert_eq!(r.max_queue_depth(0), 1);
     }
 
     #[test]
     fn hop0_blocking_is_excluded_from_contention() {
         let mut r = EventRecorder::new();
-        r.on_channel_blocked(SimTime::ZERO, 0, 9, 0, 1);
-        r.on_channel_granted(SimTime::from_ns(10), 0, 9, 0);
-        r.on_channel_blocked(SimTime::from_ns(20), 1, 9, 2, 1);
-        r.on_channel_granted(SimTime::from_ns(25), 1, 9, 2);
+        let iv = |message, hop, from, until| BlockedInterval {
+            message,
+            channel: 9,
+            hop,
+            from: SimTime::from_ns(from),
+            until: SimTime::from_ns(until),
+        };
+        r.on_wait_closed(iv(0, 0, 0, 10), true);
+        r.on_wait_closed(iv(1, 2, 20, 25), true);
         assert_eq!(r.blocked_ns(9), 15);
         assert_eq!(r.contention_blocked_ns(9), 5);
     }
@@ -780,17 +798,5 @@ mod tests {
         assert_eq!(format_us(1_001), "1.001");
         assert_eq!(format_us(999), "0.999");
         assert_eq!(format_us(0), "0");
-    }
-
-    #[test]
-    fn tee_fans_out_to_both_sinks() {
-        let mut tee = Tee(EventRecorder::new(), EventRecorder::new());
-        tee.on_injected(SimTime::from_ns(1), 0, 3);
-        tee.on_watchdog_alarm(SimTime::from_ns(2), &[1], &[2, 3]);
-        for r in [&tee.0, &tee.1] {
-            assert_eq!(r.total_events(), 2);
-            assert_eq!(r.alarms().len(), 1);
-            assert_eq!(r.alarms()[0].waiters, vec![2, 3]);
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! accounting against the after-the-fact [`ChannelTrace`] envelope and
 //! the engine's own `NetStats` aggregates.
 //!
-//! Three contracts, matching DESIGN.md §10:
+//! Four contracts, matching DESIGN.md §10:
 //!
 //! 1. **Envelope soundness** — every exact channel-holding interval the
 //!    recorder observed is *contained* in the reconstructed envelope
@@ -10,17 +10,23 @@
 //!    contention-free runs with `t_hop = 0` the two coincide exactly.
 //! 2. **Utilization exactness** — `NetStats` per-dimension busy time,
 //!    contention blocked time, and port-wait time equal the recorder's
-//!    per-channel sums, on the cube (both port models) and the torus.
+//!    per-channel sums, on the cube (both port models), the torus and
+//!    the mesh, stall-window runs included when no abort cuts a wait.
 //! 3. **Observation is passive** — an attached recorder never perturbs
 //!    the schedule.
+//! 4. **One episode source** — the blocking episodes the engine closes
+//!    equal, in order, those the sink-side block→grant reconstruction
+//!    closes, under faults, stalls, deadlines and windows.
 
-use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
+use hcube::{
+    Cube, Dim, Ecube, Mesh, MeshXY, NodeId, Resolution, Router, Topology, Torus, TorusRouter,
+};
 use hypercast::{Algorithm, PortModel};
 use proptest::prelude::*;
 use wormsim::network::ChannelMap;
 use wormsim::{
-    multicast_workload, ChannelTrace, DepMessage, EventRecorder, FaultPlan, ProbeEvent, Run,
-    RunResult, SimError, SimParams, SimTime,
+    multicast_workload, BlockedInterval, ChannelTrace, DepMessage, EventRecorder, FaultCause,
+    FaultPlan, Probe, ProbeEvent, Run, RunResult, SimError, SimParams, SimTime,
 };
 
 /// A fault-free run of a well-formed workload, recorded into `rec`.
@@ -515,4 +521,249 @@ fn one_port_blocking_is_port_wait_not_contention() {
     assert_eq!(contention, 0);
     let inj = map.injection(NodeId(0));
     assert!(rec.blocked_ns(inj) > 0, "injection channel serialized");
+}
+
+// ---------------------------------------------------------------------
+// One episode source: the engine's closed waits against the sink-side
+// reconstruction every sink carried before the engine closed them.
+// ---------------------------------------------------------------------
+
+/// The block→grant reconstruction the sinks kept before the engine
+/// closed episodes itself, verbatim: a per-message open wait, opened at
+/// a block (a same-channel re-block keeps the original start — stall
+/// continuity) and closed at a grant and, when `close_on_abort`, at a
+/// fault or timeout.
+#[derive(Default)]
+struct ReferenceWaits {
+    close_on_abort: bool,
+    /// Per-message open wait: `(channel, hop, since)`.
+    waiting: Vec<Option<(usize, usize, SimTime)>>,
+    closed: Vec<BlockedInterval>,
+}
+
+impl ReferenceWaits {
+    fn block(&mut self, t: SimTime, msg: usize, ch: usize, hop: usize) {
+        if msg >= self.waiting.len() {
+            self.waiting.resize(msg + 1, None);
+        }
+        match self.waiting[msg] {
+            Some((wch, _, _)) if wch == ch => {}
+            _ => self.waiting[msg] = Some((ch, hop, t)),
+        }
+    }
+
+    fn close(&mut self, msg: usize, t: SimTime) {
+        if let Some(slot) = self.waiting.get_mut(msg) {
+            if let Some((channel, hop, from)) = slot.take() {
+                self.closed.push(BlockedInterval {
+                    message: msg,
+                    channel,
+                    hop,
+                    from,
+                    until: t,
+                });
+            }
+        }
+    }
+
+    fn abort(&mut self, msg: usize, t: SimTime) {
+        if self.close_on_abort {
+            self.close(msg, t);
+        }
+    }
+}
+
+/// Runs both reference rules — the recorder's (grant, fault, timeout)
+/// and the telemetry probe's (grant only) — next to the engine's own
+/// `on_wait_closed` stream.
+struct EpisodeOracle {
+    recorder: ReferenceWaits,
+    telemetry: ReferenceWaits,
+    engine: Vec<(BlockedInterval, bool)>,
+}
+
+impl EpisodeOracle {
+    fn new() -> EpisodeOracle {
+        EpisodeOracle {
+            recorder: ReferenceWaits {
+                close_on_abort: true,
+                ..ReferenceWaits::default()
+            },
+            telemetry: ReferenceWaits::default(),
+            engine: Vec::new(),
+        }
+    }
+}
+
+impl Probe for EpisodeOracle {
+    fn on_channel_blocked(&mut self, t: SimTime, msg: usize, ch: usize, hop: usize, _: usize) {
+        self.recorder.block(t, msg, ch, hop);
+        self.telemetry.block(t, msg, ch, hop);
+    }
+
+    fn on_channel_granted(&mut self, t: SimTime, msg: usize, _ch: usize, _hop: usize) {
+        self.recorder.close(msg, t);
+        self.telemetry.close(msg, t);
+    }
+
+    fn on_fault(&mut self, t: SimTime, msg: usize, _cause: FaultCause) {
+        self.recorder.abort(msg, t);
+        self.telemetry.abort(msg, t);
+    }
+
+    fn on_timeout(&mut self, t: SimTime, msg: usize) {
+        self.recorder.abort(msg, t);
+        self.telemetry.abort(msg, t);
+    }
+
+    fn on_wait_closed(&mut self, iv: BlockedInterval, granted: bool) {
+        self.engine.push((iv, granted));
+    }
+}
+
+/// The fault scenarios of the episode property.
+#[derive(Clone, Copy, Debug)]
+enum Scenario {
+    NoFaults,
+    Stalls,
+    StuckWithDeadline,
+    DeadLinks,
+    Window,
+}
+
+const SCENARIOS: [Scenario; 5] = [
+    Scenario::NoFaults,
+    Scenario::Stalls,
+    Scenario::StuckWithDeadline,
+    Scenario::DeadLinks,
+    Scenario::Window,
+];
+
+/// Random point-to-point traffic, dense enough to contend.
+fn traffic(nodes: u32) -> impl Strategy<Value = Vec<DepMessage>> {
+    prop::collection::vec((0..nodes, 1..nodes, 256u32..4096, 0u64..400), 4..24).prop_map(
+        move |msgs| {
+            msgs.into_iter()
+                .map(|(src, off, bytes, start_us)| DepMessage {
+                    src: NodeId(src),
+                    dst: NodeId((src + off) % nodes),
+                    bytes,
+                    deps: vec![],
+                    min_start: SimTime::from_us(start_us),
+                })
+                .collect()
+        },
+    )
+}
+
+/// The scenario's fault plan and observation window, with fault
+/// elements drawn from `picks` (node, port, time in µs).
+fn scenario_plan<R: Router>(
+    router: R,
+    scenario: Scenario,
+    picks: &[(u32, u8, u64)],
+) -> (FaultPlan, Option<SimTime>) {
+    let topo = router.topology();
+    let nodes = topo.node_count() as u32;
+    let ports = topo.ports_per_node();
+    let mut plan = FaultPlan::none();
+    let at = |&(v, p, _): &(u32, u8, u64)| (NodeId(v % nodes), Dim(p % ports));
+    match scenario {
+        Scenario::NoFaults => {}
+        Scenario::Stalls => {
+            for pick in picks {
+                let (v, p) = at(pick);
+                let from = SimTime::from_us(pick.2);
+                plan.stall(v, p, from, from + SimTime::from_us(150 + pick.2 / 2));
+            }
+        }
+        Scenario::StuckWithDeadline => {
+            let (v, p) = at(&picks[0]);
+            plan.stick(v, p);
+            plan.deadline_all(SimTime::from_us(1_000 + picks[0].2 * 10));
+        }
+        Scenario::DeadLinks => {
+            for pick in &picks[..2] {
+                let (v, p) = at(pick);
+                plan.fail_link(v, p);
+            }
+        }
+        Scenario::Window => return (plan, Some(SimTime::from_us(300 + picks[0].2))),
+    }
+    (plan, None)
+}
+
+/// Runs `workload` under the scenario with the episode oracle attached
+/// and checks the engine's episodes against both reference rules. A
+/// run no abort touched (a fault-free or stall-only plan) must also
+/// reconcile `NetStats` with a recorder exactly.
+fn check_episodes<R: Router + Copy>(
+    router: R,
+    port: PortModel,
+    workload: &[DepMessage],
+    scenario: Scenario,
+    picks: &[(u32, u8, u64)],
+) -> Result<(), TestCaseError> {
+    let params = SimParams::ncube2(port);
+    let (plan, window) = scenario_plan(router, scenario, picks);
+    let run = || {
+        let run = Run::new(router, &params, workload).faults(&plan);
+        match window {
+            Some(h) => run.window(h),
+            None => run,
+        }
+    };
+    let mut oracle = EpisodeOracle::new();
+    let result = run().probe(&mut oracle).run();
+    let all: Vec<BlockedInterval> = oracle.engine.iter().map(|&(iv, _)| iv).collect();
+    let granted: Vec<BlockedInterval> = oracle
+        .engine
+        .iter()
+        .filter(|&&(_, granted)| granted)
+        .map(|&(iv, _)| iv)
+        .collect();
+    prop_assert_eq!(&all, &oracle.recorder.closed);
+    prop_assert_eq!(&granted, &oracle.telemetry.closed);
+
+    let Ok(result) = result else {
+        return Ok(());
+    };
+    if result.stats.failed == 0 && result.stats.timed_out == 0 {
+        let map = ChannelMap::new(router);
+        let mut rec = EventRecorder::new();
+        let observed = run().probe(&mut rec).run().unwrap();
+        assert_stats_match_recorder(&map, &observed.stats, &rec);
+        assert_lane_stats_match_recorder(&map, &observed.stats, &rec);
+    }
+    Ok(())
+}
+
+fn picks() -> impl Strategy<Value = Vec<(u32, u8, u64)>> {
+    prop::collection::vec((0u32..1024, 0u8..16, 0u64..600), 2..6)
+}
+
+proptest! {
+    /// The engine closes each blocking episode once, in the order the
+    /// sink-side reconstruction closed it: every episode (granted or
+    /// cut short by an abort) equals the recorder's rule, the granted
+    /// ones equal the telemetry probe's rule — on the cube, the torus
+    /// and the mesh, with 1–3 lanes, under every fault scenario.
+    #[test]
+    fn engine_episodes_match_the_reference_reconstruction(
+        allport in any::<bool>(),
+        picks in picks(),
+        workload in traffic(16),
+    ) {
+        let port = if allport { PortModel::AllPort } else { PortModel::OnePort };
+        for lanes in 1u8..=3 {
+            for scenario in SCENARIOS {
+                let cube = Ecube::with_lanes(Cube::of(4), Resolution::HighToLow, lanes);
+                check_episodes(cube, port, &workload, scenario, &picks)?;
+                let torus = TorusRouter::with_lane_multiplier(Torus::of(4, 2), lanes);
+                check_episodes(torus, port, &workload, scenario, &picks)?;
+                let mesh = MeshXY::with_lanes(Mesh::of(4, 4), lanes);
+                check_episodes(mesh, port, &workload, scenario, &picks)?;
+            }
+        }
+    }
 }

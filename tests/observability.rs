@@ -1,19 +1,23 @@
 //! Workspace-level schema checks for the observability exports: the
 //! Chrome/Perfetto trace JSON and both metrics export formats, parsed
 //! with the first-party `workloads::json` parser (wormsim itself cannot
-//! depend on `workloads`, so the schema validation lives here).
+//! depend on `workloads`, so the schema validation lives here), plus
+//! byte-for-byte golden files under `tests/golden/` that pin the
+//! recorder's metrics fold and the order the engine closes blocking
+//! episodes in.
 
-use hcube::{Cube, Ecube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
 use workloads::json::{parse, Value};
 use wormsim::network::ChannelMap;
 use wormsim::{
-    multicast_workload, DepMessage, EventRecorder, Metrics, Run, SimParams, SimTime, Tee,
+    multicast_workload, DepMessage, EventRecorder, FaultPlan, MetricsRegistry, Run, SimParams,
+    SimTime,
 };
 
-/// A contended multicast run with both sinks attached, returning the
-/// Perfetto JSON and the metrics registry.
-fn observed_run() -> (String, wormsim::MetricsRegistry) {
+/// A contended multicast run with a recorder attached, returning the
+/// Perfetto JSON and the recorder's metrics fold.
+fn observed_run() -> (String, MetricsRegistry) {
     let cube = Cube::of(5);
     let params = SimParams::ncube2(PortModel::AllPort);
     let dests: Vec<NodeId> = (1..32).map(NodeId).collect();
@@ -27,13 +31,69 @@ fn observed_run() -> (String, wormsim::MetricsRegistry) {
         )
         .unwrap();
     let router = Ecube::new(cube, Resolution::HighToLow);
-    let mut probe = Tee(EventRecorder::new(), Metrics::new());
-    let _run = Run::new(router, &params, &multicast_workload(&tree, 4096))
-        .probe(&mut probe)
-        .run()
-        .unwrap();
-    let map = ChannelMap::new(router);
-    (probe.0.to_chrome_trace(&map), probe.1.snapshot())
+    exports(
+        router,
+        Run::new(router, &params, &multicast_workload(&tree, 4096)),
+    )
+}
+
+/// The stuck-channel wedge a global deadline rescues: both worms'
+/// waits are cut short by the abort, so aborted episodes reach the
+/// trace and the metrics.
+fn deadline_wedge_run() -> (String, MetricsRegistry) {
+    let params = SimParams::ncube2(PortModel::AllPort);
+    let mut plan = FaultPlan::none();
+    plan.stick(NodeId(0b010), Dim(0));
+    plan.deadline_all(SimTime::from_ms(10));
+    let msg = |src: u32, dst: u32| DepMessage {
+        src: NodeId(src),
+        dst: NodeId(dst),
+        bytes: 4096,
+        deps: vec![],
+        min_start: SimTime::ZERO,
+    };
+    let workload = [msg(0, 0b011), msg(0b100, 0b010)];
+    let router = Ecube::new(Cube::of(3), Resolution::HighToLow);
+    exports(router, Run::new(router, &params, &workload).faults(&plan))
+}
+
+/// Runs `run` under a recorder: its Chrome trace and metrics fold.
+fn exports<R: Router + Copy>(router: R, run: Run<'_, R>) -> (String, MetricsRegistry) {
+    let mut rec = EventRecorder::new();
+    run.probe(&mut rec).run().unwrap();
+    (rec.to_chrome_trace(&ChannelMap::new(router)), rec.metrics())
+}
+
+/// Compares a run's trace, Prometheus text and metrics JSON with its
+/// golden files `tests/golden/<name>.{trace.json,metrics.prom,metrics.json}`.
+fn assert_golden(name: &str, (trace, registry): (String, MetricsRegistry), golden: [&str; 3]) {
+    let got = [trace, registry.to_prometheus_text(), registry.to_json()];
+    let exts = ["trace.json", "metrics.prom", "metrics.json"];
+    for ((got, want), ext) in got.iter().zip(golden).zip(exts) {
+        assert_eq!(got, want, "{name}.{ext} differs from its golden file");
+    }
+}
+
+#[test]
+fn exports_match_golden_files() {
+    assert_golden(
+        "ucube5",
+        observed_run(),
+        [
+            include_str!("golden/ucube5.trace.json"),
+            include_str!("golden/ucube5.metrics.prom"),
+            include_str!("golden/ucube5.metrics.json"),
+        ],
+    );
+    assert_golden(
+        "deadline_wedge",
+        deadline_wedge_run(),
+        [
+            include_str!("golden/deadline_wedge.trace.json"),
+            include_str!("golden/deadline_wedge.metrics.prom"),
+            include_str!("golden/deadline_wedge.metrics.json"),
+        ],
+    );
 }
 
 #[test]
