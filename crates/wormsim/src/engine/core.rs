@@ -116,24 +116,8 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
 
         // Per-dimension channel counts (utilization statistics) and the
         // external-channel → dimension table (busy-time accounting on
-        // every channel release) — cached in the scratch per router
-        // stamp. Reused scratches skip the walk over every external
-        // channel, and the hot release path replaces the topology's
-        // coordinate arithmetic with one table load.
-        if scratch.dim_stamp != Some(map.stamp()) {
-            scratch.dim_channels.clear();
-            scratch
-                .dim_channels
-                .resize(topo.dimensions() as usize, 0u32);
-            scratch.dim_table.clear();
-            scratch.dim_table.reserve(map.externals());
-            for ch in 0..map.externals() {
-                let d = map.dim_of(ch);
-                scratch.dim_channels[d as usize] += 1;
-                scratch.dim_table.push(d);
-            }
-            scratch.dim_stamp = Some(map.stamp());
-        }
+        // every channel release), cached in the scratch per router.
+        scratch.load_dims(&map);
         let stats = NetStats {
             dim_busy: vec![SimTime::ZERO; topo.dimensions() as usize],
             dim_channels: scratch.dim_channels.clone(),

@@ -64,11 +64,11 @@ pub use faults::{FaultEpoch, FaultEvent, FaultEventKind, FaultPlan, FaultTimelin
 pub use flit::{simulate_flits, simulate_flits_on, FlitMessage, FlitResult};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use multicast::{
-    multicast_workload, simulate_chunked_multicast, simulate_concurrent_multicasts,
-    simulate_gather, simulate_multicast, simulate_multicast_lanes, simulate_multicast_observed,
-    simulate_multicast_with_faults, simulate_multicast_with_scratch, simulate_reduction,
-    simulate_scatter, simulate_unicast, ConcurrentReport, FaultSimReport, InboundIndex, SimReport,
-    TreeReport,
+    analytic_replay, multicast_workload, simulate_chunked_multicast,
+    simulate_concurrent_multicasts, simulate_gather, simulate_multicast, simulate_multicast_lanes,
+    simulate_multicast_observed, simulate_multicast_with_faults, simulate_multicast_with_scratch,
+    simulate_reduction, simulate_scatter, simulate_unicast, AnalyticScratch, ConcurrentReport,
+    FaultSimReport, InboundIndex, SimReport, TreeReport,
 };
 pub use network::{ChannelMap, RouteMemo};
 pub use params::SimParams;

@@ -5,8 +5,23 @@
 //! The physical execution is *self-timed*: each node forwards as soon as
 //! its inbound payload is delivered, issuing its sends in the
 //! algorithm-specified order. The step numbers of the tree are the design
-//! abstraction; contention-freedom (Definition 4) is what guarantees the
-//! self-timed execution never blocks.
+//! abstraction. Contention-freedom (Definition 4) guarantees that no two
+//! worms compete for a *network* channel, so the execution never blocks
+//! in the network. It does not stop a sender's own worms from queueing
+//! at its port: an all-port Combine or U-cube sender that sends twice on
+//! one port waits at hop 0 for the first worm to drain (6,099 of the
+//! 16,080 Figure 11–14 replays have such waits), and those waits count
+//! as `port_waits`, not `blocks`.
+//!
+//! Unobserved, fault-free tree replays ([`simulate_multicast`],
+//! [`simulate_multicast_with_scratch`], [`simulate_multicast_lanes`])
+//! first try [`analytic_replay`], which times a tree in closed form and
+//! declines whenever it cannot prove the event engine would agree; the
+//! engine runs only on a decline.
+
+mod analytic;
+
+pub use analytic::{analytic_replay, AnalyticScratch};
 
 use crate::engine::{DepMessage, NetStats, Run, RunResult, SimError};
 use crate::faults::FaultPlan;
@@ -42,6 +57,10 @@ pub struct SimReport {
 
 impl SimReport {
     pub(crate) fn from_run(deliveries: Vec<(NodeId, SimTime)>, run: &RunResult) -> SimReport {
+        SimReport::from_stats(deliveries, run.stats.clone())
+    }
+
+    fn from_stats(deliveries: Vec<(NodeId, SimTime)>, stats: NetStats) -> SimReport {
         let max_delay = deliveries
             .iter()
             .map(|&(_, t)| t)
@@ -58,9 +77,9 @@ impl SimReport {
             deliveries,
             avg_delay: avg,
             max_delay,
-            blocks: run.stats.blocks,
-            blocked_time: run.stats.blocked_time,
-            stats: run.stats.clone(),
+            blocks: stats.blocks,
+            blocked_time: stats.blocked_time,
+            stats,
         }
     }
 }
@@ -229,6 +248,25 @@ pub fn simulate_multicast_with_faults(
     })
 }
 
+/// The one decision point of the unobserved, fault-free tree replays:
+/// the analytic pass when it accepts, the event engine otherwise. Both
+/// produce the same report, so the choice is invisible to callers.
+fn replay_tree(
+    tree: &MulticastTree,
+    params: &SimParams,
+    bytes: u32,
+    lanes: u8,
+    scratch: &mut EngineScratch,
+) -> SimReport {
+    if let Some(report) = analytic_replay(tree, params, bytes, lanes, scratch) {
+        return report;
+    }
+    let workload = multicast_workload(tree, bytes);
+    let router = Ecube::with_lanes(tree.cube, tree.resolution, lanes);
+    let run = Run::new(router, params, &workload).scratch(scratch).run();
+    tree_report(tree, &run.unwrap_or_else(|e| panic!("{e}")))
+}
+
 /// Simulates a multicast tree delivering a `bytes`-byte payload.
 ///
 /// Returns per-destination delays measured from the source's initiation
@@ -237,13 +275,12 @@ pub fn simulate_multicast_with_faults(
 /// destination").
 #[must_use]
 pub fn simulate_multicast(tree: &MulticastTree, params: &SimParams, bytes: u32) -> SimReport {
-    let workload = multicast_workload(tree, bytes);
-    tree_report(tree, &replay(tree.cube, tree.resolution, params, &workload))
+    replay_tree(tree, params, bytes, 1, &mut EngineScratch::new())
 }
 
 /// [`simulate_multicast`] replayed through a reusable [`EngineScratch`]:
-/// the engine resets the scratch's event heap, message table, and
-/// channel state instead of reallocating them, and recurring
+/// the analytic pass and, on its decline, the engine reuse the
+/// scratch's buffers instead of reallocating them, and recurring
 /// `(src, dst)` pairs hit the scratch's route memo. The report is
 /// byte-identical to [`simulate_multicast`] — sweeps that evaluate
 /// thousands of trees per worker thread use this entry point with one
@@ -255,10 +292,7 @@ pub fn simulate_multicast_with_scratch(
     bytes: u32,
     scratch: &mut EngineScratch,
 ) -> SimReport {
-    let workload = multicast_workload(tree, bytes);
-    let router = Ecube::new(tree.cube, tree.resolution);
-    let run = Run::new(router, params, &workload).scratch(scratch).run();
-    tree_report(tree, &run.unwrap_or_else(|e| panic!("{e}")))
+    replay_tree(tree, params, bytes, 1, scratch)
 }
 
 /// [`simulate_multicast`] on an E-cube router carrying `lanes` virtual
@@ -273,10 +307,7 @@ pub fn simulate_multicast_lanes(
     bytes: u32,
     lanes: u8,
 ) -> SimReport {
-    let workload = multicast_workload(tree, bytes);
-    let router = Ecube::with_lanes(tree.cube, tree.resolution, lanes);
-    let run = Run::new(router, params, &workload).run();
-    tree_report(tree, &run.unwrap_or_else(|e| panic!("{e}")))
+    replay_tree(tree, params, bytes, lanes, &mut EngineScratch::new())
 }
 
 /// [`simulate_multicast`] with an in-loop [`Probe`] observer attached:

@@ -23,8 +23,10 @@
 use crate::engine::arbitration::Channels;
 use crate::engine::events::EventQueue;
 use crate::engine::worm::{MsgState, Outcome};
-use crate::network::RouteMemo;
+use crate::multicast::AnalyticScratch;
+use crate::network::{ChannelMap, RouteMemo};
 use crate::time::SimTime;
+use hcube::{Router, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -76,6 +78,9 @@ pub struct EngineScratch {
     pub(crate) dim_table: Vec<u8>,
     /// The router stamp `dim_channels` / `dim_table` belong to.
     pub(crate) dim_stamp: Option<u64>,
+    /// Buffers and counters of the analytic tree replay that runs in
+    /// front of the engine.
+    pub(crate) analytic: AnalyticScratch,
 }
 
 impl EngineScratch {
@@ -92,10 +97,39 @@ impl EngineScratch {
         &self.memo
     }
 
+    /// The analytic replay's accept/decline counters
+    /// ([`analytic_replay`](crate::analytic_replay)): how many tree
+    /// replays skipped the event engine, and how many fell back to it.
+    #[must_use]
+    pub fn analytic(&self) -> &AnalyticScratch {
+        &self.analytic
+    }
+
     /// Drops the memoized routes (the arenas themselves keep their
     /// allocations; they are reset per run anyway).
     pub fn clear_routes(&mut self) {
         self.memo.clear();
+    }
+
+    /// Fills `dim_channels` (external channels per coordinate
+    /// dimension) and `dim_table` (external channel → dimension) for
+    /// `map`'s router, unless they already belong to it: a reused
+    /// scratch skips the walk over every external channel.
+    pub(crate) fn load_dims<R: Router>(&mut self, map: &ChannelMap<R>) {
+        if self.dim_stamp == Some(map.stamp()) {
+            return;
+        }
+        self.dim_channels.clear();
+        self.dim_channels
+            .resize(map.topology().dimensions() as usize, 0u32);
+        self.dim_table.clear();
+        self.dim_table.reserve(map.externals());
+        for ch in 0..map.externals() {
+            let d = map.dim_of(ch);
+            self.dim_channels[d as usize] += 1;
+            self.dim_table.push(d);
+        }
+        self.dim_stamp = Some(map.stamp());
     }
 }
 
@@ -106,6 +140,8 @@ impl std::fmt::Debug for EngineScratch {
             .field("memoized_routes", &self.memo.len())
             .field("memo_hits", &self.memo.hits())
             .field("memo_misses", &self.memo.misses())
+            .field("analytic_accepted", &self.analytic.accepted())
+            .field("analytic_declined", &self.analytic.declined())
             .finish_non_exhaustive()
     }
 }

@@ -1,12 +1,14 @@
-//! Allocation budget of the tree → workload conversion:
+//! Allocation budgets of the tree replay paths:
 //! `multicast_workload` allocates the workload, one inbound table, and
-//! one `deps` vector per forward — nothing per node or per lookup.
+//! one `deps` vector per forward — nothing per node or per lookup — and
+//! an accepted analytic replay in a warm scratch allocates only its
+//! report, whatever the tree's size.
 
 use hcube::{Cube, NodeId, Resolution};
 use hypercast::{Algorithm, PortModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use wormsim::multicast_workload;
+use wormsim::{analytic_replay, multicast_workload, EngineScratch, SimParams};
 
 thread_local! {
     /// Allocation calls made by this thread.
@@ -52,6 +54,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// `m` destinations spread over an `n`-cube, avoiding the source.
+fn spread_dests(n: u8, m: usize, src: NodeId) -> Vec<NodeId> {
+    let nodes = 1u32 << n;
+    (0..nodes)
+        .map(|i| NodeId((i.wrapping_mul(389) + 17) % nodes))
+        .filter(|&v| v != src)
+        .take(m)
+        .collect()
+}
+
 #[test]
 fn multicast_workload_allocates_two_plus_one_per_forward() {
     let source = NodeId(0b10_1100_1101);
@@ -59,11 +71,7 @@ fn multicast_workload_allocates_two_plus_one_per_forward() {
         let cube = Cube::of(n);
         let nodes = 1u32 << n;
         for m in [1, 7, 63, nodes as usize - 1] {
-            let dests: Vec<NodeId> = (0..nodes)
-                .map(|i| NodeId((i.wrapping_mul(389) + 17) % nodes))
-                .filter(|&v| v != NodeId(source.0 % nodes))
-                .take(m)
-                .collect();
+            let dests = spread_dests(n, m, NodeId(source.0 % nodes));
             for algo in Algorithm::PAPER {
                 let src = NodeId(source.0 % nodes);
                 let tree = algo
@@ -79,6 +87,35 @@ fn multicast_workload_allocates_two_plus_one_per_forward() {
                     2 + forwards,
                     "{algo}, n = {n}, m = {m}: {forwards} forwards"
                 );
+            }
+        }
+    }
+}
+
+/// An accepted analytic replay in a warm scratch allocates its report
+/// and nothing else: the deliveries and three `NetStats` vectors
+/// (`dim_busy`, `dim_channels`, `lane_busy`), for any tree size.
+#[test]
+fn warm_analytic_replay_allocates_only_its_report() {
+    let params = SimParams::ncube2(PortModel::AllPort);
+    let mut scratch = EngineScratch::new();
+    for n in [6u8, 10] {
+        let cube = Cube::of(n);
+        let nodes = 1u32 << n;
+        let src = NodeId(0b10_1100_1101 % nodes);
+        for m in [1, 7, 63, nodes as usize - 1] {
+            let dests = spread_dests(n, m, src);
+            for algo in [Algorithm::Maxport, Algorithm::Combine, Algorithm::WSort] {
+                let tree = algo
+                    .build(cube, Resolution::HighToLow, PortModel::AllPort, src, &dests)
+                    .unwrap();
+                let warm = analytic_replay(&tree, &params, 4096, 1, &mut scratch);
+                assert!(warm.is_some(), "{algo}, n = {n}, m = {m} declined");
+                let before = ALLOCS.with(Cell::get);
+                let report = analytic_replay(&tree, &params, 4096, 1, &mut scratch);
+                let calls = ALLOCS.with(Cell::get) - before;
+                assert!(report.is_some());
+                assert_eq!(calls, 4, "{algo}, n = {n}, m = {m}");
             }
         }
     }
