@@ -541,7 +541,7 @@ where
         });
     }
 
-    let max_attempts = 1 + spec.retry.max_retries;
+    let max_attempts = spec.retry.max_retries.saturating_add(1);
     let mut sessions: Vec<Option<ChaosSession>> = vec![None; schedule.len()];
     let mut net = NetStats::default();
     let mut lost: u64 = 0;
@@ -592,7 +592,11 @@ where
                     AttemptOutcome::Failed(failure) => {
                         let first_failure = attempt.first_failure.unwrap_or(failure);
                         let backoff_us = spec.retry.backoff(attempt.number);
-                        let relaunch = resolution + SimTime::from_ns(backoff_us * 1000);
+                        let relaunch = SimTime::from_ns(
+                            resolution
+                                .as_ns()
+                                .saturating_add(backoff_us.saturating_mul(1000)),
+                        );
                         if attempt.number >= max_attempts || relaunch >= horizon {
                             lost += 1;
                             sessions[attempt.session] = Some(ChaosSession {

@@ -57,6 +57,7 @@ pub mod figures;
 pub mod heatmap;
 pub mod json;
 pub mod lanesweep;
+pub mod request;
 pub mod serve;
 pub mod stats;
 pub mod sweep;
