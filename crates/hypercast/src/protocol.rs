@@ -13,6 +13,9 @@
 //! edge-for-edge, and the address fields give the per-message *header
 //! overhead* (`n`-bit addresses the paper's implementation must ship
 //! with every forwarded copy).
+//!
+//! [`RetryPolicy`], the backoff discipline of the chaos engine's session
+//! retries, lives here too.
 
 use crate::algorithms::Algorithm;
 use crate::schedule::PortModel;
@@ -186,22 +189,17 @@ pub(crate) fn local_split(algo: Algorithm, seg: &[NodeId], ns: u8) -> Vec<(Vec<N
     out
 }
 
-// ---------------------------------------------------------------------
-// Fault-aware execution: acks, retries with exponential backoff, and
-// relay rerouting once retries are exhausted.
-// ---------------------------------------------------------------------
-
-/// Retry discipline of the fault-aware executor ([`execute_with_faults`]).
+/// Retry discipline of the chaos engine (`traffic::run_chaos`).
 ///
-/// A sender detects loss by ack timeout, waits
-/// `base_backoff · backoff_factor^(i−1)` time units before the `i`-th
-/// retransmission, and gives up (falling back to relay rerouting) after
-/// `max_retries` retransmissions.
+/// A session attempt that hits a fault is relaunched
+/// `base_backoff · backoff_factor^(i−1)` µs of simulated time after the
+/// `i`-th failed attempt resolved, and is lost after `max_retries`
+/// retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Maximum retransmissions per message before rerouting.
+    /// Maximum retries per session before it is lost.
     pub max_retries: u32,
-    /// Backoff before the first retransmission (abstract time units).
+    /// Backoff before the first retry, in µs of simulated time.
     pub base_backoff: u64,
     /// Multiplier applied to the backoff after each failed attempt.
     pub backoff_factor: u64,
@@ -218,7 +216,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Backoff before the `i`-th retransmission (1-based), saturating.
+    /// Backoff in µs before the `i`-th retry (1-based), saturating.
     #[must_use]
     pub fn backoff(&self, i: u32) -> u64 {
         let mut b = self.base_backoff;
@@ -227,187 +225,6 @@ impl RetryPolicy {
         }
         b
     }
-}
-
-/// A channel that drops the first `failures` messages traversing it and
-/// then recovers — the transient counterpart of a dead link in
-/// [`NetworkFaults`](crate::repair::NetworkFaults), modeling congestion
-/// loss or corrupt flits caught by the ack timeout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TransientFault {
-    /// Channel tail: the sending endpoint.
-    pub from: NodeId,
-    /// Channel dimension.
-    pub dim: hcube::Dim,
-    /// How many traversal attempts fail before the channel recovers.
-    pub failures: u32,
-}
-
-/// Outcome of a fault-aware distributed execution.
-#[derive(Clone, Debug)]
-pub struct FaultyRun {
-    /// Messages actually delivered, in causal order — including relay
-    /// hops introduced by rerouting (empty address fields except the
-    /// final hop, which carries the original field).
-    pub messages: Vec<ProtocolMessage>,
-    /// Acks returned to senders (one per delivered message).
-    pub acks: usize,
-    /// Total retransmissions across all messages.
-    pub retries: u32,
-    /// Total backoff time units spent waiting across all retries.
-    pub backoff_spent: u64,
-    /// `(from, to)` pairs whose direct E-cube delivery was abandoned and
-    /// replaced by a relay route.
-    pub rerouted: Vec<(NodeId, NodeId)>,
-    /// Nodes that never received the payload (disconnected by the
-    /// permanent faults).
-    pub undelivered: Vec<NodeId>,
-}
-
-impl FaultyRun {
-    /// Number of distinct nodes holding the payload at the end
-    /// (excluding the source).
-    #[must_use]
-    pub fn delivered_count(&self) -> usize {
-        let mut seen: std::collections::HashSet<NodeId> =
-            self.messages.iter().map(|m| m.to).collect();
-        seen.remove(&NodeId(u32::MAX)); // defensive; never present
-        seen.len()
-    }
-}
-
-/// Executes the distributed protocol over a faulty network: every
-/// message is attempted on its E-cube path, lost messages (transient
-/// drops or permanently dead channels) are retransmitted with
-/// exponential backoff, and once [`RetryPolicy::max_retries`] is
-/// exhausted the sender falls back to a relay route over permanently
-/// live channels (computed from the full set of payload holders, like
-/// [`crate::repair::repair`]'s phase 3).
-///
-/// Transient faults eventually clear, so retries alone recover from
-/// them; permanent faults always burn the full retry budget first —
-/// the sender cannot distinguish the two, only the ack timeout.
-///
-/// # Errors
-/// Same input validation as [`execute`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_faults(
-    algo: Algorithm,
-    cube: Cube,
-    resolution: Resolution,
-    source: NodeId,
-    dests: &[NodeId],
-    faults: &crate::repair::NetworkFaults,
-    transient: &[TransientFault],
-    policy: RetryPolicy,
-) -> Result<FaultyRun, HcubeError> {
-    use std::collections::BTreeSet;
-    let base = execute(algo, cube, resolution, source, dests)?;
-
-    let mut flaky: std::collections::HashMap<(NodeId, hcube::Dim), u32> = Default::default();
-    for t in transient {
-        *flaky.entry((t.from, t.dim)).or_insert(0) += t.failures;
-    }
-
-    // First blocking channel of an E-cube path, if any: permanent faults
-    // dominate (they never clear); otherwise the first flaky channel
-    // with failures left.
-    let first_block = |src: NodeId,
-                       dst: NodeId,
-                       flaky: &std::collections::HashMap<(NodeId, hcube::Dim), u32>|
-     -> Option<Option<(NodeId, hcube::Dim)>> {
-        for arc in hcube::Path::new(resolution, src, dst).arcs() {
-            if faults.channel_dead(arc.from, arc.dim) {
-                return Some(None); // permanently blocked
-            }
-            if flaky.get(&(arc.from, arc.dim)).copied().unwrap_or(0) > 0 {
-                return Some(Some((arc.from, arc.dim))); // transiently blocked
-            }
-        }
-        None
-    };
-
-    let mut delivered: BTreeSet<NodeId> = BTreeSet::new();
-    delivered.insert(source);
-    let mut out = FaultyRun {
-        messages: Vec::new(),
-        acks: 0,
-        retries: 0,
-        backoff_spent: 0,
-        rerouted: Vec::new(),
-        undelivered: Vec::new(),
-    };
-
-    for msg in &base.messages {
-        if delivered.contains(&msg.to) {
-            continue; // already reached (e.g. as an earlier relay)
-        }
-        if faults.node_dead(msg.to) {
-            out.undelivered.push(msg.to);
-            continue;
-        }
-        // Direct attempts with retry/backoff, if the sender itself holds
-        // the payload. A sender that never received the payload cannot
-        // transmit; its children are recovered by rerouting below.
-        let mut direct_ok = false;
-        if delivered.contains(&msg.from) && !faults.node_dead(msg.from) {
-            let mut sent = 0u32; // retransmissions so far
-            loop {
-                match first_block(msg.from, msg.to, &flaky) {
-                    None => {
-                        direct_ok = true;
-                        break;
-                    }
-                    Some(blocked) => {
-                        if let Some(key) = blocked {
-                            // A transient drop consumes one failure.
-                            if let Some(left) = flaky.get_mut(&key) {
-                                *left = left.saturating_sub(1);
-                            }
-                        }
-                        if sent == policy.max_retries {
-                            break; // give up, reroute
-                        }
-                        sent += 1;
-                        out.retries += 1;
-                        out.backoff_spent += policy.backoff(sent);
-                    }
-                }
-            }
-        }
-        if direct_ok {
-            delivered.insert(msg.to);
-            out.acks += 1;
-            out.messages.push(msg.clone());
-            continue;
-        }
-        // Relay fallback over permanently live channels.
-        match crate::repair::live_route(cube, faults, &delivered, msg.to) {
-            Some(route) => {
-                out.rerouted.push((msg.from, msg.to));
-                for hop in route.windows(2) {
-                    if delivered.contains(&hop[1]) {
-                        continue;
-                    }
-                    let last = hop[1] == msg.to;
-                    delivered.insert(hop[1]);
-                    out.acks += 1;
-                    out.messages.push(ProtocolMessage {
-                        from: hop[0],
-                        to: hop[1],
-                        addr_field: if last {
-                            msg.addr_field.clone()
-                        } else {
-                            Vec::new()
-                        },
-                        depth: msg.depth,
-                    });
-                }
-            }
-            None => out.undelivered.push(msg.to),
-        }
-    }
-    Ok(out)
 }
 
 /// Derives a `ProtocolRun` from an already-built tree (used for the
@@ -564,128 +381,17 @@ mod tests {
     }
 
     #[test]
-    fn healthy_network_needs_no_retries() {
-        let cube = Cube::of(4);
-        let dests = ids(&[1, 3, 5, 7, 11, 12, 14, 15]);
-        let faults = crate::repair::NetworkFaults::new();
-        let run = execute_with_faults(
-            Algorithm::WSort,
-            cube,
-            Resolution::HighToLow,
-            NodeId(0),
-            &dests,
-            &faults,
-            &[],
-            RetryPolicy::default(),
-        )
-        .unwrap();
-        let base = execute(
-            Algorithm::WSort,
-            cube,
-            Resolution::HighToLow,
-            NodeId(0),
-            &dests,
-        )
-        .unwrap();
-        assert_eq!(run.messages, base.messages);
-        assert_eq!(run.retries, 0);
-        assert_eq!(run.backoff_spent, 0);
-        assert_eq!(run.acks, base.messages.len());
-        assert!(run.rerouted.is_empty() && run.undelivered.is_empty());
-    }
-
-    #[test]
-    fn transient_fault_recovers_via_retries_with_exponential_backoff() {
-        // U-cube from 0: first message is 0 → 7, E-cube first hop (0, dim 2).
-        let cube = Cube::of(4);
-        let dests = ids(&[1, 3, 5, 7, 11, 12, 14, 15]);
-        let flaky = [TransientFault {
-            from: NodeId(0),
-            dim: hcube::Dim(2),
-            failures: 2,
-        }];
-        let run = execute_with_faults(
-            Algorithm::UCube,
-            cube,
-            Resolution::HighToLow,
-            NodeId(0),
-            &dests,
-            &crate::repair::NetworkFaults::new(),
-            &flaky,
-            RetryPolicy::default(),
-        )
-        .unwrap();
-        // Two drops → two retransmissions, then success; no rerouting.
-        assert_eq!(run.retries, 2);
-        assert_eq!(
-            run.backoff_spent,
-            10 + 20,
-            "exponential backoff: 10, then 20"
-        );
-        assert!(run.rerouted.is_empty() && run.undelivered.is_empty());
-        assert_eq!(run.acks, run.messages.len());
-        assert!(run.messages.iter().any(|m| m.to == NodeId(7)));
-    }
-
-    #[test]
-    fn permanent_fault_burns_retries_then_reroutes() {
-        let cube = Cube::of(4);
-        let dests = ids(&[1, 3, 5, 7, 11, 12, 14, 15]);
-        let mut faults = crate::repair::NetworkFaults::new();
-        faults.fail_link(NodeId(0), hcube::Dim(2)); // kills the 0→7 E-cube path
+    fn backoff_grows_exponentially_and_saturates() {
         let policy = RetryPolicy::default();
-        let run = execute_with_faults(
-            Algorithm::UCube,
-            cube,
-            Resolution::HighToLow,
-            NodeId(0),
-            &dests,
-            &faults,
-            &[],
-            policy,
-        )
-        .unwrap();
-        assert!(
-            run.retries >= policy.max_retries,
-            "retry budget exhausted before rerouting"
-        );
-        assert!(run.rerouted.contains(&(NodeId(0), NodeId(7))));
-        assert!(run.undelivered.is_empty());
-        // Every destination still holds the payload.
-        for d in &dests {
-            assert!(run.messages.iter().any(|m| m.to == *d), "{d} undelivered");
-        }
-        // Relay hops never cross the dead channel.
-        for m in &run.messages {
-            for arc in hcube::Path::new(Resolution::HighToLow, m.from, m.to).arcs() {
-                assert!(!faults.channel_dead(arc.from, arc.dim));
-            }
-        }
-    }
-
-    #[test]
-    fn disconnected_node_ends_up_undelivered() {
-        let cube = Cube::of(4);
-        let dests = ids(&[3, 6, 10, 15]);
-        let mut faults = crate::repair::NetworkFaults::new();
-        for d in cube.dims() {
-            faults.fail_duplex(NodeId(15), d);
-        }
-        let run = execute_with_faults(
-            Algorithm::WSort,
-            cube,
-            Resolution::HighToLow,
-            NodeId(0),
-            &dests,
-            &faults,
-            &[],
-            RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(run.undelivered, vec![NodeId(15)]);
-        for d in [3u32, 6, 10] {
-            assert!(run.messages.iter().any(|m| m.to == NodeId(d)));
-        }
+        let seq: Vec<u64> = (1..=4).map(|i| policy.backoff(i)).collect();
+        assert_eq!(seq, [10, 20, 40, 80]);
+        let steep = RetryPolicy {
+            backoff_factor: u64::MAX,
+            ..policy
+        };
+        assert_eq!(steep.backoff(1), 10);
+        assert_eq!(steep.backoff(2), u64::MAX);
+        assert_eq!(steep.backoff(3), u64::MAX);
     }
 
     #[test]

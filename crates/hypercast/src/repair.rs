@@ -425,10 +425,7 @@ pub fn repair(tree: &MulticastTree, faults: &NetworkFaults) -> RepairOutcome {
 /// member of `delivered` to `dst`, avoiding dead channels and dead
 /// nodes. Deterministic (sources in ascending order, dimensions scanned
 /// low to high). `None` if `dst` is disconnected from the delivered set.
-///
-/// Shared with [`crate::protocol`]'s retrying executor, which reroutes a
-/// message the same way after its retries are exhausted.
-pub(crate) fn live_route(
+fn live_route(
     cube: Cube,
     faults: &NetworkFaults,
     delivered: &BTreeSet<NodeId>,

@@ -4,7 +4,6 @@
 //! destination.
 
 use hcube::{Cube, Dim, NodeId, Resolution};
-use hypercast::protocol::{self, RetryPolicy};
 use hypercast::repair::{broken_unicasts, path_is_clean, repair, NetworkFaults};
 use hypercast::verify::{validate, ValidateOptions};
 use hypercast::{Algorithm, PortModel};
@@ -226,43 +225,5 @@ proptest! {
         prop_assert_eq!(&out.tree.unicasts, &tree.unicasts);
         prop_assert_eq!(out.extra_steps, 0);
         prop_assert!(out.rerouted.is_empty() && out.unreachable.is_empty());
-    }
-
-    /// The retrying executor delivers to every destination it does not
-    /// explicitly report undelivered, and its relay messages also avoid
-    /// permanently dead channels.
-    #[test]
-    fn retrying_executor_accounts_for_every_destination(
-        (n, src, dests, links, nodes) in faulty_instance(),
-    ) {
-        prop_assume!(!dests.is_empty());
-        let faults = make_faults(n, &links, &nodes);
-        prop_assume!(!faults.node_dead(NodeId(src)));
-        let dest_ids: Vec<NodeId> = dests.iter().copied().map(NodeId).collect();
-        let run = protocol::execute_with_faults(
-            Algorithm::WSort,
-            Cube::of(n),
-            Resolution::HighToLow,
-            NodeId(src),
-            &dest_ids,
-            &faults,
-            &[],
-            RetryPolicy::default(),
-        )
-        .unwrap();
-        let got: std::collections::HashSet<NodeId> = run.messages.iter().map(|m| m.to).collect();
-        for &d in &dest_ids {
-            prop_assert!(
-                got.contains(&d) || run.undelivered.contains(&d),
-                "destination {} neither delivered nor reported undelivered", d
-            );
-        }
-        for m in &run.messages {
-            prop_assert!(
-                path_is_clean(Resolution::HighToLow, m.from, m.to, &faults),
-                "delivered message {} -> {} crosses a permanent fault", m.from, m.to
-            );
-        }
-        prop_assert_eq!(run.acks, run.messages.len());
     }
 }

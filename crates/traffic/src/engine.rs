@@ -168,9 +168,8 @@ pub(crate) struct SessionSpan {
 /// Produced by [`assemble_cube_sessions`] / [`assemble_separate_sessions_on`]
 /// and consumed (by reference — the same assembly can be replayed any
 /// number of times) by [`run`] or [`run_sessions_on_with_scratch`]. Splitting
-/// assembly from simulation is what lets the `engine_bench` harness
-/// time the engine hot path alone, without tree construction or report
-/// assembly diluting the measurement.
+/// assembly from simulation lets a caller time or replay the engine
+/// alone, without tree construction or report assembly.
 #[derive(Clone, Debug)]
 pub struct SessionWorkload {
     workload: Vec<DepMessage>,
@@ -198,15 +197,6 @@ impl SessionWorkload {
         self.cache
     }
 
-    /// The `i`-th session extracted as a standalone workload: its slice
-    /// of the flattened assembly with dependency indices rebased to the
-    /// session (dependencies never cross sessions, so the rebase is
-    /// exact) and `min_start` rebased to time zero. This is the
-    /// "sessions replayed into one scratch" unit the `engine_bench`
-    /// harness times: each session is a complete dependency workload of
-    /// its own, so a worker can drive one engine run per session
-    /// through a persistent [`EngineScratch`].
-    ///
     /// Assembles a workload from raw parts. `pub(crate)` so sibling
     /// session builders (the collective engine) can lay out their own
     /// spans without widening the field visibility.
@@ -220,24 +210,6 @@ impl SessionWorkload {
             spans,
             cache,
         }
-    }
-
-    /// # Panics
-    /// If `i >= self.sessions()`.
-    #[must_use]
-    pub fn session_workload(&self, i: usize) -> Vec<DepMessage> {
-        let span = &self.spans[i];
-        self.workload[span.range.clone()]
-            .iter()
-            .map(|m| {
-                let mut m = m.clone();
-                for d in &mut m.deps {
-                    *d -= span.range.start;
-                }
-                m.min_start = m.min_start.saturating_sub(span.arrival);
-                m
-            })
-            .collect()
     }
 }
 
@@ -754,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn session_extraction_rebases_deps_and_start_times() {
+    fn session_spans_partition_the_workload_and_keep_deps_inside() {
         let params = SimParams::ncube2(PortModel::AllPort);
         let s = spec(2.0, 12, 11);
         let assembly = assemble_cube_sessions(
@@ -764,32 +736,20 @@ mod tests {
             Algorithm::WSort,
             &params,
         );
-        let mut total = 0;
-        for i in 0..assembly.sessions() {
-            let w = assembly.session_workload(i);
-            assert!(!w.is_empty());
-            total += w.len();
-            for (j, m) in w.iter().enumerate() {
-                // Rebased deps stay inside the session and point
-                // strictly backwards (the tree is parent-before-child).
-                assert!(m.deps.iter().all(|&d| d < j), "session {i} msg {j}");
-                assert_eq!(m.min_start, SimTime::ZERO);
-                // The payload matches the flattened assembly.
-                let flat = &assembly.messages()[assembly.spans[i].range.clone()][j];
-                assert_eq!((m.src, m.dst, m.bytes), (flat.src, flat.dst, flat.bytes));
+        let mut next = 0;
+        for span in &assembly.spans {
+            assert_eq!(span.range.start, next);
+            assert!(!span.range.is_empty());
+            next = span.range.end;
+            for (j, m) in assembly.messages()[span.range.clone()].iter().enumerate() {
+                // Deps stay inside the session and point strictly
+                // backwards (the tree is parent-before-child).
+                let inside = span.range.start..span.range.start + j;
+                assert!(m.deps.iter().all(|d| inside.contains(d)), "msg {j}");
+                assert_eq!(m.min_start, span.arrival);
             }
-            // A standalone session replay is a complete, runnable
-            // workload: everything delivers on an uncontended network.
-            let run = Run::new(
-                hcube::Ecube::new(Cube::of(5), Resolution::HighToLow),
-                &params,
-                &w,
-            )
-            .run()
-            .unwrap();
-            assert!(run.messages.iter().all(|m| m.outcome.is_delivered()));
         }
-        assert_eq!(total, assembly.messages().len());
+        assert_eq!(next, assembly.messages().len());
     }
 
     #[test]

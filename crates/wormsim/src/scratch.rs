@@ -91,7 +91,7 @@ impl EngineScratch {
     }
 
     /// The embedded route memo (hit/miss counters, memoized-route
-    /// count) — the observability hook the benchmark harness reports.
+    /// count).
     #[must_use]
     pub fn route_memo(&self) -> &RouteMemo {
         &self.memo
@@ -157,8 +157,8 @@ impl std::fmt::Debug for EngineScratch {
 /// no threads are spawned.
 ///
 /// This is the one slot-fill pool in the workspace: the figure matrix
-/// (`workloads::sweep`), the chaos and telemetry sweeps and
-/// `engine_bench` all drive their trials through it.
+/// (`workloads::sweep`) and the chaos and telemetry sweeps drive their
+/// trials through it.
 ///
 /// # Panics
 /// If `workers == 0`, or if a worker thread panics (the panic is
@@ -211,6 +211,25 @@ mod tests {
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
         }
         assert!(run_trials(3, 0, |i, _| i).is_empty());
+    }
+
+    #[test]
+    fn run_trials_runs_each_trial_once_with_one_scratch_per_worker() {
+        for (workers, count) in [(1, 9), (2, 9), (4, 3), (8, 1)] {
+            let calls = AtomicUsize::new(0);
+            let out = run_trials(workers, count, |i, scratch| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                (i, std::ptr::from_mut(scratch) as usize)
+            });
+            assert_eq!(calls.into_inner(), count);
+            assert!(out.iter().enumerate().all(|(i, &(j, _))| i == j));
+            let scratches: std::collections::BTreeSet<usize> =
+                out.iter().map(|&(_, addr)| addr).collect();
+            assert!(scratches.len() <= workers.min(count), "{workers} workers");
+            if workers == 1 {
+                assert_eq!(scratches.len(), 1);
+            }
+        }
     }
 
     #[test]

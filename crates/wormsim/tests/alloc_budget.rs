@@ -1,14 +1,18 @@
-//! Allocation budgets of the tree replay paths:
+//! Allocation budgets of the tree replay paths and the engine:
 //! `multicast_workload` allocates the workload, one inbound table, and
-//! one `deps` vector per forward — nothing per node or per lookup — and
-//! an accepted analytic replay in a warm scratch allocates only its
-//! report, whatever the tree's size.
+//! one `deps` vector per forward — nothing per node or per lookup — an
+//! accepted analytic replay in a warm scratch allocates only its
+//! report, whatever the tree's size, and so does an engine run in a
+//! warm scratch, which also computes no route.
 
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use wormsim::{analytic_replay, multicast_workload, EngineScratch, SimParams};
+use wormsim::{
+    analytic_replay, multicast_workload, DepMessage, EngineScratch, InboundIndex, Run, SimParams,
+    SimTime,
+};
 
 thread_local! {
     /// Allocation calls made by this thread.
@@ -119,4 +123,89 @@ fn warm_analytic_replay_allocates_only_its_report() {
             }
         }
     }
+}
+
+/// Allocation calls and route-memo misses of one engine run of
+/// `workload` in `scratch`.
+fn engine_run<R: Router>(
+    router: R,
+    workload: &[DepMessage],
+    scratch: &mut EngineScratch,
+) -> (u64, u64) {
+    let params = SimParams::ncube2(PortModel::AllPort);
+    let misses = scratch.route_memo().misses();
+    let before = ALLOCS.with(Cell::get);
+    let run = Run::new(router, &params, workload).scratch(scratch).run();
+    let calls = ALLOCS.with(Cell::get) - before;
+    assert_eq!(
+        run.expect("well-formed workload").messages.len(),
+        workload.len()
+    );
+    (calls, scratch.route_memo().misses() - misses)
+}
+
+/// A run in a reused scratch allocates its `RunResult` and nothing
+/// else — the deliveries and three `NetStats` vectors — and finds every
+/// route in the memo; a run in a fresh scratch allocates more.
+fn assert_warm_run_allocates_only_its_result<R: Router + Copy>(
+    name: &str,
+    router: R,
+    workload: &[DepMessage],
+) {
+    let (cold, _) = engine_run(router, workload, &mut EngineScratch::new());
+    let mut scratch = EngineScratch::new();
+    engine_run(router, workload, &mut scratch);
+    let (warm, misses) = engine_run(router, workload, &mut scratch);
+    assert_eq!((warm, misses), (4, 0), "{name}: warm (allocations, misses)");
+    assert!(
+        cold > warm,
+        "{name}: a cold run made only {cold} allocations"
+    );
+}
+
+#[test]
+fn warm_engine_run_allocates_only_its_result() {
+    for n in [6u8, 8] {
+        let cube = Cube::of(n);
+        let router = Ecube::new(cube, Resolution::HighToLow);
+        let build = |src: NodeId, m: usize| {
+            let dests: Vec<NodeId> = spread_dests(n, m, NodeId(0))
+                .into_iter()
+                .map(|d| NodeId(d.0 ^ src.0))
+                .collect();
+            Algorithm::WSort
+                .build(cube, Resolution::HighToLow, PortModel::AllPort, src, &dests)
+                .unwrap()
+        };
+        let replay = multicast_workload(&build(NodeId(0), 40), 1024);
+        assert_warm_run_allocates_only_its_result(&format!("cube{n} replay"), router, &replay);
+
+        // 30 sessions of 16 destinations, arriving 500 µs apart: the
+        // layout traffic's session assembly builds.
+        let mut sessions = Vec::new();
+        let mut inbound = InboundIndex::default();
+        for i in 0..30u32 {
+            let tree = build(NodeId(i * 37 % cube.node_count() as u32), 16);
+            inbound.append(
+                &mut sessions,
+                &tree,
+                1024,
+                SimTime::from_us(u64::from(i) * 500),
+            );
+        }
+        assert_eq!(sessions.len(), 480);
+        assert_warm_run_allocates_only_its_result(&format!("cube{n} sessions"), router, &sessions);
+    }
+    let unicasts: Vec<DepMessage> = spread_dests(6, 16, NodeId(0))
+        .into_iter()
+        .map(|dst| DepMessage {
+            src: NodeId(0),
+            dst,
+            bytes: 1024,
+            deps: Vec::new(),
+            min_start: SimTime::ZERO,
+        })
+        .collect();
+    let torus = TorusRouter::new(Torus::of(4, 3));
+    assert_warm_run_allocates_only_its_result("torus4x3 unicasts", torus, &unicasts);
 }
