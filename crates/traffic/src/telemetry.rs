@@ -49,8 +49,8 @@ use crate::engine::{SessionWorkload, TrafficSpec};
 use crate::stats::Quantiles;
 use hcube::Router;
 use wormsim::{
-    BlockedInterval, ChannelMap, FaultEpoch, FaultPlan, Histogram, MessageResult, Probe, RunResult,
-    SimTime,
+    BlockedInterval, ChannelMap, FaultPlan, FaultTimeline, Histogram, MessageResult, Probe,
+    RunResult, SimTime,
 };
 
 /// Telemetry layer configuration.
@@ -445,6 +445,17 @@ fn live_faults(plan: &FaultPlan) -> u64 {
     (plan.dead_link_count() + plan.dead_lanes().count() + plan.dead_nodes().count()) as u64
 }
 
+/// `(start_ns, live_faults)` of every epoch of `timeline`, in order,
+/// read off one cursor walk.
+pub(crate) fn epoch_fault_counts(timeline: &FaultTimeline) -> Vec<(u64, u64)> {
+    let mut cursor = timeline.cursor(FaultPlan::none());
+    let mut counts = vec![(0, live_faults(cursor.plan()))];
+    while cursor.advance() {
+        counts.push((cursor.start().as_ns(), live_faults(cursor.plan())));
+    }
+    counts
+}
+
 /// The deterministic bucket fold: sessions, blocked intervals, and the
 /// epoch timeline folded into the windowed time-series. Pure data →
 /// data, independent of simulation order — the worker-invariance
@@ -606,11 +617,13 @@ impl ChaosCollector {
         }
     }
 
-    /// Assembles the final telemetry once the epoch loop has finished.
+    /// Assembles the final telemetry once the epoch loop has finished;
+    /// `epochs` holds each epoch's `(start_ns, live_faults)`, as
+    /// [`epoch_fault_counts`] returns them.
     pub(crate) fn finish<R: Router>(
         mut self,
         report: &ChaosReport,
-        epochs: &[FaultEpoch],
+        epochs: &[(u64, u64)],
         map: &ChannelMap<R>,
         cfg: &TelemetryConfig,
     ) -> Telemetry {
@@ -637,17 +650,13 @@ impl ChaosCollector {
             tr.backoff = SimTime::from_ns(tr.latency().as_ns().saturating_sub(spent));
         }
         let blocked = classify_intervals(&self.intervals, map);
-        let epoch_counts: Vec<(u64, u64)> = epochs
-            .iter()
-            .map(|e| (e.start.as_ns(), live_faults(&e.plan)))
-            .collect();
         let series = build_series(
             cfg,
             report.horizon,
             map.dimensions(),
             &traces,
             &blocked,
-            &epoch_counts,
+            epochs,
         );
         Telemetry {
             sessions: traces,

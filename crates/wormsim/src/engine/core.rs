@@ -24,7 +24,64 @@ use crate::params::SimParams;
 use crate::probe::{BlockedInterval, Probe};
 use crate::scratch::EngineScratch;
 use crate::time::SimTime;
-use hcube::{NodeId, Router, Topology};
+use hcube::{Dim, NodeId, Router, Topology};
+
+/// Marks the dead and stuck channels of `plan` in `scratch`, whose
+/// `dead` flags must be all clear. A directed channel is unusable when
+/// its link is dead, its own lane is dead, or either endpoint node is
+/// down — the endpoint decided through the topology's neighbor function,
+/// never by address arithmetic. A stuck link wedges every lane.
+///
+/// The pass walks the plan's fault sets instead of probing them once per
+/// channel, and skips entries naming no channel of the map (node, port
+/// or lane out of range). Channel indexing is dense — every `(v, p)` with
+/// `v < nodes` and `p < ports` is a link, and mesh boundary ports are
+/// self-loops — so the marks equal the per-channel definition. Only dead
+/// nodes need a pass over the links, to find each one's far end.
+fn wire_faults<R: Router>(map: &ChannelMap<R>, plan: &FaultPlan, scratch: &mut EngineScratch) {
+    let topo = map.topology();
+    let nodes = map.nodes();
+    let lanes = map.lanes();
+    let link = |v: NodeId, p: Dim| {
+        ((v.0 as usize) < nodes && p.0 < topo.ports_per_node()).then(|| map.external(v, p))
+    };
+    for (v, p) in plan.dead_links() {
+        if let Some(ch) = link(v, p) {
+            scratch.dead[ch..ch + lanes].fill(true);
+        }
+    }
+    for (v, p, lane) in plan.dead_lanes() {
+        if let Some(ch) = link(v, p).filter(|_| usize::from(lane) < lanes) {
+            scratch.dead[ch + usize::from(lane)] = true;
+        }
+    }
+    for (v, p) in plan.stuck_channels() {
+        if let Some(ch) = link(v, p) {
+            for lane in ch..ch + lanes {
+                scratch.channels.stick(lane);
+            }
+        }
+    }
+    if !plan.has_dead_nodes() {
+        return;
+    }
+    let node_dead = &mut scratch.node_dead;
+    node_dead.clear();
+    node_dead.resize(nodes, false);
+    for v in plan.dead_nodes() {
+        if let Some(slot) = node_dead.get_mut(v.0 as usize) {
+            *slot = true;
+            scratch.dead[map.injection(v)] = true;
+            scratch.dead[map.consumption(v)] = true;
+        }
+    }
+    for ch in (0..map.externals()).step_by(lanes) {
+        let (v, p) = map.external_coords(ch);
+        if node_dead[v.0 as usize] || node_dead[topo.neighbor(v, p).0 as usize] {
+            scratch.dead[ch..ch + lanes].fill(true);
+        }
+    }
+}
 
 pub(crate) struct Engine<'a, R: Router, P: Probe> {
     map: ChannelMap<R>,
@@ -87,37 +144,17 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
             }
         }
 
-        let topo = map.topology();
         // Deadline-only plans (the open-loop observation window) damage
         // nothing: skip the whole channel-fault wiring pass.
         if plan.has_network_faults() {
-            for (ch, slot) in scratch.dead.iter_mut().enumerate().take(map.externals()) {
-                let (v, p) = map.external_coords(ch);
-                // A directed channel is unusable when the link itself is
-                // dead, its own lane is dead, or either endpoint node is
-                // down — decided through the topology's neighbor
-                // function, never by address arithmetic.
-                *slot = plan.link_dead(v, p)
-                    || plan.lane_dead(v, p, map.lane_of(ch))
-                    || plan.node_dead(v)
-                    || plan.node_dead(topo.neighbor(v, p));
-                if plan.channel_stuck(v, p) {
-                    scratch.channels.stick(ch);
-                }
-            }
-            for i in 0..map.nodes() {
-                let v = NodeId(i as u32);
-                if plan.node_dead(v) {
-                    scratch.dead[map.injection(v)] = true;
-                    scratch.dead[map.consumption(v)] = true;
-                }
-            }
+            wire_faults(&map, plan, scratch);
         }
 
         // Per-dimension channel counts (utilization statistics) and the
         // external-channel → dimension table (busy-time accounting on
         // every channel release), cached in the scratch per router.
         scratch.load_dims(&map);
+        let topo = map.topology();
         let stats = NetStats {
             dim_busy: vec![SimTime::ZERO; topo.dimensions() as usize],
             dim_channels: scratch.dim_channels.clone(),

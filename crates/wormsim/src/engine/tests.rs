@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::time::SimTime;
-use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Topology, Torus, TorusRouter};
 use hypercast::PortModel;
 
 /// A fault-free, unobserved run of a well-formed workload.
@@ -634,4 +634,116 @@ fn window_works_on_the_torus() {
         .run()
         .unwrap();
     assert!(r.messages[0].outcome.is_delivered());
+}
+
+// ----- fault wiring ---------------------------------------------------
+
+/// The engine's `(dead, stuck)` channel marks after wiring `plan`.
+fn wired<R: Router + Copy>(router: R, plan: &FaultPlan) -> (Vec<bool>, Vec<bool>) {
+    let params = SimParams::ncube2(PortModel::AllPort);
+    let mut scratch = EngineScratch::new();
+    let mut probe = NoopProbe;
+    core::Engine::new(router, &params, &[], plan, &mut probe, &mut scratch)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let len = crate::network::ChannelMap::new(router).len();
+    let stuck = scratch
+        .channels
+        .iter()
+        .take(len)
+        .map(|c| c.holder == Some(arbitration::PHANTOM))
+        .collect();
+    (scratch.dead[..len].to_vec(), stuck)
+}
+
+/// The per-channel definition of the same marks: a channel is dead when
+/// `link_dead || lane_dead || node_dead(v) || node_dead(neighbor)`, a
+/// dead node's virtual channels are dead, and a stuck link wedges every
+/// lane.
+fn per_channel<R: Router + Copy>(router: R, plan: &FaultPlan) -> (Vec<bool>, Vec<bool>) {
+    let map = crate::network::ChannelMap::new(router);
+    let topo = map.topology();
+    let mut dead = vec![false; map.len()];
+    let mut stuck = vec![false; map.len()];
+    for ch in 0..map.externals() {
+        let (v, p) = map.external_coords(ch);
+        dead[ch] = plan.link_dead(v, p)
+            || plan.lane_dead(v, p, map.lane_of(ch))
+            || plan.node_dead(v)
+            || plan.node_dead(topo.neighbor(v, p));
+        stuck[ch] = plan.channel_stuck(v, p);
+    }
+    for i in 0..map.nodes() {
+        let v = NodeId(i as u32);
+        if plan.node_dead(v) {
+            dead[map.injection(v)] = true;
+            dead[map.consumption(v)] = true;
+        }
+    }
+    (dead, stuck)
+}
+
+/// A random plan over `nodes` nodes, `ports` ports and `lanes` lanes,
+/// with some entries past each bound (they name no channel).
+fn random_plan(seed: u64, nodes: u32, ports: u8, lanes: u8) -> FaultPlan {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut plan = FaultPlan::none();
+    let node = |rng: &mut rand::rngs::StdRng| NodeId(rng.gen_range(0..nodes + 3));
+    let port = |rng: &mut rand::rngs::StdRng| Dim(rng.gen_range(0..ports + 2));
+    for _ in 0..rng.gen_range(0..6u32) {
+        let (v, p) = (node(&mut rng), port(&mut rng));
+        plan.fail_link(v, p);
+    }
+    for _ in 0..rng.gen_range(0..6u32) {
+        let (v, p) = (node(&mut rng), port(&mut rng));
+        plan.fail_lane(v, p, rng.gen_range(0..lanes + 2));
+    }
+    for _ in 0..rng.gen_range(0..4u32) {
+        let v = node(&mut rng);
+        plan.fail_node(v);
+    }
+    for _ in 0..rng.gen_range(0..4u32) {
+        let (v, p) = (node(&mut rng), port(&mut rng));
+        plan.stick(v, p);
+    }
+    if rng.gen_range(0..4u32) == 0 {
+        // Stall-only damage still enters the wiring pass.
+        plan.stall(NodeId(0), Dim(0), SimTime::ZERO, SimTime::from_us(1));
+    }
+    plan
+}
+
+mod wiring {
+    use super::*;
+    use hcube::{Mesh, MeshXY};
+    use proptest::prelude::*;
+
+    fn check<R: Router + Copy>(router: R, seed: u64) -> Result<(), TestCaseError> {
+        let topo = router.topology();
+        let plan = random_plan(
+            seed,
+            topo.node_count() as u32,
+            topo.ports_per_node(),
+            router.lanes(),
+        );
+        let (dead, stuck) = wired(router, &plan);
+        let (want_dead, want_stuck) = per_channel(router, &plan);
+        prop_assert_eq!(dead, want_dead, "dead marks under {:?}", plan);
+        prop_assert_eq!(stuck, want_stuck, "stuck marks under {:?}", plan);
+        Ok(())
+    }
+
+    proptest! {
+        /// Walking the plan's fault sets marks exactly the channels the
+        /// per-channel definition kills or wedges, on a cube, a 2-lane
+        /// torus and a mesh (whose boundary ports are self-loops).
+        #[test]
+        fn fault_wiring_matches_the_per_channel_definition(seed in any::<u64>()) {
+            check(ecube(Cube::of(4)), seed)?;
+            let torus = TorusRouter::new(Torus::of(4, 2));
+            prop_assert_eq!(torus.lanes(), 2);
+            check(torus, seed)?;
+            check(MeshXY::new(Mesh::of(4, 3)), seed)?;
+        }
+    }
 }

@@ -421,22 +421,8 @@ pub struct FaultEvent {
     pub kind: FaultEventKind,
 }
 
-/// One epoch of a [`FaultTimeline`]: a maximal interval over which the
-/// fault state is constant.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultEpoch {
-    /// Epoch number, counting from 0 (the state before the first event
-    /// after time zero).
-    pub index: u64,
-    /// Start of the epoch (inclusive); epoch 0 starts at
-    /// [`SimTime::ZERO`].
-    pub start: SimTime,
-    /// The cumulative fault state in force throughout the epoch.
-    pub plan: FaultPlan,
-}
-
 /// A piecewise-constant fault process: a sorted sequence of failure and
-/// repair events, snapshotted into epoch-numbered [`FaultPlan`]s.
+/// repair events, walked epoch by epoch with an [`EpochCursor`].
 ///
 /// This is the *online* counterpart of a static plan: link/node churn
 /// (MTBF/MTTR arrival streams, scripted outages, …) is first rendered
@@ -494,38 +480,37 @@ impl FaultTimeline {
         self.events.last().map(|e| e.at)
     }
 
-    /// Snapshots the timeline into epochs: epoch 0 starts at time zero
+    /// The start of every epoch, in order: epoch 0 starts at time zero
     /// (events stamped exactly zero are folded into it), and every later
-    /// distinct event timestamp starts the next epoch. Each epoch's plan
-    /// is the cumulative fault state — failures applied, repairs erased.
+    /// distinct event timestamp starts the next epoch.
     #[must_use]
-    pub fn epochs(&self) -> Vec<FaultEpoch> {
-        let mut out: Vec<FaultEpoch> = Vec::new();
-        let mut plan = FaultPlan::none();
-        let mut i = 0usize;
-        // Events at t = 0 belong to epoch 0.
-        while i < self.events.len() && self.events[i].at == SimTime::ZERO {
-            apply(&mut plan, self.events[i].kind);
-            i += 1;
+    pub fn epoch_starts(&self) -> Vec<SimTime> {
+        let mut starts = Vec::with_capacity(self.events.len() + 1);
+        starts.push(SimTime::ZERO);
+        for e in &self.events {
+            if e.at > *starts.last().expect("epoch 0 is always present") {
+                starts.push(e.at);
+            }
         }
-        out.push(FaultEpoch {
+        starts
+    }
+
+    /// A cursor at epoch 0 whose live plan is `base` with every event
+    /// stamped exactly zero applied. Advancing it applies each later
+    /// epoch's events to that one plan in place, so whatever `base`
+    /// carries beyond links, lanes and nodes (a deadline, say) is set
+    /// once and kept.
+    #[must_use]
+    pub fn cursor(&self, base: FaultPlan) -> EpochCursor<'_> {
+        let mut cursor = EpochCursor {
+            events: &self.events,
+            next: 0,
             index: 0,
             start: SimTime::ZERO,
-            plan: plan.clone(),
-        });
-        while i < self.events.len() {
-            let at = self.events[i].at;
-            while i < self.events.len() && self.events[i].at == at {
-                apply(&mut plan, self.events[i].kind);
-                i += 1;
-            }
-            out.push(FaultEpoch {
-                index: out.len() as u64,
-                start: at,
-                plan: plan.clone(),
-            });
-        }
-        out
+            plan: base,
+        };
+        cursor.apply_through(SimTime::ZERO);
+        cursor
     }
 
     /// The cumulative fault state in force at time `t` (the plan of the
@@ -540,6 +525,61 @@ impl FaultTimeline {
             apply(&mut plan, e.kind);
         }
         plan
+    }
+}
+
+/// A forward-only walk over the epochs of a [`FaultTimeline`]: one live
+/// [`FaultPlan`] holds the cumulative fault state of the current epoch,
+/// and [`advance`](EpochCursor::advance) applies only the next epoch's
+/// failures and repairs to it — no per-epoch plan is ever built.
+#[derive(Clone, Debug)]
+pub struct EpochCursor<'a> {
+    events: &'a [FaultEvent],
+    /// Index of the first event not yet applied.
+    next: usize,
+    index: u64,
+    start: SimTime,
+    plan: FaultPlan,
+}
+
+impl EpochCursor<'_> {
+    /// The current epoch's number, counting from 0.
+    #[must_use]
+    pub fn index(&self) -> u64 {
+        self.index
+    }
+
+    /// The current epoch's start (inclusive).
+    #[must_use]
+    pub fn start(&self) -> SimTime {
+        self.start
+    }
+
+    /// The cumulative fault state in force throughout the current epoch
+    /// (on top of the cursor's base plan).
+    #[must_use]
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// Moves to the next epoch, applying its events. Returns `false`, and
+    /// changes nothing, when the cursor is already at the last epoch.
+    pub fn advance(&mut self) -> bool {
+        let Some(event) = self.events.get(self.next) else {
+            return false;
+        };
+        self.index += 1;
+        self.start = event.at;
+        self.apply_through(event.at);
+        true
+    }
+
+    /// Applies every pending event stamped at or before `t`.
+    fn apply_through(&mut self, t: SimTime) {
+        while let Some(event) = self.events.get(self.next).filter(|e| e.at <= t) {
+            apply(&mut self.plan, event.kind);
+            self.next += 1;
+        }
     }
 }
 
@@ -728,13 +768,39 @@ mod tests {
             .all(|(v, port)| { (v.0 as usize) < 16 && port.0 < Topology::ports_per_node(&t) }));
     }
 
+    /// One snapshot of a cursor's current epoch.
+    struct Epoch {
+        index: u64,
+        start: SimTime,
+        plan: FaultPlan,
+    }
+
+    /// Every epoch of `tl`, collected by walking a cursor to the end;
+    /// also checks that the walk agrees with `epoch_starts`.
+    fn walk(tl: &FaultTimeline) -> Vec<Epoch> {
+        let mut cursor = tl.cursor(FaultPlan::none());
+        let snapshot = |c: &EpochCursor<'_>| Epoch {
+            index: c.index(),
+            start: c.start(),
+            plan: c.plan().clone(),
+        };
+        let mut epochs = vec![snapshot(&cursor)];
+        while cursor.advance() {
+            epochs.push(snapshot(&cursor));
+        }
+        assert!(!cursor.advance(), "the last epoch stays last");
+        let starts: Vec<SimTime> = epochs.iter().map(|e| e.start).collect();
+        assert_eq!(starts, tl.epoch_starts());
+        epochs
+    }
+
     #[test]
     fn quiet_timeline_is_one_healthy_epoch() {
         let tl = FaultTimeline::quiet();
         assert!(tl.is_empty());
         assert_eq!(tl.len(), 0);
         assert_eq!(tl.last_event(), None);
-        let epochs = tl.epochs();
+        let epochs = walk(&tl);
         assert_eq!(epochs.len(), 1);
         assert_eq!(epochs[0].index, 0);
         assert_eq!(epochs[0].start, SimTime::ZERO);
@@ -758,7 +824,7 @@ mod tests {
             },
         ]);
         assert_eq!(tl.last_event(), Some(SimTime::from_ns(300)));
-        let epochs = tl.epochs();
+        let epochs = walk(&tl);
         assert_eq!(epochs.len(), 4);
         assert!(epochs[0].plan.is_empty());
         assert!(epochs[1].plan.channel_dead(NodeId(1), Dim(1)));
@@ -787,10 +853,48 @@ mod tests {
                 kind: FaultEventKind::NodeUp(NodeId(3)),
             },
         ]);
-        let epochs = tl.epochs();
+        let epochs = walk(&tl);
         assert_eq!(epochs.len(), 2);
         assert!(epochs[0].plan.node_dead(NodeId(3)));
         assert!(!epochs[1].plan.node_dead(NodeId(3)));
+    }
+
+    #[test]
+    fn cursor_keeps_its_base_plan_across_epochs() {
+        let tl = FaultTimeline::new(vec![
+            FaultEvent {
+                at: SimTime::from_ns(100),
+                kind: FaultEventKind::LinkDown(NodeId(2), Dim(0)),
+            },
+            FaultEvent {
+                at: SimTime::from_ns(100),
+                kind: FaultEventKind::NodeDown(NodeId(6)),
+            },
+            FaultEvent {
+                at: SimTime::from_ns(400),
+                kind: FaultEventKind::LinkUp(NodeId(2), Dim(0)),
+            },
+        ]);
+        let mut base = FaultPlan::none();
+        base.deadline_all(SimTime::from_ms(1));
+        let mut cursor = tl.cursor(base.clone());
+        assert_eq!(cursor.plan(), &base);
+        // Two events at one instant open one epoch.
+        assert!(cursor.advance());
+        assert_eq!(cursor.index(), 1);
+        assert_eq!(cursor.start(), SimTime::from_ns(100));
+        assert!(cursor.plan().link_dead(NodeId(2), Dim(0)));
+        assert!(cursor.plan().node_dead(NodeId(6)));
+        assert!(cursor.advance());
+        assert_eq!(cursor.index(), 2);
+        assert!(!cursor.plan().link_dead(NodeId(2), Dim(0)));
+        // The base plan's deadline rides through every epoch unchanged.
+        assert_eq!(cursor.plan().default_deadline(), Some(SimTime::from_ms(1)));
+        let mut expected = tl.plan_at(SimTime::from_ns(400));
+        expected.deadline_all(SimTime::from_ms(1));
+        assert_eq!(cursor.plan(), &expected);
+        assert!(!cursor.advance());
+        assert_eq!(cursor.index(), 2);
     }
 
     #[test]
@@ -836,7 +940,7 @@ mod tests {
                 kind: FaultEventKind::LaneUp(NodeId(1), Dim(0), 1),
             },
         ]);
-        let epochs = tl.epochs();
+        let epochs = walk(&tl);
         assert_eq!(epochs.len(), 3);
         assert!(!epochs[0].plan.lane_dead(NodeId(1), Dim(0), 1));
         assert!(epochs[1].plan.lane_dead(NodeId(1), Dim(0), 1));

@@ -60,7 +60,7 @@ pub use engine::{
     simulate_window_observed_on_with_scratch, DepMessage, FaultCause, MessageResult, NetStats,
     Outcome, Run, RunResult, SimError,
 };
-pub use faults::{FaultEpoch, FaultEvent, FaultEventKind, FaultPlan, FaultTimeline};
+pub use faults::{EpochCursor, FaultEvent, FaultEventKind, FaultPlan, FaultTimeline};
 pub use flit::{simulate_flits, simulate_flits_on, FlitMessage, FlitResult};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use multicast::{

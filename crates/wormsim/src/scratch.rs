@@ -60,6 +60,9 @@ pub struct EngineScratch {
     pub(crate) channels: Channels,
     /// Per-channel dead flags from the run's fault plan.
     pub(crate) dead: Vec<bool>,
+    /// Per-node dead flags, filled only while wiring a plan with dead
+    /// nodes.
+    pub(crate) node_dead: Vec<bool>,
     /// The deterministic event heap.
     pub(crate) queue: EventQueue,
     /// Per-node CPU-free clocks for serialized send startup.
