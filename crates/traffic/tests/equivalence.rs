@@ -6,12 +6,17 @@
 //!
 //! Option identity: [`traffic::run`] and [`traffic::run_chaos`] give
 //! byte-identical reports whatever their [`RunOptions`].
+//!
+//! Quiet identity: `run` is the churn-free single wave of `run_chaos`,
+//! so a chaos run under [`ChurnSpec::quiet`] reproduces its report and
+//! its telemetry, spans and series both.
 
 use hcube::{Cube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
+use proptest::prelude::*;
 use traffic::{
-    ArrivalProcess, Arrivals, Backend, ChaosSpec, ChurnSpec, DestPattern, RunOptions, Telemetry,
-    TelemetryConfig, TrafficSpec,
+    ArrivalProcess, Arrivals, Backend, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, RunOptions,
+    Telemetry, TelemetryConfig, TrafficReport, TrafficSpec,
 };
 use workloads::serve::{chaos_report_json, traffic_report_json};
 use wormsim::{simulate_multicast, DepMessage, EngineScratch, Run, SimParams, SimTime};
@@ -244,4 +249,110 @@ fn run_and_run_chaos_reports_are_identical_under_every_option() {
     assert_option_identity("cube", cube, &mut scratch);
     let torus = Backend::Separate(TorusRouter::new(Torus::of(4, 2)));
     assert_option_identity("torus", torus, &mut scratch);
+}
+
+/// The fields a quiet chaos run shares with the plain run, per session
+/// and in aggregate.
+fn plain_view(r: &TrafficReport) -> String {
+    let per_session: Vec<_> = r
+        .sessions
+        .iter()
+        .map(|s| (s.arrival, s.completion, s.latency, s.delivered))
+        .collect();
+    format!(
+        "{per_session:?} {:?} {:?} {:?} {} {} {} {} {}",
+        r.latency,
+        r.cache,
+        r.net,
+        r.warmup,
+        r.measured_sessions,
+        r.completed_measured,
+        r.completion_ratio,
+        r.throughput_per_ms
+    )
+}
+
+fn chaos_view(r: &ChaosReport) -> String {
+    let per_session: Vec<_> = r
+        .sessions
+        .iter()
+        .map(|s| (s.arrival, s.completion, s.latency, s.delivered))
+        .collect();
+    format!(
+        "{per_session:?} {:?} {:?} {:?} {} {} {} {} {}",
+        r.latency,
+        r.cache,
+        r.net,
+        r.warmup,
+        r.measured_sessions,
+        r.delivered_measured,
+        r.delivery_ratio,
+        r.goodput_per_ms
+    )
+}
+
+/// Runs `spec` on `backend` through `run` and through a quiet
+/// `run_chaos`, both observed, and compares reports and telemetry.
+fn quiet_chaos_matches_run<R: Router + Copy>(
+    spec: &TrafficSpec,
+    backend: Backend<R>,
+) -> Result<(), TestCaseError> {
+    let params = SimParams::ncube2(PortModel::AllPort);
+    let cfg = TelemetryConfig::new(12);
+    let (mut plain_tel, mut chaos_tel) = (None, None);
+    let plain = traffic::run(
+        spec,
+        backend,
+        &params,
+        RunOptions::default().telemetry(&cfg, &mut plain_tel),
+    );
+    let chaos = traffic::run_chaos(
+        &ChaosSpec::new(spec.clone(), ChurnSpec::quiet()),
+        backend,
+        &params,
+        RunOptions::default().telemetry(&cfg, &mut chaos_tel),
+    );
+    let (plain_tel, chaos_tel) = (plain_tel.unwrap(), chaos_tel.unwrap());
+    prop_assert_eq!(plain_view(&plain), chaos_view(&chaos));
+    prop_assert_eq!(
+        plain_tel.spans_to_json_string(),
+        chaos_tel.spans_to_json_string()
+    );
+    prop_assert_eq!(
+        plain_tel.series.to_json_string(),
+        chaos_tel.series.to_json_string()
+    );
+    Ok(())
+}
+
+proptest! {
+    /// `run` equals a quiet `run_chaos` on the tree and separate
+    /// backends, from light load through saturation (0.25 to 512
+    /// sessions/ms), with horizons as short as 1 ms, most of them
+    /// shorter than the arrival schedule.
+    #[test]
+    fn run_is_the_quiet_single_wave_of_run_chaos(
+        tree in any::<bool>(),
+        doublings in 0u32..12,
+        sessions in 1usize..40,
+        seed in any::<u64>(),
+        horizon_ms in 1u64..40,
+    ) {
+        let rate = 0.25 * f64::from(1u32 << doublings);
+        let mut spec = TrafficSpec::new(
+            Arrivals::new(ArrivalProcess::Poisson, rate),
+            DestPattern::UniformRandom { m: 5 },
+            sessions,
+            seed,
+        );
+        spec.horizon = SimTime::from_ms(horizon_ms);
+        if tree {
+            quiet_chaos_matches_run(
+                &spec,
+                Backend::tree(Cube::of(5), Resolution::HighToLow, Algorithm::WSort),
+            )?;
+        } else {
+            quiet_chaos_matches_run(&spec, Backend::Separate(TorusRouter::new(Torus::of(4, 2))))?;
+        }
+    }
 }
