@@ -1,19 +1,23 @@
-//! The session scheduler: converts an arrival schedule plus a
-//! destination pattern into one windowed dependency workload and
-//! attributes the results back to sessions.
+//! The session scheduler, and [`run`]: open-loop traffic as one wave.
 //!
-//! Each arriving multicast session becomes a batch of [`DepMessage`]s —
-//! one per tree unicast (hypercube backends) or one per destination
-//! (separate addressing, any topology) — whose `min_start` is the
-//! session's arrival time. Forwarding dependencies stay *within* a
-//! session; across sessions the only coupling is physical channel
-//! contention, exactly as in the network. The whole run executes under
-//! a [`wormsim::Run::window`], so a saturated backlog is cut off at the
-//! horizon instead of extending the run without bound.
+//! A run draws all its sessions up front from one RNG seeded by the
+//! spec: the arrival schedule first, then one destination draw per
+//! session (collectives draw none). One session builder turns a session
+//! *attempt* into a batch of [`DepMessage`]s released at the attempt's
+//! launch, for every [`Backend`]: one per tree unicast (tree multicast
+//! on a hypercube), one per destination (separate addressing on any
+//! topology), or one per op of a collective schedule. Forwarding
+//! dependencies stay *within* an attempt; across sessions the only
+//! coupling is physical channel contention, exactly as in the network.
 //!
-//! [`run`] is the one entry point: a [`Backend`] says what sessions
-//! send (trees, separate unicasts, or collectives) and
-//! [`RunOptions`] adds a reusable scratch or the flight recorder.
+//! A *wave* is a batch of attempts simulated together, in one engine
+//! run, under one [`FaultPlan`] that carries the observation window's
+//! deadline, so a saturated backlog is cut off at the horizon instead
+//! of extending the run without bound. [`run`] is the churn-free case:
+//! every session's first attempt, at its arrival, as a single wave.
+//! [`run_chaos`](crate::run_chaos) runs the same waves per fault epoch
+//! and retries what failed. [`RunOptions`] adds a reusable scratch or
+//! the flight recorder, which records every wave of either path.
 //!
 //! Hypercube sessions build their trees through a [`TreeCache`]: under
 //! recurring destination patterns (the [`DestPattern::Pool`] population)
@@ -21,20 +25,25 @@
 //! constructions; the report carries the cache counters.
 
 use crate::arrivals::Arrivals;
-use crate::collective::{
-    assemble_collective_cube_sessions, assemble_collective_separate_sessions_on,
-};
+use crate::chaos::first_attempts;
 use crate::patterns::DestPattern;
-use crate::stats::{BatchMeans, LoadPoint};
-use crate::telemetry::{traffic_telemetry, Telemetry, TelemetryConfig, TelemetryProbe};
+use crate::stats::{BatchMeans, LoadPoint, Measurement};
+use crate::telemetry::{Telemetry, TelemetryConfig, TelemetryProbe, WaveRecorder};
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
-use hypercast::{Algorithm, CacheStats, CollectiveKind, TreeCache, TreeFamily};
+use hypercast::collectives::{
+    allgather, allgather_separate, allreduce, allreduce_separate, reduce_scatter,
+    reduce_scatter_separate,
+};
+use hypercast::{
+    Algorithm, CacheStats, CollectiveKind, NetworkFaults, PortModel, TreeCache, TreeFamily,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use wormsim::network::ChannelMap;
 use wormsim::{
-    DepMessage, EngineScratch, FaultTimeline, InboundIndex, NetStats, Run, RunResult, SimParams,
-    SimTime,
+    DepMessage, EngineScratch, FaultPlan, FaultTimeline, InboundIndex, NetStats, Run, RunResult,
+    SimParams, SimTime,
 };
 
 /// Configuration of one open-loop traffic run.
@@ -99,8 +108,9 @@ pub struct SessionRecord {
     pub latency: SimTime,
     /// Whether every constituent message delivered inside the window.
     pub delivered: bool,
-    /// Delivery time per destination, in tree order (empty entries are
-    /// impossible; timed-out messages record their abort time).
+    /// Delivery time per message destination, in workload order: tree
+    /// order for trees, draw order for separate addressing, op order for
+    /// collectives (timed-out messages record their abort time).
     pub deliveries: Vec<(NodeId, SimTime)>,
 }
 
@@ -148,32 +158,31 @@ impl TrafficReport {
     }
 }
 
-/// A session's messages laid out in the shared workload. `pub(crate)`
-/// so the telemetry layer can attribute engine results back to
-/// sessions without re-deriving the layout.
+/// One session attempt's slice of a wave workload: the messages it
+/// occupies, how many requested destinations its tree could not cover
+/// (only a repaired tree can miss any), and whether its trees came out
+/// of the cache — `None` when it looked none up (separate addressing,
+/// bine trees).
 #[derive(Clone, Debug)]
 pub(crate) struct SessionSpan {
-    pub(crate) arrival: SimTime,
-    pub(crate) range: std::ops::Range<usize>,
-    pub(crate) dests: Vec<NodeId>,
-    /// Whether this session's tree came out of the [`TreeCache`]
-    /// (always `false` for separate addressing, which builds no trees).
-    pub(crate) cache_hit: bool,
+    pub(crate) range: Range<usize>,
+    pub(crate) missing: usize,
+    pub(crate) cache_hit: Option<bool>,
 }
 
-/// A fully assembled traffic run, ready to simulate: the windowed
-/// dependency workload plus the bookkeeping needed to attribute the
-/// results back to sessions.
+/// Every session's first attempt assembled as one wave, ready to
+/// simulate: the workload [`run`] executes.
 ///
 /// Produced by [`assemble_cube_sessions`] / [`assemble_separate_sessions_on`]
 /// and consumed (by reference — the same assembly can be replayed any
-/// number of times) by [`run`] or [`run_sessions_on_with_scratch`]. Splitting
+/// number of times) by [`run_sessions_on_with_scratch`]. Splitting
 /// assembly from simulation lets a caller time or replay the engine
 /// alone, without tree construction or report assembly.
 #[derive(Clone, Debug)]
 pub struct SessionWorkload {
     workload: Vec<DepMessage>,
-    pub(crate) spans: Vec<SessionSpan>,
+    arrivals: Vec<SimTime>,
+    spans: Vec<SessionSpan>,
     cache: CacheStats,
 }
 
@@ -183,107 +192,248 @@ impl SessionWorkload {
     pub fn messages(&self) -> &[DepMessage] {
         &self.workload
     }
+}
 
-    /// Number of sessions in the assembly.
-    #[must_use]
-    pub fn sessions(&self) -> usize {
-        self.spans.len()
+/// The session builder: a run's drawn sessions, and the state every
+/// wave's attempts are built with.
+pub(crate) struct SessionBuilder<'a, T> {
+    spec: &'a TrafficSpec,
+    /// The backend, its router replaced by the topology it routes on.
+    backend: Backend<T>,
+    port: PortModel,
+    /// Arrival time per session, in session order.
+    pub(crate) arrivals: Vec<SimTime>,
+    /// `(source, dests)` per session; empty for collectives.
+    draws: Vec<(NodeId, Vec<NodeId>)>,
+    pub(crate) cache: TreeCache,
+    inbound: InboundIndex,
+    /// Dense per-node coverage marks (tree multicast), cleared after
+    /// each attempt.
+    covered: Vec<bool>,
+}
+
+impl<'a, T: Topology> SessionBuilder<'a, T> {
+    /// Draws the sessions of `spec` on `backend`, in one fixed RNG
+    /// order: the arrival schedule, then one pattern draw per session.
+    /// Collectives draw no pattern.
+    pub(crate) fn draw(spec: &'a TrafficSpec, backend: Backend<T>, port: PortModel) -> Self {
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let arrivals = spec.arrivals.schedule(&mut rng, spec.sessions);
+        let draws = match &backend {
+            Backend::Tree { cube, .. } => arrivals
+                .iter()
+                .map(|_| spec.pattern.draw_cube(&mut rng, *cube))
+                .collect(),
+            Backend::Separate(topo) => arrivals
+                .iter()
+                .map(|_| spec.pattern.draw_on(&mut rng, topo))
+                .collect(),
+            Backend::Collective { .. } | Backend::SeparateCollective(..) => Vec::new(),
+        };
+        SessionBuilder {
+            spec,
+            backend,
+            port,
+            arrivals,
+            draws,
+            cache: TreeCache::new(spec.cache_capacity),
+            inbound: InboundIndex::default(),
+            covered: Vec::new(),
+        }
     }
 
-    /// Tree-cache counters accumulated during assembly (all zero for
-    /// separate addressing).
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
+    /// Appends attempt `number` of `session`, launched at `launch`, to
+    /// `workload` and returns its span. A tree multicast retry rebuilds
+    /// its tree against `faults`; the first attempt replays the pristine
+    /// tree, because a source learns of a fault only when a send fails.
+    /// Allreduce roots rotate by session index.
+    pub(crate) fn append(
+        &mut self,
+        workload: &mut Vec<DepMessage>,
+        session: usize,
+        number: u32,
+        launch: SimTime,
+        faults: &NetworkFaults,
+    ) -> SessionSpan {
+        let (bytes, port) = (self.spec.bytes, self.port);
+        let base = workload.len();
+        let before = self.cache.stats();
+        let mut missing = 0;
+        let schedule = match &self.backend {
+            &Backend::Tree {
+                cube,
+                resolution,
+                algo,
+            } => {
+                let (source, dests) = &self.draws[session];
+                let built = if number == 1 {
+                    self.cache
+                        .get_or_build(algo, cube, resolution, port, *source, dests)
+                } else {
+                    self.cache
+                        .get_or_build_repaired(algo, cube, resolution, port, *source, dests, faults)
+                };
+                let tree = built.expect("traffic destination draw produced an invalid multicast");
+                self.inbound.append(workload, &tree, bytes, launch);
+                self.covered.resize(cube.node_count(), false);
+                for u in &tree.unicasts {
+                    self.covered[u.dst.0 as usize] = true;
+                }
+                missing = dests.iter().filter(|d| !self.covered[d.0 as usize]).count();
+                for u in &tree.unicasts {
+                    self.covered[u.dst.0 as usize] = false;
+                }
+                None
+            }
+            Backend::Separate(_) => {
+                let (source, dests) = &self.draws[session];
+                workload.extend(dests.iter().map(|&dst| DepMessage {
+                    src: *source,
+                    dst,
+                    bytes,
+                    deps: vec![],
+                    min_start: launch,
+                }));
+                None
+            }
+            &Backend::Collective {
+                cube,
+                resolution,
+                kind,
+                family,
+            } => {
+                let root = NodeId(session as u32 % cube.node_count() as u32);
+                let cache = Some(&mut self.cache);
+                let built = match kind {
+                    CollectiveKind::Allgather => {
+                        allgather(family, cube, resolution, port, bytes, cache)
+                    }
+                    CollectiveKind::ReduceScatter => {
+                        reduce_scatter(family, cube, resolution, port, bytes, cache)
+                    }
+                    CollectiveKind::Allreduce => {
+                        allreduce(family, cube, resolution, port, root, bytes, cache)
+                    }
+                };
+                Some(built.expect("full-machine collectives cannot fail to build"))
+            }
+            Backend::SeparateCollective(topo, kind) => {
+                let root = NodeId(session as u32 % topo.node_count() as u32);
+                Some(match kind {
+                    CollectiveKind::Allgather => allgather_separate(topo, bytes),
+                    CollectiveKind::ReduceScatter => reduce_scatter_separate(topo, bytes),
+                    CollectiveKind::Allreduce => allreduce_separate(topo, root, bytes),
+                })
+            }
+        };
+        if let Some(schedule) = schedule {
+            workload.extend(schedule.ops.iter().map(|op| DepMessage {
+                src: op.src,
+                dst: op.dst,
+                bytes: op.bytes,
+                deps: op.deps.iter().map(|&d| base + d).collect(),
+                min_start: launch,
+            }));
+        }
+        let used = self.cache.stats().since(before);
+        SessionSpan {
+            range: base..workload.len(),
+            missing,
+            cache_hit: (used.hits + used.misses > 0).then_some(used.hits > 0),
+        }
     }
 
-    /// Assembles a workload from raw parts. `pub(crate)` so sibling
-    /// session builders (the collective engine) can lay out their own
-    /// spans without widening the field visibility.
-    pub(crate) fn from_parts(
-        workload: Vec<DepMessage>,
-        spans: Vec<SessionSpan>,
-        cache: CacheStats,
-    ) -> SessionWorkload {
+    /// Every session's first attempt, at its arrival, as one wave.
+    pub(crate) fn first_wave(mut self) -> SessionWorkload {
+        // One message per requested destination: exact for separate
+        // addressing and pristine trees (collectives draw none).
+        let messages = self.draws.iter().map(|(_, dests)| dests.len()).sum();
+        let mut workload = Vec::with_capacity(messages);
+        let healthy = NetworkFaults::new();
+        let spans = (0..self.arrivals.len())
+            .map(|session| {
+                let arrival = self.arrivals[session];
+                self.append(&mut workload, session, 1, arrival, &healthy)
+            })
+            .collect();
         SessionWorkload {
             workload,
+            arrivals: self.arrivals,
             spans,
-            cache,
+            cache: self.cache.stats(),
         }
     }
 }
 
-/// Attributes a finished run back to its sessions and assembles the
-/// report. `pub(crate)` so the telemetry entry points can assemble the
-/// identical report from an *observed* run of the same workload.
-pub(crate) fn assemble(
-    spec: &TrafficSpec,
-    run: &RunResult,
-    spans: &[SessionSpan],
-    cache: CacheStats,
-) -> TrafficReport {
-    let sessions: Vec<SessionRecord> = spans
+/// The fault-free plan of an observation window closing at `horizon`:
+/// every message still undelivered then times out.
+pub(crate) fn window(horizon: SimTime) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    plan.deadline_all(horizon);
+    plan
+}
+
+/// Simulates one wave's `workload` under `plan` in `scratch`, observed
+/// by `probe` when one is given.
+pub(crate) fn run_wave<R: Router>(
+    router: R,
+    params: &SimParams,
+    workload: &[DepMessage],
+    plan: &FaultPlan,
+    scratch: &mut EngineScratch,
+    probe: Option<&mut TelemetryProbe>,
+) -> RunResult {
+    let engine = Run::new(router, params, workload)
+        .faults(plan)
+        .scratch(scratch);
+    match probe {
+        None => engine.run(),
+        Some(probe) => engine.probe(probe).run(),
+    }
+    .expect("windowed runs cannot deadlock")
+}
+
+/// Attributes a finished first wave back to its sessions and assembles
+/// the report.
+fn assemble(spec: &TrafficSpec, run: &RunResult, sessions: &SessionWorkload) -> TrafficReport {
+    let records: Vec<SessionRecord> = sessions
+        .arrivals
         .iter()
-        .map(|span| {
+        .zip(&sessions.spans)
+        .map(|(&arrival, span)| {
             let msgs = &run.messages[span.range.clone()];
             let delivered = msgs.iter().all(|m| m.outcome.is_delivered());
-            let completion = msgs
-                .iter()
-                .map(|m| m.delivered)
-                .max()
-                .unwrap_or(span.arrival);
-            let deliveries = span
-                .dests
+            let completion = msgs.iter().map(|m| m.delivered).max().unwrap_or(arrival);
+            let deliveries = sessions.workload[span.range.clone()]
                 .iter()
                 .zip(msgs)
-                .map(|(&d, m)| (d, m.delivered))
+                .map(|(sent, m)| (sent.dst, m.delivered))
                 .collect();
             SessionRecord {
-                arrival: span.arrival,
+                arrival,
                 completion,
-                latency: completion.saturating_sub(span.arrival),
+                latency: completion.saturating_sub(arrival),
                 delivered,
                 deliveries,
             }
         })
         .collect();
 
-    let measured = &sessions[spec.warmup.min(sessions.len())..];
-    let completed: Vec<&SessionRecord> = measured.iter().filter(|s| s.delivered).collect();
-    let latencies_ms: Vec<f64> = completed.iter().map(|s| s.latency.as_ms()).collect();
-    let latency = BatchMeans::of(&latencies_ms, spec.max_batches);
-    let completion_ratio = if measured.is_empty() {
-        1.0
-    } else {
-        completed.len() as f64 / measured.len() as f64
-    };
-    let throughput_per_ms = match (
-        measured.first(),
-        completed.iter().map(|s| s.completion).max(),
-    ) {
-        (Some(first), Some(last)) => {
-            let span_ms = last.saturating_sub(first.arrival).as_ms();
-            if span_ms > 0.0 {
-                completed.len() as f64 / span_ms
-            } else {
-                0.0
-            }
-        }
-        _ => 0.0,
-    };
-
+    let m = Measurement::of(&records, spec.warmup, spec.max_batches, |s| {
+        (s.arrival, s.completion, s.delivered)
+    });
     TrafficReport {
         offered_rate_per_ms: spec.arrivals.rate_per_ms,
-        warmup: spec.warmup.min(sessions.len()),
-        measured_sessions: measured.len(),
-        completed_measured: completed.len(),
-        completion_ratio,
-        latency,
-        throughput_per_ms,
-        cache,
+        warmup: m.warmup,
+        measured_sessions: m.measured,
+        completed_measured: m.delivered,
+        completion_ratio: m.ratio,
+        latency: m.latency,
+        throughput_per_ms: m.per_ms,
+        cache: sessions.cache,
         net: run.stats.clone(),
         horizon: spec.horizon,
-        sessions,
+        sessions: records,
     }
 }
 
@@ -354,6 +504,39 @@ impl Backend {
     }
 }
 
+impl<R: Router> Backend<R> {
+    /// This backend with its router replaced by the topology it routes
+    /// on, which is all that building sessions needs.
+    pub(crate) fn topology(&self) -> Backend<R::Topo> {
+        match *self {
+            Backend::Tree {
+                cube,
+                resolution,
+                algo,
+            } => Backend::Tree {
+                cube,
+                resolution,
+                algo,
+            },
+            Backend::Separate(ref router) => Backend::Separate(router.topology()),
+            Backend::Collective {
+                cube,
+                resolution,
+                kind,
+                family,
+            } => Backend::Collective {
+                cube,
+                resolution,
+                kind,
+                family,
+            },
+            Backend::SeparateCollective(ref router, kind) => {
+                Backend::SeparateCollective(router.topology(), kind)
+            }
+        }
+    }
+}
+
 /// Optional inputs of [`run`] and [`run_chaos`](crate::run_chaos).
 /// None of them changes a report's bytes.
 #[derive(Debug, Default)]
@@ -394,7 +577,9 @@ impl<'a> RunOptions<'a> {
 /// Runs open-loop traffic: every session of `spec` arrives by its
 /// arrival process and sends what `backend` says, sessions contend for
 /// channels in one shared network, and the run executes under the
-/// spec's observation window.
+/// spec's observation window. It is the churn-free case of
+/// [`run_chaos`](crate::run_chaos): every session's first attempt, run
+/// as one wave.
 ///
 /// Fully deterministic: identical inputs give byte-identical reports,
 /// whatever the options. See the crate docs for an example.
@@ -416,81 +601,55 @@ pub fn run<R: Router + Copy>(
         opts.timeline.is_none(),
         "a fault timeline only applies to run_chaos"
     );
+    let sessions = SessionBuilder::draw(spec, backend.topology(), params.port_model).first_wave();
     match backend {
         Backend::Tree {
-            cube,
-            resolution,
-            algo,
-        } => {
-            let sessions = assemble_cube_sessions(spec, cube, resolution, algo, params);
-            let router = Ecube::new(cube, resolution);
-            simulate_sessions(spec, router, &sessions, params, opts, true)
+            cube, resolution, ..
         }
-        Backend::Separate(router) => {
-            let sessions = assemble_separate_sessions_on(spec, &router);
-            simulate_sessions(spec, router, &sessions, params, opts, false)
-        }
-        Backend::Collective {
-            cube,
-            resolution,
-            kind,
-            family,
-        } => {
-            let sessions =
-                assemble_collective_cube_sessions(spec, cube, resolution, kind, family, params);
-            let lookups = matches!(family, TreeFamily::Alg(_));
-            let router = Ecube::new(cube, resolution);
-            simulate_sessions(spec, router, &sessions, params, opts, lookups)
-        }
-        Backend::SeparateCollective(router, kind) => {
-            let sessions = assemble_collective_separate_sessions_on(spec, &router, kind);
-            simulate_sessions(spec, router, &sessions, params, opts, false)
+        | Backend::Collective {
+            cube, resolution, ..
+        } => run_on(spec, Ecube::new(cube, resolution), &sessions, params, opts),
+        Backend::Separate(router) | Backend::SeparateCollective(router, _) => {
+            run_on(spec, router, &sessions, params, opts)
         }
     }
 }
 
-/// Simulates an assembled run under the spec's window, observed when
-/// the options ask for telemetry, and attributes the results back to
-/// sessions. `lookups`: whether sessions looked their trees up in the
-/// cache (the telemetry spans' `cache_hit` is `None` otherwise).
-fn simulate_sessions<R: Router + Copy>(
+/// [`run`] on `router`, once the sessions are assembled: the first wave
+/// under the spec's window in the options' scratch, recorded when they
+/// ask for telemetry.
+fn run_on<R: Router + Copy>(
     spec: &TrafficSpec,
     router: R,
     sessions: &SessionWorkload,
     params: &SimParams,
     opts: RunOptions,
-    lookups: bool,
 ) -> TrafficReport {
     let mut fresh = EngineScratch::new();
     let scratch = opts.scratch.unwrap_or(&mut fresh);
-    let engine = Run::new(router, params, &sessions.workload)
-        .window(spec.horizon)
-        .scratch(scratch);
-    let Some((cfg, out)) = opts.telemetry else {
-        let run = engine.run().expect("windowed traffic runs cannot deadlock");
-        return assemble(spec, &run, &sessions.spans, sessions.cache);
-    };
-    let mut probe = TelemetryProbe::new();
-    let run = engine
-        .probe(&mut probe)
-        .run()
-        .expect("windowed traffic runs cannot deadlock");
-    let intervals = probe.take_intervals();
-    *out = Some(traffic_telemetry(
-        spec,
-        sessions,
-        &run,
-        &intervals,
-        &ChannelMap::new(router),
-        cfg,
-        lookups,
-    ));
-    assemble(spec, &run, &sessions.spans, sessions.cache)
+    let mut recorder = opts.telemetry.is_some().then(WaveRecorder::default);
+    let probe = recorder.as_mut().map(|r| &mut r.probe);
+    let run = run_wave(
+        router,
+        params,
+        &sessions.workload,
+        &window(spec.horizon),
+        scratch,
+        probe,
+    );
+    let report = assemble(spec, &run, sessions);
+    if let (Some(mut recorder), Some((cfg, out))) = (recorder, opts.telemetry) {
+        recorder.record_wave(&first_attempts(&sessions.arrivals), &sessions.spans, &run);
+        let outcomes = report.sessions.iter().map(|s| (s.arrival, s.delivered));
+        let map = ChannelMap::new(router);
+        *out = Some(recorder.finish(outcomes, spec.horizon, &[], &map, cfg));
+    }
+    report
 }
 
-/// Assembles the windowed workload of a hypercube traffic run without
-/// simulating it: arrival schedule, per-session tree builds (through
-/// the [`TreeCache`]), and dependency wiring.
+/// Assembles the first wave of a hypercube tree-multicast traffic run
+/// without simulating it: arrival schedule, per-session tree builds
+/// (through the [`TreeCache`]), and dependency wiring.
 ///
 /// Deterministic for identical inputs; [`run`] with [`Backend::Tree`]
 /// is exactly this followed by the windowed engine run.
@@ -505,34 +664,8 @@ pub fn assemble_cube_sessions(
     algo: Algorithm,
     params: &SimParams,
 ) -> SessionWorkload {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let schedule = spec.arrivals.schedule(&mut rng, spec.sessions);
-    let mut cache = TreeCache::new(spec.cache_capacity);
-    let mut workload: Vec<DepMessage> = Vec::new();
-    let mut spans = Vec::with_capacity(schedule.len());
-    let mut inbound = InboundIndex::default();
-    for &arrival in &schedule {
-        let (source, dests) = spec.pattern.draw_cube(&mut rng, cube);
-        let before = cache.stats();
-        let tree = cache
-            .get_or_build(algo, cube, resolution, params.port_model, source, &dests)
-            .expect("traffic destination draw produced an invalid multicast");
-        let cache_hit = cache.stats().since(before).hits > 0;
-        let range = inbound.append(&mut workload, &tree, spec.bytes, arrival);
-        // Deliveries are attributed in tree (unicast) order.
-        let dests_in_tree_order: Vec<NodeId> = tree.unicasts.iter().map(|u| u.dst).collect();
-        spans.push(SessionSpan {
-            arrival,
-            range,
-            dests: dests_in_tree_order,
-            cache_hit,
-        });
-    }
-    SessionWorkload {
-        workload,
-        spans,
-        cache: cache.stats(),
-    }
+    let backend = Backend::tree(cube, resolution, algo).topology();
+    SessionBuilder::draw(spec, backend, params.port_model).first_wave()
 }
 
 /// Simulates a pre-assembled [`SessionWorkload`] under the spec's
@@ -552,17 +685,20 @@ pub fn run_sessions_on_with_scratch<R: Router>(
     params: &SimParams,
     scratch: &mut EngineScratch,
 ) -> TrafficReport {
-    let run = Run::new(router, params, &sessions.workload)
-        .window(spec.horizon)
-        .scratch(scratch)
-        .run()
-        .expect("windowed traffic runs cannot deadlock");
-    assemble(spec, &run, &sessions.spans, sessions.cache)
+    let run = run_wave(
+        router,
+        params,
+        &sessions.workload,
+        &window(spec.horizon),
+        scratch,
+        None,
+    );
+    assemble(spec, &run, sessions)
 }
 
-/// Assembles the windowed workload of a separate-addressing traffic run
-/// on any routed topology (one independent unicast per destination, no
-/// trees) without simulating it.
+/// Assembles the first wave of a separate-addressing traffic run on any
+/// routed topology (one independent unicast per destination, no trees)
+/// without simulating it.
 ///
 /// # Panics
 /// See [`run`].
@@ -571,35 +707,9 @@ pub fn assemble_separate_sessions_on<R: Router>(spec: &TrafficSpec, router: &R) 
 where
     R::Topo: Topology,
 {
-    let topo = router.topology();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let schedule = spec.arrivals.schedule(&mut rng, spec.sessions);
-    let mut workload: Vec<DepMessage> = Vec::new();
-    let mut spans = Vec::with_capacity(schedule.len());
-    for &arrival in &schedule {
-        let (source, dests) = spec.pattern.draw_on(&mut rng, &topo);
-        let base = workload.len();
-        for &dst in &dests {
-            workload.push(DepMessage {
-                src: source,
-                dst,
-                bytes: spec.bytes,
-                deps: vec![],
-                min_start: arrival,
-            });
-        }
-        spans.push(SessionSpan {
-            arrival,
-            range: base..workload.len(),
-            dests,
-            cache_hit: false,
-        });
-    }
-    SessionWorkload {
-        workload,
-        spans,
-        cache: CacheStats::default(),
-    }
+    // Separate addressing builds no trees, so no port model enters.
+    let backend = Backend::Separate(router.topology());
+    SessionBuilder::draw(spec, backend, PortModel::AllPort).first_wave()
 }
 
 #[cfg(test)]
@@ -737,7 +847,7 @@ mod tests {
             &params,
         );
         let mut next = 0;
-        for span in &assembly.spans {
+        for (span, &arrival) in assembly.spans.iter().zip(&assembly.arrivals) {
             assert_eq!(span.range.start, next);
             assert!(!span.range.is_empty());
             next = span.range.end;
@@ -746,7 +856,7 @@ mod tests {
                 // backwards (the tree is parent-before-child).
                 let inside = span.range.start..span.range.start + j;
                 assert!(m.deps.iter().all(|d| inside.contains(d)), "msg {j}");
-                assert_eq!(m.min_start, span.arrival);
+                assert_eq!(m.min_start, arrival);
             }
         }
         assert_eq!(next, assembly.messages().len());

@@ -14,6 +14,8 @@
 //! inputs (`sqrt` is correctly rounded per IEEE-754), so reports are
 //! byte-stable across platforms.
 
+use wormsim::SimTime;
+
 /// Two-sided 95% Student-t critical values, indexed by degrees of
 /// freedom (1-based; index 0 unused). Beyond the table the normal
 /// quantile 1.96 is used.
@@ -129,6 +131,62 @@ impl BatchMeans {
             batches: k,
             mean,
             ci_half_width,
+        }
+    }
+}
+
+/// The steady-state measurement of one run's sessions: warmup
+/// truncation, the delivered share of the measured sessions, batch-means
+/// latency over the delivered ones, and their rate per millisecond of
+/// measurement span (first measured arrival to last delivery).
+pub(crate) struct Measurement {
+    pub(crate) warmup: usize,
+    pub(crate) measured: usize,
+    pub(crate) delivered: usize,
+    pub(crate) ratio: f64,
+    pub(crate) latency: BatchMeans,
+    pub(crate) per_ms: f64,
+}
+
+impl Measurement {
+    /// Measures `sessions`, each read by `outcome` as
+    /// `(arrival, completion, delivered)`, after dropping the first
+    /// `warmup`. The ratio is 1.0 when nothing was measured.
+    pub(crate) fn of<S>(
+        sessions: &[S],
+        warmup: usize,
+        max_batches: usize,
+        outcome: impl Fn(&S) -> (SimTime, SimTime, bool),
+    ) -> Measurement {
+        let warmup = warmup.min(sessions.len());
+        let measured = &sessions[warmup..];
+        let delivered = || measured.iter().map(&outcome).filter(|&(_, _, ok)| ok);
+        let latencies_ms: Vec<f64> = delivered()
+            .map(|(arrival, completion, _)| completion.saturating_sub(arrival).as_ms())
+            .collect();
+        let count = latencies_ms.len();
+        let ratio = if measured.is_empty() {
+            1.0
+        } else {
+            count as f64 / measured.len() as f64
+        };
+        let last = delivered().map(|(_, completion, _)| completion).max();
+        let span_ms = match (measured.first(), last) {
+            (Some(first), Some(last)) => last.saturating_sub(outcome(first).0).as_ms(),
+            _ => 0.0,
+        };
+        let per_ms = if span_ms > 0.0 {
+            count as f64 / span_ms
+        } else {
+            0.0
+        };
+        Measurement {
+            warmup,
+            measured: measured.len(),
+            delivered: count,
+            ratio,
+            latency: BatchMeans::of(&latencies_ms, max_batches),
+            per_ms,
         }
     }
 }
