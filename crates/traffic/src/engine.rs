@@ -315,15 +315,16 @@ impl<'a, T: Topology> SessionBuilder<'a, T> {
                         allreduce(family, cube, resolution, port, root, bytes, cache)
                     }
                 };
-                Some(built.expect("full-machine collectives cannot fail to build"))
+                Some(built.expect("full-machine collectives of validated payloads build"))
             }
             Backend::SeparateCollective(topo, kind) => {
                 let root = NodeId(session as u32 % topo.node_count() as u32);
-                Some(match kind {
+                let built = match kind {
                     CollectiveKind::Allgather => allgather_separate(topo, bytes),
                     CollectiveKind::ReduceScatter => reduce_scatter_separate(topo, bytes),
                     CollectiveKind::Allreduce => allreduce_separate(topo, root, bytes),
-                })
+                };
+                Some(built.expect("request validation bounds collective payloads"))
             }
         };
         if let Some(schedule) = schedule {

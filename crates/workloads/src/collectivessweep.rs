@@ -197,7 +197,8 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
             CollectiveKind::Allgather => allgather_separate(&torus, cfg.block_bytes),
             CollectiveKind::ReduceScatter => reduce_scatter_separate(&torus, cfg.block_bytes),
             CollectiveKind::Allreduce => allreduce_separate(&torus, NodeId(0), cfg.block_bytes),
-        };
+        }
+        .expect("separate collectives of sweep-sized blocks build");
         let report = simulate_collective_on(&sched, TorusRouter::new(torus), &params);
         rows.push(row_from(
             &sched,

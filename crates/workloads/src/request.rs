@@ -22,7 +22,7 @@ use hcube::{
     TorusRouter,
 };
 use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, reduce_scatter,
+    allgather, allgather_separate, allreduce, allreduce_separate, op_bytes, reduce_scatter,
     reduce_scatter_separate,
 };
 use hypercast::repair::{repair, NetworkFaults, RepairOutcome};
@@ -759,6 +759,10 @@ impl Request {
                 );
             }
         }
+        if self.collective == Some(CollectiveKind::Allreduce) {
+            // An allreduce op carries the whole vector, a block per node.
+            op_bytes(nodes, self.bytes).map_err(|e| bad(format!("{}: {e}", name.bytes)))?;
+        }
         if self.collective.is_none() {
             self.check_dests(nodes)?;
         }
@@ -1120,7 +1124,8 @@ fn collectives(
                 CollectiveKind::Allgather => allgather_separate(&torus, bytes),
                 CollectiveKind::ReduceScatter => reduce_scatter_separate(&torus, bytes),
                 CollectiveKind::Allreduce => allreduce_separate(&torus, source, bytes),
-            };
+            }
+            .map_err(|e| bad(e.to_string()))?;
             let report = wormsim::simulate_collective_on(&sched, TorusRouter::new(torus), params);
             Ok(vec![run("Separate", sched, report)])
         }

@@ -172,6 +172,11 @@ fn invalid_input_is_one_error_line_not_a_panic() {
         // An infinite MTBF, and a schedule longer than the clock.
         "--n 6 --random 8 --load 1 --chaos inf:1",
         "--n 4 --random 3 --load 1e-300 --sessions 3",
+        // An allreduce vector (a block per node) beyond u32::MAX bytes,
+        // on the cube and on the torus, idle and open loop.
+        "--n 4 --collective allreduce --bytes 268435456",
+        "--topology torus --arity 4 --n 2 --collective allreduce --bytes 268435456",
+        "--n 4 --collective allreduce --bytes 268435456 --load 1 --sessions 3",
     ] {
         let out = mcast(&argv.split_whitespace().collect::<Vec<_>>());
         let stderr = String::from_utf8_lossy(&out.stderr);
