@@ -3,9 +3,9 @@
 
 use hcube::{Cube, NodeId, Resolution};
 use hypercast::bounds::{all_port_lower_bound, one_port_lower_bound};
-use hypercast::collectives::{gather, scatter, ReductionSchedule};
+use hypercast::collectives::{barrier, chunked_multicast, gather, reduce, scatter};
 use hypercast::contention::is_contention_free;
-use hypercast::oracle::{verify_gather, verify_scatter};
+use hypercast::oracle::verify_collective;
 use hypercast::verify::{validate, ValidateOptions};
 use hypercast::{Algorithm, PortModel};
 use proptest::prelude::*;
@@ -214,10 +214,10 @@ proptest! {
         }
     }
 
-    /// Reductions derived from any tree are causal, and are the exact
+    /// Reductions built on any tree are causal, and are the exact
     /// step-mirror of their multicast: every tree edge appears reversed
-    /// at step `steps + 1 − t`, under every algorithm, resolution order,
-    /// and port model.
+    /// at step `steps + 1 − t`, and every op waits for every op into its
+    /// sender, under every algorithm, resolution order, and port model.
     #[test]
     fn reductions_are_causal_step_mirrors((n, src, dests) in instance(),
                                           lowhigh in any::<bool>(),
@@ -227,8 +227,15 @@ proptest! {
         let port = if allport { PortModel::AllPort } else { PortModel::OnePort };
         for algo in Algorithm::ALL {
             let t = build(algo, n, res, port, src, &dests);
-            let r = ReductionSchedule::from_multicast(&t);
-            prop_assert!(r.is_causal(), "{algo} {res:?} {port:?}");
+            let r = reduce(&t, 64).unwrap();
+            for (i, up) in r.ops.iter().enumerate() {
+                for (j, down) in r.ops.iter().enumerate() {
+                    if down.dst == up.src {
+                        prop_assert!(down.step < up.step, "{algo} {res:?} {port:?}: op {i}");
+                        prop_assert!(up.deps.contains(&j), "{algo} {res:?} {port:?}: op {i}");
+                    }
+                }
+            }
             prop_assert_eq!(r.root, t.source, "{} {:?}", algo, res);
             prop_assert_eq!(r.steps, t.steps, "{} {:?}", algo, res);
             let mut mirrored: Vec<(u32, u32, u32)> = t
@@ -237,39 +244,37 @@ proptest! {
                 .map(|u| (u.dst.0, u.src.0, t.steps + 1 - u.step))
                 .collect();
             let mut reduced: Vec<(u32, u32, u32)> =
-                r.unicasts.iter().map(|u| (u.src.0, u.dst.0, u.step)).collect();
+                r.ops.iter().map(|op| (op.src.0, op.dst.0, op.step)).collect();
             mirrored.sort_unstable();
             reduced.sort_unstable();
             prop_assert_eq!(mirrored, reduced, "{} {:?} {:?}", algo, res, port);
         }
     }
 
-    /// The data oracle certifies scatter and gather schedules built on
-    /// random instances: every destination keeps exactly its own block,
-    /// the root collects every contribution exactly once, and the edge
-    /// byte annotations are consistent throughout.
+    /// The data oracle certifies every operation built on a random tree:
+    /// reduction, barrier, scatter and gather on every algorithm's tree,
+    /// and the chunked multicast in 1 to 8 chunks. Each destination ends
+    /// with exactly its data, every op waits for what it forwards, and
+    /// every op's bytes match the segments it carries.
     #[test]
-    fn scatter_and_gather_pass_the_data_oracle((n, src, dests) in instance(),
-                                               lowhigh in any::<bool>()) {
+    fn every_operation_on_a_tree_passes_the_data_oracle((n, src, dests) in instance(),
+                                                        lowhigh in any::<bool>(),
+                                                        chunks in 1u32..=8) {
         prop_assume!(!dests.is_empty());
         let res = if lowhigh { Resolution::LowToHigh } else { Resolution::HighToLow };
-        let cube = Cube::of(n);
-        let dest_ids: Vec<NodeId> = dests.iter().copied().map(NodeId).collect();
         for algo in Algorithm::ALL {
-            let s = scatter(algo, cube, res, PortModel::AllPort, NodeId(src), &dest_ids, 512)
-                .unwrap();
-            prop_assert!(
-                verify_scatter(&s, &dest_ids, 512).is_ok(),
-                "{algo} {res:?} scatter: {:?}",
-                verify_scatter(&s, &dest_ids, 512)
-            );
-            let g = gather(algo, cube, res, PortModel::AllPort, NodeId(src), &dest_ids, 512)
-                .unwrap();
-            prop_assert!(
-                verify_gather(&g, &dest_ids, 512).is_ok(),
-                "{algo} {res:?} gather: {:?}",
-                verify_gather(&g, &dest_ids, 512)
-            );
+            let t = build(algo, n, res, PortModel::AllPort, src, &dests);
+            for sched in [
+                reduce(&t, 64),
+                barrier(&t, 16),
+                scatter(&t, 512),
+                gather(&t, 512),
+                chunked_multicast(&t, 4096, chunks),
+            ] {
+                let sched = sched.unwrap();
+                let verdict = verify_collective(&sched);
+                prop_assert!(verdict.is_ok(), "{algo} {res:?} {}: {verdict:?}", sched.kind.name());
+            }
         }
     }
 

@@ -336,8 +336,8 @@ pub fn ablation_background_load(trials: usize) -> Figure {
 /// monolithically; pipelined trees trade per-message startup for overlap).
 #[must_use]
 pub fn ablation_pipelining() -> Figure {
-    use hypercast::collectives::broadcast;
-    use wormsim::simulate_chunked_multicast;
+    use hypercast::collectives::{broadcast, chunked_multicast};
+    use wormsim::simulate_collective;
     let chunk_counts: Vec<usize> = vec![1, 2, 4, 8, 16, 32];
     let cube = Cube::of(8);
     let params = SimParams::ncube2(PortModel::AllPort);
@@ -358,7 +358,8 @@ pub fn ablation_pipelining() -> Figure {
             std: Vec::new(),
         };
         for &c in &chunk_counts {
-            let r = simulate_chunked_multicast(&tree, &params, bytes, c as u32);
+            let sched = chunked_multicast(&tree, bytes, c as u32).expect("small chunks");
+            let r = simulate_collective(&sched, cube, Resolution::HighToLow, &params);
             s.ys.push(r.max_delay.as_ms());
             s.std.push(0.0); // deterministic: fixed tree, no trials
         }
@@ -380,7 +381,7 @@ pub fn ablation_pipelining() -> Figure {
 #[must_use]
 pub fn ablation_scatter(trials: usize) -> Figure {
     use hypercast::collectives::scatter;
-    use wormsim::simulate_scatter;
+    use wormsim::simulate_collective;
     let points: Vec<usize> = vec![1, 2, 4, 8, 16, 24, 32, 48, 63];
     let cube = Cube::of(6);
     let params = SimParams::ncube2(PortModel::AllPort);
@@ -398,17 +399,14 @@ pub fn ablation_scatter(trials: usize) -> Figure {
         trials,
         &algos,
         move |cube, src, dests, algo, _scratch| {
-            let sched = scatter(
-                algo,
-                cube,
-                Resolution::HighToLow,
-                PortModel::AllPort,
-                src,
-                dests,
-                1024,
-            )
-            .expect("valid instance");
-            [simulate_scatter(&sched, &params).max_delay.as_ms()]
+            let res = Resolution::HighToLow;
+            let tree = algo
+                .build(cube, res, PortModel::AllPort, src, dests)
+                .expect("valid instance");
+            let sched = scatter(&tree, 1024).expect("a 6-cube's blocks fit");
+            [simulate_collective(&sched, cube, res, &params)
+                .max_delay
+                .as_ms()]
         },
     );
     Figure {

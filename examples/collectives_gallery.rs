@@ -1,6 +1,8 @@
 //! Gallery of the collective operations built on the multicast trees:
-//! broadcast, reduction, barrier, scatter, gather, all-to-all broadcast,
-//! and pipelined chunked broadcast — each timed on the simulated nCUBE-2.
+//! broadcast, reduction, barrier, scatter, gather, all-to-all broadcast
+//! (allgather), and pipelined chunked broadcast — each timed on the
+//! simulated nCUBE-2. Every one but the broadcast is a collective
+//! schedule, replayed by `simulate_collective`.
 //!
 //! ```text
 //! cargo run -p bench --release --example collectives_gallery
@@ -8,13 +10,10 @@
 
 use hcube::{Cube, NodeId, Resolution};
 use hypercast::collectives::{
-    all_to_all_broadcast, barrier, broadcast, gather, scatter, ReductionSchedule,
+    allgather, barrier, broadcast, chunked_multicast, gather, reduce, scatter,
 };
-use hypercast::{Algorithm, MulticastTree, PortModel};
-use wormsim::{
-    simulate_chunked_multicast, simulate_concurrent_multicasts, simulate_gather,
-    simulate_multicast, simulate_reduction, simulate_scatter, SimParams,
-};
+use hypercast::{Algorithm, CollectiveSchedule, PortModel, TreeFamily};
+use wormsim::{simulate_collective, simulate_multicast, SimParams, SimReport};
 
 fn main() {
     let cube = Cube::of(6);
@@ -23,7 +22,9 @@ fn main() {
     let params = SimParams::ncube2(port);
     let algo = Algorithm::WSort;
     let root = NodeId(0);
-    let everyone: Vec<NodeId> = cube.nodes().filter(|&v| v != root).collect();
+    let run = |sched: &CollectiveSchedule| -> SimReport {
+        simulate_collective(sched, cube, res, &params)
+    };
 
     println!(
         "collective operations on a {}-cube ({} nodes), W-sort trees, nCUBE-2 parameters\n",
@@ -41,58 +42,62 @@ fn main() {
     );
 
     // Pipelined broadcast: same payload in 8 chunks.
-    let r = simulate_chunked_multicast(&bcast, &params, 4096, 8);
+    let r = run(&chunked_multicast(&bcast, 4096, 8).unwrap());
     println!(
         "broadcast (8-chunk pipeline)       : {:>10}",
         format!("{}", r.max_delay)
     );
 
     // Reduction: 64-byte contributions combined to the root.
-    let red = ReductionSchedule::from_multicast(&bcast);
-    let r = simulate_reduction(&red, cube, res, &params, 64);
+    let r = run(&reduce(&bcast, 64).unwrap());
     println!(
         "reduction        64 B from all     : {:>10}",
         format!("{}", r.max_delay)
     );
 
-    // Barrier: reduce + release.
-    let b = barrier(algo, cube, res, port, root).unwrap();
-    let t = simulate_reduction(&b.reduce, cube, res, &params, 16).max_delay
-        + simulate_multicast(&b.release, &params, 16).max_delay;
+    // Barrier: reduce + release, in one run.
+    let b = barrier(&bcast, 16).unwrap();
     println!(
         "barrier          (reduce + release): {:>10}   ({} steps)",
-        format!("{t}"),
-        b.steps()
+        format!("{}", run(&b).max_delay),
+        b.steps
     );
 
     // Scatter: a distinct 1 KB block to every node.
-    let s = scatter(algo, cube, res, port, root, &everyone, 1024).unwrap();
-    let r = simulate_scatter(&s, &params);
+    let s = scatter(&bcast, 1024).unwrap();
+    let r = run(&s);
+    // Every block leaves the root once; forwarding re-sends it per hop.
+    let root_bytes: u64 = s
+        .ops
+        .iter()
+        .filter(|op| op.src == root)
+        .map(|op| u64::from(op.bytes))
+        .sum();
+    let network_bytes: u64 = s
+        .ops
+        .iter()
+        .map(|op| u64::from(op.bytes) * u64::from(op.src.distance(op.dst)))
+        .sum();
     println!(
         "scatter          1 KB blocks       : {:>10}   (root injects {} KB, network carries {} KB·hop)",
         format!("{}", r.max_delay),
-        s.root_bytes() / 1024,
-        s.network_bytes() / 1024
+        root_bytes / 1024,
+        network_bytes / 1024
     );
 
     // Gather: a distinct 1 KB block from every node.
-    let g = gather(algo, cube, res, port, root, &everyone, 1024).unwrap();
-    let r = simulate_gather(&g, cube, res, &params);
+    let r = run(&gather(&bcast, 1024).unwrap());
     println!(
         "gather           1 KB blocks       : {:>10}",
         format!("{}", r.max_delay)
     );
 
     // All-to-all broadcast: every node broadcasts 512 B, concurrently.
-    let trees = all_to_all_broadcast(algo, cube, res, port).unwrap();
-    let refs: Vec<&MulticastTree> = trees.iter().collect();
-    let reports = simulate_concurrent_multicasts(&refs, &params, 512);
-    let slowest = reports.trees.iter().map(|r| r.max_delay).max().unwrap();
-    let blocks: u64 = reports.trees.iter().map(|r| r.blocks).sum();
+    let r = run(&allgather(TreeFamily::Alg(algo), cube, res, port, 512, None).unwrap());
     println!(
         "all-to-all bcast 512 B each        : {:>10}   ({} ops, {} cross-op blocking events)",
-        format!("{slowest}"),
-        reports.trees.len(),
-        blocks
+        format!("{}", r.max_delay),
+        cube.node_count(),
+        r.blocks
     );
 }

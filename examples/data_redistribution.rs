@@ -17,9 +17,9 @@
 //! ```
 
 use hcube::{Cube, NodeId, Resolution};
-use hypercast::collectives::{barrier, ReductionSchedule};
+use hypercast::collectives::{barrier, broadcast, reduce};
 use hypercast::{Algorithm, PortModel};
-use wormsim::{simulate_multicast, simulate_reduction, SimParams, SimTime};
+use wormsim::{simulate_collective, simulate_multicast, SimParams, SimTime};
 
 fn main() {
     let cube = Cube::of(10);
@@ -48,16 +48,15 @@ fn main() {
         let mcast = algo.build(cube, res, port, coordinator, &affected).unwrap();
         let t_mcast = simulate_multicast(&mcast, &params, 4096).max_delay;
 
-        // 2. full-machine barrier rooted at the coordinator
-        let bar = barrier(algo, cube, res, port, coordinator).unwrap();
-        let t_bar = simulate_reduction(&bar.reduce, cube, res, &params, 16).max_delay
-            + simulate_multicast(&bar.release, &params, 16).max_delay;
+        // 2. full-machine barrier rooted at the coordinator, on a
+        //    broadcast tree
+        let tree = broadcast(algo, cube, res, port, coordinator).unwrap();
+        let bar = barrier(&tree, 16).unwrap();
+        let t_bar = simulate_collective(&bar, cube, res, &params).max_delay;
 
-        // 3. residual gather (reverse of a broadcast tree)
-        let gather_tree =
-            hypercast::collectives::broadcast(algo, cube, res, port, coordinator).unwrap();
-        let gather = ReductionSchedule::from_multicast(&gather_tree);
-        let t_gather = simulate_reduction(&gather, cube, res, &params, 64).max_delay;
+        // 3. residual gather (reverse of the same broadcast tree)
+        let gather = reduce(&tree, 64).unwrap();
+        let t_gather = simulate_collective(&gather, cube, res, &params).max_delay;
 
         let total: SimTime = t_mcast + t_bar + t_gather;
         println!(
