@@ -440,6 +440,36 @@ fn committed_collectives_sweep_artifact_regenerates_byte_identically() {
     );
 }
 
+/// Full-artifact byte-reproducibility of the two ablations that replay
+/// collective schedules (`ablation_scatter` at the paper's trial count,
+/// as `all_figures` runs it, and `ablation_pipelining`): regenerating
+/// them reproduces `results/ablation_{scatter,pipelining}.json` exactly.
+/// Expensive in debug builds, so ignored by default; CI runs it in
+/// release via `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "full ablation regeneration; run in release builds"]
+fn collective_ablation_artifacts_regenerate_byte_identically() {
+    use workloads::{ablations, figures::PAPER_TRIALS_NCUBE};
+    for (figure, committed) in [
+        (
+            ablations::ablation_scatter(PAPER_TRIALS_NCUBE),
+            include_str!("../../../results/ablation_scatter.json"),
+        ),
+        (
+            ablations::ablation_pipelining(),
+            include_str!("../../../results/ablation_pipelining.json"),
+        ),
+    ] {
+        assert_eq!(
+            figure.to_json(),
+            committed,
+            "results/{}.json diverged from regeneration — rerun \
+             `cargo run -p bench --release --bin all_figures` and commit",
+            figure.id
+        );
+    }
+}
+
 /// The committed chaos-sweep artifact, validated with the first-party
 /// parser — the same check `sweep chaos_sweep --check` runs in CI.
 const CHAOS_SWEEP_GOLDEN: &str = include_str!("../../../results/chaos_sweep.json");
