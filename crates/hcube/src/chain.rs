@@ -70,8 +70,27 @@ pub fn relative_chain(
     source: NodeId,
     dests: &[NodeId],
 ) -> Result<Vec<NodeId>, HcubeError> {
-    let src_c = res.canon(source, n);
     let mut chain = Vec::with_capacity(dests.len() + 1);
+    relative_chain_into(res, n, source, dests, &mut chain)?;
+    Ok(chain)
+}
+
+/// [`relative_chain`] written into a caller-owned buffer, which is
+/// cleared first, so a caller that builds many chains allocates only
+/// when one outgrows the buffer.
+///
+/// # Errors
+/// The errors of [`relative_chain`]; `chain` then holds no valid chain.
+#[inline]
+pub fn relative_chain_into(
+    res: Resolution,
+    n: u8,
+    source: NodeId,
+    dests: &[NodeId],
+    chain: &mut Vec<NodeId>,
+) -> Result<(), HcubeError> {
+    let src_c = res.canon(source, n);
+    chain.clear();
     chain.push(NodeId(0));
     for &d in dests {
         chain.push(NodeId(res.canon(d, n).xor(src_c)));
@@ -85,7 +104,7 @@ pub fn relative_chain(
             });
         }
     }
-    Ok(chain)
+    Ok(())
 }
 
 /// Maps a canonical-relative chain element back to its physical node

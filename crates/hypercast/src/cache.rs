@@ -21,7 +21,7 @@
 //! eviction.
 
 use crate::algorithms::Algorithm;
-use crate::repair::{repair, NetworkFaults};
+use crate::repair::{NetworkFaults, RepairScratch};
 use crate::schedule::PortModel;
 use crate::tree::MulticastTree;
 use hcube::{Cube, HcubeError, NodeId, Resolution};
@@ -149,6 +149,8 @@ pub struct TreeCache {
     /// Reverse index stamp → key; the first entry is least recently used.
     lru: BTreeMap<u64, TreeKey>,
     stats: CacheStats,
+    /// Reused by every repaired miss.
+    scratch: RepairScratch,
 }
 
 impl TreeCache {
@@ -163,6 +165,7 @@ impl TreeCache {
             map: HashMap::new(),
             lru: BTreeMap::new(),
             stats: CacheStats::default(),
+            scratch: RepairScratch::default(),
         }
     }
 
@@ -257,6 +260,11 @@ impl TreeCache {
     /// requested set against the tree's coverage (that is what the
     /// traffic engine's retry layer does).
     ///
+    /// A miss repairs the cached pristine tree of the same input when
+    /// there is one, without counting that lookup or refreshing its LRU
+    /// position, and builds it otherwise (without caching it). Repairs
+    /// reuse the cache's [`RepairScratch`].
+    ///
     /// # Errors
     /// Exactly the errors of the underlying pristine
     /// [`Algorithm::build`]; repair itself cannot fail.
@@ -278,8 +286,19 @@ impl TreeCache {
             return Ok(tree);
         }
         self.stats.misses += 1;
-        let pristine = algo.build(cube, resolution, port, source, &key.dests)?;
-        let tree = Arc::new(repair(&pristine, faults).tree);
+        key.epoch = 0;
+        key.repaired = false;
+        let built;
+        let pristine = match self.map.get(&key) {
+            Some((_, tree)) => tree.as_ref(),
+            None => {
+                built = algo.build(cube, resolution, port, source, &key.dests)?;
+                &built
+            }
+        };
+        let tree = Arc::new(self.scratch.repair(pristine, faults).tree);
+        key.epoch = self.epoch;
+        key.repaired = true;
         self.insert(key, &tree);
         Ok(tree)
     }
@@ -320,6 +339,7 @@ impl TreeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcube::Dim;
 
     fn dests(v: &[u32]) -> Vec<NodeId> {
         v.iter().copied().map(NodeId).collect()
@@ -464,6 +484,39 @@ mod tests {
         assert!(!Arc::ptr_eq(&plain, &repaired));
         // With no faults, repair is the identity on structure.
         assert_eq!(plain.unicasts, repaired.unicasts);
+    }
+
+    #[test]
+    fn repaired_miss_reuses_the_cached_pristine_tree() {
+        let mut c = TreeCache::new(8);
+        let mut faults = NetworkFaults::new();
+        faults.fail_node(NodeId(9)).fail_link(NodeId(0), Dim(4));
+        let pristine = build_cached(&mut c, &[1, 5, 9, 17, 22, 30]);
+        let repaired = build_repaired(&mut c, &[30, 22, 17, 9, 5, 1], &faults);
+        assert_eq!(
+            repaired.unicasts,
+            crate::repair::repair(&pristine, &faults).tree.unicasts
+        );
+        // The pristine peek is not a lookup: one miss per call, no hit.
+        assert_eq!(
+            c.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 2,
+                evictions: 0,
+                invalidations: 0
+            }
+        );
+        // Nor does it refresh the pristine entry's LRU position: at
+        // capacity 2 the repaired insertion evicts that entry, the
+        // least recently used, and keeps the later one.
+        let mut c = TreeCache::new(2);
+        build_cached(&mut c, &[1, 5, 9, 17, 22, 30]);
+        build_cached(&mut c, &[2]);
+        build_repaired(&mut c, &[1, 5, 9, 17, 22, 30], &faults);
+        assert_eq!(c.stats().evictions, 1);
+        build_cached(&mut c, &[2]);
+        assert_eq!(c.stats().hits, 1, "the later pristine entry survived");
     }
 
     #[test]

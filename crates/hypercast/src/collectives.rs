@@ -803,6 +803,64 @@ pub fn allreduce_separate<T: Topology>(
     ))
 }
 
+/// Builds the suite collective `kind` over `family`'s broadcast trees:
+/// [`allgather`], [`reduce_scatter`] or [`allreduce`]. `root` is the
+/// allreduce's root; the other two root a tree at every node.
+///
+/// # Errors
+/// Those of the collective built.
+#[allow(clippy::too_many_arguments)]
+pub fn suite_collective(
+    kind: CollectiveKind,
+    family: TreeFamily,
+    cube: Cube,
+    resolution: Resolution,
+    port_model: PortModel,
+    root: NodeId,
+    block_bytes: u32,
+    cache: Option<&mut TreeCache>,
+) -> Result<CollectiveSchedule, CollectiveError> {
+    match kind {
+        CollectiveKind::Allgather => {
+            allgather(family, cube, resolution, port_model, block_bytes, cache)
+        }
+        CollectiveKind::ReduceScatter => {
+            reduce_scatter(family, cube, resolution, port_model, block_bytes, cache)
+        }
+        CollectiveKind::Allreduce => allreduce(
+            family,
+            cube,
+            resolution,
+            port_model,
+            root,
+            block_bytes,
+            cache,
+        ),
+    }
+}
+
+/// Builds the suite collective `kind` by separate addressing on any
+/// topology: [`allgather_separate`], [`reduce_scatter_separate`] or
+/// [`allreduce_separate`]. `root` is the allreduce's root.
+///
+/// # Errors
+/// Those of the collective built.
+///
+/// # Panics
+/// If `kind` is the allreduce and `root` is outside the topology.
+pub fn suite_collective_separate<T: Topology>(
+    kind: CollectiveKind,
+    topo: &T,
+    root: NodeId,
+    block_bytes: u32,
+) -> Result<CollectiveSchedule, CollectiveError> {
+    match kind {
+        CollectiveKind::Allgather => allgather_separate(topo, block_bytes),
+        CollectiveKind::ReduceScatter => reduce_scatter_separate(topo, block_bytes),
+        CollectiveKind::Allreduce => allreduce_separate(topo, root, block_bytes),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

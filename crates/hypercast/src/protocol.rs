@@ -141,25 +141,15 @@ pub fn execute(
 /// Returns each child's segment together with the subcube dimensionality
 /// it is handed (used by the cube-ordered W-sort rule).
 ///
-/// Shared with [`crate::repair`], which re-splits orphaned sub-chains
-/// from a replacement ancestor with the same rule.
+/// Its W-sort arm, [`wsort_split`], is shared with [`crate::repair`],
+/// which re-splits orphaned sub-chains from a replacement ancestor with
+/// the same rule.
 pub(crate) fn local_split(algo: Algorithm, seg: &[NodeId], ns: u8) -> Vec<(Vec<NodeId>, u8)> {
     let mut out = Vec::new();
     match algo {
-        Algorithm::WSort => {
-            let left = 0usize;
-            let mut right = seg.len() - 1;
-            let mut ns = ns;
-            while left < right {
-                let c = hcube::chain::cube_center(&seg[left..=right], ns);
-                if c <= right - left {
-                    let next = left + c;
-                    out.push((seg[next..=right].to_vec(), ns - 1));
-                    right = next - 1;
-                }
-                ns -= 1;
-            }
-        }
+        Algorithm::WSort => wsort_split(seg, 0, seg.len() - 1, ns, |next, right, child_ns| {
+            out.push((seg[next..=right].to_vec(), child_ns));
+        }),
         _ => {
             let mut right = seg.len() - 1;
             let left = 0usize;
@@ -187,6 +177,28 @@ pub(crate) fn local_split(algo: Algorithm, seg: &[NodeId], ns: u8) -> Vec<(Vec<N
         }
     }
     out
+}
+
+/// The W-sort arm of [`local_split`] over `chain[left..=right]`, held by
+/// `chain[left]` in a subcube of dimensionality `ns`: calls
+/// `child(next, right, child_ns)` for each forwarded sub-chain
+/// `chain[next..=right]`, in issue order, without copying it.
+pub(crate) fn wsort_split(
+    chain: &[NodeId],
+    left: usize,
+    mut right: usize,
+    mut ns: u8,
+    mut child: impl FnMut(usize, usize, u8),
+) {
+    while left < right {
+        let c = hcube::chain::cube_center(&chain[left..=right], ns);
+        if c <= right - left {
+            let next = left + c;
+            child(next, right, ns - 1);
+            right = next - 1;
+        }
+        ns -= 1;
+    }
 }
 
 /// Retry discipline of the chaos engine (`traffic::run_chaos`).

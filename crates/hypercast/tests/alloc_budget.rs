@@ -1,8 +1,11 @@
-//! Allocation budget of tree construction: `Algorithm::build` allocates
-//! a constant number of times per tree, whatever the destination count.
-//! Counts are deterministic, so this gates work where a clock could not.
+//! Allocation budgets of tree construction and repair:
+//! `Algorithm::build` allocates a constant number of times per tree,
+//! whatever the destination count, and a repair on a warm scratch
+//! allocates only the outcome it returns. Counts are deterministic, so
+//! this gates work where a clock could not.
 
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Dim, NodeId, Resolution};
+use hypercast::repair::{NetworkFaults, RepairScratch};
 use hypercast::{Algorithm, PortModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,4 +91,47 @@ fn build_allocates_a_constant_number_of_times_per_tree() {
             }
         }
     }
+}
+
+#[test]
+fn warm_repair_allocates_only_its_outcome() {
+    let cube = Cube::of(8);
+    let source = NodeId(0);
+    let mut scratch = RepairScratch::default();
+    let mut counts = Vec::new();
+    for m in [8, 64, 255] {
+        let dests = dests(8, source.0, m);
+        let tree = Algorithm::WSort
+            .build(
+                cube,
+                Resolution::HighToLow,
+                PortModel::AllPort,
+                source,
+                &dests,
+            )
+            .unwrap();
+        // A dead destination that forwards: its subtree is orphaned, so
+        // `dropped` and `rerouted` are non-empty in every case.
+        let dead = tree.unicasts.iter().find(|u| u.src != source).unwrap().src;
+        for links in [0u32, 4, 32] {
+            let mut faults = NetworkFaults::new();
+            faults.fail_node(dead);
+            for i in 0..links {
+                faults.fail_link(NodeId((i * 97 + 13) % 256), Dim((i % 8) as u8));
+            }
+            // Warm-up: the buffers grow to this repair's working set.
+            let _ = scratch.repair(&tree, &faults);
+            let before = ALLOCS.with(Cell::get);
+            let out = scratch.repair(&tree, &faults);
+            let calls = ALLOCS.with(Cell::get) - before;
+            assert!(!out.dropped.is_empty() && !out.rerouted.is_empty());
+            assert!(out.unreachable.is_empty(), "m = {m}, {links} links");
+            counts.push(calls);
+        }
+    }
+    // The unicast vector, `dropped` and `rerouted`; nothing else.
+    assert!(
+        counts.iter().all(|&c| c == 3),
+        "allocations at m = 8, 64, 255 × 0, 4, 32 dead links were {counts:?}"
+    );
 }

@@ -30,10 +30,7 @@ use crate::patterns::DestPattern;
 use crate::stats::{BatchMeans, LoadPoint, Measurement};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetryProbe, WaveRecorder};
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
-use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, reduce_scatter,
-    reduce_scatter_separate,
-};
+use hypercast::collectives::{suite_collective, suite_collective_separate};
 use hypercast::{
     Algorithm, CacheStats, CollectiveKind, NetworkFaults, PortModel, TreeCache, TreeFamily,
 };
@@ -304,26 +301,13 @@ impl<'a, T: Topology> SessionBuilder<'a, T> {
             } => {
                 let root = NodeId(session as u32 % cube.node_count() as u32);
                 let cache = Some(&mut self.cache);
-                let built = match kind {
-                    CollectiveKind::Allgather => {
-                        allgather(family, cube, resolution, port, bytes, cache)
-                    }
-                    CollectiveKind::ReduceScatter => {
-                        reduce_scatter(family, cube, resolution, port, bytes, cache)
-                    }
-                    CollectiveKind::Allreduce => {
-                        allreduce(family, cube, resolution, port, root, bytes, cache)
-                    }
-                };
+                let built =
+                    suite_collective(kind, family, cube, resolution, port, root, bytes, cache);
                 Some(built.expect("full-machine collectives of validated payloads build"))
             }
             Backend::SeparateCollective(topo, kind) => {
                 let root = NodeId(session as u32 % topo.node_count() as u32);
-                let built = match kind {
-                    CollectiveKind::Allgather => allgather_separate(topo, bytes),
-                    CollectiveKind::ReduceScatter => reduce_scatter_separate(topo, bytes),
-                    CollectiveKind::Allreduce => allreduce_separate(topo, root, bytes),
-                };
+                let built = suite_collective_separate(*kind, topo, root, bytes);
                 Some(built.expect("request validation bounds collective payloads"))
             }
         };

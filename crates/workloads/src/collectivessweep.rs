@@ -18,10 +18,7 @@
 use crate::artifact::{record, Artifact};
 use crate::trafficsweep::{horizon_for, run_seed};
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
-use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, reduce_scatter,
-    reduce_scatter_separate,
-};
+use hypercast::collectives::{suite_collective, suite_collective_separate};
 use hypercast::oracle::verify_collective;
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
 use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
@@ -125,26 +122,6 @@ pub struct CollectivesSweep {
     pub traffic: Vec<TrafficRow>,
 }
 
-/// Builds one cube-side schedule of the sweep.
-fn cube_schedule(
-    kind: CollectiveKind,
-    family: TreeFamily,
-    cube: Cube,
-    block_bytes: u32,
-) -> CollectiveSchedule {
-    let (resolution, port) = (Resolution::HighToLow, PortModel::AllPort);
-    match kind {
-        CollectiveKind::Allgather => allgather(family, cube, resolution, port, block_bytes, None),
-        CollectiveKind::ReduceScatter => {
-            reduce_scatter(family, cube, resolution, port, block_bytes, None)
-        }
-        CollectiveKind::Allreduce => {
-            allreduce(family, cube, resolution, port, NodeId(0), block_bytes, None)
-        }
-    }
-    .expect("full-machine collectives cannot fail to build")
-}
-
 fn row_from(
     sched: &CollectiveSchedule,
     suite: &str,
@@ -175,11 +152,21 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
     let mut rows = Vec::new();
 
     // --- schedule section: 5-cube, every family --------------------------
-    let cube = Cube::of(5);
+    let (cube, res, port) = (Cube::of(5), Resolution::HighToLow, PortModel::AllPort);
     for kind in CollectiveKind::ALL {
         for family in TreeFamily::SWEEP {
-            let sched = cube_schedule(kind, family, cube, cfg.block_bytes);
-            let report = simulate_collective(&sched, cube, Resolution::HighToLow, &params);
+            let sched = suite_collective(
+                kind,
+                family,
+                cube,
+                res,
+                port,
+                NodeId(0),
+                cfg.block_bytes,
+                None,
+            )
+            .expect("full-machine collectives cannot fail to build");
+            let report = simulate_collective(&sched, cube, res, &params);
             rows.push(row_from(
                 &sched,
                 kind.name(),
@@ -193,12 +180,8 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
     // --- schedule section: torus, separate addressing --------------------
     let torus = Torus::of(4, 2);
     for kind in CollectiveKind::ALL {
-        let sched = match kind {
-            CollectiveKind::Allgather => allgather_separate(&torus, cfg.block_bytes),
-            CollectiveKind::ReduceScatter => reduce_scatter_separate(&torus, cfg.block_bytes),
-            CollectiveKind::Allreduce => allreduce_separate(&torus, NodeId(0), cfg.block_bytes),
-        }
-        .expect("separate collectives of sweep-sized blocks build");
+        let sched = suite_collective_separate(kind, &torus, NodeId(0), cfg.block_bytes)
+            .expect("separate collectives of sweep-sized blocks build");
         let report = simulate_collective_on(&sched, TorusRouter::new(torus), &params);
         rows.push(row_from(
             &sched,

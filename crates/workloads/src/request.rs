@@ -21,10 +21,7 @@ use hcube::{
     Cube, Dim, Ecube, Mesh, MeshXY, MinimalAdaptive, NodeId, Resolution, Router, Topology, Torus,
     TorusRouter,
 };
-use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, op_bytes, reduce_scatter,
-    reduce_scatter_separate,
-};
+use hypercast::collectives::{op_bytes, suite_collective, suite_collective_separate};
 use hypercast::repair::{repair, NetworkFaults, RepairOutcome};
 use hypercast::{
     Algorithm, CollectiveKind, CollectiveSchedule, MulticastTree, PortModel, TreeFamily,
@@ -1120,26 +1117,16 @@ fn collectives(
     );
     match net {
         Net::Torus(torus) => {
-            let sched = match kind {
-                CollectiveKind::Allgather => allgather_separate(&torus, bytes),
-                CollectiveKind::ReduceScatter => reduce_scatter_separate(&torus, bytes),
-                CollectiveKind::Allreduce => allreduce_separate(&torus, source, bytes),
-            }
-            .map_err(|e| bad(e.to_string()))?;
+            let sched = suite_collective_separate(kind, &torus, source, bytes)
+                .map_err(|e| bad(e.to_string()))?;
             let report = wormsim::simulate_collective_on(&sched, TorusRouter::new(torus), params);
             Ok(vec![run("Separate", sched, report)])
         }
         Net::Cube(cube) => families(req)
             .iter()
             .map(|&f| {
-                let sched = match kind {
-                    CollectiveKind::Allgather => allgather(f, cube, res, port, bytes, None),
-                    CollectiveKind::ReduceScatter => {
-                        reduce_scatter(f, cube, res, port, bytes, None)
-                    }
-                    CollectiveKind::Allreduce => allreduce(f, cube, res, port, source, bytes, None),
-                }
-                .map_err(|e| bad(e.to_string()))?;
+                let sched = suite_collective(kind, f, cube, res, port, source, bytes, None)
+                    .map_err(|e| bad(e.to_string()))?;
                 let report = wormsim::simulate_collective(&sched, cube, res, params);
                 Ok(run(f.name(), sched, report))
             })

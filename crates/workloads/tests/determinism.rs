@@ -470,6 +470,22 @@ fn collective_ablation_artifacts_regenerate_byte_identically() {
     }
 }
 
+/// `results/fault_sweep.json`, the one committed artifact that calls
+/// `hypercast::repair` directly, regenerates byte for byte at the
+/// `all_figures` trial count. Ignored by default like the ablations
+/// above; CI runs it in release via `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "full fault-sweep regeneration; run in release builds"]
+fn fault_sweep_artifact_regenerates_byte_identically() {
+    use workloads::{faultsweep::fault_sweep, figures::PAPER_TRIALS_NCUBE};
+    assert_eq!(
+        fault_sweep(PAPER_TRIALS_NCUBE).to_json(),
+        include_str!("../../../results/fault_sweep.json"),
+        "results/fault_sweep.json diverged from regeneration — rerun \
+         `cargo run -p bench --release --bin all_figures` and commit"
+    );
+}
+
 /// The committed chaos-sweep artifact, validated with the first-party
 /// parser — the same check `sweep chaos_sweep --check` runs in CI.
 const CHAOS_SWEEP_GOLDEN: &str = include_str!("../../../results/chaos_sweep.json");

@@ -614,7 +614,16 @@ fn apply(plan: &mut FaultPlan, kind: FaultEventKind) {
 /// temporal faults at simulation time.
 impl From<&FaultPlan> for hypercast::repair::NetworkFaults {
     fn from(plan: &FaultPlan) -> hypercast::repair::NetworkFaults {
-        let mut f = hypercast::repair::NetworkFaults::new();
+        // Size the fault set once, to the largest faulted id.
+        let nodes = plan
+            .dead_links()
+            .map(|(v, _)| v)
+            .chain(plan.dead_lanes().map(|(v, _, _)| v))
+            .chain(plan.dead_nodes())
+            .map(|v| v.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut f = hypercast::repair::NetworkFaults::with_nodes(nodes);
         for (v, d) in plan.dead_links() {
             f.fail_link(v, d);
         }

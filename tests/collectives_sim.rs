@@ -3,8 +3,7 @@
 
 use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::collectives::{
-    allgather, allgather_separate, allreduce, allreduce_separate, barrier, broadcast, reduce,
-    reduce_scatter, reduce_scatter_separate,
+    barrier, broadcast, reduce, suite_collective, suite_collective_separate,
 };
 use hypercast::oracle::verify_collective;
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
@@ -118,12 +117,7 @@ fn barrier_costs_roughly_double_a_broadcast() {
 /// Builds one cube collective of the suite.
 fn cube_collective(kind: CollectiveKind, family: TreeFamily, cube: Cube) -> CollectiveSchedule {
     let (res, port) = (Resolution::HighToLow, PortModel::AllPort);
-    match kind {
-        CollectiveKind::Allgather => allgather(family, cube, res, port, 128, None),
-        CollectiveKind::ReduceScatter => reduce_scatter(family, cube, res, port, 128, None),
-        CollectiveKind::Allreduce => allreduce(family, cube, res, port, NodeId(5), 128, None),
-    }
-    .unwrap()
+    suite_collective(kind, family, cube, res, port, NodeId(5), 128, None).unwrap()
 }
 
 #[test]
@@ -159,12 +153,7 @@ fn every_separate_collective_simulates_and_passes_the_oracle_on_the_torus() {
     let params = SimParams::ncube2(PortModel::AllPort);
     let torus = Torus::of(4, 2);
     for kind in CollectiveKind::ALL {
-        let sched = match kind {
-            CollectiveKind::Allgather => allgather_separate(&torus, 128),
-            CollectiveKind::ReduceScatter => reduce_scatter_separate(&torus, 128),
-            CollectiveKind::Allreduce => allreduce_separate(&torus, NodeId(3), 128),
-        }
-        .unwrap();
+        let sched = suite_collective_separate(kind, &torus, NodeId(3), 128).unwrap();
         verify_collective(&sched).unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         let r = simulate_collective_on(&sched, TorusRouter::new(torus), &params);
         assert_eq!(r.deliveries.len(), sched.ops.len(), "{}", kind.name());
