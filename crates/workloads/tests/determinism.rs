@@ -440,33 +440,53 @@ fn committed_collectives_sweep_artifact_regenerates_byte_identically() {
     );
 }
 
-/// Full-artifact byte-reproducibility of the two ablations that replay
-/// collective schedules (`ablation_scatter` at the paper's trial count,
-/// as `all_figures` runs it, and `ablation_pipelining`): regenerating
-/// them reproduces `results/ablation_{scatter,pipelining}.json` exactly.
-/// Expensive in debug builds, so ignored by default; CI runs it in
+/// Full-artifact byte-reproducibility of every figure `all_figures`
+/// writes apart from the fault sweep (pinned below): Figures 9–14 and
+/// the twelve ablations at the paper's trial counts regenerate
+/// `results/<id>.json` and `results/<id>.txt` exactly, the `.txt` being
+/// the table, a blank line and the 72×18 plot, as `bench::emit` writes
+/// it. Expensive in debug builds, so ignored by default; CI runs it in
 /// release via `cargo test --release -- --ignored`.
 #[test]
-#[ignore = "full ablation regeneration; run in release builds"]
+#[ignore = "full figure and ablation regeneration; run in release builds"]
 fn collective_ablation_artifacts_regenerate_byte_identically() {
-    use workloads::{ablations, figures::PAPER_TRIALS_NCUBE};
-    for (figure, committed) in [
-        (
-            ablations::ablation_scatter(PAPER_TRIALS_NCUBE),
-            include_str!("../../../results/ablation_scatter.json"),
-        ),
-        (
-            ablations::ablation_pipelining(),
-            include_str!("../../../results/ablation_pipelining.json"),
-        ),
-    ] {
-        assert_eq!(
-            figure.to_json(),
-            committed,
-            "results/{}.json diverged from regeneration — rerun \
-             `cargo run -p bench --release --bin all_figures` and commit",
-            figure.id
-        );
+    use workloads::ablations::*;
+    use workloads::figures::{self, PAPER_TRIALS_NCUBE as NCUBE, PAPER_TRIALS_STEPS as STEPS};
+    let (f11, f12) = figures::fig11_12(NCUBE);
+    let (f13, f14) = figures::fig13_14(STEPS);
+    let all = [
+        figures::fig09(STEPS),
+        figures::fig10(STEPS),
+        f11,
+        f12,
+        f13,
+        f14,
+        ablation_ports(NCUBE),
+        ablation_message_size(NCUBE),
+        ablation_sensitivity(NCUBE),
+        ablation_optimality(NCUBE),
+        ablation_contention(NCUBE),
+        ablation_background_load(NCUBE),
+        ablation_pipelining(),
+        ablation_scatter(NCUBE),
+        ablation_scaling(NCUBE),
+        ablation_concurrency(NCUBE),
+        ablation_model_fidelity(NCUBE),
+        ablation_kport(NCUBE),
+    ];
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for figure in &all {
+        let text = format!("{}\n{}", figure.to_table(), figure.to_ascii_plot(72, 18));
+        for (ext, regenerated) in [("json", figure.to_json()), ("txt", text)] {
+            let path = results.join(format!("{}.{ext}", figure.id));
+            let committed = std::fs::read_to_string(&path).expect("committed artifact");
+            assert!(
+                regenerated == committed,
+                "results/{}.{ext} diverged from regeneration — rerun \
+                 `cargo run -p bench --release --bin all_figures` and commit",
+                figure.id
+            );
+        }
     }
 }
 
