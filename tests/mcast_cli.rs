@@ -1,7 +1,7 @@
 //! Pins the `mcast` command line byte for byte.
 //!
-//! Every `mcast` invocation of the CI workflow, plus one fault/repair/
-//! timeline run, is replayed through the built binary. Its stdout and
+//! Every `mcast` invocation of the CI workflow, plus fault/repair and
+//! timeline runs, is replayed through the built binary. Its stdout and
 //! every file it writes (`--trace-out`, `--metrics-out`, `--spans-out`,
 //! `--timeseries-out`) are compared with the golden files under
 //! `tests/golden/mcast/<case>/`. All runs are deterministic and take
@@ -90,6 +90,16 @@ const CASES: &[(&str, &str)] = &[
     (
         "faults_trace",
         "--n 6 --algo wsort --dests 3,9,17,33,60 --faults 4 --trace",
+    ),
+    (
+        "obs_lanes_cube",
+        "--n 6 --algo wsort --random 12 --seed 3 --lanes 2 --trace \
+         --trace-out OUT/trace_cube.json --metrics-out OUT/metrics_cube.prom",
+    ),
+    (
+        "obs_trace_torus",
+        "--topology torus --arity 4 --n 3 --random 8 --trace \
+         --trace-out OUT/trace_torus.json --metrics-out OUT/metrics_torus.json",
     ),
 ];
 
