@@ -8,7 +8,7 @@ use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::bounds::min_steps_port_limited;
 use hypercast::contention::contention_witnesses;
 use hypercast::{Algorithm, PortModel};
-use wormsim::{simulate_multicast_with_scratch, EngineScratch, SimParams};
+use wormsim::{EngineScratch, MulticastRun, SimParams};
 
 /// Port-model ablation: W-sort and U-cube maximum delay on a 5-cube under
 /// one-port vs all-port nodes. Quantifies how much of the paper's win
@@ -35,7 +35,9 @@ pub fn ablation_ports(trials: usize) -> Figure {
                 let t = algo
                     .build(cube, Resolution::HighToLow, port, src, dests)
                     .expect("valid instance");
-                [simulate_multicast_with_scratch(&t, &params, 4096, scratch)
+                [MulticastRun::new(&t, &params, 4096)
+                    .scratch(scratch)
+                    .run()
                     .max_delay
                     .as_ms()]
             },
@@ -85,7 +87,9 @@ pub fn ablation_message_size(trials: usize) -> Figure {
                     .build(cube, Resolution::HighToLow, PortModel::AllPort, src, &dests)
                     .expect("valid instance");
                 samples[ai].push(
-                    simulate_multicast_with_scratch(&t, &params, bytes as u32, &mut scratch)
+                    MulticastRun::new(&t, &params, bytes as u32)
+                        .scratch(&mut scratch)
+                        .run()
                         .max_delay
                         .as_ms(),
                 );
@@ -129,7 +133,7 @@ pub fn ablation_sensitivity(trials: usize) -> Figure {
                 let t = algo
                     .build(cube, Resolution::HighToLow, PortModel::AllPort, src, dests)
                     .expect("valid instance");
-                let r = simulate_multicast_with_scratch(&t, &params, 4096, scratch);
+                let r = MulticastRun::new(&t, &params, 4096).scratch(scratch).run();
                 [r.max_delay.as_ms(), r.avg_delay.as_ms()]
             },
         );
@@ -213,7 +217,10 @@ pub fn ablation_contention(trials: usize) -> Figure {
                 .build(cube, Resolution::HighToLow, PortModel::AllPort, src, dests)
                 .expect("valid instance");
             let witnesses = contention_witnesses(&t).len();
-            let blocks = simulate_multicast_with_scratch(&t, &params, 4096, scratch).blocks as f64;
+            let blocks = MulticastRun::new(&t, &params, 4096)
+                .scratch(scratch)
+                .run()
+                .blocks as f64;
             [if witnesses > 0 { 1.0 } else { 0.0 }, blocks]
         },
     );
@@ -359,7 +366,7 @@ pub fn ablation_pipelining() -> Figure {
         };
         for &c in &chunk_counts {
             let sched = chunked_multicast(&tree, bytes, c as u32).expect("small chunks");
-            let r = simulate_collective(&sched, cube, Resolution::HighToLow, &params);
+            let r = simulate_collective(&sched, Ecube::new(cube, Resolution::HighToLow), &params);
             s.ys.push(r.max_delay.as_ms());
             s.std.push(0.0); // deterministic: fixed tree, no trials
         }
@@ -404,7 +411,7 @@ pub fn ablation_scatter(trials: usize) -> Figure {
                 .build(cube, res, PortModel::AllPort, src, dests)
                 .expect("valid instance");
             let sched = scatter(&tree, 1024).expect("a 6-cube's blocks fit");
-            [simulate_collective(&sched, cube, res, &params)
+            [simulate_collective(&sched, Ecube::new(cube, res), &params)
                 .max_delay
                 .as_ms()]
         },
@@ -463,7 +470,9 @@ pub fn ablation_scaling(trials: usize) -> Figure {
                     )
                     .expect("valid instance");
                 samples[ai].push(
-                    simulate_multicast_with_scratch(&t, &params, 4096, &mut scratch)
+                    MulticastRun::new(&t, &params, 4096)
+                        .scratch(&mut scratch)
+                        .run()
                         .max_delay
                         .as_ms(),
                 );
@@ -626,7 +635,7 @@ pub fn ablation_model_fidelity(trials: usize) -> Figure {
             )
             .run()
             .expect("well-formed workload");
-            let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
+            let fr = simulate_flits(Ecube::new(cube, Resolution::HighToLow), &flit_w);
             let em = er
                 .messages
                 .iter()

@@ -17,12 +17,12 @@
 
 use crate::artifact::{record, Artifact};
 use crate::trafficsweep::{horizon_for, run_seed};
-use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Ecube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::collectives::{suite_collective, suite_collective_separate};
 use hypercast::oracle::verify_collective;
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
 use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
-use wormsim::{simulate_collective, simulate_collective_on, SimParams};
+use wormsim::{simulate_collective, SimParams};
 
 /// Sweep dimensions and seeding.
 #[derive(Clone, Debug, PartialEq)]
@@ -166,7 +166,7 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
                 None,
             )
             .expect("full-machine collectives cannot fail to build");
-            let report = simulate_collective(&sched, cube, res, &params);
+            let report = simulate_collective(&sched, Ecube::new(cube, res), &params);
             rows.push(row_from(
                 &sched,
                 kind.name(),
@@ -182,7 +182,7 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
     for kind in CollectiveKind::ALL {
         let sched = suite_collective_separate(kind, &torus, NodeId(0), cfg.block_bytes)
             .expect("separate collectives of sweep-sized blocks build");
-        let report = simulate_collective_on(&sched, TorusRouter::new(torus), &params);
+        let report = simulate_collective(&sched, TorusRouter::new(torus), &params);
         rows.push(row_from(
             &sched,
             kind.name(),

@@ -12,7 +12,7 @@ use crate::figure::{Figure, Series};
 use hcube::{Cube, NodeId, Resolution};
 use hypercast::repair::{repair, NetworkFaults};
 use hypercast::{Algorithm, PortModel};
-use wormsim::{simulate_multicast_with_faults, FaultPlan, SimParams};
+use wormsim::{FaultPlan, MulticastRun, SimParams};
 
 /// Runs the sweep: `k ∈ {0, 1, 2, 4, 8, 16, 32}` random dead directed
 /// links in an 8-cube, a 64-destination W-sort multicast of 4 KB, nCUBE-2
@@ -55,17 +55,21 @@ pub fn fault_sweep(trials: usize) -> Figure {
                 .expect("valid instance");
             // Deterministic per-(point, trial) fault plan.
             let seed = (pi as u64) * 0x9e37 + trial as u64;
-            let plan = FaultPlan::random_links(cube, k, seed);
+            let plan = FaultPlan::random_links(&cube, k, seed);
 
             // Unrepaired: the tree is replayed as scheduled; cut subtrees
             // are lost. Dead links alone cannot deadlock the engine.
-            let raw = simulate_multicast_with_faults(&tree, &params, 4096, &plan)
+            let raw = MulticastRun::new(&tree, &params, 4096)
+                .faults(&plan)
+                .run()
                 .expect("dead links fail messages, they cannot deadlock");
 
             // Repaired: prune + regraft + relay before transmission.
             let faults = NetworkFaults::from(&plan);
             let fixed = repair(&tree, &faults);
-            let rep = simulate_multicast_with_faults(&fixed.tree, &params, 4096, &plan)
+            let rep = MulticastRun::new(&fixed.tree, &params, 4096)
+                .faults(&plan)
+                .run()
                 .expect("repaired tree avoids every dead channel");
 
             samples[0].push(raw.delivery_ratio);

@@ -18,7 +18,7 @@ use crate::figure::Figure;
 use crate::sweep::{run_matrix, MatrixResult};
 use hcube::{Cube, NodeId, Resolution};
 use hypercast::{Algorithm, PortModel};
-use wormsim::{simulate_multicast_with_scratch, EngineScratch, SimParams};
+use wormsim::{EngineScratch, MulticastRun, SimParams};
 
 /// Trials per point used by the paper for the step and simulation figures.
 pub const PAPER_TRIALS_STEPS: usize = 100;
@@ -62,7 +62,7 @@ fn delay_metric(
         let t = algo
             .build(cube, Resolution::HighToLow, params.port_model, src, dests)
             .expect("valid sweep instance");
-        let r = simulate_multicast_with_scratch(&t, &params, bytes, scratch);
+        let r = MulticastRun::new(&t, &params, bytes).scratch(scratch).run();
         [r.avg_delay.as_ms(), r.max_delay.as_ms()]
     }
 }

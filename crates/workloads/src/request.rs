@@ -29,8 +29,8 @@ use hypercast::{
 use traffic::{ArrivalProcess, Backend, ChaosReport, DestPattern, RunOptions, TrafficReport};
 use wormsim::network::ChannelMap;
 use wormsim::{
-    ChannelTrace, DepMessage, EventRecorder, FaultPlan, FaultSimReport, Run, RunResult, SimError,
-    SimParams, SimReport, SimTime,
+    ChannelTrace, DepMessage, EventRecorder, FaultPlan, FaultSimReport, MulticastRun, Run,
+    RunResult, SimError, SimParams, SimReport, SimTime,
 };
 
 use crate::json::Value;
@@ -892,10 +892,6 @@ pub struct OutputFile {
     pub contents: String,
 }
 
-fn engine(e: SimError) -> RequestError {
-    bad(e.to_string())
-}
-
 /// Validates and runs a request of either front end.
 ///
 /// # Errors
@@ -956,24 +952,20 @@ fn families(req: &Request) -> &[TreeFamily] {
 }
 
 /// Single-shot trees on the cube, each replayed idle and, with fault
-/// flags, over the faulty network before and after repair.
+/// flags, over the faulty network before and after repair. A request
+/// for a timeline or files replays the idle tree once, on the engine
+/// with an [`EventRecorder`] attached: the report, the timeline and the
+/// files all come from that run.
 fn trees(
     req: &Request,
     cube: Cube,
     params: &SimParams,
     files: &mut Vec<OutputFile>,
 ) -> Result<Vec<TreeRun>, RequestError> {
-    let drawn;
-    let dests = match req.random {
-        Some(_) => {
-            drawn = draw_dests(req, &cube);
-            &drawn
-        }
-        None => &req.dests,
-    };
+    let dests = draw_dests(req, &cube);
     let mut plan = FaultPlan::none();
     if req.has_faults() {
-        plan = FaultPlan::random_links(cube, req.faults, req.seed);
+        plan = FaultPlan::random_links(&cube, req.faults, req.seed);
         for &(v, d) in &req.fail_links {
             plan.fail_link(NodeId(v), Dim(d));
         }
@@ -981,45 +973,45 @@ fn trees(
             plan.fail_node(NodeId(v));
         }
     }
-    let lanes = req.lanes.unwrap_or(1);
-    let router = Ecube::with_lanes(cube, Resolution::HighToLow, lanes);
-    let mut runs = Vec::new();
-    for &algo in algorithms(req, &Algorithm::ALL) {
+    let (res, lanes) = (Resolution::HighToLow, req.lanes.unwrap_or(1));
+    let trace = req.trace && req.algo.is_some();
+    let run = |&algo: &Algorithm| {
         let tree = algo
-            .build(
-                cube,
-                Resolution::HighToLow,
-                req.port,
-                NodeId(req.source),
-                dests,
-            )
+            .build(cube, res, req.port, NodeId(req.source), &dests)
             .map_err(|e| bad(e.to_string()))?;
-        let report = wormsim::simulate_multicast_lanes(&tree, params, req.bytes, lanes);
-        let replay = |t: &MulticastTree| {
-            wormsim::simulate_multicast_with_faults(t, params, req.bytes, &plan)
+        let replay = MulticastRun::new(&tree, params, req.bytes).lanes(lanes);
+        let (report, timeline) = if trace || req.observed() {
+            let mut recorder = EventRecorder::new();
+            let (report, timeline) = replay.probe(&mut recorder).run_traced();
+            record_files(req, &recorder, Ecube::with_lanes(cube, res, lanes), files);
+            (report, trace.then_some(timeline))
+        } else {
+            (replay.run(), None)
         };
         let faults = (!plan.is_empty()).then(|| {
             let fixed = repair(&tree, &NetworkFaults::from(&plan));
-            (replay(&tree), replay(&fixed.tree), fixed)
+            let [raw, rep] = [&tree, &fixed.tree].map(|t| {
+                MulticastRun::new(t, params, req.bytes)
+                    .lanes(lanes)
+                    .faults(&plan)
+                    .run()
+            });
+            (raw, rep, fixed)
         });
-        let trace = req.trace && req.algo.is_some();
-        let mut timeline = None;
-        if trace || req.observed() {
-            let workload = wormsim::multicast_workload(&tree, req.bytes);
-            timeline = observe(req, trace, router, params, &workload, files)?;
-        }
-        runs.push(TreeRun {
+        Ok(TreeRun {
             algo,
             tree,
             report,
             faults,
             timeline,
-        });
-    }
-    Ok(runs)
+        })
+    };
+    algorithms(req, &Algorithm::ALL).iter().map(run).collect()
 }
 
-/// Separate addressing on the torus or mesh: one unicast per destination.
+/// Separate addressing on the torus or mesh: one unicast per destination,
+/// run once, with an [`EventRecorder`] attached when the request asks for
+/// a timeline or files.
 fn separate<R: Router + Copy, T: Topology>(
     req: &Request,
     router: R,
@@ -1035,8 +1027,19 @@ fn separate<R: Router + Copy, T: Topology>(
         min_start: SimTime::ZERO,
     };
     let workload: Vec<DepMessage> = draw_dests(req, topo).into_iter().map(message).collect();
-    let run = Run::new(router, params, &workload).run().map_err(engine)?;
-    let timeline = observe(req, req.trace, router, params, &workload, files)?;
+    let run = Run::new(router, params, &workload);
+    let run = if req.trace || req.observed() {
+        let mut recorder = EventRecorder::new();
+        let run = run.probe(&mut recorder).run();
+        record_files(req, &recorder, router, files);
+        run
+    } else {
+        run.run()
+    }
+    .map_err(|e| bad(e.to_string()))?;
+    let timeline = req
+        .trace
+        .then(|| ChannelTrace::reconstruct(router, params, &workload, &run));
     let source = topo.node_label(NodeId(req.source));
     Ok(Reports::Separate(Box::new(SeparateRun {
         source,
@@ -1045,31 +1048,15 @@ fn separate<R: Router + Copy, T: Topology>(
     })))
 }
 
-/// The channel-occupancy timeline of `workload` when `trace`, and the
-/// requested Chrome/Perfetto trace and metrics files (Prometheus text for
-/// `.prom`, JSON otherwise) from a replay with an [`EventRecorder`].
-/// Replays are deterministic: each is the reported run.
-fn observe<R: Router + Copy>(
+/// The Chrome/Perfetto trace and metrics files the request asks for
+/// (Prometheus text for `.prom`, JSON otherwise), from `recorder`'s run
+/// on `router`.
+fn record_files<R: Router>(
     req: &Request,
-    trace: bool,
+    recorder: &EventRecorder,
     router: R,
-    params: &SimParams,
-    workload: &[DepMessage],
     files: &mut Vec<OutputFile>,
-) -> Result<Option<ChannelTrace>, RequestError> {
-    let mut timeline = None;
-    if trace {
-        let run = Run::new(router, params, workload).run().map_err(engine)?;
-        timeline = Some(ChannelTrace::reconstruct_on(router, params, workload, &run));
-    }
-    if !req.observed() {
-        return Ok(timeline);
-    }
-    let mut recorder = EventRecorder::new();
-    Run::new(router, params, workload)
-        .probe(&mut recorder)
-        .run()
-        .map_err(engine)?;
+) {
     if let Some(path) = &req.trace_out {
         let contents = recorder.to_chrome_trace(&ChannelMap::new(router));
         files.push(OutputFile {
@@ -1091,7 +1078,6 @@ fn observe<R: Router + Copy>(
             contents,
         });
     }
-    Ok(timeline)
 }
 
 /// Full-machine collectives on the idle network, certified by the data
@@ -1119,7 +1105,7 @@ fn collectives(
         Net::Torus(torus) => {
             let sched = suite_collective_separate(kind, &torus, source, bytes)
                 .map_err(|e| bad(e.to_string()))?;
-            let report = wormsim::simulate_collective_on(&sched, TorusRouter::new(torus), params);
+            let report = wormsim::simulate_collective(&sched, TorusRouter::new(torus), params);
             Ok(vec![run("Separate", sched, report)])
         }
         Net::Cube(cube) => families(req)
@@ -1127,7 +1113,7 @@ fn collectives(
             .map(|&f| {
                 let sched = suite_collective(kind, f, cube, res, port, source, bytes, None)
                     .map_err(|e| bad(e.to_string()))?;
-                let report = wormsim::simulate_collective(&sched, cube, res, params);
+                let report = wormsim::simulate_collective(&sched, Ecube::new(cube, res), params);
                 Ok(run(f.name(), sched, report))
             })
             .collect(),

@@ -768,12 +768,8 @@ mod tests {
                 &dests,
             )
             .expect("a valid destination set builds");
-        let report = wormsim::simulate_multicast_lanes(
-            &tree,
-            &SimParams::ncube2(PortModel::AllPort),
-            4096,
-            1,
-        );
+        let report =
+            wormsim::simulate_multicast(&tree, &SimParams::ncube2(PortModel::AllPort), 4096);
         assert_eq!(
             lines,
             vec![format!(

@@ -57,7 +57,7 @@ impl<const K: usize> MatrixResult<K> {
 /// and evaluates `metric(cube, source, dests, algo, scratch) -> [f64; K]`
 /// for each algorithm. The scratch is the calling worker's reusable
 /// engine arena — pass it to
-/// [`wormsim::simulate_multicast_with_scratch`] (or ignore it for
+/// [`wormsim::MulticastRun::scratch`] (or ignore it for
 /// metrics that never simulate).
 ///
 /// The source is fixed at node 0, as in the paper's experiments (the

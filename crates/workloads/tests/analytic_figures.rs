@@ -12,7 +12,7 @@ use hypercast::{Algorithm, MulticastTree};
 use std::sync::Mutex;
 use workloads::figures::{ten_cube_points, PAPER_BYTES, PAPER_TRIALS_NCUBE, PAPER_TRIALS_STEPS};
 use workloads::sweep::run_matrix_with_workers;
-use wormsim::{simulate_multicast_observed, simulate_multicast_with_scratch, NoopProbe, SimParams};
+use wormsim::{MulticastRun, NoopProbe, SimParams};
 
 /// Counts over one replay of the delay figures.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -33,7 +33,7 @@ struct Tally {
 }
 
 /// Replays the Figure 11–12 (5-cube) and 13–14 (10-cube) instances
-/// through `simulate_multicast_with_scratch`, exactly as the figures
+/// through `MulticastRun::scratch`, exactly as the figures
 /// do, and tallies the analytic replay's decisions.
 fn replay_figures(five_trials: usize, ten_trials: usize, count_free: bool) -> Tally {
     let tally = Mutex::new(Tally::default());
@@ -56,7 +56,9 @@ fn replay_figures(five_trials: usize, ten_trials: usize, count_free: bool) -> Ta
                     .build(cube, Resolution::HighToLow, params.port_model, src, dests)
                     .unwrap();
                 let before = scratch.analytic().declined();
-                let report = simulate_multicast_with_scratch(&tree, &params, PAPER_BYTES, scratch);
+                let report = MulticastRun::new(&tree, &params, PAPER_BYTES)
+                    .scratch(scratch)
+                    .run();
                 let declined = scratch.analytic().declined() > before;
                 let mut t = tally.lock().unwrap();
                 t.trees += 1;
@@ -86,7 +88,9 @@ fn replay_figures(five_trials: usize, ten_trials: usize, count_free: bool) -> Ta
 /// The engine's report for `tree`, formatted: the observed entry point
 /// always runs the engine.
 fn engine_debug(tree: &MulticastTree, params: &SimParams) -> String {
-    let report = simulate_multicast_observed(tree, params, PAPER_BYTES, &mut NoopProbe);
+    let report = MulticastRun::new(tree, params, PAPER_BYTES)
+        .probe(&mut NoopProbe)
+        .run();
     format!("{report:?}")
 }
 

@@ -22,7 +22,7 @@ use workloads::telemetrysweep::{
     telemetry_sweep_with_workers, TelemetrySweep, TelemetrySweepConfig,
 };
 use workloads::trafficsweep::{traffic_sweep, SweepConfig, TrafficSweep};
-use wormsim::{DepMessage, Run, RunResult, SimParams, SimTime};
+use wormsim::{DepMessage, MulticastRun, Run, RunResult, SimParams, SimTime};
 
 /// A fault-free, unobserved run of a well-formed workload.
 fn replay<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
@@ -126,7 +126,7 @@ fn single_lane_routers_match_the_default_byte_for_byte() {
     let m1 = replay(TorusRouter::with_lane_multiplier(torus, 1), &params, &w);
     assert_runs_identical(&base, &m1);
 
-    let mut plan = wormsim::FaultPlan::random_links(cube, 4, 5);
+    let mut plan = wormsim::FaultPlan::random_links(&cube, 4, 5);
     plan.stall(
         NodeId(1),
         hcube::Dim(0),
@@ -168,7 +168,7 @@ fn scratch_reuse_is_byte_identical_to_fresh_allocation() {
     let torus_router = TorusRouter::new(Torus::of(4, 2));
     let w = contentious_workload(16);
 
-    let mut plan = wormsim::FaultPlan::random_links(cube, 4, 5);
+    let mut plan = wormsim::FaultPlan::random_links(&cube, 4, 5);
     plan.stall(
         NodeId(1),
         hcube::Dim(0),
@@ -250,12 +250,9 @@ fn delay_metric(
     let tree = algo
         .build(cube, Resolution::HighToLow, PortModel::AllPort, src, dests)
         .expect("valid instance");
-    let report = wormsim::simulate_multicast_with_scratch(
-        &tree,
-        &SimParams::ncube2(PortModel::AllPort),
-        1024,
-        scratch,
-    );
+    let report = MulticastRun::new(&tree, &SimParams::ncube2(PortModel::AllPort), 1024)
+        .scratch(scratch)
+        .run();
     [report.avg_delay.as_ms(), report.max_delay.as_ms()]
 }
 

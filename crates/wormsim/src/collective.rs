@@ -14,7 +14,7 @@ use crate::engine::{DepMessage, Run};
 use crate::multicast::SimReport;
 use crate::params::SimParams;
 use crate::time::SimTime;
-use hcube::{Cube, Ecube, Resolution, Router};
+use hcube::Router;
 use hypercast::CollectiveSchedule;
 
 /// Executes a collective schedule on an arbitrary router: one
@@ -22,7 +22,7 @@ use hypercast::CollectiveSchedule;
 /// report's deliveries record the arrival of every constituent unicast;
 /// `max_delay` is the collective's completion time.
 #[must_use]
-pub fn simulate_collective_on<R: Router>(
+pub fn simulate_collective<R: Router>(
     sched: &CollectiveSchedule,
     router: R,
     params: &SimParams,
@@ -47,26 +47,14 @@ pub fn simulate_collective_on<R: Router>(
         .zip(&run.messages)
         .map(|(op, r)| (op.dst, r.delivered))
         .collect();
-    SimReport::from_run(deliveries, &run)
-}
-
-/// [`simulate_collective_on`] with the hypercube's E-cube router — the
-/// common case for the paper-side collectives.
-#[must_use]
-pub fn simulate_collective(
-    sched: &CollectiveSchedule,
-    cube: Cube,
-    resolution: Resolution,
-    params: &SimParams,
-) -> SimReport {
-    simulate_collective_on(sched, Ecube::new(cube, resolution), params)
+    SimReport::from_stats(deliveries, run.stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::SimParams;
-    use hcube::{NodeId, Torus, TorusRouter};
+    use hcube::{Cube, Ecube, NodeId, Resolution, Torus, TorusRouter};
     use hypercast::collectives::{allgather, allgather_separate, allreduce};
     use hypercast::{Algorithm, PortModel, TreeFamily};
 
@@ -83,7 +71,7 @@ mod tests {
         )
         .unwrap();
         let params = SimParams::ncube2(PortModel::AllPort);
-        let report = simulate_collective(&sched, cube, Resolution::HighToLow, &params);
+        let report = simulate_collective(&sched, Ecube::new(cube, Resolution::HighToLow), &params);
         assert_eq!(report.deliveries.len(), 8 * 7);
         assert!(report.max_delay > SimTime::ZERO);
     }
@@ -102,7 +90,7 @@ mod tests {
         )
         .unwrap();
         let params = SimParams::ncube2(PortModel::AllPort);
-        let report = simulate_collective(&sched, cube, Resolution::HighToLow, &params);
+        let report = simulate_collective(&sched, Ecube::new(cube, Resolution::HighToLow), &params);
         // Every broadcast-phase delivery is later than every reduce-phase
         // delivery into the root.
         let reduce_done = sched
@@ -129,7 +117,7 @@ mod tests {
         let torus = Torus::of(3, 2);
         let sched = allgather_separate(&torus, 128).unwrap();
         let params = SimParams::ncube2(PortModel::AllPort);
-        let report = simulate_collective_on(&sched, TorusRouter::new(torus), &params);
+        let report = simulate_collective(&sched, TorusRouter::new(torus), &params);
         assert_eq!(report.deliveries.len(), 9 * 8);
         assert!(report.deliveries.iter().all(|&(_, t)| t > SimTime::ZERO));
     }

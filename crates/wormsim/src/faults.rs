@@ -27,7 +27,7 @@
 //! seed ([`FaultPlan::random_links`], [`FaultPlan::random_nodes`]).
 
 use crate::time::SimTime;
-use hcube::{Cube, Dim, NodeId, Topology};
+use hcube::{Dim, NodeId, Topology};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -213,21 +213,12 @@ impl FaultPlan {
 
     // ----- random generation --------------------------------------------
 
-    /// A plan with `k` distinct directed external links of `cube` chosen
-    /// uniformly at random from `seed` (deterministic). `k` saturates at
-    /// the channel count.
+    /// A plan with `k` distinct directed channels of any [`Topology`]
+    /// (pass `&cube` for the hypercube), chosen uniformly at random from
+    /// `seed` (deterministic). Channels are enumerated in `(node, port)`
+    /// index order; `k` saturates at the channel count.
     #[must_use]
-    pub fn random_links(cube: Cube, k: usize, seed: u64) -> FaultPlan {
-        FaultPlan::random_links_on(&cube, k, seed)
-    }
-
-    /// Topology-generic [`random_links`](FaultPlan::random_links): `k`
-    /// distinct directed channels of any [`Topology`], chosen uniformly
-    /// at random from `seed`. Channels are enumerated in `(node, port)`
-    /// index order, so for the hypercube the chosen set is identical to
-    /// `random_links` at the same seed.
-    #[must_use]
-    pub fn random_links_on<T: Topology>(topo: &T, k: usize, seed: u64) -> FaultPlan {
+    pub fn random_links<T: Topology>(topo: &T, k: usize, seed: u64) -> FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6c69_6e6b); // "link"
         let ports = topo.ports_per_node();
         let mut all: Vec<(u32, u8)> = (0..topo.node_count() as u32)
@@ -242,20 +233,12 @@ impl FaultPlan {
         plan
     }
 
-    /// A plan with `k` distinct dead nodes chosen uniformly at random
-    /// from `seed`, never choosing nodes listed in `protected` (the
-    /// multicast source, typically). `k` saturates at the number of
-    /// eligible nodes.
+    /// A plan with `k` distinct dead nodes of any [`Topology`], chosen
+    /// uniformly at random from `seed`, never choosing nodes listed in
+    /// `protected` (the multicast source, typically). `k` saturates at
+    /// the number of eligible nodes.
     #[must_use]
-    pub fn random_nodes(cube: Cube, k: usize, seed: u64, protected: &[NodeId]) -> FaultPlan {
-        FaultPlan::random_nodes_on(&cube, k, seed, protected)
-    }
-
-    /// Topology-generic [`random_nodes`](FaultPlan::random_nodes); node
-    /// enumeration order matches the cube version, so identical seeds
-    /// give identical hypercube plans.
-    #[must_use]
-    pub fn random_nodes_on<T: Topology>(
+    pub fn random_nodes<T: Topology>(
         topo: &T,
         k: usize,
         seed: u64,
@@ -643,6 +626,7 @@ impl From<&FaultPlan> for hypercast::repair::NetworkFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcube::Cube;
 
     #[test]
     fn empty_plan_kills_nothing() {
@@ -719,14 +703,14 @@ mod tests {
     #[test]
     fn random_links_are_deterministic_and_distinct() {
         let cube = Cube::of(4);
-        let a = FaultPlan::random_links(cube, 6, 42);
-        let b = FaultPlan::random_links(cube, 6, 42);
+        let a = FaultPlan::random_links(&cube, 6, 42);
+        let b = FaultPlan::random_links(&cube, 6, 42);
         assert_eq!(a, b);
         assert_eq!(a.dead_link_count(), 6);
-        let c = FaultPlan::random_links(cube, 6, 43);
+        let c = FaultPlan::random_links(&cube, 6, 43);
         assert_ne!(a, c, "different seeds should differ (w.h.p.)");
         // Saturation: more than exist.
-        let all = FaultPlan::random_links(cube, 1000, 1);
+        let all = FaultPlan::random_links(&cube, 1000, 1);
         assert_eq!(all.dead_link_count(), 16 * 4);
     }
 
@@ -734,12 +718,12 @@ mod tests {
     fn random_nodes_respect_protection() {
         let cube = Cube::of(3);
         for seed in 0..20 {
-            let p = FaultPlan::random_nodes(cube, 4, seed, &[NodeId(0)]);
+            let p = FaultPlan::random_nodes(&cube, 4, seed, &[NodeId(0)]);
             assert!(!p.node_dead(NodeId(0)), "seed {seed}");
             assert_eq!(p.dead_nodes().count(), 4);
         }
         // Saturation never claims the protected node.
-        let p = FaultPlan::random_nodes(cube, 100, 9, &[NodeId(5)]);
+        let p = FaultPlan::random_nodes(&cube, 100, 9, &[NodeId(5)]);
         assert_eq!(p.dead_nodes().count(), 7);
         assert!(!p.node_dead(NodeId(5)));
     }
@@ -757,21 +741,11 @@ mod tests {
     }
 
     #[test]
-    fn generic_random_plans_match_cube_versions() {
-        let cube = Cube::of(4);
-        assert_eq!(
-            FaultPlan::random_links(cube, 6, 42),
-            FaultPlan::random_links_on(&cube, 6, 42)
-        );
-        assert_eq!(
-            FaultPlan::random_nodes(cube, 3, 11, &[NodeId(0)]),
-            FaultPlan::random_nodes_on(&cube, 3, 11, &[NodeId(0)])
-        );
-        // And they work on the torus's richer port space.
+    fn random_links_cover_the_torus_port_space() {
         let t = hcube::Torus::of(4, 2);
-        let p = FaultPlan::random_links_on(&t, 10, 7);
+        let p = FaultPlan::random_links(&t, 10, 7);
         assert_eq!(p.dead_link_count(), 10);
-        assert_eq!(p, FaultPlan::random_links_on(&t, 10, 7));
+        assert_eq!(p, FaultPlan::random_links(&t, 10, 7));
         assert!(p
             .dead_links()
             .all(|(v, port)| { (v.0 as usize) < 16 && port.0 < Topology::ports_per_node(&t) }));

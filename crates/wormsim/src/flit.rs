@@ -21,7 +21,7 @@
 //! of the fast model, not to replace it.
 
 use crate::network::ChannelMap;
-use hcube::{Cube, Ecube, NodeId, Resolution, Router};
+use hcube::{NodeId, Router};
 use std::collections::VecDeque;
 
 /// A message of a flit-level workload.
@@ -61,23 +61,6 @@ struct MsgState {
     delivered: Option<u64>,
 }
 
-/// Runs a flit-level simulation on a hypercube (see [`simulate_flits_on`]
-/// for the topology-generic entry point). Deterministic: messages are
-/// processed in index order each cycle and channel grants are FIFO.
-///
-/// # Panics
-/// On self-sends, zero-length worms, or workloads that exceed an internal
-/// 100-million-cycle safety horizon (which would indicate a bug, since
-/// wormhole E-cube routing is deadlock-free).
-#[must_use]
-pub fn simulate_flits(
-    cube: Cube,
-    resolution: Resolution,
-    workload: &[FlitMessage],
-) -> Vec<FlitResult> {
-    simulate_flits_on(Ecube::new(cube, resolution), workload)
-}
-
 /// Runs a flit-level simulation on any routed topology. Deterministic:
 /// messages are processed in index order each cycle and channel grants
 /// are FIFO.
@@ -87,7 +70,7 @@ pub fn simulate_flits(
 /// 100-million-cycle safety horizon (which would indicate a routing bug,
 /// since the provided routers are deadlock-free).
 #[must_use]
-pub fn simulate_flits_on<R: Router>(router: R, workload: &[FlitMessage]) -> Vec<FlitResult> {
+pub fn simulate_flits<R: Router>(router: R, workload: &[FlitMessage]) -> Vec<FlitResult> {
     let map = ChannelMap::new(router);
     let mut owner: Vec<Option<usize>> = vec![None; map.len()];
     let mut queue: Vec<VecDeque<usize>> = vec![VecDeque::new(); map.len()];
@@ -253,6 +236,7 @@ mod tests {
     use crate::engine::{DepMessage, Run, RunResult};
     use crate::params::SimParams;
     use crate::time::SimTime;
+    use hcube::{Cube, Ecube, Resolution};
     use hypercast::PortModel;
 
     /// A fault-free, unobserved run of a well-formed workload on `cube`.
@@ -286,7 +270,10 @@ mod tests {
     #[test]
     fn unblocked_latency_is_hops_plus_flits_minus_one() {
         for (src, dst, flits) in [(0u32, 0b1u32, 1u32), (0, 0b111, 3), (0b0101, 0b1110, 16)] {
-            let r = simulate_flits(Cube::of(4), Resolution::HighToLow, &[fm(src, dst, flits)]);
+            let r = simulate_flits(
+                Ecube::new(Cube::of(4), Resolution::HighToLow),
+                &[fm(src, dst, flits)],
+            );
             let hops = NodeId(src).distance(NodeId(dst)) as u64;
             assert_eq!(
                 r[0].delivered_cycle,
@@ -316,7 +303,7 @@ mod tests {
                 min_start: SimTime::ZERO,
             })
             .collect();
-        let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
+        let fr = simulate_flits(Ecube::new(cube, Resolution::HighToLow), &flit_w);
         let er = replay(cube, &cycle_params(), &event_w);
         for (f, e) in fr.iter().zip(&er.messages) {
             assert_eq!(e.delivered.as_ns(), f.delivered_cycle + 1);
@@ -333,7 +320,7 @@ mod tests {
         let flit_w = vec![fm(0, 0b0111, 32), fm(0, 0b0100, 32)];
         // Leader path: 0→0100→0110→0111; follower: 0→0100. Shared channel
         // 0→0100 only (follower terminates there — same first channel).
-        let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
+        let fr = simulate_flits(Ecube::new(cube, Resolution::HighToLow), &flit_w);
         let event_w: Vec<DepMessage> = flit_w
             .iter()
             .map(|m| DepMessage {
@@ -390,7 +377,7 @@ mod tests {
             fm(0b110, 0b011, big),
             fm(0b000, 0b011, big),
         ];
-        let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
+        let fr = simulate_flits(Ecube::new(cube, Resolution::HighToLow), &flit_w);
         // All three serialize on channel (010 → 011): deliveries are
         // spread by at least a worm length each.
         let mut times: Vec<u64> = fr.iter().map(|r| r.delivered_cycle).collect();
@@ -402,8 +389,7 @@ mod tests {
     #[test]
     fn start_cycles_delay_injection() {
         let r = simulate_flits(
-            Cube::of(3),
-            Resolution::HighToLow,
+            Ecube::new(Cube::of(3), Resolution::HighToLow),
             &[FlitMessage {
                 src: NodeId(0),
                 dst: NodeId(1),
@@ -419,7 +405,7 @@ mod tests {
         // Two followers queue on the leader's first channel; the earlier
         // (lower-index) one must win.
         let flit_w = vec![fm(0, 0b100, 16), fm(0, 0b101, 16), fm(0, 0b110, 16)];
-        let fr = simulate_flits(Cube::of(3), Resolution::HighToLow, &flit_w);
+        let fr = simulate_flits(Ecube::new(Cube::of(3), Resolution::HighToLow), &flit_w);
         assert!(fr[0].delivered_cycle < fr[1].delivered_cycle);
         assert!(fr[1].delivered_cycle < fr[2].delivered_cycle);
     }
@@ -476,7 +462,7 @@ mod tests {
                 }
             })
             .collect();
-        let fr = simulate_flits(cube, Resolution::HighToLow, &flit_w);
+        let fr = simulate_flits(Ecube::new(cube, Resolution::HighToLow), &flit_w);
         for (i, (f, e)) in fr.iter().zip(&er.messages).enumerate() {
             assert_eq!(f.blocked_cycles, 0, "msg {i} blocked in flit model");
             let start = flit_w[i].start_cycle;

@@ -18,8 +18,8 @@
 //!   channels, so port serialization falls out of ordinary contention.
 //!
 //! [`Run`] executes arbitrary dependency workloads;
-//! [`multicast::simulate_multicast`] replays `hypercast` trees, producing
-//! the per-destination delays plotted in the paper's Figures 11–14, and
+//! [`MulticastRun`] replays `hypercast` trees, producing the
+//! per-destination delays plotted in the paper's Figures 11–14, and
 //! [`collective::simulate_collective`] replays every other collective —
 //! reduction, barrier, scatter, gather, chunked multicast and the
 //! full-machine suite — as one `hypercast` collective schedule.
@@ -57,19 +57,19 @@ pub mod scratch;
 pub mod time;
 pub mod trace;
 
-pub use collective::{simulate_collective, simulate_collective_on};
+pub use collective::simulate_collective;
 pub use engine::{
     simulate_window_observed_on_with_scratch, DepMessage, FaultCause, MessageResult, NetStats,
     Outcome, Run, RunResult, SimError,
 };
 pub use faults::{EpochCursor, FaultEvent, FaultEventKind, FaultPlan, FaultTimeline};
-pub use flit::{simulate_flits, simulate_flits_on, FlitMessage, FlitResult};
+pub use flit::{simulate_flits, FlitMessage, FlitResult};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use multicast::{
     analytic_replay, multicast_workload, simulate_concurrent_multicasts, simulate_multicast,
-    simulate_multicast_lanes, simulate_multicast_observed, simulate_multicast_with_faults,
-    simulate_multicast_with_scratch, simulate_unicast, AnalyticScratch, ConcurrentReport,
-    FaultSimReport, InboundIndex, SimReport, TreeReport,
+    simulate_multicast_lanes, simulate_multicast_observed, simulate_multicast_with_scratch,
+    AnalyticScratch, ConcurrentReport, FaultSimReport, InboundIndex, MulticastRun, SimReport,
+    TreeReport,
 };
 pub use network::{ChannelMap, RouteMemo};
 pub use params::SimParams;

@@ -14,11 +14,10 @@
 //! 16,080 Figure 11–14 replays have such waits), and those waits count
 //! as `port_waits`, not `blocks`.
 //!
-//! Unobserved, fault-free tree replays ([`simulate_multicast`],
-//! [`simulate_multicast_with_scratch`], [`simulate_multicast_lanes`])
-//! first try [`analytic_replay`], which times a tree in closed form and
-//! declines whenever it cannot prove the event engine would agree; the
-//! engine runs only on a decline.
+//! Every tree replay is one [`MulticastRun`]. Without a probe or a fault
+//! plan it first tries [`analytic_replay`], which times a tree in closed
+//! form and declines whenever it cannot prove the event engine would
+//! agree; the engine runs only on a decline.
 
 mod analytic;
 
@@ -27,10 +26,11 @@ pub use analytic::{analytic_replay, AnalyticScratch};
 use crate::engine::{DepMessage, NetStats, Run, RunResult, SimError};
 use crate::faults::FaultPlan;
 use crate::params::SimParams;
-use crate::probe::Probe;
+use crate::probe::{NoopProbe, Probe};
 use crate::scratch::EngineScratch;
 use crate::time::SimTime;
-use hcube::{Cube, Ecube, NodeId, Resolution};
+use crate::trace::ChannelTrace;
+use hcube::{Ecube, NodeId};
 use hypercast::{MulticastTree, Unicast};
 use std::ops::Range;
 
@@ -55,11 +55,7 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    pub(crate) fn from_run(deliveries: Vec<(NodeId, SimTime)>, run: &RunResult) -> SimReport {
-        SimReport::from_stats(deliveries, run.stats.clone())
-    }
-
-    fn from_stats(deliveries: Vec<(NodeId, SimTime)>, stats: NetStats) -> SimReport {
+    pub(crate) fn from_stats(deliveries: Vec<(NodeId, SimTime)>, stats: NetStats) -> SimReport {
         let (avg_delay, max_delay) = delays(&deliveries);
         SimReport {
             deliveries,
@@ -80,16 +76,6 @@ fn delays(deliveries: &[(NodeId, SimTime)]) -> (SimTime, SimTime) {
     (SimTime(avg), max.unwrap_or(SimTime::ZERO))
 }
 
-/// Replays a well-formed workload on the E-cube router of `cube`.
-///
-/// # Panics
-/// On a malformed workload (the workloads built here never are).
-fn replay(cube: Cube, resolution: Resolution, params: &SimParams, w: &[DepMessage]) -> RunResult {
-    Run::new(Ecube::new(cube, resolution), params, w)
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The report of a run whose message `i` is `tree`'s unicast `i`.
 fn tree_report(tree: &MulticastTree, run: &RunResult) -> SimReport {
     let deliveries = tree
@@ -98,7 +84,7 @@ fn tree_report(tree: &MulticastTree, run: &RunResult) -> SimReport {
         .zip(&run.messages)
         .map(|(u, r)| (u.dst, r.delivered))
         .collect();
-    SimReport::from_run(deliveries, run)
+    SimReport::from_stats(deliveries, run.stats.clone())
 }
 
 /// Converts a multicast tree into the engine's dependency workload: one
@@ -198,85 +184,199 @@ pub struct FaultSimReport {
     pub blocks: u64,
 }
 
-/// Replays a multicast tree over a network with `plan`'s faults
-/// injected. Unicasts whose ancestors fail are themselves lost, so the
-/// report's `lost` set is exactly the subtrees cut off by the faults.
+/// One multicast tree replay: the tree's self-timed workload (see
+/// [`multicast_workload`]) on the E-cube router of its cube. The optional
+/// settings compose; lanes apply on every path. Without a probe or a
+/// fault plan, `run` first tries [`analytic_replay`] and runs the event
+/// engine only when the pass declines, with the same [`SimReport`].
 ///
-/// # Errors
-/// Propagates the engine's [`SimError`] — notably
-/// [`SimError::Deadlock`] when the plan wedges a worm forever without a
-/// deadline to rescue it.
-pub fn simulate_multicast_with_faults(
-    tree: &MulticastTree,
-    params: &SimParams,
-    bytes: u32,
-    plan: &FaultPlan,
-) -> Result<FaultSimReport, SimError> {
-    let workload = multicast_workload(tree, bytes);
-    let run = Run::new(Ecube::new(tree.cube, tree.resolution), params, &workload)
-        .faults(plan)
-        .run()?;
-    let mut deliveries = Vec::new();
-    let mut lost = Vec::new();
-    for (u, r) in tree.unicasts.iter().zip(&run.messages) {
-        if r.outcome.is_delivered() {
-            deliveries.push((u.dst, r.delivered));
-        } else {
-            lost.push(u.dst);
-        }
-    }
-    let total = deliveries.len() + lost.len();
-    let (_, makespan) = delays(&deliveries);
-    Ok(FaultSimReport {
-        delivery_ratio: if total == 0 {
-            1.0
-        } else {
-            deliveries.len() as f64 / total as f64
-        },
-        deliveries,
-        lost,
-        makespan,
-        blocks: run.stats.blocks,
-    })
-}
-
-/// The one decision point of the unobserved, fault-free tree replays:
-/// the analytic pass when it accepts, the event engine otherwise. Both
-/// produce the same report, so the choice is invisible to callers.
-fn replay_tree(
-    tree: &MulticastTree,
-    params: &SimParams,
+/// ```
+/// use hcube::{Cube, NodeId, Resolution};
+/// use hypercast::{Algorithm, PortModel};
+/// use wormsim::{FaultPlan, MulticastRun, SimParams};
+///
+/// let dests: Vec<NodeId> = (1..20).map(NodeId).collect();
+/// let tree = Algorithm::WSort
+///     .build(Cube::of(5), Resolution::HighToLow, PortModel::AllPort, NodeId(0), &dests)
+///     .unwrap();
+/// let params = SimParams::ncube2(PortModel::AllPort);
+/// let report = MulticastRun::new(&tree, &params, 4096).run();
+/// assert_eq!(report.blocks, 0);
+/// let mut plan = FaultPlan::none();
+/// plan.fail_node(NodeId(3));
+/// let faulted = MulticastRun::new(&tree, &params, 4096).lanes(2).faults(&plan).run().unwrap();
+/// assert_eq!(faulted.lost, [NodeId(3)]);
+/// ```
+#[must_use = "a MulticastRun does nothing until `.run()` is called"]
+pub struct MulticastRun<'a, P: Probe = NoopProbe, F = ()> {
+    tree: &'a MulticastTree,
+    params: &'a SimParams,
     bytes: u32,
     lanes: u8,
-    scratch: &mut EngineScratch,
-) -> SimReport {
-    if let Some(report) = analytic_replay(tree, params, bytes, lanes, scratch) {
-        return report;
-    }
-    let workload = multicast_workload(tree, bytes);
-    let router = Ecube::with_lanes(tree.cube, tree.resolution, lanes);
-    let run = Run::new(router, params, &workload).scratch(scratch).run();
-    tree_report(tree, &run.unwrap_or_else(|e| panic!("{e}")))
+    scratch: Option<&'a mut EngineScratch>,
+    probe: Option<&'a mut P>,
+    faults: F,
 }
 
-/// Simulates a multicast tree delivering a `bytes`-byte payload.
-///
-/// Returns per-destination delays measured from the source's initiation
-/// at time zero, exactly the quantity Figures 11–14 plot ("the delay
-/// between the sending of a multicast message and its receipt at the
-/// destination").
+impl<'a> MulticastRun<'a> {
+    /// A fault-free, unobserved replay of `tree` carrying a `bytes`-byte
+    /// payload, on one lane per link, in a fresh scratch.
+    pub fn new(tree: &'a MulticastTree, params: &'a SimParams, bytes: u32) -> MulticastRun<'a> {
+        MulticastRun {
+            tree,
+            params,
+            bytes,
+            lanes: 1,
+            scratch: None,
+            probe: None,
+            faults: (),
+        }
+    }
+}
+
+impl<'a, P: Probe, F> MulticastRun<'a, P, F> {
+    /// Replays on `lanes` virtual lanes per physical link.
+    pub fn lanes(mut self, lanes: u8) -> Self {
+        self.lanes = lanes;
+        self
+    }
+
+    /// Replays in a caller-owned [`EngineScratch`], byte-identically:
+    /// the analytic pass and the engine reuse its buffers and route memo.
+    pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
+    }
+
+    /// Reports every engine event to `probe`; the replay then always runs
+    /// the engine.
+    pub fn probe<Q: Probe>(self, probe: &'a mut Q) -> MulticastRun<'a, Q, F> {
+        MulticastRun {
+            tree: self.tree,
+            params: self.params,
+            bytes: self.bytes,
+            lanes: self.lanes,
+            scratch: self.scratch,
+            probe: Some(probe),
+            faults: self.faults,
+        }
+    }
+
+    fn router(&self) -> Ecube {
+        Ecube::with_lanes(self.tree.cube, self.tree.resolution, self.lanes)
+    }
+
+    /// The engine run of the tree's `workload` under `plan`, in the
+    /// caller's scratch or else `fresh`.
+    fn engine(
+        &mut self,
+        plan: Option<&FaultPlan>,
+        workload: &[DepMessage],
+        fresh: &mut EngineScratch,
+    ) -> Result<RunResult, SimError> {
+        let router = self.router();
+        let scratch = self.scratch.as_deref_mut().unwrap_or(fresh);
+        let mut run = Run::new(router, self.params, workload).scratch(scratch);
+        if let Some(plan) = plan {
+            run = run.faults(plan);
+        }
+        match self.probe.take() {
+            Some(probe) => run.probe(probe).run(),
+            None => run.run(),
+        }
+    }
+}
+
+impl<'a, P: Probe> MulticastRun<'a, P> {
+    /// Replays over a network with `plan`'s faults injected; `run` then
+    /// returns a [`FaultSimReport`] and always runs the engine.
+    pub fn faults(self, plan: &'a FaultPlan) -> MulticastRun<'a, P, &'a FaultPlan> {
+        MulticastRun {
+            tree: self.tree,
+            params: self.params,
+            bytes: self.bytes,
+            lanes: self.lanes,
+            scratch: self.scratch,
+            probe: self.probe,
+            faults: plan,
+        }
+    }
+
+    /// Runs the replay. Delays are measured from the source's initiation
+    /// at time zero, the quantity Figures 11–14 plot.
+    ///
+    /// # Panics
+    /// Never for a `hypercast` tree: a fault-free replay cannot fail.
+    pub fn run(mut self) -> SimReport {
+        let mut fresh = EngineScratch::new();
+        if self.probe.is_none() {
+            let scratch = self.scratch.as_deref_mut().unwrap_or(&mut fresh);
+            let (tree, params, bytes, lanes) = (self.tree, self.params, self.bytes, self.lanes);
+            if let Some(report) = analytic_replay(tree, params, bytes, lanes, scratch) {
+                return report;
+            }
+        }
+        let workload = multicast_workload(self.tree, self.bytes);
+        let run = self.engine(None, &workload, &mut fresh);
+        tree_report(self.tree, &run.unwrap_or_else(|e| panic!("{e}")))
+    }
+
+    /// Runs the replay on the engine and also reconstructs the channel
+    /// occupancy of that one run.
+    ///
+    /// # Panics
+    /// As [`run`](Self::run).
+    pub fn run_traced(mut self) -> (SimReport, ChannelTrace) {
+        let workload = multicast_workload(self.tree, self.bytes);
+        let run = self.engine(None, &workload, &mut EngineScratch::new());
+        let run = run.unwrap_or_else(|e| panic!("{e}"));
+        let trace = ChannelTrace::reconstruct(self.router(), self.params, &workload, &run);
+        (tree_report(self.tree, &run), trace)
+    }
+}
+
+impl<P: Probe> MulticastRun<'_, P, &FaultPlan> {
+    /// Runs the faulted replay. Unicasts whose ancestors fail are lost
+    /// too, so `lost` is exactly the subtrees the faults cut off.
+    ///
+    /// # Errors
+    /// The engine's [`SimError`], notably [`SimError::Deadlock`] when the
+    /// plan wedges a worm forever without a deadline to rescue it.
+    pub fn run(mut self) -> Result<FaultSimReport, SimError> {
+        let workload = multicast_workload(self.tree, self.bytes);
+        let run = self.engine(Some(self.faults), &workload, &mut EngineScratch::new())?;
+        let (delivered, cut): (Vec<_>, Vec<_>) = (self.tree.unicasts.iter())
+            .zip(&run.messages)
+            .partition(|(_, r)| r.outcome.is_delivered());
+        let deliveries: Vec<_> = delivered
+            .iter()
+            .map(|(u, r)| (u.dst, r.delivered))
+            .collect();
+        let total = deliveries.len() + cut.len();
+        Ok(FaultSimReport {
+            delivery_ratio: if total == 0 {
+                1.0
+            } else {
+                deliveries.len() as f64 / total as f64
+            },
+            lost: cut.iter().map(|(u, _)| u.dst).collect(),
+            makespan: delays(&deliveries).1,
+            deliveries,
+            blocks: run.stats.blocks,
+        })
+    }
+}
+
+/// Simulates a multicast tree delivering a `bytes`-byte payload: the
+/// per-destination delays Figures 11–14 plot. The builder's default call,
+/// `MulticastRun::new(tree, params, bytes).run()`.
 #[must_use]
 pub fn simulate_multicast(tree: &MulticastTree, params: &SimParams, bytes: u32) -> SimReport {
-    replay_tree(tree, params, bytes, 1, &mut EngineScratch::new())
+    MulticastRun::new(tree, params, bytes).run()
 }
 
-/// [`simulate_multicast`] replayed through a reusable [`EngineScratch`]:
-/// the analytic pass and, on its decline, the engine reuse the
-/// scratch's buffers instead of reallocating them, and recurring
-/// `(src, dst)` pairs hit the scratch's route memo. The report is
-/// byte-identical to [`simulate_multicast`] — sweeps that evaluate
-/// thousands of trees per worker thread use this entry point with one
-/// scratch per worker.
+/// `MulticastRun::new(tree, params, bytes).scratch(scratch).run()`, kept
+/// under this name because the `perfbench-trace` benchmark links it.
 #[must_use]
 pub fn simulate_multicast_with_scratch(
     tree: &MulticastTree,
@@ -284,14 +384,13 @@ pub fn simulate_multicast_with_scratch(
     bytes: u32,
     scratch: &mut EngineScratch,
 ) -> SimReport {
-    replay_tree(tree, params, bytes, 1, scratch)
+    MulticastRun::new(tree, params, bytes)
+        .scratch(scratch)
+        .run()
 }
 
-/// [`simulate_multicast`] on an E-cube router carrying `lanes` virtual
-/// lanes per physical link — the CLI's `--lanes` path. With `lanes == 1`
-/// the report is byte-identical to [`simulate_multicast`]; extra lanes
-/// let same-class worms sidestep each other, trading buffer space for
-/// contention blocking.
+/// `MulticastRun::new(tree, params, bytes).lanes(lanes).run()`, kept
+/// under this name because the `perfbench-trace` benchmark links it.
 #[must_use]
 pub fn simulate_multicast_lanes(
     tree: &MulticastTree,
@@ -299,18 +398,11 @@ pub fn simulate_multicast_lanes(
     bytes: u32,
     lanes: u8,
 ) -> SimReport {
-    replay_tree(tree, params, bytes, lanes, &mut EngineScratch::new())
+    MulticastRun::new(tree, params, bytes).lanes(lanes).run()
 }
 
-/// [`simulate_multicast`] with an in-loop [`Probe`] observer attached:
-/// same workload, same deterministic schedule, but every semantic event
-/// (injection, channel grant/block/release, tail drain, delivery) is
-/// reported to `probe` as it happens.
-///
-/// Pair with [`EventRecorder`](crate::probe::EventRecorder) for exact
-/// per-channel contention accounting; its
-/// [`metrics`](crate::probe::EventRecorder::metrics) fold gives the
-/// aggregate counters.
+/// `MulticastRun::new(tree, params, bytes).probe(probe).run()`, kept
+/// under this name because the `perfbench-trace` benchmark links it.
 #[must_use]
 pub fn simulate_multicast_observed<P: Probe>(
     tree: &MulticastTree,
@@ -318,10 +410,7 @@ pub fn simulate_multicast_observed<P: Probe>(
     bytes: u32,
     probe: &mut P,
 ) -> SimReport {
-    let workload = multicast_workload(tree, bytes);
-    let router = Ecube::new(tree.cube, tree.resolution);
-    let run = Run::new(router, params, &workload).probe(probe).run();
-    tree_report(tree, &run.unwrap_or_else(|e| panic!("{e}")))
+    MulticastRun::new(tree, params, bytes).probe(probe).run()
 }
 
 /// Per-tree slice of a concurrent run: delivery times and blocking
@@ -395,7 +484,9 @@ pub fn simulate_concurrent_multicasts(
         assert_eq!(tree.resolution, resolution, "and a resolution order");
         ranges.push(inbound.append(&mut workload, tree, bytes, SimTime::ZERO));
     }
-    let run = replay(cube, resolution, params, &workload);
+    let run = Run::new(Ecube::new(cube, resolution), params, &workload)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"));
     let per_tree = trees
         .iter()
         .zip(ranges)
@@ -426,33 +517,6 @@ pub fn simulate_concurrent_multicasts(
         trees: per_tree,
         stats: run.stats,
     }
-}
-
-/// Convenience: the no-contention latency of a single unicast between two
-/// nodes, through the full engine (used by validation tests to pin the
-/// engine to the closed-form model).
-#[must_use]
-pub fn simulate_unicast(
-    cube: Cube,
-    resolution: Resolution,
-    params: &SimParams,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u32,
-) -> SimTime {
-    let run = replay(
-        cube,
-        resolution,
-        params,
-        &[DepMessage {
-            src,
-            dst,
-            bytes,
-            deps: Vec::new(),
-            min_start: SimTime::ZERO,
-        }],
-    );
-    run.messages[0].delivered
 }
 
 #[cfg(test)]
@@ -560,7 +624,7 @@ mod tests {
         )
         .unwrap();
         let red = reduce(&bcast, 64).unwrap();
-        let r = simulate_collective(&red, Cube::of(3), Resolution::HighToLow, &p);
+        let r = simulate_collective(&red, Ecube::new(Cube::of(3), Resolution::HighToLow), &p);
         assert_eq!(r.deliveries.len(), 7);
         // Root receives the last contribution at max_delay; every inbound
         // edge of the root is among the deliveries.
@@ -658,7 +722,7 @@ mod tests {
         )
         .unwrap();
         let sched = scatter(&tree, 1024).unwrap();
-        let scatter_r = simulate_collective(&sched, tree.cube, tree.resolution, &p);
+        let scatter_r = simulate_collective(&sched, Ecube::new(tree.cube, tree.resolution), &p);
         let mcast_r = simulate_multicast(&tree, &p, 1024);
         assert!(scatter_r.max_delay >= mcast_r.max_delay);
         assert_eq!(scatter_r.deliveries.len(), 31);
@@ -680,7 +744,7 @@ mod tests {
             )
             .unwrap();
         let sched = scatter(&tree, 2048).unwrap();
-        let a = simulate_collective(&sched, tree.cube, tree.resolution, &p);
+        let a = simulate_collective(&sched, Ecube::new(tree.cube, tree.resolution), &p);
         let b = simulate_multicast(&tree, &p, 2048);
         assert_eq!(a.max_delay, b.max_delay);
         assert_eq!(a.avg_delay, b.avg_delay);
@@ -701,14 +765,14 @@ mod tests {
         )
         .unwrap();
         let g = gather(&bcast, 1024).unwrap();
-        let rg = simulate_collective(&g, cube, Resolution::HighToLow, &p);
+        let rg = simulate_collective(&g, Ecube::new(cube, Resolution::HighToLow), &p);
         assert_eq!(rg.deliveries.len(), 15);
         assert!(rg
             .deliveries
             .iter()
             .any(|&(dst, t)| dst == NodeId(0) && t == rg.max_delay));
         let red = reduce(&bcast, 1024).unwrap();
-        let rr = simulate_collective(&red, cube, Resolution::HighToLow, &p);
+        let rr = simulate_collective(&red, Ecube::new(cube, Resolution::HighToLow), &p);
         assert!(rg.max_delay >= rr.max_delay);
     }
 
@@ -759,7 +823,7 @@ mod tests {
         .unwrap();
         let chunks = |bytes, chunks| {
             let sched = chunked_multicast(&t, bytes, chunks).unwrap();
-            simulate_collective(&sched, t.cube, t.resolution, &p)
+            simulate_collective(&sched, Ecube::new(t.cube, t.resolution), &p)
         };
         let plain = simulate_multicast(&t, &p, 65536);
         let chunked = chunks(65536, 8);
@@ -789,13 +853,12 @@ mod tests {
         .unwrap();
         let plain = simulate_multicast(&t, &p, 256);
         let sched = chunked_multicast(&t, 256, 64).unwrap();
-        let shredded = simulate_collective(&sched, t.cube, t.resolution, &p);
+        let shredded = simulate_collective(&sched, Ecube::new(t.cube, t.resolution), &p);
         assert!(shredded.max_delay > plain.max_delay);
     }
 
     #[test]
     fn faulty_multicast_loses_exactly_the_cut_subtree() {
-        use crate::faults::FaultPlan;
         let p = SimParams::ncube2(PortModel::AllPort);
         let t = broadcast(
             Algorithm::UCube,
@@ -809,7 +872,7 @@ mod tests {
         // it are lost; the low half still delivers.
         let mut plan = FaultPlan::none();
         plan.fail_node(NodeId(0b100));
-        let r = simulate_multicast_with_faults(&t, &p, 1024, &plan).unwrap();
+        let r = MulticastRun::new(&t, &p, 1024).faults(&plan).run().unwrap();
         assert!(r.lost.contains(&NodeId(0b100)));
         // U-cube broadcast from 0: node 4 forwards to 5, 6 (and 6→7 is
         // sent by 6). Whatever the exact shape, the live half {1,2,3}
@@ -844,18 +907,65 @@ mod tests {
     }
 
     #[test]
-    fn simulate_unicast_equals_formula_for_all_pairs() {
+    fn unicast_equals_formula_for_all_pairs() {
         let p = SimParams::ncube2(PortModel::AllPort);
-        let cube = Cube::of(4);
+        let router = Ecube::new(Cube::of(4), Resolution::HighToLow);
         for s in 0..16u32 {
-            for d in 0..16u32 {
-                if s == d {
-                    continue;
-                }
-                let t =
-                    simulate_unicast(cube, Resolution::HighToLow, &p, NodeId(s), NodeId(d), 1024);
-                assert_eq!(t, p.unicast_latency(NodeId(s).distance(NodeId(d)), 1024));
+            for d in (0..16u32).filter(|&d| d != s) {
+                let (src, dst) = (NodeId(s), NodeId(d));
+                let w = [DepMessage {
+                    src,
+                    dst,
+                    bytes: 1024,
+                    deps: Vec::new(),
+                    min_start: SimTime::ZERO,
+                }];
+                let run = Run::new(router, &p, &w).run().unwrap();
+                let hops = src.distance(dst);
+                assert_eq!(run.messages[0].delivered, p.unicast_latency(hops, 1024));
             }
         }
+    }
+
+    #[test]
+    fn faulted_replays_run_on_the_requested_lanes() {
+        // A 4-lane faulted replay is the engine run of the tree's
+        // workload on the 4-lane router under the same plan.
+        let p = SimParams::ncube2(PortModel::AllPort);
+        let cube = Cube::of(6);
+        let set: Vec<NodeId> = (1..64).step_by(5).map(NodeId).collect();
+        let t = Algorithm::UCube
+            .build(
+                cube,
+                Resolution::HighToLow,
+                PortModel::AllPort,
+                NodeId(0),
+                &set,
+            )
+            .unwrap();
+        let plan = FaultPlan::random_links(&cube, 12, 1);
+        let r = MulticastRun::new(&t, &p, 4096)
+            .lanes(4)
+            .faults(&plan)
+            .run()
+            .unwrap();
+        let w = multicast_workload(&t, 4096);
+        let router = Ecube::with_lanes(cube, Resolution::HighToLow, 4);
+        let run = Run::new(router, &p, &w).faults(&plan).run().unwrap();
+        let delivered = |ok: bool| {
+            t.unicasts
+                .iter()
+                .zip(&run.messages)
+                .filter(|(_, m)| m.outcome.is_delivered() == ok)
+                .map(|(u, m)| (u.dst, m.delivered))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(r.deliveries, delivered(true));
+        let lost: Vec<NodeId> = delivered(false).into_iter().map(|(v, _)| v).collect();
+        assert_eq!(r.lost, lost);
+        assert_eq!(r.blocks, run.stats.blocks);
+        // And the lanes matter: the one-lane replay differs here.
+        let one = MulticastRun::new(&t, &p, 4096).faults(&plan).run().unwrap();
+        assert_ne!(format!("{one:?}"), format!("{r:?}"));
     }
 }

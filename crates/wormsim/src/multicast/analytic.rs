@@ -154,9 +154,7 @@ fn slot(slots: &mut [ChannelSlot], ch: usize, gen: u32) -> &mut ChannelSlot {
 /// ```
 /// use hcube::{Cube, NodeId, Resolution};
 /// use hypercast::{Algorithm, PortModel};
-/// use wormsim::{
-///     analytic_replay, simulate_multicast_observed, EngineScratch, NoopProbe, SimParams,
-/// };
+/// use wormsim::{analytic_replay, EngineScratch, MulticastRun, NoopProbe, SimParams};
 ///
 /// let dests: Vec<NodeId> = (1..20).map(NodeId).collect();
 /// let tree = Algorithm::WSort
@@ -165,8 +163,8 @@ fn slot(slots: &mut [ChannelSlot], ch: usize, gen: u32) -> &mut ChannelSlot {
 /// let params = SimParams::ncube2(PortModel::AllPort);
 /// let mut scratch = EngineScratch::new();
 /// let fast = analytic_replay(&tree, &params, 4096, 1, &mut scratch).unwrap();
-/// // The observed entry point always runs the event engine.
-/// let engine = simulate_multicast_observed(&tree, &params, 4096, &mut NoopProbe);
+/// // A replay with a probe always runs the event engine.
+/// let engine = MulticastRun::new(&tree, &params, 4096).probe(&mut NoopProbe).run();
 /// assert_eq!(format!("{fast:?}"), format!("{engine:?}"));
 /// assert_eq!(scratch.analytic().accepted(), 1);
 /// ```

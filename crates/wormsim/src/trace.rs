@@ -21,7 +21,7 @@ use crate::engine::{DepMessage, RunResult};
 use crate::network::ChannelMap;
 use crate::params::SimParams;
 use crate::time::SimTime;
-use hcube::{Cube, Ecube, Resolution, Router};
+use hcube::Router;
 use std::fmt::Write as _;
 
 /// One channel-holding interval of one message.
@@ -55,7 +55,7 @@ pub struct ChannelTrace {
 impl ChannelTrace {
     /// Builds the trace for a run completed on any routed topology.
     #[must_use]
-    pub fn reconstruct_on<R: Router>(
+    pub fn reconstruct<R: Router>(
         router: R,
         params: &SimParams,
         workload: &[DepMessage],
@@ -89,22 +89,6 @@ impl ChannelTrace {
             makespan,
             labels,
         }
-    }
-
-    /// Builds the trace for a completed hypercube run (the classic
-    /// entry point; delegates to [`reconstruct_on`] with an E-cube
-    /// router).
-    ///
-    /// [`reconstruct_on`]: ChannelTrace::reconstruct_on
-    #[must_use]
-    pub fn reconstruct(
-        cube: Cube,
-        resolution: Resolution,
-        params: &SimParams,
-        workload: &[DepMessage],
-        run: &RunResult,
-    ) -> ChannelTrace {
-        ChannelTrace::reconstruct_on(Ecube::new(cube, resolution), params, workload, run)
     }
 
     /// Mean external-channel utilization over the run: the fraction of
@@ -175,7 +159,7 @@ impl ChannelTrace {
 mod tests {
     use super::*;
     use crate::engine::Run;
-    use hcube::{NodeId, Torus, TorusRouter};
+    use hcube::{Cube, Ecube, NodeId, Resolution, Torus, TorusRouter};
     use hypercast::PortModel;
 
     /// A fault-free, unobserved run of a well-formed workload.
@@ -197,7 +181,12 @@ mod tests {
         let cube = Cube::of(4);
         let params = SimParams::ncube2(PortModel::AllPort);
         let run = replay(Ecube::new(cube, Resolution::HighToLow), &params, workload);
-        let trace = ChannelTrace::reconstruct(cube, Resolution::HighToLow, &params, workload, &run);
+        let trace = ChannelTrace::reconstruct(
+            Ecube::new(cube, Resolution::HighToLow),
+            &params,
+            workload,
+            &run,
+        );
         (cube, params, trace, run)
     }
 
@@ -247,7 +236,8 @@ mod tests {
         let params = SimParams::ncube2(PortModel::OnePort);
         let w = vec![msg(0, 0b111, 128)];
         let run = replay(Ecube::new(cube, Resolution::HighToLow), &params, &w);
-        let trace = ChannelTrace::reconstruct(cube, Resolution::HighToLow, &params, &w, &run);
+        let trace =
+            ChannelTrace::reconstruct(Ecube::new(cube, Resolution::HighToLow), &params, &w, &run);
         assert_eq!(trace.occupancies.len(), 3, "injection/consumption excluded");
         assert!(trace
             .occupancies
@@ -268,7 +258,7 @@ mod tests {
             min_start: SimTime::ZERO,
         }];
         let run = replay(router, &params, &w);
-        let trace = ChannelTrace::reconstruct_on(router, &params, &w, &run);
+        let trace = ChannelTrace::reconstruct(router, &params, &w, &run);
         assert_eq!(trace.occupancies.len(), 2);
         let s = trace.render_timeline(32);
         assert!(s.contains("3,0--d0+v0→"), "timeline:\n{s}");

@@ -90,8 +90,8 @@ proptest! {
             .iter()
             .map(|&(s, d)| msg(NodeId(s), NodeId(d), bytes))
             .collect();
-        let mut plan = FaultPlan::random_links_on(&mesh, dead_links, seed);
-        for v in FaultPlan::random_nodes_on(&mesh, dead_nodes, seed, &[]).dead_nodes() {
+        let mut plan = FaultPlan::random_links(&mesh, dead_links, seed);
+        for v in FaultPlan::random_nodes(&mesh, dead_nodes, seed, &[]).dead_nodes() {
             plan.fail_node(v);
         }
         // Kill a random single lane too: lane-granular faults must be

@@ -10,8 +10,8 @@ use hypercast::{Algorithm, PortModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use wormsim::{
-    analytic_replay, multicast_workload, DepMessage, EngineScratch, InboundIndex, Run, SimParams,
-    SimTime,
+    analytic_replay, multicast_workload, DepMessage, EngineScratch, InboundIndex, MulticastRun,
+    Run, SimParams, SimTime,
 };
 
 thread_local! {
@@ -98,7 +98,8 @@ fn multicast_workload_allocates_two_plus_one_per_forward() {
 
 /// An accepted analytic replay in a warm scratch allocates its report
 /// and nothing else: the deliveries and three `NetStats` vectors
-/// (`dim_busy`, `dim_channels`, `lane_busy`), for any tree size.
+/// (`dim_busy`, `dim_channels`, `lane_busy`), for any tree size. A
+/// `MulticastRun` in that scratch costs the same.
 #[test]
 fn warm_analytic_replay_allocates_only_its_report() {
     let params = SimParams::ncube2(PortModel::AllPort);
@@ -120,6 +121,16 @@ fn warm_analytic_replay_allocates_only_its_report() {
                 let calls = ALLOCS.with(Cell::get) - before;
                 assert!(report.is_some());
                 assert_eq!(calls, 4, "{algo}, n = {n}, m = {m}");
+                // The replay builder takes the same path at the same cost.
+                let accepted = scratch.analytic().accepted();
+                let before = ALLOCS.with(Cell::get);
+                let built = MulticastRun::new(&tree, &params, 4096)
+                    .scratch(&mut scratch)
+                    .run();
+                let calls = ALLOCS.with(Cell::get) - before;
+                assert_eq!(scratch.analytic().accepted(), accepted + 1);
+                assert_eq!(built.deliveries.len(), tree.unicasts.len());
+                assert_eq!(calls, 4, "builder: {algo}, n = {n}, m = {m}");
             }
         }
     }

@@ -122,7 +122,7 @@ proptest! {
         let router = Ecube::new(cube, Resolution::HighToLow);
         let mut rec = EventRecorder::new();
         let run = record(router, &params, &workload, &mut rec);
-        let trace = ChannelTrace::reconstruct_on(router, &params, &workload, &run);
+        let trace = ChannelTrace::reconstruct(router, &params, &workload, &run);
         let map = ChannelMap::new(router);
         // One exact interval per held channel: route lengths add up.
         prop_assert_eq!(
@@ -161,7 +161,7 @@ proptest! {
         let mut rec = EventRecorder::new();
         let run = record(router, &params, &workload, &mut rec);
         prop_assert_eq!(run.stats.blocks, 0);
-        let trace = ChannelTrace::reconstruct_on(router, &params, &workload, &run);
+        let trace = ChannelTrace::reconstruct(router, &params, &workload, &run);
         let mut exact: Vec<(usize, usize, SimTime, SimTime)> = rec
             .occupancies()
             .iter()

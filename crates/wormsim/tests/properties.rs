@@ -326,7 +326,7 @@ proptest! {
             let start = inbound.get(&u.src).map(|&i| er.messages[i].delivered.as_ns()).unwrap_or(0);
             wormsim::FlitMessage { src: u.src, dst: u.dst, flits: 16, start_cycle: start }
         }).collect();
-        let fr = wormsim::simulate_flits(cube, Resolution::HighToLow, &flit_w);
+        let fr = wormsim::simulate_flits(Ecube::new(cube, Resolution::HighToLow), &flit_w);
         for (i, (f, e)) in fr.iter().zip(&er.messages).enumerate() {
             prop_assert_eq!(f.blocked_cycles, 0, "msg {} blocked", i);
             let start = flit_w[i].start_cycle;
@@ -372,7 +372,7 @@ proptest! {
             src: s, dst: d, flits, start_cycle: 0,
         }).collect();
         let er = replay(cube, &cycle_params, &event_w);
-        let fr = wormsim::simulate_flits(cube, Resolution::HighToLow, &flit_w);
+        let fr = wormsim::simulate_flits(Ecube::new(cube, Resolution::HighToLow), &flit_w);
         let event_makespan = er.messages.iter().map(|m| m.delivered.as_ns()).max().unwrap();
         let flit_makespan = fr.iter().map(|f| f.delivered_cycle).max().unwrap();
         prop_assert!(

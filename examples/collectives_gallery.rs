@@ -8,7 +8,7 @@
 //! cargo run -p bench --release --example collectives_gallery
 //! ```
 
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::collectives::{
     allgather, barrier, broadcast, chunked_multicast, gather, reduce, scatter,
 };
@@ -23,7 +23,7 @@ fn main() {
     let algo = Algorithm::WSort;
     let root = NodeId(0);
     let run = |sched: &CollectiveSchedule| -> SimReport {
-        simulate_collective(sched, cube, res, &params)
+        simulate_collective(sched, Ecube::new(cube, res), &params)
     };
 
     println!(

@@ -16,7 +16,7 @@
 //! cargo run -p bench --release --example data_redistribution
 //! ```
 
-use hcube::{Cube, NodeId, Resolution};
+use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::collectives::{barrier, broadcast, reduce};
 use hypercast::{Algorithm, PortModel};
 use wormsim::{simulate_collective, simulate_multicast, SimParams, SimTime};
@@ -52,11 +52,11 @@ fn main() {
         //    broadcast tree
         let tree = broadcast(algo, cube, res, port, coordinator).unwrap();
         let bar = barrier(&tree, 16).unwrap();
-        let t_bar = simulate_collective(&bar, cube, res, &params).max_delay;
+        let t_bar = simulate_collective(&bar, Ecube::new(cube, res), &params).max_delay;
 
         // 3. residual gather (reverse of the same broadcast tree)
         let gather = reduce(&tree, 64).unwrap();
-        let t_gather = simulate_collective(&gather, cube, res, &params).max_delay;
+        let t_gather = simulate_collective(&gather, Ecube::new(cube, res), &params).max_delay;
 
         let total: SimTime = t_mcast + t_bar + t_gather;
         println!(

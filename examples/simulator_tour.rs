@@ -8,7 +8,7 @@
 
 use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::PortModel;
-use wormsim::{simulate_unicast, DepMessage, Run, SimParams, SimTime};
+use wormsim::{DepMessage, Run, SimParams, SimTime};
 
 fn msg(src: u32, dst: u32, bytes: u32, deps: Vec<usize>) -> DepMessage {
     DepMessage {
@@ -24,6 +24,12 @@ fn main() {
     let cube = Cube::of(6);
     let res = Resolution::HighToLow;
     let params = SimParams::ncube2(PortModel::AllPort);
+    // The delivery time of one uncontended unicast from node 0.
+    let unicast = |dst: u32, bytes: u32| {
+        let w = [msg(0, dst, bytes, vec![])];
+        let run = Run::new(Ecube::new(cube, res), &params, &w).run().unwrap();
+        run.messages[0].delivered
+    };
 
     println!("== 1. Unicast latency anatomy (nCUBE-2 parameters) ==");
     println!(
@@ -31,13 +37,13 @@ fn main() {
         params.t_send_sw, params.t_hop, params.t_byte, params.t_recv_sw
     );
     for bytes in [64u32, 1024, 4096] {
-        let t = simulate_unicast(cube, res, &params, NodeId(0), NodeId(0b111), bytes);
+        let t = unicast(0b111, bytes);
         println!("  {bytes:>5} B over 3 hops → {t}");
     }
 
     println!("\n== 2. Distance insensitivity (4 KB payload) ==");
     for dst in [1u32, 0b11, 0b1111, 0b111111] {
-        let t = simulate_unicast(cube, res, &params, NodeId(0), NodeId(dst), 4096);
+        let t = unicast(dst, 4096);
         println!("  {} hops → {t}", NodeId(0).distance(NodeId(dst)));
     }
     println!("  (5 extra hops cost 10 µs of ~2 ms: wormhole routing)");

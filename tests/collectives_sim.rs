@@ -1,15 +1,13 @@
 //! Integration tests for the collective operations (extension layer)
 //! running end-to-end through the wormhole simulator.
 
-use hcube::{Cube, NodeId, Resolution, Torus, TorusRouter};
+use hcube::{Cube, Ecube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::collectives::{
     barrier, broadcast, reduce, suite_collective, suite_collective_separate,
 };
 use hypercast::oracle::verify_collective;
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
-use wormsim::{
-    simulate_collective, simulate_collective_on, simulate_multicast, SimParams, SimTime,
-};
+use wormsim::{simulate_collective, simulate_multicast, SimParams, SimTime};
 
 #[test]
 fn broadcast_delay_scales_with_tree_depth() {
@@ -50,7 +48,7 @@ fn reduction_simulates_cleanly_for_every_algorithm() {
         .unwrap();
         let red = reduce(&bcast, 64).unwrap();
         verify_collective(&red).unwrap_or_else(|e| panic!("{algo}: {e}"));
-        let r = simulate_collective(&red, cube, Resolution::HighToLow, &params);
+        let r = simulate_collective(&red, Ecube::new(cube, Resolution::HighToLow), &params);
         assert_eq!(r.deliveries.len(), 31);
         assert!(r.max_delay > SimTime::ZERO);
         // The root's last inbound contribution defines completion.
@@ -77,7 +75,7 @@ fn reduction_of_contention_free_tree_does_not_block() {
     )
     .unwrap();
     let red = reduce(&bcast, 64).unwrap();
-    let r = simulate_collective(&red, cube, Resolution::HighToLow, &params);
+    let r = simulate_collective(&red, Ecube::new(cube, Resolution::HighToLow), &params);
     assert_eq!(r.deliveries.len(), 63);
     assert!(r.max_delay > SimTime::ZERO);
 }
@@ -99,14 +97,13 @@ fn barrier_costs_roughly_double_a_broadcast() {
     let bcast_delay = simulate_multicast(&release, &params, 16).max_delay;
     let reduce_delay = simulate_collective(
         &reduce(&release, 16).unwrap(),
-        cube,
-        Resolution::HighToLow,
+        Ecube::new(cube, Resolution::HighToLow),
         &params,
     )
     .max_delay;
     // The release waits for the reduction inside one run: the barrier
     // takes exactly the two phases back to back.
-    let total = simulate_collective(&b, cube, Resolution::HighToLow, &params).max_delay;
+    let total = simulate_collective(&b, Ecube::new(cube, Resolution::HighToLow), &params).max_delay;
     assert_eq!(total, bcast_delay + reduce_delay);
     // Within 3× of a single broadcast on each side (small payload, so
     // startup dominates and the phases are comparable).
@@ -129,7 +126,7 @@ fn every_collective_family_simulates_and_passes_the_oracle_on_the_cube() {
             let sched = cube_collective(kind, family, cube);
             verify_collective(&sched)
                 .unwrap_or_else(|e| panic!("{} {}: {e}", kind.name(), family.name()));
-            let r = simulate_collective(&sched, cube, Resolution::HighToLow, &params);
+            let r = simulate_collective(&sched, Ecube::new(cube, Resolution::HighToLow), &params);
             assert_eq!(
                 r.deliveries.len(),
                 sched.ops.len(),
@@ -155,7 +152,7 @@ fn every_separate_collective_simulates_and_passes_the_oracle_on_the_torus() {
     for kind in CollectiveKind::ALL {
         let sched = suite_collective_separate(kind, &torus, NodeId(3), 128).unwrap();
         verify_collective(&sched).unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        let r = simulate_collective_on(&sched, TorusRouter::new(torus), &params);
+        let r = simulate_collective(&sched, TorusRouter::new(torus), &params);
         assert_eq!(r.deliveries.len(), sched.ops.len(), "{}", kind.name());
         assert!(r.max_delay > SimTime::ZERO, "{}", kind.name());
     }
@@ -172,7 +169,8 @@ fn allgather_outruns_sequential_broadcasts() {
         TreeFamily::Alg(Algorithm::WSort),
         cube,
     );
-    let concurrent = simulate_collective(&sched, cube, Resolution::HighToLow, &params).max_delay;
+    let concurrent =
+        simulate_collective(&sched, Ecube::new(cube, Resolution::HighToLow), &params).max_delay;
     let one = broadcast(
         Algorithm::WSort,
         cube,

@@ -97,6 +97,10 @@ const CASES: &[(&str, &str)] = &[
          --trace-out OUT/trace_cube.json --metrics-out OUT/metrics_cube.prom",
     ),
     (
+        "lanes_faults_cube",
+        "--n 6 --algo ucube --random 20 --seed 8 --lanes 4 --faults 12",
+    ),
+    (
         "obs_trace_torus",
         "--topology torus --arity 4 --n 3 --random 8 --trace \
          --trace-out OUT/trace_torus.json --metrics-out OUT/metrics_torus.json",
