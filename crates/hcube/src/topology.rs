@@ -175,12 +175,9 @@ pub trait Topology: Copy + core::fmt::Debug {
 /// west-first minimal-adaptive routing on the mesh are all deadlock-free
 /// by the classic channel-ordering / turn-model arguments.
 ///
-/// Routers are [`Hash`](std::hash::Hash) so callers can fingerprint a
-/// router value (e.g. the simulator's route memo invalidates itself
-/// when the router it cached routes for changes). Because routes are
-/// path-deterministic, equal-hashing router values of the same type
-/// produce identical routes for every `(src, dst)` pair.
-pub trait Router: std::hash::Hash {
+/// Routes are path-deterministic: equal router values produce identical
+/// routes for every `(src, dst)` pair.
+pub trait Router {
     /// The topology this router routes on.
     type Topo: Topology;
 

@@ -90,8 +90,8 @@ proptest! {
     }
 
     /// The deterministic per-pair staircase interleaving is stable: the
-    /// same pair always routes the same way (the engine's route memo
-    /// depends on it).
+    /// same pair always routes the same way (the simulator's byte-identical
+    /// replays depend on it).
     #[test]
     fn adaptive_routes_are_deterministic((w, h, u, v) in mesh_and_pair()) {
         let m = Mesh::of(w, h);

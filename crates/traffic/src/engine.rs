@@ -533,7 +533,7 @@ pub struct RunOptions<'a> {
 
 impl<'a> RunOptions<'a> {
     /// Replays the run into a caller-owned [`EngineScratch`] instead of
-    /// a fresh one: reused arenas and memoized routes.
+    /// a fresh one: its arenas keep their allocations.
     #[must_use]
     pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
         self.scratch = Some(scratch);
@@ -797,12 +797,8 @@ mod tests {
                 "scratch-reuse run diverged from the fresh-allocation run"
             );
         }
-        assert!(
-            scratch.route_memo().hits() > 0,
-            "replayed sessions must hit the route memo"
-        );
-        // The same scratch then serves a *different* router type: the
-        // memo restamps and the torus report still matches fresh.
+        // The same scratch then serves a *different* router type: its
+        // routes are recomputed and the torus report still matches fresh.
         let torus = Torus::of(4, 2);
         let ts = spec(1.0, 25, 9);
         let fresh = run(

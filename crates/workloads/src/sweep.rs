@@ -10,8 +10,8 @@
 //!
 //! Every worker owns one [`wormsim::EngineScratch`] handed to the
 //! metric on each call, so metrics that replay trees through the engine
-//! reuse the worker's event heap, channel table, and route memo instead
-//! of reallocating per trial. Scratch reuse is byte-invisible (the
+//! reuse the worker's event heap, channel table, and route buffer
+//! instead of reallocating per trial. Scratch reuse is byte-invisible (the
 //! engine's contract), so the summaries remain independent of how tasks
 //! land on workers.
 

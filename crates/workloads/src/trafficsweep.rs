@@ -174,9 +174,7 @@ fn detect(points: &[SweepPoint]) -> Option<f64> {
 /// structurally identical results (and byte-identical JSON).
 ///
 /// The whole sweep shares one [`EngineScratch`]: every load point of
-/// every series replays into the same arenas, and recurring pool
-/// sessions resolve their routes from the scratch's memo (the memo
-/// restamps itself at each network boundary). Scratch reuse is
+/// every series replays into the same arenas. Scratch reuse is
 /// byte-invisible — the determinism suite pins the artifact bytes.
 #[must_use]
 pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {

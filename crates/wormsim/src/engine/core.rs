@@ -9,10 +9,12 @@
 //!
 //! All mutable run state lives in a borrowed
 //! [`EngineScratch`](crate::scratch::EngineScratch): `Engine::new`
-//! *resets* the arenas instead of allocating them, and route lookups go
-//! through the scratch's [`RouteMemo`](crate::network::RouteMemo). The
-//! fresh-allocation entry points simply pass a brand-new scratch, so
-//! both paths execute the same code and produce byte-identical results.
+//! *resets* the arenas instead of allocating them and computes the
+//! workload's routes into the scratch's route buffer, one
+//! `(channel, dimension)` pair per hop, which the release path reads
+//! back for its busy-time accounting. The fresh-allocation entry points
+//! simply pass a brand-new scratch, so both paths execute the same code
+//! and produce byte-identical results.
 
 use crate::engine::events::{self, Event};
 use crate::engine::outcomes::{NetStats, RunResult, SimError};
@@ -89,7 +91,7 @@ pub(crate) struct Engine<'a, R: Router, P: Probe> {
     plan: &'a FaultPlan,
     workload: &'a [DepMessage],
     /// The reusable arenas: event heap, message table, channel table,
-    /// dead flags, CPU clocks, cascade stack, and the route memo.
+    /// dead flags, CPU clocks, cascade stack, and the route buffer.
     scratch: &'a mut EngineScratch,
     stats: NetStats,
     finished: usize,
@@ -121,12 +123,13 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
         scratch.cpu_free.clear();
         scratch.cpu_free.resize(map.nodes(), SimTime::ZERO);
         scratch.finish_stack.clear();
+        scratch.routes.clear();
         scratch.msgs.truncate(workload.len());
         for (i, m) in workload.iter().enumerate() {
             if m.src == m.dst {
                 return Err(SimError::SelfSend { index: i });
             }
-            let route = map.route_into(params.port_model, m.src, m.dst, &mut scratch.memo);
+            let route = scratch.routes.push(&map, params.port_model, m.src, m.dst);
             if i < scratch.msgs.len() {
                 scratch.msgs[i].reset(route, m.deps.len(), m.min_start);
             } else {
@@ -150,14 +153,9 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
             wire_faults(&map, plan, scratch);
         }
 
-        // Per-dimension channel counts (utilization statistics) and the
-        // external-channel → dimension table (busy-time accounting on
-        // every channel release), cached in the scratch per router.
-        scratch.load_dims(&map);
-        let topo = map.topology();
         let stats = NetStats {
-            dim_busy: vec![SimTime::ZERO; topo.dimensions() as usize],
-            dim_channels: scratch.dim_channels.clone(),
+            dim_busy: vec![SimTime::ZERO; map.dimensions() as usize],
+            dim_channels: map.dim_channels(),
             lane_busy: vec![SimTime::ZERO; map.lanes()],
             lane_links: map.links() as u32,
             ..NetStats::default()
@@ -176,20 +174,26 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
         })
     }
 
-    /// The dense channel index of hop `hop` of message `m`'s route —
+    /// The `(channel, dimension)` of hop `hop` of message `m`'s route —
     /// the *nominal* channel, always a lane-class representative.
     #[inline]
-    fn route_channel(&self, m: usize, hop: usize) -> usize {
+    fn route_hop(&self, m: usize, hop: usize) -> (usize, u8) {
         self.scratch
-            .memo
-            .channel_at(self.scratch.msgs[m].route_start, hop)
+            .routes
+            .hop(self.scratch.msgs[m].route_start, hop)
+    }
+
+    /// The nominal channel of hop `hop` of message `m`'s route.
+    #[inline]
+    fn route_channel(&self, m: usize, hop: usize) -> usize {
+        self.route_hop(m, hop).0
     }
 
     /// The channel hop `hop` of `m` actually holds. Under adaptive lane
     /// selection (`class_size > 1`) the granted lane may differ from
     /// the route's nominal class floor, so the truth lives in the
-    /// per-message `taken` log; otherwise the route memo is exact and
-    /// the log stays empty.
+    /// per-message `taken` log; otherwise the route is exact and the log
+    /// stays empty.
     #[inline]
     fn actual_channel(&self, m: usize, hop: usize) -> usize {
         if self.map.class_size() > 1 {
@@ -307,9 +311,11 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
             let (held_since, waiter) = self.scratch.channels.handoff_from(ch, rep, m, grant_t);
             self.probe.on_channel_released(t, m, ch, held_since);
             if !self.map.is_virtual(ch) {
-                // Cached per-channel dimension: the topology's
-                // coordinate decode is too slow for the release path.
-                let d = self.scratch.dim_table[ch] as usize;
+                // The route recorded each hop's dimension: the
+                // topology's coordinate decode is too slow for the
+                // release path. A granted lane shares its link, and so
+                // its dimension, with the nominal channel.
+                let d = self.route_hop(m, hop).1 as usize;
                 let held = t.saturating_sub(held_since);
                 self.stats.dim_busy[d] += held;
                 self.stats.lane_busy[self.map.lane_of(ch) as usize] += held;

@@ -190,7 +190,7 @@ impl<'a, R: Router, P: Probe> Run<'a, R, P> {
     ///
     /// The scratch is *reset*, never reallocated: reusing one scratch
     /// across runs keeps the event heap, message table, channel table
-    /// and memoized routes warm (see [`crate::scratch`]). Results are
+    /// and route buffer allocated (see [`crate::scratch`]). Results are
     /// byte-identical to a fresh scratch. Even after an `Err` the
     /// scratch stays safe to reuse: the channel table marks itself
     /// dirty and sweeps on the next reset.

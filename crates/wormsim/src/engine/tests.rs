@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::time::SimTime;
-use hcube::{Cube, Dim, Ecube, NodeId, Resolution, Topology, Torus, TorusRouter};
+use hcube::{Cube, Dim, Ecube, Mesh, MeshXY, NodeId, Resolution, Topology, Torus, TorusRouter};
 use hypercast::PortModel;
 
 /// A fault-free, unobserved run of a well-formed workload.
@@ -226,21 +226,47 @@ fn typed_errors_for_malformed_workloads() {
 
 // ----- new statistics ---------------------------------------------------
 
-#[test]
-fn dim_utilization_tracks_only_traversed_dimensions() {
+/// Runs one 4 KB `src → dst` unicast on `router` and checks the
+/// per-dimension statistics: `dim_channels` as given, busy time on every
+/// dimension but `untouched`.
+fn check_dim_stats<R: Router>(
+    router: R,
+    src: u32,
+    dst: u32,
+    dim_channels: &[u32],
+    untouched: usize,
+) {
     let p = SimParams::ncube2(PortModel::AllPort);
-    // 0b0101 → 0b1110 crosses dimensions 3, 1, 0 — never dimension 2.
-    let r = run(4, &p, &[msg(0b0101, 0b1110, 4096, vec![])]);
-    assert_eq!(r.stats.dim_channels, vec![16, 16, 16, 16]);
-    assert_eq!(r.stats.dim_busy.len(), 4);
-    for d in [0usize, 1, 3] {
+    let r = replay(router, &p, &[msg(src, dst, 4096, vec![])]);
+    assert_eq!(r.stats.dim_channels, dim_channels);
+    assert_eq!(r.stats.dim_busy.len(), dim_channels.len());
+    for d in (0..dim_channels.len()).filter(|&d| d != untouched) {
         assert!(r.stats.dim_busy[d] > SimTime::ZERO, "dim {d} was traversed");
     }
-    assert_eq!(r.stats.dim_busy[2], SimTime::ZERO, "dim 2 untouched");
+    assert_eq!(
+        r.stats.dim_busy[untouched],
+        SimTime::ZERO,
+        "dim {untouched} untouched"
+    );
     let u = r.stats.dim_utilization();
-    assert_eq!(u.len(), 4);
+    assert_eq!(u.len(), dim_channels.len());
     assert!(u.iter().all(|&x| (0.0..=1.0).contains(&x)));
-    assert_eq!(u[2], 0.0);
+    assert_eq!(u[untouched], 0.0);
+}
+
+#[test]
+fn dim_utilization_tracks_only_traversed_dimensions() {
+    let mesh = Mesh::of(4, 3);
+    for lanes in [1u8, 2] {
+        let l = u32::from(lanes);
+        // 0b0101 → 0b1110 crosses dimensions 3, 1, 0 — never dimension 2.
+        let cube = Ecube::with_lanes(Cube::of(4), Resolution::HighToLow, lanes);
+        check_dim_stats(cube, 0b0101, 0b1110, &[16 * l; 4], 2);
+        // Along the bottom row, never along y. 12 nodes × 2 ports per
+        // dimension (boundary self-loops are channels too) × lanes.
+        let (src, dst) = (mesh.node_at(0, 0).0, mesh.node_at(3, 0).0);
+        check_dim_stats(MeshXY::with_lanes(mesh, lanes), src, dst, &[24 * l; 2], 1);
+    }
 }
 
 #[test]

@@ -96,13 +96,13 @@ pub struct MessageResult {
 /// The worm's in-flight state machine: route progress, dependency
 /// counters, blocking accounting, and the terminal outcome once reached.
 ///
-/// The route itself lives in the run's
-/// [`RouteMemo`](crate::network::RouteMemo) as a flat `(start, len)`
-/// range — per-message state carries no allocation for it, which is
-/// what lets [`EngineScratch`](crate::scratch::EngineScratch) replay
-/// recurring sessions without touching the allocator.
+/// The route itself lives in the run's route buffer as a flat
+/// `(start, len)` range of `(channel, dimension)` hops — per-message
+/// state carries no allocation for it, which is what lets
+/// [`EngineScratch`](crate::scratch::EngineScratch) replay recurring
+/// sessions without touching the allocator.
 pub(crate) struct MsgState {
-    /// Start of this worm's channel sequence in the route memo.
+    /// Start of this worm's hops in the run's route buffer.
     pub route_start: u32,
     /// Number of channels in the route.
     pub route_len: u32,
@@ -127,8 +127,8 @@ pub(crate) struct MsgState {
     /// The channels actually granted so far, hop by hop. Populated only
     /// under adaptive lane selection (`class_size > 1`), where the
     /// granted lane may differ from the route's nominal class floor;
-    /// with a single lane per class the route memo *is* the truth and
-    /// this stays empty (the allocation-free hot path).
+    /// with a single lane per class the route *is* the truth and this
+    /// stays empty (the allocation-free hot path).
     pub taken: Vec<usize>,
     /// Whether this message sits blocked in the FIFO of its current
     /// hop's route channel (hop `acquired`).

@@ -71,7 +71,7 @@ pub use multicast::{
     AnalyticScratch, ConcurrentReport, FaultSimReport, InboundIndex, MulticastRun, SimReport,
     TreeReport,
 };
-pub use network::{ChannelMap, RouteMemo};
+pub use network::ChannelMap;
 pub use params::SimParams;
 pub use probe::{
     json_escape, BlockedInterval, EventRecorder, NoopProbe, Probe, ProbeEvent, WatchdogAlarm,

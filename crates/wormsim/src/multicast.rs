@@ -242,7 +242,7 @@ impl<'a, P: Probe, F> MulticastRun<'a, P, F> {
     }
 
     /// Replays in a caller-owned [`EngineScratch`], byte-identically:
-    /// the analytic pass and the engine reuse its buffers and route memo.
+    /// the analytic pass and the engine reuse its buffers.
     pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
         self.scratch = Some(scratch);
         self

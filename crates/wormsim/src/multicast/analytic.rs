@@ -18,8 +18,8 @@
 //!   from. Every later hop is acquired `t_hop` per external channel
 //!   after the first, the payload drains `bytes · t_byte` after the
 //!   last, and delivery follows `t_recv_sw` later.
-//! * **Check pass, in grant order.** A dense per-channel `(release,
-//!   holder)` table proves the timing pass's premise: every
+//! * **Check pass, in grant order.** A per-channel `(release, holder)`
+//!   table proves the timing pass's premise: every
 //!   acquisition must find its channel released strictly earlier. The
 //!   one exception is the first-channel hand-off from the FIFO
 //!   predecessor. An acquisition finding its channel held would block
@@ -30,10 +30,17 @@
 //! engine's events replay the computed times one for one, and the
 //! report equals the engine's field by field (`tests/analytic_replay.rs`
 //! checks it differentially). On a decline the caller runs the engine.
+//!
+//! The pass computes its routes into the scratch's route buffer, with
+//! each hop's dimension, and keeps its per-node and per-channel tables
+//! stamped with a replay generation. The tables are all-integer slots
+//! allocated zeroed, so a replay in a fresh scratch touches only the
+//! pages its routes and senders use, and a warm replay costs
+//! O(unicasts · hops) whatever the cube's size.
 
 use super::{InboundIndex, SimReport};
 use crate::engine::NetStats;
-use crate::network::ChannelMap;
+use crate::network::{ChannelMap, Routes};
 use crate::params::SimParams;
 use crate::scratch::EngineScratch;
 use crate::time::SimTime;
@@ -46,7 +53,7 @@ const NONE: u32 = u32::MAX;
 /// One unicast as the timing pass computed it.
 #[derive(Clone, Copy, Debug)]
 struct Send {
-    /// `(start, len)` of the route in the scratch's route memo.
+    /// `(start, len)` of the route in the scratch's route buffer.
     route: (u32, u32),
     /// When the header requests the first channel.
     inject: SimTime,
@@ -58,17 +65,15 @@ struct Send {
     fifo_prev: u32,
 }
 
-/// Per-channel state, valid only when `gen` is the current replay's.
-#[derive(Clone, Copy, Debug, Default)]
-struct ChannelSlot {
-    gen: u32,
-    /// Timing pass: the last unicast queued on this first channel.
-    fifo_last: u32,
-    /// Check pass: the last unicast to acquire this channel.
-    holder: u32,
-    /// Check pass: when `holder` releases it.
-    release: SimTime,
-}
+/// Per-channel state `(gen, fifo_last, holder, release_ns)`, valid only
+/// when `gen` is the current replay's:
+/// * `fifo_last` (timing pass): the last unicast queued on this first
+///   channel;
+/// * `holder` (check pass): the last unicast to acquire this channel;
+/// * `release_ns` (check pass): when `holder` releases it.
+///
+/// An all-integer tuple, so a new table is one zeroed allocation.
+type ChannelSlot = (u32, u32, u32, u64);
 
 /// The analytic replay's reusable buffers and its accept/decline
 /// counters, kept in an [`EngineScratch`] and read through
@@ -83,8 +88,8 @@ pub struct AnalyticScratch {
     /// `(grant, unicast)` pairs, sorted for the check pass.
     order: Vec<(SimTime, u32)>,
     inbound: InboundIndex,
-    /// Per node: `(gen, cpu free at)`.
-    cpu: Vec<(u32, SimTime)>,
+    /// Per node: `(gen, cpu free at in ns)`, zeroed like `channels`.
+    cpu: Vec<(u32, u64)>,
     channels: Vec<ChannelSlot>,
     gen: u32,
     accepted: u64,
@@ -106,19 +111,22 @@ impl AnalyticScratch {
 
     /// Starts a replay over `nodes` nodes, `channels` channels and
     /// `unicasts` unicasts: bumps the generation, which invalidates
-    /// every stamped slot at once.
+    /// every stamped slot at once. A table too small for the network is
+    /// replaced by a zeroed one, never resized: zero is no generation,
+    /// and the pages stay untouched until a replay stamps a slot in
+    /// them.
     fn begin(&mut self, nodes: usize, channels: usize, unicasts: usize) {
         if self.gen == u32::MAX {
             self.cpu.iter_mut().for_each(|c| c.0 = 0);
-            self.channels.iter_mut().for_each(|c| c.gen = 0);
+            self.channels.iter_mut().for_each(|c| c.0 = 0);
             self.gen = 0;
         }
         self.gen += 1;
         if self.cpu.len() < nodes {
-            self.cpu.resize(nodes, (0, SimTime::ZERO));
+            self.cpu = vec![(0, 0); nodes];
         }
         if self.channels.len() < channels {
-            self.channels.resize(channels, ChannelSlot::default());
+            self.channels = vec![(0, 0, 0, 0); channels];
         }
         self.sends.clear();
         self.sends.reserve(unicasts);
@@ -128,13 +136,8 @@ impl AnalyticScratch {
 /// `slots[ch]`, reset first if it belongs to an earlier replay.
 fn slot(slots: &mut [ChannelSlot], ch: usize, gen: u32) -> &mut ChannelSlot {
     let s = &mut slots[ch];
-    if s.gen != gen {
-        *s = ChannelSlot {
-            gen,
-            fifo_last: NONE,
-            holder: NONE,
-            release: SimTime::ZERO,
-        };
+    if s.0 != gen {
+        *s = (gen, NONE, NONE, 0);
     }
     s
 }
@@ -148,8 +151,8 @@ fn slot(slots: &mut [ChannelSlot], ch: usize, gen: u32) -> &mut ChannelSlot {
 /// When it returns `Some`, the report equals the event engine's for
 /// the same tree, field by field. Each call counts as accepted or
 /// declined in [`EngineScratch::analytic`]. Besides its own buffers,
-/// the pass uses only the scratch's route memo and per-router
-/// dimension tables, which it shares with the engine.
+/// the pass uses only the scratch's route buffer, which it shares with
+/// the engine.
 ///
 /// ```
 /// use hcube::{Cube, NodeId, Resolution};
@@ -193,15 +196,11 @@ fn replay(
     scratch: &mut EngineScratch,
 ) -> Option<SimReport> {
     let map = ChannelMap::new(Ecube::with_lanes(tree.cube, tree.resolution, lanes));
-    scratch.load_dims(&map);
     let EngineScratch {
-        analytic,
-        memo,
-        dim_table,
-        dim_channels,
-        ..
+        analytic, routes, ..
     } = scratch;
     analytic.begin(map.nodes(), map.len(), tree.unicasts.len());
+    routes.clear();
     let AnalyticScratch {
         sends,
         order,
@@ -239,18 +238,18 @@ fn replay(
         }
         let start = if params.cpu_serialized_startup {
             let c = &mut cpu[u.src.0 as usize];
-            let free = if c.0 == gen { c.1 } else { SimTime::ZERO };
+            let free = SimTime(if c.0 == gen { c.1 } else { 0 });
             let s = eligible.max(free);
-            *c = (gen, s + params.t_send_sw);
+            *c = (gen, (s + params.t_send_sw).as_ns());
             s
         } else {
             eligible
         };
         let inject = start + params.t_send_sw;
-        let route = map.route_into(params.port_model, u.src, u.dst, memo);
-        let first = memo.channel_at(route.0, 0);
-        let fifo = slot(channels, first, gen);
-        let fifo_prev = std::mem::replace(&mut fifo.fifo_last, i as u32);
+        let route = routes.push(&map, params.port_model, u.src, u.dst);
+        let (first, _) = routes.hop(route.0, 0);
+        let (_, fifo_last, _, _) = slot(channels, first, gen);
+        let fifo_prev = std::mem::replace(fifo_last, i as u32);
         let mut grant = inject;
         if let Some(prev) = sends.get(fifo_prev as usize) {
             if prev.drain == inject {
@@ -286,10 +285,10 @@ fn replay(
                 stats.max_queue_depth = stats.max_queue_depth.max(depth);
             }
         }
-        let hops = memo
-            .channels(route.0, route.1)
+        let hops = routes
+            .route(route)
             .iter()
-            .filter(|&&ch| !map.is_virtual(ch))
+            .filter(|&&(_, dim)| dim != Routes::VIRTUAL)
             .count();
         sends.push(Send {
             route,
@@ -304,8 +303,8 @@ fn replay(
     }
 
     // Check pass, in grant order.
-    stats.dim_busy = vec![SimTime::ZERO; dim_channels.len()];
-    stats.dim_channels = dim_channels.clone();
+    stats.dim_busy = vec![SimTime::ZERO; map.dimensions() as usize];
+    stats.dim_channels = map.dim_channels();
     stats.lane_busy = vec![SimTime::ZERO; map.lanes()];
     stats.lane_links = map.links() as u32;
     order.clear();
@@ -314,19 +313,20 @@ fn replay(
     for &(_, i) in order.iter() {
         let s = sends[i as usize];
         let mut t = s.grant;
-        for (hop, &ch) in memo.channels(s.route.0, s.route.1).iter().enumerate() {
-            let held = slot(channels, ch, gen);
-            if held.holder != NONE {
-                let handoff = hop == 0 && held.holder == s.fifo_prev && s.grant > s.inject;
-                if held.release > t || (held.release == t && !handoff) {
+        for (hop, &(ch, dim)) in routes.route(s.route).iter().enumerate() {
+            let (_, _, holder, release) = slot(channels, ch, gen);
+            if *holder != NONE {
+                let release = SimTime(*release);
+                let handoff = hop == 0 && *holder == s.fifo_prev && s.grant > s.inject;
+                if release > t || (release == t && !handoff) {
                     return None;
                 }
             }
-            held.holder = i;
-            held.release = s.drain;
-            if !map.is_virtual(ch) {
+            *holder = i;
+            *release = s.drain.as_ns();
+            if dim != Routes::VIRTUAL {
                 let busy = s.drain - t;
-                stats.dim_busy[dim_table[ch] as usize] += busy;
+                stats.dim_busy[dim as usize] += busy;
                 stats.lane_busy[map.lane_of(ch) as usize] += busy;
                 t += params.t_hop;
             }

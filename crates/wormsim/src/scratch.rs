@@ -4,10 +4,14 @@
 //! [`Run`](crate::Run) without [`scratch`](crate::Run::scratch) creates
 //! one on the spot, while a run given a caller-owned scratch *resets*
 //! it instead — the event heap, message table, channel arbitration
-//! table, dead-channel flags,
-//! CPU-serialization clocks, and the failure-cascade stack all keep
-//! their allocations between runs, and the embedded
-//! [`RouteMemo`] keeps the routes themselves.
+//! table, dead-channel flags, CPU-serialization clocks, the
+//! failure-cascade stack and the route buffer all keep their
+//! allocations between runs.
+//!
+//! Routes are per-run data: each engine run and each analytic replay
+//! clears the route buffer and computes its workload's routes into it,
+//! so what a scratch holds follows the largest run it served, not the
+//! network or the number of runs.
 //!
 //! The contract is **byte-identity**: a run replayed into a reused
 //! scratch produces a [`RunResult`](crate::RunResult) bit-identical to
@@ -15,18 +19,17 @@
 //! individually deterministic — the event queue's reset rewinds its
 //! sequence counter (same tie-breaking), the channel table's reset
 //! restores the pristine free state (cheaply, via a dirty flag that
-//! only forces a sweep after runs that didn't drain cleanly), and the
-//! route memo returns the same deterministic channel sequences a fresh
-//! computation would. `workloads/tests/determinism.rs` pins the claim
-//! on cube, torus, and faulted workloads.
+//! only forces a sweep after runs that didn't drain cleanly), and every
+//! route is computed afresh by the deterministic router.
+//! `workloads/tests/determinism.rs` pins the claim on cube, torus, and
+//! faulted workloads.
 
 use crate::engine::arbitration::Channels;
 use crate::engine::events::EventQueue;
 use crate::engine::worm::{MsgState, Outcome};
 use crate::multicast::AnalyticScratch;
-use crate::network::{ChannelMap, RouteMemo};
+use crate::network::Routes;
 use crate::time::SimTime;
-use hcube::{Router, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -35,7 +38,7 @@ use std::sync::Mutex;
 /// One scratch serves one engine run at a time; reuse it sequentially
 /// (e.g. one scratch per worker thread in a sweep). Reusing across
 /// different routers, topologies, and port models is safe — every
-/// buffer is resized per run and the route memo restamps itself.
+/// buffer is reset per run and every route is computed for its run.
 ///
 /// ```
 /// use hcube::{Cube, Ecube, NodeId, Resolution};
@@ -50,7 +53,6 @@ use std::sync::Mutex;
 /// let first = Run::new(router, &params, &w).scratch(&mut scratch).run().unwrap();
 /// let again = Run::new(router, &params, &w).scratch(&mut scratch).run().unwrap();
 /// assert_eq!(first.messages, again.messages); // byte-identical replay
-/// assert!(scratch.route_memo().hits() > 0);   // routes were reused
 /// ```
 #[derive(Default)]
 pub struct EngineScratch {
@@ -69,18 +71,8 @@ pub struct EngineScratch {
     pub(crate) cpu_free: Vec<SimTime>,
     /// Work stack of the failure-cascade walk in `finish`.
     pub(crate) finish_stack: Vec<(usize, Outcome)>,
-    /// Memoized `(src, dst, port_model) → route` channel sequences.
-    pub(crate) memo: RouteMemo,
-    /// Per-dimension external-channel counts, keyed by the router stamp
-    /// they were computed for — recomputing them walks every external
-    /// channel, which a reused scratch skips.
-    pub(crate) dim_channels: Vec<u32>,
-    /// External-channel → coordinate-dimension table, cached alongside
-    /// `dim_channels`: the per-release busy-time accounting reads this
-    /// instead of re-deriving the dimension from channel coordinates.
-    pub(crate) dim_table: Vec<u8>,
-    /// The router stamp `dim_channels` / `dim_table` belong to.
-    pub(crate) dim_stamp: Option<u64>,
+    /// The current run's routes: `(channel, dimension)` per hop.
+    pub(crate) routes: Routes,
     /// Buffers and counters of the analytic tree replay that runs in
     /// front of the engine.
     pub(crate) analytic: AnalyticScratch,
@@ -93,13 +85,6 @@ impl EngineScratch {
         EngineScratch::default()
     }
 
-    /// The embedded route memo (hit/miss counters, memoized-route
-    /// count).
-    #[must_use]
-    pub fn route_memo(&self) -> &RouteMemo {
-        &self.memo
-    }
-
     /// The analytic replay's accept/decline counters
     /// ([`analytic_replay`](crate::analytic_replay)): how many tree
     /// replays skipped the event engine, and how many fell back to it.
@@ -107,42 +92,12 @@ impl EngineScratch {
     pub fn analytic(&self) -> &AnalyticScratch {
         &self.analytic
     }
-
-    /// Drops the memoized routes (the arenas themselves keep their
-    /// allocations; they are reset per run anyway).
-    pub fn clear_routes(&mut self) {
-        self.memo.clear();
-    }
-
-    /// Fills `dim_channels` (external channels per coordinate
-    /// dimension) and `dim_table` (external channel → dimension) for
-    /// `map`'s router, unless they already belong to it: a reused
-    /// scratch skips the walk over every external channel.
-    pub(crate) fn load_dims<R: Router>(&mut self, map: &ChannelMap<R>) {
-        if self.dim_stamp == Some(map.stamp()) {
-            return;
-        }
-        self.dim_channels.clear();
-        self.dim_channels
-            .resize(map.topology().dimensions() as usize, 0u32);
-        self.dim_table.clear();
-        self.dim_table.reserve(map.externals());
-        for ch in 0..map.externals() {
-            let d = map.dim_of(ch);
-            self.dim_channels[d as usize] += 1;
-            self.dim_table.push(d);
-        }
-        self.dim_stamp = Some(map.stamp());
-    }
 }
 
 impl std::fmt::Debug for EngineScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineScratch")
             .field("msgs", &self.msgs.len())
-            .field("memoized_routes", &self.memo.len())
-            .field("memo_hits", &self.memo.hits())
-            .field("memo_misses", &self.memo.misses())
             .field("analytic_accepted", &self.analytic.accepted())
             .field("analytic_declined", &self.analytic.declined())
             .finish_non_exhaustive()

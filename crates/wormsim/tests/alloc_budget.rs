@@ -3,7 +3,7 @@
 //! one `deps` vector per forward — nothing per node or per lookup — an
 //! accepted analytic replay in a warm scratch allocates only its
 //! report, whatever the tree's size, and so does an engine run in a
-//! warm scratch, which also computes no route.
+//! warm scratch. What a scratch holds stays bounded by its largest run.
 
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
@@ -17,39 +17,49 @@ use wormsim::{
 thread_local! {
     /// Allocation calls made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Counts one allocation call that changed this thread's live bytes by
+/// `delta`.
+fn bump(delta: i64) {
     // Fails only while the thread is being torn down, after the test.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    track(delta);
+}
+
+fn track(delta: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
 }
 
 /// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
-/// calls per thread.
+/// calls and live bytes per thread.
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's own
-// arguments; the counter is a plain statistic.
+// arguments; the counters are plain statistics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         // SAFETY: forwarded verbatim; the caller upholds the contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         // SAFETY: forwarded verbatim; the caller upholds the contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -136,15 +146,9 @@ fn warm_analytic_replay_allocates_only_its_report() {
     }
 }
 
-/// Allocation calls and route-memo misses of one engine run of
-/// `workload` in `scratch`.
-fn engine_run<R: Router>(
-    router: R,
-    workload: &[DepMessage],
-    scratch: &mut EngineScratch,
-) -> (u64, u64) {
+/// Allocation calls of one engine run of `workload` in `scratch`.
+fn engine_run<R: Router>(router: R, workload: &[DepMessage], scratch: &mut EngineScratch) -> u64 {
     let params = SimParams::ncube2(PortModel::AllPort);
-    let misses = scratch.route_memo().misses();
     let before = ALLOCS.with(Cell::get);
     let run = Run::new(router, &params, workload).scratch(scratch).run();
     let calls = ALLOCS.with(Cell::get) - before;
@@ -152,22 +156,22 @@ fn engine_run<R: Router>(
         run.expect("well-formed workload").messages.len(),
         workload.len()
     );
-    (calls, scratch.route_memo().misses() - misses)
+    calls
 }
 
 /// A run in a reused scratch allocates its `RunResult` and nothing
-/// else — the deliveries and three `NetStats` vectors — and finds every
-/// route in the memo; a run in a fresh scratch allocates more.
+/// else — the deliveries and three `NetStats` vectors; a run in a fresh
+/// scratch allocates more.
 fn assert_warm_run_allocates_only_its_result<R: Router + Copy>(
     name: &str,
     router: R,
     workload: &[DepMessage],
 ) {
-    let (cold, _) = engine_run(router, workload, &mut EngineScratch::new());
+    let cold = engine_run(router, workload, &mut EngineScratch::new());
     let mut scratch = EngineScratch::new();
     engine_run(router, workload, &mut scratch);
-    let (warm, misses) = engine_run(router, workload, &mut scratch);
-    assert_eq!((warm, misses), (4, 0), "{name}: warm (allocations, misses)");
+    let warm = engine_run(router, workload, &mut scratch);
+    assert_eq!(warm, 4, "{name}: warm allocations");
     assert!(
         cold > warm,
         "{name}: a cold run made only {cold} allocations"
@@ -219,4 +223,43 @@ fn warm_engine_run_allocates_only_its_result() {
         .collect();
     let torus = TorusRouter::new(Torus::of(4, 3));
     assert_warm_run_allocates_only_its_result("torus4x3 unicasts", torus, &unicasts);
+}
+
+/// One scratch replaying 300 distinct trees of 255 destinations on the
+/// 10-cube holds as many bytes after the last tree as after the second:
+/// its routes are the current tree's, not every `(src, dst)` pair it
+/// has seen.
+#[test]
+fn scratch_stays_bounded_across_distinct_trees() {
+    let n = 10u8;
+    let nodes = 1u32 << n;
+    let cube = Cube::of(n);
+    let params = SimParams::ncube2(PortModel::AllPort);
+    let mut held = Vec::with_capacity(300);
+    let base = LIVE.with(Cell::get);
+    let mut scratch = EngineScratch::new();
+    for i in 0..300u32 {
+        // Distinct sources, each with its own translate of the set.
+        let src = NodeId(i * 37 % nodes);
+        let shift = i * 11 % nodes;
+        let dests: Vec<NodeId> = spread_dests(n, 256, NodeId(0))
+            .into_iter()
+            .map(|d| NodeId(d.0 ^ shift))
+            .filter(|&d| d != src)
+            .take(255)
+            .collect();
+        let tree = Algorithm::WSort
+            .build(cube, Resolution::HighToLow, PortModel::AllPort, src, &dests)
+            .unwrap();
+        let report = MulticastRun::new(&tree, &params, 4096)
+            .scratch(&mut scratch)
+            .run();
+        assert_eq!(report.deliveries.len(), 255);
+        drop((report, tree, dests));
+        held.push(LIVE.with(Cell::get) - base);
+    }
+    assert_eq!(
+        held[299], held[1],
+        "bytes the scratch holds after the last tree vs after the second"
+    );
 }

@@ -120,5 +120,4 @@ fn handoff_semantics_survive_scratch_reuse() {
         assert_eq!(fresh.messages, again.messages);
         assert_eq!(fresh.stats, again.stats);
     }
-    assert!(scratch.route_memo().hits() > 0);
 }
