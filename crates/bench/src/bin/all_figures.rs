@@ -6,8 +6,10 @@
 use workloads::{ablations, faultsweep, figures};
 
 fn main() {
-    let steps_trials = bench::trials_arg(figures::PAPER_TRIALS_STEPS);
-    let ncube_trials = bench::trials_arg(figures::PAPER_TRIALS_NCUBE).min(steps_trials);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let steps_trials = bench::or_exit(bench::trials_arg(&args, figures::PAPER_TRIALS_STEPS));
+    let ncube_trials = bench::or_exit(bench::trials_arg(&args, figures::PAPER_TRIALS_NCUBE));
+    let ncube_trials = ncube_trials.min(steps_trials);
 
     eprintln!("== paper figures ==");
     bench::emit(&figures::fig09(steps_trials));

@@ -2,6 +2,10 @@
 //! (average over 100 random destination sets of the maximum step count).
 
 fn main() {
-    let trials = bench::trials_arg(workloads::figures::PAPER_TRIALS_STEPS);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let trials = bench::or_exit(bench::trials_arg(
+        &args,
+        workloads::figures::PAPER_TRIALS_STEPS,
+    ));
     bench::emit(&workloads::figures::fig09(trials));
 }

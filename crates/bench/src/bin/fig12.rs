@@ -2,7 +2,11 @@
 //! 4096-byte messages, nCUBE-2 parameters (simulated testbed stand-in).
 
 fn main() {
-    let trials = bench::trials_arg(workloads::figures::PAPER_TRIALS_NCUBE);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let trials = bench::or_exit(bench::trials_arg(
+        &args,
+        workloads::figures::PAPER_TRIALS_NCUBE,
+    ));
     let (_, max) = workloads::figures::fig11_12(trials);
     bench::emit(&max);
 }

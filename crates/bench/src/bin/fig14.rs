@@ -2,7 +2,11 @@
 //! 4096-byte messages (large-system simulation).
 
 fn main() {
-    let trials = bench::trials_arg(workloads::figures::PAPER_TRIALS_STEPS);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let trials = bench::or_exit(bench::trials_arg(
+        &args,
+        workloads::figures::PAPER_TRIALS_STEPS,
+    ));
     let (_, max) = workloads::figures::fig13_14(trials);
     bench::emit(&max);
 }

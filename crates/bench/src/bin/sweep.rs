@@ -5,9 +5,9 @@
 //!   `collectives_sweep` — the extension sweeps. `--smoke` runs the
 //!   short CI configuration (same schema, less work), `--seed S`
 //!   overrides the master seed, and `--sessions N` (traffic, chaos,
-//!   telemetry, collectives), `--trials N` (lane) and `--workers W`
-//!   (chaos, telemetry; default 4, byte-identical output for any count)
-//!   override the rest. `--check FILE` simulates nothing: it parses an
+//!   telemetry, collectives) and `--trials N` (lane) override the rest.
+//!   Every sweep runs serially in this process; there is no worker
+//!   pool. `--check FILE` simulates nothing: it parses an
 //!   existing artifact against its schema and runs the sweep's domain
 //!   check (the telemetry dip-and-refill shape, oracle-verified
 //!   collectives rows, one utilization entry per lane).
@@ -19,18 +19,15 @@
 
 use bench::SweepArgs;
 use workloads::artifact::Artifact;
-use workloads::chaossweep::{chaos_sweep_with_workers, ChaosSweepConfig};
+use workloads::chaossweep::{chaos_sweep, ChaosSweepConfig};
 use workloads::collectivessweep::{collectives_sweep, CollectivesConfig};
 use workloads::lanesweep::{lane_sweep, LaneSweepConfig};
-use workloads::telemetrysweep::{telemetry_sweep_with_workers, TelemetrySweepConfig};
+use workloads::telemetrysweep::{telemetry_sweep, TelemetrySweepConfig};
 use workloads::trafficsweep::{traffic_sweep, SweepConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let args = bench::parse_sweep_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let args = bench::or_exit(bench::parse_sweep_args(&args));
     if let Err(e) = run(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -39,7 +36,6 @@ fn main() {
 
 fn run(a: &SweepArgs) -> Result<(), String> {
     let trials = a.trials.unwrap_or(20);
-    let workers = a.workers.unwrap_or(4);
     match a.name {
         "traffic_sweep" => artifact(a, || {
             let mut cfg = pick(a, SweepConfig::smoke, SweepConfig::full);
@@ -51,7 +47,7 @@ fn run(a: &SweepArgs) -> Result<(), String> {
             let mut cfg = pick(a, ChaosSweepConfig::smoke, ChaosSweepConfig::full);
             cfg.sessions = a.sessions.unwrap_or(cfg.sessions);
             cfg.seed = a.seed.unwrap_or(cfg.seed);
-            chaos_sweep_with_workers(&cfg, workers)
+            chaos_sweep(&cfg)
         }),
         "lane_sweep" => artifact(a, || {
             let mut cfg = pick(a, LaneSweepConfig::smoke, LaneSweepConfig::full);
@@ -63,7 +59,7 @@ fn run(a: &SweepArgs) -> Result<(), String> {
             let mut cfg = pick(a, TelemetrySweepConfig::smoke, TelemetrySweepConfig::full);
             cfg.sessions = a.sessions.unwrap_or(cfg.sessions);
             cfg.seed = a.seed.unwrap_or(cfg.seed);
-            telemetry_sweep_with_workers(&cfg, workers)
+            telemetry_sweep(&cfg)
         }),
         "collectives_sweep" => artifact(a, || {
             let mut cfg = pick(a, CollectivesConfig::smoke, CollectivesConfig::full);

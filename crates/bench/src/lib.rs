@@ -19,27 +19,46 @@ pub fn results_dir() -> PathBuf {
 /// Prints a figure (table + ASCII plot) to stdout and archives it as
 /// `results/<id>.txt` and `results/<id>.json`.
 pub fn emit(figure: &Figure) {
-    let table = figure.to_table();
-    let plot = figure.to_ascii_plot(72, 18);
-    println!("{table}");
-    println!("{plot}");
+    let text = figure.to_text();
+    println!("{text}");
     let dir = results_dir();
-    let mut artifact = table;
-    artifact.push('\n');
-    artifact.push_str(&plot);
-    std::fs::write(dir.join(format!("{}.txt", figure.id)), artifact).expect("write txt");
+    std::fs::write(dir.join(format!("{}.txt", figure.id)), text).expect("write txt");
     std::fs::write(dir.join(format!("{}.json", figure.id)), figure.to_json()).expect("write json");
     eprintln!("[saved results/{0}.txt results/{0}.json]", figure.id);
 }
 
-/// Parses a `--trials N` override from argv, falling back to `default`.
-#[must_use]
-pub fn trials_arg(default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--trials")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(default)
+/// Reads the optional `--trials N` that is the whole command line of a
+/// figure binary (`args` are the arguments after the program name),
+/// falling back to `default`. `N` must be a positive integer, as in
+/// [`parse_sweep_args`].
+///
+/// # Errors
+/// A one-line message for a malformed value or any other command line,
+/// a missing value included.
+pub fn trials_arg(args: &[String], default: usize) -> Result<usize, String> {
+    match args {
+        [] => Ok(default),
+        [flag, value] if flag == "--trials" => count(flag, value),
+        _ => Err(format!("expected only `--trials N`, got {args:?}")),
+    }
+}
+
+/// The value of a parsed command line, or its one-line error on stderr
+/// and exit code 2.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// A count flag's value: a positive integer.
+fn count(flag: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{flag} takes a positive integer, got {value:?}"))
 }
 
 /// Every sweep the `sweep` binary runs, by artifact name, with the
@@ -51,12 +70,12 @@ pub const SWEEPS: [(&str, &[&str]); 8] = [
     ),
     (
         "chaos_sweep",
-        &["--smoke", "--seed", "--check", "--sessions", "--workers"],
+        &["--smoke", "--seed", "--check", "--sessions"],
     ),
     ("lane_sweep", &["--smoke", "--seed", "--check", "--trials"]),
     (
         "telemetry_sweep",
-        &["--smoke", "--seed", "--check", "--sessions", "--workers"],
+        &["--smoke", "--seed", "--check", "--sessions"],
     ),
     (
         "collectives_sweep",
@@ -80,8 +99,6 @@ pub struct SweepArgs {
     pub sessions: Option<usize>,
     /// `--trials N`: trials override.
     pub trials: Option<usize>,
-    /// `--workers W`: worker threads.
-    pub workers: Option<usize>,
     /// `--check FILE`: validate an existing artifact instead of running.
     pub check: Option<String>,
 }
@@ -119,13 +136,6 @@ pub fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
             continue;
         }
         let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        let count = || {
-            value
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("{flag} takes a positive integer, got {value:?}"))
-        };
         match flag.as_str() {
             "--check" => out.check = Some(value.clone()),
             "--seed" => {
@@ -135,9 +145,8 @@ pub fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
                         .map_err(|_| format!("--seed takes an unsigned integer, got {value:?}"))?,
                 );
             }
-            "--sessions" => out.sessions = Some(count()?),
-            "--trials" => out.trials = Some(count()?),
-            "--workers" => out.workers = Some(count()?),
+            "--sessions" => out.sessions = Some(count(flag, value)?),
+            "--trials" => out.trials = Some(count(flag, value)?),
             _ => unreachable!("every listed flag is handled"),
         }
     }
@@ -148,21 +157,23 @@ pub fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
 mod tests {
     use super::*;
 
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     fn parse(line: &str) -> Result<SweepArgs, String> {
-        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        parse_sweep_args(&args)
+        parse_sweep_args(&words(line))
     }
 
     #[test]
     fn flags_fill_their_fields() {
         assert_eq!(
-            parse("chaos_sweep --smoke --seed 5 --sessions 7 --workers 2").unwrap(),
+            parse("chaos_sweep --smoke --seed 5 --sessions 7").unwrap(),
             SweepArgs {
                 name: "chaos_sweep",
                 smoke: true,
                 seed: Some(5),
                 sessions: Some(7),
-                workers: Some(2),
                 ..SweepArgs::default()
             }
         );
@@ -189,12 +200,32 @@ mod tests {
             ("fault_sweep --smoke", "does not take"),
             ("collectives_sweep --trials 2", "does not take"),
             ("traffic_sweep --sessions abc", "positive integer"),
-            ("chaos_sweep --workers 0", "positive integer"),
+            ("chaos_sweep --workers 2", "does not take"),
+            ("telemetry_sweep --workers 2", "does not take"),
+            ("chaos_sweep --sessions 0", "positive integer"),
             ("torus_sweep --trials -3", "positive integer"),
             ("lane_sweep --seed 1.5", "unsigned integer"),
             ("traffic_sweep --check", "needs a value"),
         ] {
             let err = parse(line).expect_err(line);
+            assert!(err.contains(needle), "{line}: {err}");
+            assert!(!err.contains('\n'), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn trials_must_be_a_positive_integer() {
+        assert_eq!(trials_arg(&words(""), 100), Ok(100));
+        assert_eq!(trials_arg(&words("--trials 7"), 100), Ok(7));
+        for (line, needle) in [
+            ("--trials 0", "positive integer"),
+            ("--trials abc", "positive integer"),
+            ("--trials -3", "positive integer"),
+            ("--trials", "expected only"),
+            ("--trails 5", "expected only"),
+            ("--trials 5 --smoke", "expected only"),
+        ] {
+            let err = trials_arg(&words(line), 100).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
             assert!(!err.contains('\n'), "{line}: {err}");
         }

@@ -47,9 +47,6 @@
 //!   faults, per-dimension blocked time), exportable as standalone
 //!   JSON.
 //!
-//! Independent runs (sweep points, trials) fan out over
-//! [`run_trials`], the workspace's one worker pool.
-//!
 //! **Zero-load anchoring.** A one-session run of a
 //! [`DestPattern::Fixed`] pattern is byte-identical to the single-shot
 //! [`wormsim::multicast::simulate_multicast`] replay — the first
@@ -111,4 +108,3 @@ pub use telemetry::{
     AttemptSpan, PhaseBreakdown, SessionTrace, SpanOutcome, Telemetry, TelemetryBucket,
     TelemetryConfig, TelemetryProbe, TimeSeries,
 };
-pub use wormsim::run_trials;

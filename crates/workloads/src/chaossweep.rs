@@ -16,20 +16,18 @@
 //! histogram, losses, time-to-recover, and the full tree-cache counters
 //! (epoch invalidations included).
 //!
-//! Everything is keyed off `ChaosSweepConfig::seed`: identical configs
-//! regenerate `results/chaos_sweep.{txt,json}` byte-for-byte — with or
-//! without worker threads — and the determinism suite pins it.
+//! The series layout, the point specs and the backends come from the
+//! crate's open-loop grid, which runs every point serially through one
+//! `EngineScratch`. Everything is keyed off `ChaosSweepConfig::seed`:
+//! identical configs regenerate `results/chaos_sweep.{txt,json}`
+//! byte-for-byte, and the determinism suite pins it.
 
 use crate::artifact::{record, Artifact, InfNull, NanNull};
-use crate::trafficsweep::{horizon_for, run_seed};
-use hcube::{Cube, Resolution, Torus, TorusRouter};
-use hypercast::{Algorithm, CacheStats, RetryPolicy};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use traffic::{
-    ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, TrafficSpec,
-};
-use wormsim::{EngineScratch, SimParams, SimTime};
+use crate::grid::{paper_layout, run_grid, GridSeries};
+use crate::serve::churn_spec;
+use hypercast::{CacheStats, RetryPolicy};
+use traffic::{ChaosSpec, RunOptions};
+use wormsim::{EngineScratch, SimTime};
 
 /// Sweep dimensions, churn ladder, and seeding.
 #[derive(Clone, Debug, PartialEq)]
@@ -169,183 +167,70 @@ pub struct ChaosSweep {
     pub series: Vec<ChaosSeries>,
 }
 
-/// What one grid point simulates.
-enum RunTarget {
-    Cube { cube: Cube, algo: Algorithm },
-    Torus { torus: Torus },
-}
-
-/// A fully-described grid point, ready for any worker to execute.
-struct RunTask {
-    target: RunTarget,
-    pattern: DestPattern,
-    rate: f64,
-    link_mtbf_ms: f64,
-    seed: u64,
-}
-
-fn chaos_spec_for(cfg: &ChaosSweepConfig, task: &RunTask) -> ChaosSpec {
-    let mut t = TrafficSpec::new(
-        Arrivals::new(ArrivalProcess::Poisson, task.rate),
-        task.pattern.clone(),
-        cfg.sessions,
-        task.seed,
-    );
-    t.bytes = cfg.bytes;
-    t.horizon = horizon_for(cfg.sessions, task.rate);
-    t.cache_capacity = 2 * cfg.pool_groups;
-    let churn = if task.link_mtbf_ms.is_finite() {
-        ChurnSpec {
-            link_mtbf_ms: task.link_mtbf_ms,
-            link_mttr_ms: cfg.link_mttr_ms,
-            node_mtbf_ms: task.link_mtbf_ms * cfg.node_mtbf_factor,
-            node_mttr_ms: cfg.node_mttr_ms,
-            churn_until: SimTime::from_ns((t.horizon.as_ns() as f64 * cfg.churn_fraction) as u64),
-        }
-    } else {
-        ChurnSpec::quiet()
-    };
-    ChaosSpec {
-        traffic: t,
-        churn,
-        retry: cfg.retry,
+/// Runs the full chaos sweep serially through one [`EngineScratch`].
+/// Deterministic: identical configs give byte-identical JSON.
+#[must_use]
+pub fn chaos_sweep(cfg: &ChaosSweepConfig) -> ChaosSweep {
+    let rungs = cfg.link_mtbf_ladder_ms.len();
+    let series = run_grid(&grid(cfg), rungs, |s, i, scratch| point(cfg, s, i, scratch))
+        .map(|(s, points)| ChaosSeries {
+            network: s.network.into(),
+            nodes: s.nodes,
+            algorithm: s.algorithm.into(),
+            m: s.m,
+            points,
+        })
+        .collect();
+    ChaosSweep {
+        config: cfg.clone(),
+        series,
     }
 }
 
-fn point_for(task: &RunTask, r: &ChaosReport) -> ChaosPoint {
+fn grid(cfg: &ChaosSweepConfig) -> Vec<GridSeries> {
+    paper_layout(cfg.seed, cfg.pool_groups, &cfg.loads_64, &cfg.loads_256)
+}
+
+/// Grid point `i` of series `s`, churn-rung-major and load-minor, so
+/// its index `ri · loads + li` is also its seed.
+fn point(
+    cfg: &ChaosSweepConfig,
+    s: &GridSeries,
+    i: usize,
+    scratch: &mut EngineScratch,
+) -> ChaosPoint {
+    let rate = s.loads[i % s.loads.len()];
+    let link_mtbf_ms = cfg.link_mtbf_ladder_ms[i / s.loads.len()];
+    let traffic = s.spec(i, rate, cfg.sessions, cfg.bytes);
+    // An infinite MTBF disables its churn stream: the anchor rung is
+    // quiet.
+    let spec = ChaosSpec {
+        churn: churn_spec(
+            traffic.horizon,
+            link_mtbf_ms,
+            cfg.link_mttr_ms,
+            cfg.node_mtbf_factor,
+            cfg.node_mttr_ms,
+            cfg.churn_fraction,
+        ),
+        traffic,
+        retry: cfg.retry,
+    };
+    let r = s.run_chaos(&spec, RunOptions::default().scratch(scratch));
     ChaosPoint {
-        offered_per_ms: task.rate,
-        link_mtbf_ms: task.link_mtbf_ms,
+        offered_per_ms: rate,
+        link_mtbf_ms,
         delivery_ratio: r.delivery_ratio,
         mean_latency_ms: r.latency.mean,
         ci_half_width_ms: r.latency.ci_half_width,
         goodput_per_ms: r.goodput_per_ms,
-        retry_histogram: r.retry_histogram.clone(),
+        retry_histogram: r.retry_histogram,
         lost: r.lost,
         window_cut: r.window_cut,
         time_to_recover_ms: r.time_to_recover.map(SimTime::as_ms),
         epochs: r.epochs as u64,
         fault_events: r.fault_events as u64,
         cache: r.cache,
-    }
-}
-
-fn run_task(cfg: &ChaosSweepConfig, task: &RunTask, scratch: &mut EngineScratch) -> ChaosPoint {
-    let params = SimParams::ncube2(hypercast::PortModel::AllPort);
-    let spec = chaos_spec_for(cfg, task);
-    let report = match task.target {
-        RunTarget::Cube { cube, algo } => traffic::run_chaos(
-            &spec,
-            traffic::Backend::tree(cube, Resolution::HighToLow, algo),
-            &params,
-            traffic::RunOptions::default().scratch(scratch),
-        ),
-        RunTarget::Torus { torus } => traffic::run_chaos(
-            &spec,
-            traffic::Backend::Separate(TorusRouter::new(torus)),
-            &params,
-            traffic::RunOptions::default().scratch(scratch),
-        ),
-    };
-    point_for(task, &report)
-}
-
-/// Runs the full chaos sweep single-threaded. Deterministic: identical
-/// configs give byte-identical JSON.
-#[must_use]
-pub fn chaos_sweep(cfg: &ChaosSweepConfig) -> ChaosSweep {
-    chaos_sweep_with_workers(cfg, 1)
-}
-
-/// [`chaos_sweep`] with a worker pool. Every grid point is an
-/// independent seeded run writing into its own pre-assigned slot, so
-/// the result is byte-identical for any worker count — the determinism
-/// suite pins 1-worker and multi-worker bytes against each other.
-///
-/// # Panics
-/// Panics if `workers == 0` or a worker thread panics.
-#[must_use]
-pub fn chaos_sweep_with_workers(cfg: &ChaosSweepConfig, workers: usize) -> ChaosSweep {
-    assert!(workers > 0, "need at least one worker");
-
-    // Lay out every series and its grid tasks up front, in output
-    // order; workers fill slots, never append.
-    let mut tasks: Vec<RunTask> = Vec::new();
-    let mut layout: Vec<(String, usize, String, usize)> = Vec::new(); // network, nodes, algorithm, m
-    for (network, dim, m, loads) in [
-        ("cube6", 6u8, 8usize, &cfg.loads_64),
-        ("cube8", 8u8, 16usize, &cfg.loads_256),
-    ] {
-        let cube = Cube::of(dim);
-        // One pool per network, shared across algorithms and rungs, so
-        // the curves are an apples-to-apples comparison.
-        let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, network, "pool", 0));
-        let pattern = DestPattern::uniform_pool(&mut pool_rng, &cube, cfg.pool_groups, m);
-        for algo in Algorithm::PAPER {
-            layout.push((network.into(), 1 << dim, algo.name().into(), m));
-            for (ri, &mtbf) in cfg.link_mtbf_ladder_ms.iter().enumerate() {
-                for (li, &rate) in loads.iter().enumerate() {
-                    tasks.push(RunTask {
-                        target: RunTarget::Cube { cube, algo },
-                        pattern: pattern.clone(),
-                        rate,
-                        link_mtbf_ms: mtbf,
-                        seed: run_seed(cfg.seed, network, algo.name(), ri * loads.len() + li),
-                    });
-                }
-            }
-        }
-    }
-    let torus = Torus::of(4, 3);
-    let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, "torus4x3", "pool", 0));
-    let pattern = DestPattern::uniform_pool(&mut pool_rng, &torus, cfg.pool_groups, 8);
-    layout.push(("torus4x3".into(), 64, "Separate".into(), 8));
-    for (ri, &mtbf) in cfg.link_mtbf_ladder_ms.iter().enumerate() {
-        for (li, &rate) in cfg.loads_64.iter().enumerate() {
-            tasks.push(RunTask {
-                target: RunTarget::Torus { torus },
-                pattern: pattern.clone(),
-                rate,
-                link_mtbf_ms: mtbf,
-                seed: run_seed(
-                    cfg.seed,
-                    "torus4x3",
-                    "Separate",
-                    ri * cfg.loads_64.len() + li,
-                ),
-            });
-        }
-    }
-
-    // The trial pool: per-worker scratch (reuse across runs is
-    // byte-invisible), task-indexed merge, so the sweep is worker-count
-    // invariant.
-    let mut points = traffic::run_trials(workers, tasks.len(), |i, scratch| {
-        run_task(cfg, &tasks[i], scratch)
-    })
-    .into_iter();
-    let per_series_64 = cfg.link_mtbf_ladder_ms.len() * cfg.loads_64.len();
-    let per_series_256 = cfg.link_mtbf_ladder_ms.len() * cfg.loads_256.len();
-    let series = layout
-        .into_iter()
-        .map(|(network, nodes, algorithm, m)| {
-            let n = if network == "cube8" {
-                per_series_256
-            } else {
-                per_series_64
-            };
-            ChaosSeries {
-                network,
-                nodes,
-                algorithm,
-                m,
-                points: points.by_ref().take(n).collect(),
-            }
-        })
-        .collect();
-    ChaosSweep {
-        config: cfg.clone(),
-        series,
     }
 }
 
@@ -513,13 +398,20 @@ mod tests {
         assert_eq!(parsed.config, a.config);
     }
 
+    /// The shared scratch leaks no state: rerunning every point in a
+    /// fresh `EngineScratch` reproduces the sweep's JSON and table.
     #[test]
     fn worker_count_does_not_change_the_bytes() {
         let cfg = tiny();
-        let serial = chaos_sweep_with_workers(&cfg, 1);
-        let pooled = chaos_sweep_with_workers(&cfg, 4);
-        assert_eq!(serial.to_json().unwrap(), pooled.to_json().unwrap());
-        assert_eq!(serial.to_table(), pooled.to_table());
+        let sweep = chaos_sweep(&cfg);
+        let mut fresh = sweep.clone();
+        for (s, out) in grid(&cfg).iter().zip(&mut fresh.series) {
+            for (i, p) in out.points.iter_mut().enumerate() {
+                *p = point(&cfg, s, i, &mut EngineScratch::new());
+            }
+        }
+        assert_eq!(fresh.to_json().unwrap(), sweep.to_json().unwrap());
+        assert_eq!(fresh.to_table(), sweep.to_table());
     }
 
     #[test]

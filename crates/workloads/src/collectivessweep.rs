@@ -16,12 +16,13 @@
 //! byte-for-byte, and the determinism suite pins it.
 
 use crate::artifact::{record, Artifact};
-use crate::trafficsweep::{horizon_for, run_seed};
+use crate::serve::load_spec;
+use crate::trafficsweep::run_seed;
 use hcube::{Cube, Ecube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::collectives::{suite_collective, suite_collective_separate};
 use hypercast::oracle::verify_collective;
 use hypercast::{Algorithm, CollectiveKind, CollectiveSchedule, PortModel, TreeFamily};
-use traffic::{ArrivalProcess, Arrivals, DestPattern, TrafficSpec};
+use traffic::{ArrivalProcess, DestPattern};
 use wormsim::{simulate_collective, SimParams};
 
 /// Sweep dimensions and seeding.
@@ -197,16 +198,16 @@ pub fn collectives_sweep(cfg: &CollectivesConfig) -> CollectivesSweep {
     let mut traffic_rows = Vec::new();
     for family in [TreeFamily::Alg(Algorithm::WSort), TreeFamily::Bine] {
         for (ki, kind) in CollectiveKind::ALL.into_iter().enumerate() {
-            let mut spec = TrafficSpec::new(
-                Arrivals::new(ArrivalProcess::Poisson, cfg.traffic_rate_per_ms),
+            let spec = load_spec(
+                ArrivalProcess::Poisson,
+                cfg.traffic_rate_per_ms,
                 // The pattern is unused by collective sessions (every
                 // session spans the whole machine) but the spec needs one.
                 DestPattern::UniformRandom { m: 4 },
                 cfg.traffic_sessions,
                 run_seed(cfg.seed, "cube4", family.name(), ki),
+                cfg.traffic_bytes,
             );
-            spec.bytes = cfg.traffic_bytes;
-            spec.horizon = horizon_for(cfg.traffic_sessions, cfg.traffic_rate_per_ms);
             let r = traffic::run(
                 &spec,
                 traffic::Backend::collective(tcube, Resolution::HighToLow, kind, family),

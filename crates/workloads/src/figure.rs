@@ -3,8 +3,12 @@
 //! Every experiment produces a [`Figure`]: named series over a shared
 //! x-axis. Figures render as aligned text tables (the canonical artifact
 //! recorded in EXPERIMENTS.md), as quick ASCII plots for eyeballing the
-//! curve shapes the paper shows, and as JSON for archival.
+//! curve shapes the paper shows, and as JSON for archival. The JSON
+//! schema is one `record!` declaration per struct, which drives both the
+//! writer and the parser.
 
+use crate::artifact::{record, Codec, Plain};
+use crate::json::{self, EmitError};
 use std::fmt::Write as _;
 
 /// One curve of a figure.
@@ -138,28 +142,11 @@ impl Figure {
         out
     }
 
-    fn to_value(&self) -> crate::json::Value {
-        use crate::json::Value;
-        let series = self
-            .series
-            .iter()
-            .map(|s| {
-                let nums = |v: &[f64]| Value::Array(v.iter().map(|&x| Value::Number(x)).collect());
-                Value::Object(vec![
-                    ("name".into(), Value::from(s.name.as_str())),
-                    ("xs".into(), nums(&s.xs)),
-                    ("ys".into(), nums(&s.ys)),
-                    ("std".into(), nums(&s.std)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("id".into(), Value::from(self.id.as_str())),
-            ("title".into(), Value::from(self.title.as_str())),
-            ("x_label".into(), Value::from(self.x_label.as_str())),
-            ("y_label".into(), Value::from(self.y_label.as_str())),
-            ("series".into(), Value::Array(series)),
-        ])
+    /// The archived text of the figure (`results/<id>.txt`): the table,
+    /// a blank line and a 72 × 18 ASCII plot.
+    #[must_use]
+    pub fn to_text(&self) -> String {
+        format!("{}\n{}", self.to_table(), self.to_ascii_plot(72, 18))
     }
 
     /// Serializes the figure as pretty JSON (via [`crate::json`]).
@@ -168,7 +155,7 @@ impl Figure {
     /// launder a NaN use [`Figure::to_json_strict`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        self.to_value().to_string_pretty()
+        Plain::encode(self).to_string_pretty()
     }
 
     /// [`Figure::to_json`] that fails fast on non-finite points instead
@@ -176,60 +163,36 @@ impl Figure {
     /// it succeeds.
     ///
     /// # Errors
-    /// [`crate::json::EmitError`] naming the poisoned point.
-    pub fn to_json_strict(&self) -> Result<String, crate::json::EmitError> {
-        self.to_value().to_string_pretty_strict()
+    /// [`EmitError`] naming the poisoned point.
+    pub fn to_json_strict(&self) -> Result<String, EmitError> {
+        Plain::encode(self).to_string_pretty_strict()
     }
 
     /// Parses a figure previously produced by [`Figure::to_json`].
     ///
     /// # Errors
-    /// Returns a message describing the first malformed or missing field.
+    /// A message naming the path of the first malformed or missing
+    /// field.
     pub fn from_json(text: &str) -> Result<Figure, String> {
-        use crate::json::Value;
-        let v = crate::json::parse(text).map_err(|e| e.to_string())?;
-        let field = |key: &str| -> Result<String, String> {
-            v[key]
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string field `{key}`"))
-        };
-        let nums = |v: &Value, key: &str| -> Result<Vec<f64>, String> {
-            v[key]
-                .as_array()
-                .ok_or_else(|| format!("missing array field `{key}`"))?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| format!("non-numeric entry in `{key}`"))
-                })
-                .collect()
-        };
-        let series = v["series"]
-            .as_array()
-            .ok_or_else(|| "missing array field `series`".to_string())?
-            .iter()
-            .map(|s| {
-                Ok(Series {
-                    name: s["name"]
-                        .as_str()
-                        .ok_or_else(|| "series missing `name`".to_string())?
-                        .to_string(),
-                    xs: nums(s, "xs")?,
-                    ys: nums(s, "ys")?,
-                    std: nums(s, "std")?,
-                })
-            })
-            .collect::<Result<Vec<Series>, String>>()?;
-        Ok(Figure {
-            id: field("id")?,
-            title: field("title")?,
-            x_label: field("x_label")?,
-            y_label: field("y_label")?,
-            series,
-        })
+        let v = json::parse(text).map_err(|e| e.to_string())?;
+        Plain::decode(&v, "").map_err(|e| e.to_string())
     }
 }
+
+record!(Series {
+    "name" => name,
+    "xs" => xs,
+    "ys" => ys,
+    "std" => std,
+});
+
+record!(Figure {
+    "id" => id,
+    "title" => title,
+    "x_label" => x_label,
+    "y_label" => y_label,
+    "series" => series,
+});
 
 #[cfg(test)]
 mod tests {

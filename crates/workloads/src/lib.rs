@@ -54,6 +54,7 @@ pub mod destsets;
 pub mod faultsweep;
 pub mod figure;
 pub mod figures;
+mod grid;
 pub mod heatmap;
 pub mod json;
 pub mod lanesweep;

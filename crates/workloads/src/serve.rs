@@ -75,7 +75,7 @@ use traffic::{
     ArrivalProcess, Arrivals, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, TrafficReport,
     TrafficSpec,
 };
-use wormsim::{SimReport, SimTime};
+use wormsim::{json_escape, SimReport, SimTime};
 
 use crate::json::{self, Value};
 use crate::request::{
@@ -105,6 +105,27 @@ pub fn load_spec(
     spec
 }
 
+/// The churn process of a chaos run: links fail every `link_mtbf_ms`
+/// and heal in `link_mttr_ms`, nodes fail at `node_mtbf_factor` times
+/// the link MTBF and heal in `node_mttr_ms`, and failures strike only
+/// in the first `churn_fraction` of `horizon`.
+pub(crate) fn churn_spec(
+    horizon: SimTime,
+    link_mtbf_ms: f64,
+    link_mttr_ms: f64,
+    node_mtbf_factor: f64,
+    node_mttr_ms: f64,
+    churn_fraction: f64,
+) -> ChurnSpec {
+    ChurnSpec {
+        link_mtbf_ms,
+        link_mttr_ms,
+        node_mtbf_ms: link_mtbf_ms * node_mtbf_factor,
+        node_mttr_ms,
+        churn_until: SimTime::from_ns((horizon.as_ns() as f64 * churn_fraction) as u64),
+    }
+}
+
 /// Wraps an open-loop spec with the `--chaos` churn process and retry
 /// policy. Node churn rides along at 4x the link MTBF and 1.5x the
 /// link MTTR (the sweep's convention); failures strike only in the
@@ -117,16 +138,9 @@ pub fn chaos_wrap(
     retries: u32,
     backoff_us: u64,
 ) -> ChaosSpec {
-    let churn = ChurnSpec {
-        link_mtbf_ms: mtbf_ms,
-        link_mttr_ms: mttr_ms,
-        node_mtbf_ms: mtbf_ms * 4.0,
-        node_mttr_ms: mttr_ms * 1.5,
-        churn_until: SimTime::from_ns((traffic.horizon.as_ns() as f64 * 0.6) as u64),
-    };
     ChaosSpec {
+        churn: churn_spec(traffic.horizon, mtbf_ms, mttr_ms, 4.0, mttr_ms * 1.5, 0.6),
         traffic,
-        churn,
         retry: RetryPolicy {
             max_retries: retries,
             base_backoff: backoff_us,
@@ -431,24 +445,6 @@ fn result_json(req: &Request) -> Result<String, RequestError> {
 // The request loop
 // ---------------------------------------------------------------------------
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn id_json(id: Option<u64>) -> String {
     id.map_or_else(|| "null".into(), |i| i.to_string())
 }
@@ -456,7 +452,7 @@ fn id_json(id: Option<u64>) -> String {
 /// The optional `,"tag":"…"` wrapper member: present only when the
 /// request carried a tag, so untagged responses keep their exact bytes.
 fn tag_json(tag: Option<&str>) -> String {
-    tag.map_or_else(String::new, |t| format!(",\"tag\":\"{}\"", escape(t)))
+    tag.map_or_else(String::new, |t| format!(",\"tag\":\"{}\"", json_escape(t)))
 }
 
 /// The reader half: one parsed line per queue slot. Blank lines are
@@ -559,7 +555,7 @@ where
                         "{{\"id\":{},\"ok\":false,\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
                         id_json(id),
                         refusal.kind,
-                        escape(&refusal.message)
+                        json_escape(&refusal.message)
                     )?;
                     output.flush()?;
                     summary.errors += 1;
@@ -917,6 +913,6 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control_characters() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

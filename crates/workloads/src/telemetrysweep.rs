@@ -18,20 +18,16 @@
 //! `results/telemetry_sweep.{txt,json}` with it.
 //!
 //! Determinism: the time-series is a pure fold over one seeded run per
-//! series, so identical configs regenerate the artifact byte-for-byte
-//! at any worker count; the determinism suite pins it.
+//! series. The series run serially through one `EngineScratch` on the
+//! crate's open-loop grid, so identical configs regenerate the artifact
+//! byte-for-byte; the determinism suite pins it.
 
 use crate::artifact::{record, Artifact, NanNull};
-use crate::trafficsweep::{horizon_for, run_seed};
-use hcube::{Cube, Resolution, Torus, TorusRouter};
-use hypercast::{Algorithm, RetryPolicy};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use traffic::{
-    ArrivalProcess, Arrivals, Backend, ChaosReport, ChaosSpec, ChurnSpec, DestPattern, Quantiles,
-    RunOptions, Telemetry, TelemetryConfig, TrafficSpec,
-};
-use wormsim::{EngineScratch, Histogram, SimParams, SimTime};
+use crate::grid::{layout, run_grid, GridSeries};
+use crate::serve::churn_spec;
+use hypercast::RetryPolicy;
+use traffic::{ChaosSpec, Quantiles, RunOptions, TelemetryConfig};
+use wormsim::{EngineScratch, Histogram, SimTime};
 
 /// Sweep dimensions, churn shape, and seeding.
 #[derive(Clone, Debug, PartialEq)]
@@ -177,55 +173,61 @@ pub struct TelemetrySweep {
     pub series: Vec<TelemetrySeries>,
 }
 
-/// What one series simulates.
-enum RunTarget {
-    Cube { cube: Cube, algo: Algorithm },
-    Torus { torus: Torus },
-}
-
-struct RunTask {
-    target: RunTarget,
-    network: &'static str,
-    nodes: usize,
-    algorithm: String,
-    pattern: DestPattern,
-    seed: u64,
-}
-
-fn chaos_spec_for(cfg: &TelemetrySweepConfig, task: &RunTask) -> ChaosSpec {
-    let mut t = TrafficSpec::new(
-        Arrivals::new(ArrivalProcess::Poisson, cfg.rate_per_ms),
-        task.pattern.clone(),
-        cfg.sessions,
-        task.seed,
-    );
-    t.bytes = cfg.bytes;
-    t.horizon = horizon_for(cfg.sessions, cfg.rate_per_ms);
-    t.cache_capacity = 2 * cfg.pool_groups;
-    let churn = ChurnSpec {
-        link_mtbf_ms: cfg.link_mtbf_ms,
-        link_mttr_ms: cfg.link_mttr_ms,
-        node_mtbf_ms: cfg.link_mtbf_ms * cfg.node_mtbf_factor,
-        node_mttr_ms: cfg.node_mttr_ms,
-        churn_until: SimTime::from_ns((t.horizon.as_ns() as f64 * cfg.churn_fraction) as u64),
-    };
-    ChaosSpec {
-        traffic: t,
-        churn,
-        retry: cfg.retry,
+/// Runs the full telemetry sweep serially through one
+/// [`EngineScratch`]. Deterministic: identical configs give
+/// byte-identical JSON.
+#[must_use]
+pub fn telemetry_sweep(cfg: &TelemetrySweepConfig) -> TelemetrySweep {
+    let series = run_grid(&grid(cfg), 1, |s, _, scratch| run_series(cfg, s, scratch))
+        .flat_map(|(_, runs)| runs)
+        .collect();
+    TelemetrySweep {
+        config: cfg.clone(),
+        series,
     }
 }
 
-fn series_for(
-    task: &RunTask,
-    spec: &ChaosSpec,
-    report: &ChaosReport,
-    tel: &Telemetry,
+fn grid(cfg: &TelemetrySweepConfig) -> Vec<GridSeries> {
+    let rate: &[f64] = &[cfg.rate_per_ms];
+    layout(
+        cfg.seed,
+        cfg.pool_groups,
+        &[("cube6", 6, cfg.m, rate)],
+        (cfg.m, rate),
+    )
+}
+
+/// The one run of series `s`, seeded by its rank: the algorithm index
+/// on the cube, 0 on the torus.
+fn run_series(
+    cfg: &TelemetrySweepConfig,
+    s: &GridSeries,
+    scratch: &mut EngineScratch,
 ) -> TelemetrySeries {
+    let traffic = s.spec(s.rank, cfg.rate_per_ms, cfg.sessions, cfg.bytes);
+    let spec = ChaosSpec {
+        churn: churn_spec(
+            traffic.horizon,
+            cfg.link_mtbf_ms,
+            cfg.link_mttr_ms,
+            cfg.node_mtbf_factor,
+            cfg.node_mttr_ms,
+            cfg.churn_fraction,
+        ),
+        traffic,
+        retry: cfg.retry,
+    };
+    let tcfg = TelemetryConfig::new(cfg.buckets);
+    let mut tel = None;
+    let opts = RunOptions::default()
+        .scratch(scratch)
+        .telemetry(&tcfg, &mut tel);
+    let report = s.run_chaos(&spec, opts);
+    let tel = tel.expect("telemetry was requested");
     let mut latency = Histogram::new();
-    for s in &tel.sessions {
-        if s.delivered {
-            latency.observe(s.latency().as_ns());
+    for session in &tel.sessions {
+        if session.delivered {
+            latency.observe(session.latency().as_ns());
         }
     }
     let q = Quantiles::from_latency_histogram(&latency);
@@ -247,13 +249,13 @@ fn series_for(
         })
         .collect();
     TelemetrySeries {
-        network: task.network.into(),
-        nodes: task.nodes,
-        algorithm: task.algorithm.clone(),
+        network: s.network.into(),
+        nodes: s.nodes,
+        algorithm: s.algorithm.into(),
         delivery_ratio: report.delivery_ratio,
         mean_latency_ms: report.latency.mean,
         p95_ms: q.p95_ms,
-        attempts: tel.sessions.iter().map(|s| s.attempts.len() as u64).sum(),
+        attempts: tel.sessions.iter().map(|t| t.attempts.len() as u64).sum(),
         lost: report.lost,
         fault_events: report.fault_events as u64,
         time_to_recover_ms: report.time_to_recover.map(SimTime::as_ms),
@@ -261,87 +263,6 @@ fn series_for(
         horizon_ms: report.horizon.as_ms(),
         bucket_ms: tel.series.bucket_ns as f64 / 1e6,
         rows,
-    }
-}
-
-fn run_task(
-    cfg: &TelemetrySweepConfig,
-    task: &RunTask,
-    scratch: &mut EngineScratch,
-) -> TelemetrySeries {
-    let params = SimParams::ncube2(hypercast::PortModel::AllPort);
-    let spec = chaos_spec_for(cfg, task);
-    let tcfg = TelemetryConfig::new(cfg.buckets);
-    let mut tel = None;
-    let opts = RunOptions::default()
-        .scratch(scratch)
-        .telemetry(&tcfg, &mut tel);
-    let report = match task.target {
-        RunTarget::Cube { cube, algo } => {
-            let backend = Backend::tree(cube, Resolution::HighToLow, algo);
-            traffic::run_chaos(&spec, backend, &params, opts)
-        }
-        RunTarget::Torus { torus } => {
-            let backend = Backend::Separate(TorusRouter::new(torus));
-            traffic::run_chaos(&spec, backend, &params, opts)
-        }
-    };
-    let tel = tel.expect("telemetry was requested");
-    series_for(task, &spec, &report, &tel)
-}
-
-/// Runs the full telemetry sweep single-threaded. Deterministic:
-/// identical configs give byte-identical JSON.
-#[must_use]
-pub fn telemetry_sweep(cfg: &TelemetrySweepConfig) -> TelemetrySweep {
-    telemetry_sweep_with_workers(cfg, 1)
-}
-
-/// [`telemetry_sweep`] with a worker pool. Every series is an
-/// independent seeded run writing into its own pre-assigned slot, so
-/// the result is byte-identical for any worker count.
-///
-/// # Panics
-/// Panics if `workers == 0` or a worker thread panics.
-#[must_use]
-pub fn telemetry_sweep_with_workers(cfg: &TelemetrySweepConfig, workers: usize) -> TelemetrySweep {
-    assert!(workers > 0, "need at least one worker");
-
-    let cube = Cube::of(6);
-    let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, "cube6", "pool", 0));
-    let pattern = DestPattern::uniform_pool(&mut pool_rng, &cube, cfg.pool_groups, cfg.m);
-    let mut tasks: Vec<RunTask> = Algorithm::PAPER
-        .iter()
-        .enumerate()
-        .map(|(i, &algo)| RunTask {
-            target: RunTarget::Cube { cube, algo },
-            network: "cube6",
-            nodes: 64,
-            algorithm: algo.name().into(),
-            pattern: pattern.clone(),
-            seed: run_seed(cfg.seed, "cube6", algo.name(), i),
-        })
-        .collect();
-    let torus = Torus::of(4, 3);
-    let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, "torus4x3", "pool", 0));
-    tasks.push(RunTask {
-        target: RunTarget::Torus { torus },
-        network: "torus4x3",
-        nodes: 64,
-        algorithm: "Separate".into(),
-        pattern: DestPattern::uniform_pool(&mut pool_rng, &torus, cfg.pool_groups, cfg.m),
-        seed: run_seed(cfg.seed, "torus4x3", "Separate", 0),
-    });
-
-    // The trial pool: per-worker scratch (reuse across runs is
-    // byte-invisible), task-indexed merge, so the sweep is worker-count
-    // invariant.
-    let series = traffic::run_trials(workers, tasks.len(), |i, scratch| {
-        run_task(cfg, &tasks[i], scratch)
-    });
-    TelemetrySweep {
-        config: cfg.clone(),
-        series,
     }
 }
 
@@ -574,13 +495,21 @@ mod tests {
         assert_eq!(parsed.config, a.config);
     }
 
+    /// The shared scratch leaks no state: rerunning every series in a
+    /// fresh `EngineScratch` reproduces the sweep's JSON and table.
     #[test]
     fn worker_count_does_not_change_the_bytes() {
         let cfg = tiny();
-        let serial = telemetry_sweep_with_workers(&cfg, 1);
-        let pooled = telemetry_sweep_with_workers(&cfg, 4);
-        assert_eq!(serial.to_json().unwrap(), pooled.to_json().unwrap());
-        assert_eq!(serial.to_table(), pooled.to_table());
+        let sweep = telemetry_sweep(&cfg);
+        let fresh = TelemetrySweep {
+            config: cfg.clone(),
+            series: grid(&cfg)
+                .iter()
+                .map(|s| run_series(&cfg, s, &mut EngineScratch::new()))
+                .collect(),
+        };
+        assert_eq!(fresh.to_json().unwrap(), sweep.to_json().unwrap());
+        assert_eq!(fresh.to_table(), sweep.to_table());
     }
 
     #[test]

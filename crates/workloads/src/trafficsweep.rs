@@ -8,19 +8,20 @@
 //! detector over the ladder. Destination sets come from a finite pool
 //! of recurring groups (drawn once per network, shared by every
 //! algorithm on that network), which is both the realistic workload
-//! shape and what exercises the tree cache.
+//! shape and what exercises the tree cache. The series layout, the
+//! point specs and the backends come from the crate's open-loop grid,
+//! which runs every point serially through one `EngineScratch`; each
+//! point is seeded by its load index.
 //!
 //! Everything is keyed off `SweepConfig::seed`: identical configs
 //! regenerate `results/traffic_sweep.{txt,json}` byte-for-byte, and the
 //! determinism suite pins it.
 
 use crate::artifact::{record, Artifact, NanNull};
-use hcube::{Cube, Resolution, Torus, TorusRouter};
-use hypercast::{Algorithm, CacheStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use traffic::{saturation_point, ArrivalProcess, Arrivals, DestPattern, LoadPoint, TrafficSpec};
-use wormsim::{EngineScratch, SimParams, SimTime};
+use crate::grid::{paper_layout, run_grid, GridSeries};
+use hypercast::CacheStats;
+use traffic::{saturation_point, LoadPoint, RunOptions};
+use wormsim::EngineScratch;
 
 /// Latency divergence factor that declares saturation (mean latency
 /// above `3×` the lowest-load latency).
@@ -140,24 +141,6 @@ pub(crate) fn run_seed(master: u64, network: &str, algorithm: &str, point: usize
     h
 }
 
-/// Observation window sized to the arrival schedule plus drain slack.
-pub(crate) fn horizon_for(sessions: usize, rate_per_ms: f64) -> SimTime {
-    SimTime::from_ms((sessions as f64 / rate_per_ms * 1.25 + 30.0) as u64)
-}
-
-fn spec_for(cfg: &SweepConfig, pattern: &DestPattern, rate: f64, seed: u64) -> TrafficSpec {
-    let mut spec = TrafficSpec::new(
-        Arrivals::new(ArrivalProcess::Poisson, rate),
-        pattern.clone(),
-        cfg.sessions,
-        seed,
-    );
-    spec.bytes = cfg.bytes;
-    spec.horizon = horizon_for(cfg.sessions, rate);
-    spec.cache_capacity = 2 * cfg.pool_groups;
-    spec
-}
-
 fn detect(points: &[SweepPoint]) -> Option<f64> {
     let lps: Vec<LoadPoint> = points
         .iter()
@@ -173,109 +156,42 @@ fn detect(points: &[SweepPoint]) -> Option<f64> {
 /// Runs the full sweep for `cfg`. Deterministic: identical configs give
 /// structurally identical results (and byte-identical JSON).
 ///
-/// The whole sweep shares one [`EngineScratch`]: every load point of
-/// every series replays into the same arenas. Scratch reuse is
-/// byte-invisible — the determinism suite pins the artifact bytes.
+/// The whole sweep runs serially through one [`EngineScratch`]: every
+/// load point of every series replays into the same arenas. Scratch
+/// reuse is byte-invisible — the determinism suite pins the artifact
+/// bytes.
 #[must_use]
 pub fn traffic_sweep(cfg: &SweepConfig) -> TrafficSweep {
-    let params = SimParams::ncube2(hypercast::PortModel::AllPort);
-    let mut series: Vec<SweepSeries> = Vec::new();
-    let mut scratch = EngineScratch::new();
-
-    // --- hypercubes: all four paper algorithms over the pool -----------
-    for (network, dim, m, loads) in [
-        ("cube6", 6u8, 8usize, &cfg.loads_64),
-        ("cube8", 8u8, 16usize, &cfg.loads_256),
-    ] {
-        let cube = Cube::of(dim);
-        // One pool per network, shared across algorithms so the curves
-        // are an apples-to-apples comparison.
-        let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, network, "pool", 0));
-        let pattern = DestPattern::uniform_pool(&mut pool_rng, &cube, cfg.pool_groups, m);
-        for algo in Algorithm::PAPER {
-            let points: Vec<SweepPoint> = loads
-                .iter()
-                .enumerate()
-                .map(|(pi, &rate)| {
-                    let spec = spec_for(
-                        cfg,
-                        &pattern,
-                        rate,
-                        run_seed(cfg.seed, network, algo.name(), pi),
-                    );
-                    let r = traffic::run(
-                        &spec,
-                        traffic::Backend::tree(cube, Resolution::HighToLow, algo),
-                        &params,
-                        traffic::RunOptions::default().scratch(&mut scratch),
-                    );
-                    SweepPoint {
-                        offered_per_ms: rate,
-                        mean_latency_ms: r.latency.mean,
-                        ci_half_width_ms: r.latency.ci_half_width,
-                        completion_ratio: r.completion_ratio,
-                        throughput_per_ms: r.throughput_per_ms,
-                        cache_hit_rate: r.cache.hit_rate(),
-                        cache: r.cache,
-                    }
-                })
-                .collect();
-            series.push(SweepSeries {
-                network: network.into(),
-                nodes: 1 << dim,
-                algorithm: algo.name().into(),
-                m,
-                saturation_per_ms: detect(&points),
-                points,
-            });
-        }
-    }
-
-    // --- torus: separate addressing (the tree algorithms are
-    // hypercube-specific) ----------------------------------------------
-    let torus = Torus::of(4, 3);
-    let mut pool_rng = StdRng::seed_from_u64(run_seed(cfg.seed, "torus4x3", "pool", 0));
-    let pattern = DestPattern::uniform_pool(&mut pool_rng, &torus, cfg.pool_groups, 8);
-    let points: Vec<SweepPoint> = cfg
-        .loads_64
-        .iter()
-        .enumerate()
-        .map(|(pi, &rate)| {
-            let spec = spec_for(
-                cfg,
-                &pattern,
-                rate,
-                run_seed(cfg.seed, "torus4x3", "Separate", pi),
-            );
-            let r = traffic::run(
-                &spec,
-                traffic::Backend::Separate(TorusRouter::new(torus)),
-                &params,
-                traffic::RunOptions::default().scratch(&mut scratch),
-            );
-            SweepPoint {
-                offered_per_ms: rate,
-                mean_latency_ms: r.latency.mean,
-                ci_half_width_ms: r.latency.ci_half_width,
-                completion_ratio: r.completion_ratio,
-                throughput_per_ms: r.throughput_per_ms,
-                cache_hit_rate: r.cache.hit_rate(),
-                cache: r.cache,
-            }
+    let grid = paper_layout(cfg.seed, cfg.pool_groups, &cfg.loads_64, &cfg.loads_256);
+    let series = run_grid(&grid, 1, |s, i, scratch| point(cfg, s, i, scratch))
+        .map(|(s, points)| SweepSeries {
+            network: s.network.into(),
+            nodes: s.nodes,
+            algorithm: s.algorithm.into(),
+            m: s.m,
+            saturation_per_ms: detect(&points),
+            points,
         })
         .collect();
-    series.push(SweepSeries {
-        network: "torus4x3".into(),
-        nodes: 64,
-        algorithm: "Separate".into(),
-        m: 8,
-        saturation_per_ms: detect(&points),
-        points,
-    });
-
     TrafficSweep {
         config: cfg.clone(),
         series,
+    }
+}
+
+/// Load point `i` of series `s`, seeded by its load index.
+fn point(cfg: &SweepConfig, s: &GridSeries, i: usize, scratch: &mut EngineScratch) -> SweepPoint {
+    let rate = s.loads[i];
+    let spec = s.spec(i, rate, cfg.sessions, cfg.bytes);
+    let r = s.run(&spec, RunOptions::default().scratch(scratch));
+    SweepPoint {
+        offered_per_ms: rate,
+        mean_latency_ms: r.latency.mean,
+        ci_half_width_ms: r.latency.ci_half_width,
+        completion_ratio: r.completion_ratio,
+        throughput_per_ms: r.throughput_per_ms,
+        cache_hit_rate: r.cache.hit_rate(),
+        cache: r.cache,
     }
 }
 

@@ -14,13 +14,11 @@
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::{Algorithm, PortModel};
 use workloads::artifact::Artifact;
-use workloads::chaossweep::{chaos_sweep, chaos_sweep_with_workers, ChaosSweep, ChaosSweepConfig};
+use workloads::chaossweep::{chaos_sweep, ChaosSweep, ChaosSweepConfig};
 use workloads::collectivessweep::{collectives_sweep, CollectivesConfig, CollectivesSweep};
 use workloads::lanesweep::{lane_sweep, LaneSweep, LaneSweepConfig};
 use workloads::sweep::{run_matrix_with_workers, MatrixResult};
-use workloads::telemetrysweep::{
-    telemetry_sweep_with_workers, TelemetrySweep, TelemetrySweepConfig,
-};
+use workloads::telemetrysweep::{telemetry_sweep, TelemetrySweep, TelemetrySweepConfig};
 use workloads::trafficsweep::{traffic_sweep, SweepConfig, TrafficSweep};
 use wormsim::{DepMessage, MulticastRun, Run, RunResult, SimParams, SimTime};
 
@@ -483,20 +481,42 @@ fn collective_ablation_artifacts_regenerate_byte_identically() {
     }
 }
 
-/// `results/fault_sweep.json`, the one committed artifact that calls
-/// `hypercast::repair` directly, regenerates byte for byte at the
-/// `all_figures` trial count. Ignored by default like the ablations
+/// The figure artifacts `sweep` writes regenerate byte for byte, JSON
+/// and text, at 20 trials (the `all_figures` and `sweep` trial count):
+/// `results/fault_sweep`, the one committed artifact that calls
+/// `hypercast::repair` directly, `results/torus_sweep` and
+/// `results/contention_heatmap`. Ignored by default like the ablations
 /// above; CI runs it in release via `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "full fault-sweep regeneration; run in release builds"]
 fn fault_sweep_artifact_regenerates_byte_identically() {
-    use workloads::{faultsweep::fault_sweep, figures::PAPER_TRIALS_NCUBE};
-    assert_eq!(
-        fault_sweep(PAPER_TRIALS_NCUBE).to_json(),
-        include_str!("../../../results/fault_sweep.json"),
-        "results/fault_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin all_figures` and commit"
-    );
+    use workloads::{faultsweep, heatmap, torussweep};
+    for (figure, json, text) in [
+        (
+            faultsweep::fault_sweep(20),
+            include_str!("../../../results/fault_sweep.json"),
+            include_str!("../../../results/fault_sweep.txt"),
+        ),
+        (
+            torussweep::torus_sweep(20),
+            include_str!("../../../results/torus_sweep.json"),
+            include_str!("../../../results/torus_sweep.txt"),
+        ),
+        (
+            heatmap::contention_heatmap(20),
+            include_str!("../../../results/contention_heatmap.json"),
+            include_str!("../../../results/contention_heatmap.txt"),
+        ),
+    ] {
+        let id = &figure.id;
+        assert_eq!(
+            figure.to_json(),
+            json,
+            "results/{id}.json diverged from regeneration — rerun \
+             `cargo run -p bench --release --bin sweep -- {id}` and commit"
+        );
+        assert_eq!(figure.to_text(), text, "results/{id}.txt diverged");
+    }
 }
 
 /// The committed chaos-sweep artifact, validated with the first-party
@@ -614,32 +634,6 @@ fn committed_chaos_sweep_artifact_is_valid_and_complete() {
     );
 }
 
-/// Chaos grid points are independent seeded runs, so the worker pool
-/// must not leak state between them: the 1-worker and multi-worker
-/// sweeps must serialize byte-identically (each worker reuses one
-/// `EngineScratch` across whatever subset of the grid it drains).
-#[test]
-fn chaos_sweep_is_independent_of_worker_count() {
-    let cfg = ChaosSweepConfig {
-        sessions: 10,
-        pool_groups: 3,
-        bytes: 512,
-        seed: 29,
-        loads_64: vec![2.0],
-        loads_256: vec![4.0],
-        link_mtbf_ladder_ms: vec![f64::INFINITY, 400.0],
-        ..ChaosSweepConfig::full()
-    };
-    let serial = chaos_sweep(&cfg);
-    for workers in [2, 7] {
-        assert_eq!(
-            chaos_sweep_with_workers(&cfg, workers).to_json().unwrap(),
-            serial.to_json().unwrap(),
-            "chaos sweep output changed at {workers} workers"
-        );
-    }
-}
-
 /// Full-artifact byte-reproducibility: regenerating the chaos sweep
 /// with the committed configuration reproduces
 /// `results/chaos_sweep.json` exactly. Expensive, so ignored by
@@ -647,7 +641,7 @@ fn chaos_sweep_is_independent_of_worker_count() {
 #[test]
 #[ignore = "full sweep regeneration; run in release builds"]
 fn committed_chaos_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = chaos_sweep_with_workers(&ChaosSweepConfig::full(), 4);
+    let regenerated = chaos_sweep(&ChaosSweepConfig::full());
     assert_eq!(
         regenerated.to_json().unwrap(),
         CHAOS_SWEEP_GOLDEN.trim_end_matches('\n'),
@@ -802,7 +796,7 @@ fn committed_telemetry_sweep_artifact_is_valid_and_complete() {
 #[test]
 #[ignore = "full sweep regeneration; run in release builds"]
 fn committed_telemetry_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = telemetry_sweep_with_workers(&TelemetrySweepConfig::full(), 4);
+    let regenerated = telemetry_sweep(&TelemetrySweepConfig::full());
     assert_eq!(
         regenerated.to_json().unwrap(),
         TELEMETRY_SWEEP_GOLDEN.trim_end_matches('\n'),

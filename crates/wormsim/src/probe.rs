@@ -576,9 +576,9 @@ fn format_us(ns: u64) -> String {
 
 /// Escapes a string for inclusion inside a JSON string literal
 /// (quotes, backslashes, and control characters). Shared by the Chrome
-/// trace and metrics exporters here and by the telemetry exporters in
-/// the traffic crate — the build environment is offline, so there is no
-/// serde to lean on.
+/// trace and metrics exporters here, by the telemetry exporters in the
+/// traffic crate and by `mcast serve`'s tag and error strings — the
+/// build environment is offline, so there is no serde to lean on.
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
