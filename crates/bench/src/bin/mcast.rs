@@ -31,7 +31,7 @@ use workloads::request::{
 use workloads::serve::{
     chaos_report_json, multicast_report_json, serve_loop, traffic_report_json, ServeOptions,
 };
-use wormsim::{ChannelTrace, NetStats, SimTime};
+use wormsim::{ChannelTrace, NetStats};
 
 fn main() {
     if let Err(e) = run() {
@@ -347,17 +347,10 @@ fn delivery(replay: &FaultReplay) -> String {
 /// line (with lane accounting) and the timeline.
 fn print_separate(req: &Request, sep: &SeparateRun) {
     let run = &sep.run;
-    let avg = SimTime(
-        run.messages
-            .iter()
-            .map(|m| m.delivered.as_ns())
-            .sum::<u64>()
-            / run.messages.len() as u64,
-    );
     println!(
         " separate: {} messages, sim avg {} max {} (blocks {})",
         run.messages.len(),
-        avg,
+        run.avg_delay(),
         run.stats.makespan,
         run.stats.blocks
     );
@@ -391,7 +384,7 @@ fn print_separate(req: &Request, sep: &SeparateRun) {
              \"max_queue_depth\":{}}}",
             run.messages.len(),
             req.bytes,
-            avg.as_ns(),
+            run.avg_delay().as_ns(),
             run.stats.makespan.as_ns(),
             run.stats.blocks,
             fmt(run.stats.dim_utilization()),

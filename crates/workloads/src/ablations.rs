@@ -1,14 +1,59 @@
 //! Ablation experiments beyond the paper's figures (extensions flagged in
 //! DESIGN.md §6): port-model impact, message-size sweeps, parameter
 //! sensitivity, optimality gaps, and U-cube's all-port contention rate.
+//! Every trial-based ablation runs on the paired-trial grid of
+//! [`crate::sweep`].
 
+use crate::destsets::random_dests;
 use crate::figure::{Figure, Series};
-use crate::sweep::{run_matrix, MatrixResult};
+use crate::sweep::{grid, run_matrix, tree, MatrixResult};
 use hcube::{Cube, Ecube, NodeId, Resolution};
 use hypercast::bounds::min_steps_port_limited;
 use hypercast::contention::contention_witnesses;
 use hypercast::{Algorithm, PortModel};
-use wormsim::{EngineScratch, MulticastRun, SimParams};
+use rand::rngs::StdRng;
+use rand::Rng;
+use wormsim::{DepMessage, EngineScratch, MulticastRun, SimParams, SimTime};
+
+/// `k` uniformly random (source, destination) pairs of distinct nodes.
+fn random_pairs(rng: &mut StdRng, cube: Cube, k: usize) -> Vec<(NodeId, NodeId)> {
+    let nodes = cube.node_count() as u32;
+    let pair = |_| {
+        let src = NodeId(rng.gen_range(0..nodes));
+        let mut dst = src;
+        while dst == src {
+            dst = NodeId(rng.gen_range(0..nodes));
+        }
+        (src, dst)
+    };
+    (0..k).map(pair).collect()
+}
+
+/// One independent unicast of `bytes` per pair, all released at zero.
+fn unicasts(pairs: &[(NodeId, NodeId)], bytes: u32) -> Vec<DepMessage> {
+    let unicast = |&(src, dst)| DepMessage {
+        src,
+        dst,
+        bytes,
+        deps: Vec::new(),
+        min_start: SimTime::ZERO,
+    };
+    pairs.iter().map(unicast).collect()
+}
+
+/// Max delay (ms) of `tree` replayed with a `bytes` payload in `scratch`.
+fn max_delay_ms(
+    tree: &hypercast::MulticastTree,
+    params: &SimParams,
+    bytes: u32,
+    scratch: &mut EngineScratch,
+) -> f64 {
+    MulticastRun::new(tree, params, bytes)
+        .scratch(scratch)
+        .run()
+        .max_delay
+        .as_ms()
+}
 
 /// Port-model ablation: W-sort and U-cube maximum delay on a 5-cube under
 /// one-port vs all-port nodes. Quantifies how much of the paper's win
@@ -32,14 +77,8 @@ pub fn ablation_ports(trials: usize) -> Figure {
             trials,
             &[algo],
             move |cube, src, dests, algo, scratch: &mut EngineScratch| {
-                let t = algo
-                    .build(cube, Resolution::HighToLow, port, src, dests)
-                    .expect("valid instance");
-                [MulticastRun::new(&t, &params, 4096)
-                    .scratch(scratch)
-                    .run()
-                    .max_delay
-                    .as_ms()]
+                let t = tree(algo, cube, port, src, dests);
+                [max_delay_ms(&t, &params, 4096, scratch)]
             },
         );
         let mut s = m.series(0).remove(0);
@@ -62,51 +101,31 @@ pub fn ablation_ports(trials: usize) -> Figure {
 pub fn ablation_message_size(trials: usize) -> Figure {
     let sizes: Vec<usize> = (6..=15).map(|k| 1usize << k).collect(); // 64 B .. 32 KB
     let cube = Cube::of(6);
-    let src = NodeId(0);
     let params = SimParams::ncube2(PortModel::AllPort);
-    // The x-axis is payload size, not destination count, so this ablation
-    // draws its own per-trial 16-destination sets instead of using the
-    // generic sweep (reusing one local engine arena across all replays).
-    let mut scratch = EngineScratch::new();
-    let mut series: Vec<Series> = Algorithm::PAPER
-        .iter()
-        .map(|a| Series {
-            name: a.name().to_string(),
-            xs: sizes.iter().map(|&b| b as f64).collect(),
-            ys: Vec::with_capacity(sizes.len()),
-            std: Vec::with_capacity(sizes.len()),
-        })
-        .collect();
-    for (pi, &bytes) in sizes.iter().enumerate() {
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(trials); Algorithm::PAPER.len()];
-        for trial in 0..trials {
-            let mut rng = crate::destsets::trial_rng("ablation_msgsize", pi, trial);
-            let dests = crate::destsets::random_dests(&mut rng, cube, src, 16);
-            for (ai, algo) in Algorithm::PAPER.iter().enumerate() {
-                let t = algo
-                    .build(cube, Resolution::HighToLow, PortModel::AllPort, src, &dests)
-                    .expect("valid instance");
-                samples[ai].push(
-                    MulticastRun::new(&t, &params, bytes as u32)
-                        .scratch(&mut scratch)
-                        .run()
-                        .max_delay
-                        .as_ms(),
-                );
-            }
-        }
-        for (ai, s) in samples.iter().enumerate() {
-            let summary = crate::stats::Summary::of(s);
-            series[ai].ys.push(summary.mean);
-            series[ai].std.push(summary.std);
-        }
-    }
+    // The x-axis is payload size: every point draws its own per-trial
+    // 16-destination sets.
+    let samples = grid(
+        "ablation_msgsize",
+        sizes.len(),
+        trials,
+        |pi, _, rng, scratch| {
+            let dests = random_dests(rng, cube, NodeId(0), 16);
+            Algorithm::PAPER
+                .iter()
+                .map(|&algo| {
+                    let t = tree(algo, cube, PortModel::AllPort, NodeId(0), &dests);
+                    max_delay_ms(&t, &params, sizes[pi] as u32, scratch)
+                })
+                .collect()
+        },
+    );
+    let xs: Vec<f64> = sizes.iter().map(|&b| b as f64).collect();
     Figure {
         id: "ablation_msgsize".into(),
         title: "Message-size ablation: 16 destinations in a 6-cube".into(),
         x_label: "bytes".into(),
         y_label: "max delay (ms)".into(),
-        series,
+        series: samples.columns(Algorithm::PAPER.map(|a| a.name()), &xs),
     }
 }
 
@@ -130,9 +149,7 @@ pub fn ablation_sensitivity(trials: usize) -> Figure {
             trials,
             &[Algorithm::UCube, Algorithm::WSort],
             move |cube, src, dests, algo, scratch: &mut EngineScratch| {
-                let t = algo
-                    .build(cube, Resolution::HighToLow, PortModel::AllPort, src, dests)
-                    .expect("valid instance");
+                let t = tree(algo, cube, PortModel::AllPort, src, dests);
                 let r = MulticastRun::new(&t, &params, 4096).scratch(scratch).run();
                 [r.max_delay.as_ms(), r.avg_delay.as_ms()]
             },
@@ -157,43 +174,37 @@ pub fn ablation_sensitivity(trials: usize) -> Figure {
 pub fn ablation_optimality(trials: usize) -> Figure {
     let points: Vec<usize> = (1..=8).collect();
     let cube = Cube::of(6);
-    let m: MatrixResult<1> = run_matrix(
+    // Columns: each paper algorithm's steps, then the exact optimum.
+    let samples = grid(
         "ablation_optimality",
-        cube,
-        &points,
+        points.len(),
         trials,
-        &Algorithm::PAPER,
-        |cube, src, dests, algo, _scratch| {
-            let t = algo
-                .build(cube, Resolution::HighToLow, PortModel::AllPort, src, dests)
-                .expect("valid instance");
-            [f64::from(t.steps)]
+        |pi, _, rng, _| {
+            let dests = random_dests(rng, cube, NodeId(0), points[pi]);
+            let optimum = min_steps_port_limited(
+                cube,
+                Resolution::HighToLow,
+                PortModel::AllPort,
+                NodeId(0),
+                &dests,
+            )
+            .expect("small instance");
+            Algorithm::PAPER
+                .iter()
+                .map(|&algo| tree(algo, cube, PortModel::AllPort, NodeId(0), &dests).steps)
+                .chain([optimum])
+                .map(f64::from)
+                .collect()
         },
     );
-    let mut series = m.series(0);
-    // Add the exact optimum as its own curve.
-    let exact: MatrixResult<1> = run_matrix(
-        "ablation_optimality", // same key ⇒ identical destination sets
-        cube,
-        &points,
-        trials,
-        &[Algorithm::UCube], // algorithm ignored by the metric below
-        |cube, src, dests, _, _scratch| {
-            let s =
-                min_steps_port_limited(cube, Resolution::HighToLow, PortModel::AllPort, src, dests)
-                    .expect("small instance");
-            [f64::from(s)]
-        },
-    );
-    let mut opt = exact.series(0).remove(0);
-    opt.name = "optimal".into();
-    series.push(opt);
+    let xs: Vec<f64> = points.iter().map(|&m| m as f64).collect();
+    let names = Algorithm::PAPER.iter().map(|a| a.name()).chain(["optimal"]);
     Figure {
         id: "ablation_optimality".into(),
         title: "Optimality gap vs exact port-limited optimum (6-cube, m ≤ 8)".into(),
         x_label: "dests".into(),
         y_label: "steps (mean)".into(),
-        series,
+        series: samples.columns(names, &xs),
     }
 }
 
@@ -213,9 +224,7 @@ pub fn ablation_contention(trials: usize) -> Figure {
         trials,
         &[Algorithm::UCube, Algorithm::Combine, Algorithm::WSort],
         move |cube, src, dests, algo, scratch: &mut EngineScratch| {
-            let t = algo
-                .build(cube, Resolution::HighToLow, PortModel::AllPort, src, dests)
-                .expect("valid instance");
+            let t = tree(algo, cube, PortModel::AllPort, src, dests);
             let witnesses = contention_witnesses(&t).len();
             let blocks = MulticastRun::new(&t, &params, 4096)
                 .scratch(scratch)
@@ -247,94 +256,41 @@ pub fn ablation_contention(trials: usize) -> Figure {
 /// degradation.
 #[must_use]
 pub fn ablation_background_load(trials: usize) -> Figure {
-    use wormsim::{DepMessage, Run, SimTime};
+    use wormsim::{multicast_workload, Run};
     let loads: Vec<usize> = vec![0, 8, 16, 32, 64, 128, 256];
     let cube = Cube::of(8);
     let params = SimParams::ncube2(PortModel::AllPort);
     let algos = [Algorithm::UCube, Algorithm::WSort];
-    let mut series: Vec<Series> = algos
-        .iter()
-        .map(|a| Series {
-            name: a.name().to_string(),
-            xs: loads.iter().map(|&k| k as f64).collect(),
-            ys: Vec::new(),
-            std: Vec::new(),
-        })
-        .collect();
-    for (pi, &k) in loads.iter().enumerate() {
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(trials); algos.len()];
-        for trial in 0..trials {
-            let mut rng = crate::destsets::trial_rng("ablation_load", pi, trial);
-            let dests = crate::destsets::random_dests(&mut rng, cube, NodeId(0), 40);
-            // Background unicasts between random distinct pairs.
-            let background: Vec<DepMessage> = (0..k)
-                .map(|_| {
-                    use rand::Rng;
-                    let src = NodeId(rng.gen_range(0..cube.node_count() as u32));
-                    let mut dst = src;
-                    while dst == src {
-                        dst = NodeId(rng.gen_range(0..cube.node_count() as u32));
-                    }
-                    DepMessage {
-                        src,
-                        dst,
-                        bytes: 4096,
-                        deps: Vec::new(),
-                        min_start: SimTime::ZERO,
-                    }
-                })
-                .collect();
-            for (ai, algo) in algos.iter().enumerate() {
-                let tree = algo
-                    .build(
-                        cube,
-                        Resolution::HighToLow,
-                        PortModel::AllPort,
-                        NodeId(0),
-                        &dests,
-                    )
-                    .expect("valid instance");
-                // Compose the tree's dependency workload with background.
-                let mut inbound = std::collections::HashMap::new();
-                for (i, u) in tree.unicasts.iter().enumerate() {
-                    inbound.insert(u.dst, i);
-                }
-                let mut workload: Vec<DepMessage> = tree
-                    .unicasts
-                    .iter()
-                    .map(|u| DepMessage {
-                        src: u.src,
-                        dst: u.dst,
-                        bytes: 4096,
-                        deps: inbound.get(&u.src).map(|&i| vec![i]).unwrap_or_default(),
-                        min_start: SimTime::ZERO,
-                    })
-                    .collect();
+    let samples = grid("ablation_load", loads.len(), trials, |pi, _, rng, _| {
+        let dests = random_dests(rng, cube, NodeId(0), 40);
+        let background = unicasts(&random_pairs(rng, cube, loads[pi]), 4096);
+        algos
+            .iter()
+            .map(|&algo| {
+                // The tree's dependency workload first, then the background.
+                let tree = tree(algo, cube, PortModel::AllPort, NodeId(0), &dests);
+                let mut workload = multicast_workload(&tree, 4096);
                 let tree_len = workload.len();
                 workload.extend(background.iter().cloned());
                 let run = Run::new(Ecube::new(cube, Resolution::HighToLow), &params, &workload)
                     .run()
                     .expect("well-formed workload");
-                let max_delay = run.messages[..tree_len]
+                run.messages[..tree_len]
                     .iter()
                     .map(|m| m.delivered)
                     .max()
-                    .unwrap_or(SimTime::ZERO);
-                samples[ai].push(max_delay.as_ms());
-            }
-        }
-        for (ai, s) in samples.iter().enumerate() {
-            let summary = crate::stats::Summary::of(s);
-            series[ai].ys.push(summary.mean);
-            series[ai].std.push(summary.std);
-        }
-    }
+                    .unwrap_or(SimTime::ZERO)
+                    .as_ms()
+            })
+            .collect()
+    });
+    let xs: Vec<f64> = loads.iter().map(|&k| k as f64).collect();
     Figure {
         id: "ablation_load".into(),
         title: "Multicast under background traffic (8-cube, 40 dests, 4 KB)".into(),
         x_label: "background unicasts".into(),
         y_label: "multicast max delay (ms)".into(),
-        series,
+        series: samples.columns(algos.map(|a| a.name()), &xs),
     }
 }
 
@@ -406,14 +362,13 @@ pub fn ablation_scatter(trials: usize) -> Figure {
         trials,
         &algos,
         move |cube, src, dests, algo, _scratch| {
-            let res = Resolution::HighToLow;
-            let tree = algo
-                .build(cube, res, PortModel::AllPort, src, dests)
-                .expect("valid instance");
+            let tree = tree(algo, cube, PortModel::AllPort, src, dests);
             let sched = scatter(&tree, 1024).expect("a 6-cube's blocks fit");
-            [simulate_collective(&sched, Ecube::new(cube, res), &params)
-                .max_delay
-                .as_ms()]
+            [
+                simulate_collective(&sched, Ecube::new(cube, Resolution::HighToLow), &params)
+                    .max_delay
+                    .as_ms(),
+            ]
         },
     );
     Figure {
@@ -436,59 +391,32 @@ pub fn ablation_scaling(trials: usize) -> Figure {
     let dims: Vec<u8> = (4..=10).collect();
     let params = SimParams::ncube2(PortModel::AllPort);
     let algos = [Algorithm::UCube, Algorithm::WSort];
-    let mut scratch = EngineScratch::new();
-    let mut series: Vec<Series> = algos
-        .iter()
-        .map(|a| Series {
-            name: a.name().to_string(),
-            xs: dims.iter().map(|&n| f64::from(n)).collect(),
-            ys: Vec::new(),
-            std: Vec::new(),
-        })
-        .collect();
-    let mut ratio = Series {
+    let samples = grid(
+        "ablation_scaling",
+        dims.len(),
+        trials,
+        |pi, _, rng, scratch| {
+            let cube = Cube::of(dims[pi]);
+            let dests = random_dests(rng, cube, NodeId(0), cube.node_count() / 4);
+            algos
+                .iter()
+                .map(|&algo| {
+                    let t = tree(algo, cube, PortModel::AllPort, NodeId(0), &dests);
+                    max_delay_ms(&t, &params, 4096, scratch)
+                })
+                .collect()
+        },
+    );
+    let xs: Vec<f64> = dims.iter().map(|&n| f64::from(n)).collect();
+    let mut series = samples.columns(algos.map(|a| a.name()), &xs);
+    // The ratio of the means; a ratio has no per-trial spread.
+    let ratio = series[0].ys.iter().zip(&series[1].ys).map(|(u, w)| u / w);
+    series.push(Series {
         name: "U-cube / W-sort".into(),
-        xs: dims.iter().map(|&n| f64::from(n)).collect(),
-        ys: Vec::new(),
-        std: Vec::new(),
-    };
-    for (pi, &n) in dims.iter().enumerate() {
-        let cube = Cube::of(n);
-        let m = cube.node_count() / 4;
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(trials); algos.len()];
-        for trial in 0..trials {
-            let mut rng = crate::destsets::trial_rng("ablation_scaling", pi, trial);
-            let dests = crate::destsets::random_dests(&mut rng, cube, NodeId(0), m);
-            for (ai, algo) in algos.iter().enumerate() {
-                let t = algo
-                    .build(
-                        cube,
-                        Resolution::HighToLow,
-                        PortModel::AllPort,
-                        NodeId(0),
-                        &dests,
-                    )
-                    .expect("valid instance");
-                samples[ai].push(
-                    MulticastRun::new(&t, &params, 4096)
-                        .scratch(&mut scratch)
-                        .run()
-                        .max_delay
-                        .as_ms(),
-                );
-            }
-        }
-        let mut means = [0.0f64; 2];
-        for (ai, s) in samples.iter().enumerate() {
-            let summary = crate::stats::Summary::of(s);
-            series[ai].ys.push(summary.mean);
-            series[ai].std.push(summary.std);
-            means[ai] = summary.mean;
-        }
-        ratio.ys.push(means[0] / means[1]);
-        ratio.std.push(0.0);
-    }
-    series.push(ratio);
+        xs: xs.clone(),
+        ys: ratio.collect(),
+        std: vec![0.0; xs.len()],
+    });
     Figure {
         id: "ablation_scaling".into(),
         title: "Scaling: max delay with m = N/4 destinations, 4 KB".into(),
@@ -507,31 +435,16 @@ pub fn ablation_concurrency(trials: usize) -> Figure {
     let counts: Vec<usize> = vec![1, 2, 4, 8, 16];
     let cube = Cube::of(8);
     let params = SimParams::ncube2(PortModel::AllPort);
-    let mut delay = Series {
-        name: "mean op max-delay".into(),
-        xs: counts.iter().map(|&k| k as f64).collect(),
-        ys: Vec::new(),
-        std: Vec::new(),
-    };
-    let mut blocks = Series {
-        name: "mean blocks per op".into(),
-        xs: counts.iter().map(|&k| k as f64).collect(),
-        ys: Vec::new(),
-        std: Vec::new(),
-    };
-    for (pi, &k) in counts.iter().enumerate() {
-        let mut d_samples = Vec::with_capacity(trials);
-        let mut b_samples = Vec::with_capacity(trials);
-        for trial in 0..trials {
-            let mut rng = crate::destsets::trial_rng("ablation_concurrency", pi, trial);
-            let trees: Vec<_> = (0..k)
+    let samples = grid(
+        "ablation_concurrency",
+        counts.len(),
+        trials,
+        |pi, _, rng, _| {
+            let trees: Vec<_> = (0..counts[pi])
                 .map(|_| {
-                    use rand::Rng;
                     let src = NodeId(rng.gen_range(0..cube.node_count() as u32));
-                    let dests = crate::destsets::random_dests(&mut rng, cube, src, 20);
-                    Algorithm::WSort
-                        .build(cube, Resolution::HighToLow, PortModel::AllPort, src, &dests)
-                        .expect("valid instance")
+                    let dests = random_dests(rng, cube, src, 20);
+                    tree(Algorithm::WSort, cube, PortModel::AllPort, src, &dests)
                 })
                 .collect();
             let refs: Vec<&hypercast::MulticastTree> = trees.iter().collect();
@@ -544,22 +457,16 @@ pub fn ablation_concurrency(trials: usize) -> Figure {
                 .sum::<f64>()
                 / ops;
             let mean_blocks = reports.trees.iter().map(|r| r.blocks as f64).sum::<f64>() / ops;
-            d_samples.push(mean_delay);
-            b_samples.push(mean_blocks);
-        }
-        let ds = crate::stats::Summary::of(&d_samples);
-        let bs = crate::stats::Summary::of(&b_samples);
-        delay.ys.push(ds.mean);
-        delay.std.push(ds.std);
-        blocks.ys.push(bs.mean);
-        blocks.std.push(bs.std);
-    }
+            vec![mean_delay, mean_blocks]
+        },
+    );
+    let xs: Vec<f64> = counts.iter().map(|&k| k as f64).collect();
     Figure {
         id: "ablation_concurrency".into(),
         title: "Concurrent W-sort multicasts (8-cube, 20 dests each, 4 KB)".into(),
         x_label: "concurrent operations".into(),
         y_label: "ms / blocking events".into(),
-        series: vec![delay, blocks],
+        series: samples.columns(["mean op max-delay", "mean blocks per op"], &xs),
     }
 }
 
@@ -569,9 +476,10 @@ pub fn ablation_concurrency(trials: usize) -> Figure {
 /// event model (%). Zero when traffic is contention-free.
 #[must_use]
 pub fn ablation_model_fidelity(trials: usize) -> Figure {
-    use wormsim::{simulate_flits, DepMessage, FlitMessage, Run, SimTime};
+    use wormsim::{simulate_flits, FlitMessage, Run};
     let batch_sizes: Vec<usize> = vec![1, 2, 4, 8, 16, 32];
     let cube = Cube::of(5);
+    let router = Ecube::new(cube, Resolution::HighToLow);
     let flits = 64u32;
     let cycle_params = wormsim::SimParams {
         t_send_sw: SimTime::ZERO,
@@ -581,44 +489,12 @@ pub fn ablation_model_fidelity(trials: usize) -> Figure {
         port_model: PortModel::AllPort,
         cpu_serialized_startup: false,
     };
-    let mut over = Series {
-        name: "event-model makespan overestimate (%)".into(),
-        xs: batch_sizes.iter().map(|&k| k as f64).collect(),
-        ys: Vec::new(),
-        std: Vec::new(),
-    };
-    let mut blocked = Series {
-        name: "trials with contention (%)".into(),
-        xs: batch_sizes.iter().map(|&k| k as f64).collect(),
-        ys: Vec::new(),
-        std: Vec::new(),
-    };
-    for (pi, &k) in batch_sizes.iter().enumerate() {
-        let mut o_samples = Vec::with_capacity(trials);
-        let mut b_count = 0usize;
-        for trial in 0..trials {
-            use rand::Rng;
-            let mut rng = crate::destsets::trial_rng("ablation_fidelity", pi, trial);
-            let pairs: Vec<(NodeId, NodeId)> = (0..k)
-                .map(|_| {
-                    let s = NodeId(rng.gen_range(0..cube.node_count() as u32));
-                    let mut d = s;
-                    while d == s {
-                        d = NodeId(rng.gen_range(0..cube.node_count() as u32));
-                    }
-                    (s, d)
-                })
-                .collect();
-            let event_w: Vec<DepMessage> = pairs
-                .iter()
-                .map(|&(s, d)| DepMessage {
-                    src: s,
-                    dst: d,
-                    bytes: flits,
-                    deps: vec![],
-                    min_start: SimTime::ZERO,
-                })
-                .collect();
+    let samples = grid(
+        "ablation_fidelity",
+        batch_sizes.len(),
+        trials,
+        |pi, _, rng, _| {
+            let pairs = random_pairs(rng, cube, batch_sizes[pi]);
             let flit_w: Vec<FlitMessage> = pairs
                 .iter()
                 .map(|&(s, d)| FlitMessage {
@@ -628,38 +504,34 @@ pub fn ablation_model_fidelity(trials: usize) -> Figure {
                     start_cycle: 0,
                 })
                 .collect();
-            let er = Run::new(
-                Ecube::new(cube, Resolution::HighToLow),
-                &cycle_params,
-                &event_w,
-            )
-            .run()
-            .expect("well-formed workload");
-            let fr = simulate_flits(Ecube::new(cube, Resolution::HighToLow), &flit_w);
-            let em = er
-                .messages
-                .iter()
-                .map(|m| m.delivered.as_ns())
-                .max()
-                .unwrap() as f64;
+            let er = Run::new(router, &cycle_params, &unicasts(&pairs, flits))
+                .run()
+                .expect("well-formed workload");
+            let fr = simulate_flits(router, &flit_w);
+            let em = er.stats.makespan.as_ns() as f64;
             let fm = fr.iter().map(|f| f.delivered_cycle + 1).max().unwrap() as f64;
-            o_samples.push((em - fm) / fm * 100.0);
-            if er.stats.blocks > 0 {
-                b_count += 1;
-            }
-        }
-        let os = crate::stats::Summary::of(&o_samples);
-        over.ys.push(os.mean);
-        over.std.push(os.std);
-        blocked.ys.push(b_count as f64 / trials as f64 * 100.0);
-        blocked.std.push(0.0);
-    }
+            let contended = if er.stats.blocks > 0 { 1.0 } else { 0.0 };
+            vec![(em - fm) / fm * 100.0, contended]
+        },
+    );
+    let xs: Vec<f64> = batch_sizes.iter().map(|&k| k as f64).collect();
+    let mut series = samples.columns(["event-model makespan overestimate (%)"], &xs);
+    // A share of trials, not a per-trial mean: no spread.
+    let contended = |pi| samples.column(pi, 1).iter().filter(|&&c| c > 0.0).count() as f64;
+    series.push(Series {
+        name: "trials with contention (%)".into(),
+        xs: xs.clone(),
+        ys: (0..xs.len())
+            .map(|pi| contended(pi) / trials as f64 * 100.0)
+            .collect(),
+        std: vec![0.0; xs.len()],
+    });
     Figure {
         id: "ablation_fidelity".into(),
         title: "Event model vs flit-level model (5-cube, 64-flit worms)".into(),
         x_label: "simultaneous unicasts".into(),
         y_label: "percent".into(),
-        series: vec![over, blocked],
+        series,
     }
 }
 
@@ -672,45 +544,22 @@ pub fn ablation_kport(trials: usize) -> Figure {
     let cube = Cube::of(8);
     let ks: Vec<usize> = (1..=8).collect();
     let algos = [Algorithm::UCube, Algorithm::Maxport, Algorithm::WSort];
-    let mut series: Vec<Series> = algos
-        .iter()
-        .map(|a| Series {
-            name: a.name().to_string(),
-            xs: ks.iter().map(|&k| k as f64).collect(),
-            ys: Vec::new(),
-            std: Vec::new(),
-        })
-        .collect();
-    // Paired design: the same destination sets are reused for every k, so
-    // the per-instance monotonicity of k-port scheduling carries over to
-    // the means.
-    let mut samples: Vec<Vec<Vec<f64>>> =
-        vec![vec![Vec::with_capacity(trials); ks.len()]; algos.len()];
-    for trial in 0..trials {
-        let mut rng = crate::destsets::trial_rng("ablation_kport", 0, trial);
-        let dests = crate::destsets::random_dests(&mut rng, cube, NodeId(0), 64);
-        for (ki, &k) in ks.iter().enumerate() {
-            for (ai, algo) in algos.iter().enumerate() {
-                let t = algo
-                    .build(
-                        cube,
-                        Resolution::HighToLow,
-                        PortModel::KPort(k as u8),
-                        NodeId(0),
-                        &dests,
-                    )
-                    .expect("valid instance");
-                samples[ai][ki].push(f64::from(t.steps));
+    // Paired design: one point whose columns are algorithm × k, so the
+    // same destination set serves every k and the per-instance
+    // monotonicity of k-port scheduling carries over to the means.
+    let samples = grid("ablation_kport", 1, trials, |_, _, rng, _| {
+        let dests = random_dests(rng, cube, NodeId(0), 64);
+        let mut row = Vec::with_capacity(algos.len() * ks.len());
+        for &algo in &algos {
+            for &k in &ks {
+                let port = PortModel::KPort(k as u8);
+                row.push(f64::from(tree(algo, cube, port, NodeId(0), &dests).steps));
             }
         }
-    }
-    for (ai, per_k) in samples.iter().enumerate() {
-        for s in per_k {
-            let summary = crate::stats::Summary::of(s);
-            series[ai].ys.push(summary.mean);
-            series[ai].std.push(summary.std);
-        }
-    }
+        row
+    });
+    let xs: Vec<f64> = ks.iter().map(|&k| k as f64).collect();
+    let series = samples.point_series(0, &algos.map(|a| a.name()), &xs);
     Figure {
         id: "ablation_kport".into(),
         title: "k-port ablation: steps vs internal channel pairs (8-cube, 64 dests)".into(),

@@ -8,8 +8,10 @@
 //! delivery ratio stays at 1.0 until the faults actually disconnect the
 //! cube — at the cost of extra steps visible as a makespan overhead.
 
-use crate::figure::{Figure, Series};
-use hcube::{Cube, NodeId, Resolution};
+use crate::destsets::random_dests;
+use crate::figure::Figure;
+use crate::sweep::{grid, tree};
+use hcube::{Cube, NodeId};
 use hypercast::repair::{repair, NetworkFaults};
 use hypercast::{Algorithm, PortModel};
 use wormsim::{FaultPlan, MulticastRun, SimParams};
@@ -23,66 +25,50 @@ pub fn fault_sweep(trials: usize) -> Figure {
     let ks: Vec<usize> = vec![0, 1, 2, 4, 8, 16, 32];
     let cube = Cube::of(8);
     let params = SimParams::ncube2(PortModel::AllPort);
-    let names = [
-        "unrepaired delivery ratio",
-        "repaired delivery ratio",
-        "unrepaired makespan (ms)",
-        "repaired makespan (ms)",
-    ];
-    let mut series: Vec<Series> = names
-        .iter()
-        .map(|name| Series {
-            name: (*name).to_string(),
-            xs: ks.iter().map(|&k| k as f64).collect(),
-            ys: Vec::with_capacity(ks.len()),
-            std: Vec::with_capacity(ks.len()),
-        })
-        .collect();
+    let samples = grid("fault_sweep", ks.len(), trials, |pi, trial, rng, _| {
+        let dests = random_dests(rng, cube, NodeId(0), 64);
+        let tree = tree(
+            Algorithm::WSort,
+            cube,
+            PortModel::AllPort,
+            NodeId(0),
+            &dests,
+        );
+        // Deterministic per-(point, trial) fault plan.
+        let seed = (pi as u64) * 0x9e37 + trial as u64;
+        let plan = FaultPlan::random_links(&cube, ks[pi], seed);
 
-    for (pi, &k) in ks.iter().enumerate() {
-        let mut samples: [Vec<f64>; 4] = std::array::from_fn(|_| Vec::with_capacity(trials));
-        for trial in 0..trials {
-            let mut rng = crate::destsets::trial_rng("fault_sweep", pi, trial);
-            let dests = crate::destsets::random_dests(&mut rng, cube, NodeId(0), 64);
-            let tree = Algorithm::WSort
-                .build(
-                    cube,
-                    Resolution::HighToLow,
-                    PortModel::AllPort,
-                    NodeId(0),
-                    &dests,
-                )
-                .expect("valid instance");
-            // Deterministic per-(point, trial) fault plan.
-            let seed = (pi as u64) * 0x9e37 + trial as u64;
-            let plan = FaultPlan::random_links(&cube, k, seed);
+        // Unrepaired: the tree is replayed as scheduled; cut subtrees
+        // are lost. Dead links alone cannot deadlock the engine.
+        let raw = MulticastRun::new(&tree, &params, 4096)
+            .faults(&plan)
+            .run()
+            .expect("dead links fail messages, they cannot deadlock");
 
-            // Unrepaired: the tree is replayed as scheduled; cut subtrees
-            // are lost. Dead links alone cannot deadlock the engine.
-            let raw = MulticastRun::new(&tree, &params, 4096)
-                .faults(&plan)
-                .run()
-                .expect("dead links fail messages, they cannot deadlock");
+        // Repaired: prune + regraft + relay before transmission.
+        let fixed = repair(&tree, &NetworkFaults::from(&plan));
+        let rep = MulticastRun::new(&fixed.tree, &params, 4096)
+            .faults(&plan)
+            .run()
+            .expect("repaired tree avoids every dead channel");
 
-            // Repaired: prune + regraft + relay before transmission.
-            let faults = NetworkFaults::from(&plan);
-            let fixed = repair(&tree, &faults);
-            let rep = MulticastRun::new(&fixed.tree, &params, 4096)
-                .faults(&plan)
-                .run()
-                .expect("repaired tree avoids every dead channel");
-
-            samples[0].push(raw.delivery_ratio);
-            samples[1].push(rep.delivery_ratio);
-            samples[2].push(raw.makespan.as_ms());
-            samples[3].push(rep.makespan.as_ms());
-        }
-        for (si, s) in samples.iter().enumerate() {
-            let summary = crate::stats::Summary::of(s);
-            series[si].ys.push(summary.mean);
-            series[si].std.push(summary.std);
-        }
-    }
+        vec![
+            raw.delivery_ratio,
+            rep.delivery_ratio,
+            raw.makespan.as_ms(),
+            rep.makespan.as_ms(),
+        ]
+    });
+    let xs: Vec<f64> = ks.iter().map(|&k| k as f64).collect();
+    let series = samples.columns(
+        [
+            "unrepaired delivery ratio",
+            "repaired delivery ratio",
+            "unrepaired makespan (ms)",
+            "repaired makespan (ms)",
+        ],
+        &xs,
+    );
     Figure {
         id: "fault_sweep".into(),
         title: "Fault sweep: W-sort multicast vs dead links (8-cube, 64 dests, 4 KB)".into(),

@@ -9,6 +9,7 @@
 
 use crate::artifact::{record, Codec, Plain};
 use crate::json::{self, EmitError};
+use crate::stats::Summary;
 use std::fmt::Write as _;
 
 /// One curve of a figure.
@@ -22,6 +23,24 @@ pub struct Series {
     pub ys: Vec<f64>,
     /// Sample standard deviation per point.
     pub std: Vec<f64>,
+}
+
+impl Series {
+    /// The series over `xs` whose point `i` is the mean and standard
+    /// deviation of the `i`-th summary.
+    pub(crate) fn of(
+        name: &str,
+        xs: &[f64],
+        summaries: impl IntoIterator<Item = Summary>,
+    ) -> Series {
+        let (ys, std) = summaries.into_iter().map(|s| (s.mean, s.std)).unzip();
+        Series {
+            name: name.to_string(),
+            xs: xs.to_vec(),
+            ys,
+            std,
+        }
+    }
 }
 
 /// A complete figure: several series over one x-axis.

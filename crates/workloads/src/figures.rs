@@ -15,10 +15,10 @@
 //! 13–14 mirror the paper's own MultiSim runs.
 
 use crate::figure::Figure;
-use crate::sweep::{run_matrix, MatrixResult};
-use hcube::{Cube, NodeId, Resolution};
+use crate::sweep::{run_matrix, tree, MatrixResult};
+use hcube::Cube;
 use hypercast::{Algorithm, PortModel};
-use wormsim::{EngineScratch, MulticastRun, SimParams};
+use wormsim::{MulticastRun, SimParams};
 
 /// Trials per point used by the paper for the step and simulation figures.
 pub const PAPER_TRIALS_STEPS: usize = 100;
@@ -43,30 +43,6 @@ pub fn ten_cube_points() -> Vec<usize> {
     pts
 }
 
-fn steps_metric(
-    port: PortModel,
-) -> impl Fn(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; 1] + Sync {
-    move |cube, src, dests, algo, _scratch| {
-        let t = algo
-            .build(cube, Resolution::HighToLow, port, src, dests)
-            .expect("valid sweep instance");
-        [f64::from(t.steps)]
-    }
-}
-
-fn delay_metric(
-    params: SimParams,
-    bytes: u32,
-) -> impl Fn(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; 2] + Sync {
-    move |cube, src, dests, algo, scratch| {
-        let t = algo
-            .build(cube, Resolution::HighToLow, params.port_model, src, dests)
-            .expect("valid sweep instance");
-        let r = MulticastRun::new(&t, &params, bytes).scratch(scratch).run();
-        [r.avg_delay.as_ms(), r.max_delay.as_ms()]
-    }
-}
-
 fn steps_figure(id: &str, title: &str, n: u8, points: &[usize], trials: usize) -> Figure {
     let m: MatrixResult<1> = run_matrix(
         id,
@@ -74,7 +50,11 @@ fn steps_figure(id: &str, title: &str, n: u8, points: &[usize], trials: usize) -
         points,
         trials,
         &Algorithm::PAPER,
-        steps_metric(PortModel::AllPort),
+        |cube, src, dests, algo, _| {
+            [f64::from(
+                tree(algo, cube, PortModel::AllPort, src, dests).steps,
+            )]
+        },
     );
     Figure {
         id: id.to_string(),
@@ -100,7 +80,13 @@ fn delay_figures(
         points,
         trials,
         &Algorithm::PAPER,
-        delay_metric(params, PAPER_BYTES),
+        |cube, src, dests, algo, scratch| {
+            let t = tree(algo, cube, PortModel::AllPort, src, dests);
+            let r = MulticastRun::new(&t, &params, PAPER_BYTES)
+                .scratch(scratch)
+                .run();
+            [r.avg_delay.as_ms(), r.max_delay.as_ms()]
+        },
     );
     let avg = Figure {
         id: id_avg.to_string(),

@@ -21,19 +21,20 @@
 //! piles same-dimension sends onto one source channel — the exact
 //! effect Theorem 3 prices and W-sort's weighted ordering removes.
 //!
-//! Two mesh series extend the comparison off the hypercube: the same
-//! payload separately addressed to 32 random nodes of an 8×8 mesh (64
-//! nodes, matching the cube) under deterministic XY routing and under
-//! the west-first minimal-adaptive router. Separate addressing fires
-//! every unicast at once from one source, so the X/Y rows show how much
-//! of the source-funnel contention adaptivity can dodge when the first
-//! hop has a choice of dimension.
+//! Two mesh rows extend the comparison off the hypercube: separate
+//! addressing fires every unicast at once from one source, so they show
+//! how much of the source-funnel contention adaptivity can dodge when
+//! the first hop has a choice of dimension. The figure is one
+//! [`crate::sweep`] grid: point 0 holds the cube rows, point 1 the mesh
+//! rows.
 
-use crate::figure::{Figure, Series};
-use hcube::{Cube, Ecube, Mesh, MeshXY, MinimalAdaptive, NodeId, Resolution, Router};
+use crate::destsets::{random_dests, random_dests_on};
+use crate::figure::Figure;
+use crate::sweep::{grid, tree};
+use hcube::{Cube, Ecube, Mesh, MeshXY, MinimalAdaptive, NodeId, Resolution, Router, Topology};
 use hypercast::{Algorithm, PortModel};
 use wormsim::network::ChannelMap;
-use wormsim::{multicast_workload, DepMessage, EventRecorder, Run, SimParams, SimTime};
+use wormsim::{multicast_workload, separate_workload, DepMessage, EventRecorder, Run, SimParams};
 
 /// Cube dimension of the heatmap experiment (64 nodes, as Figure 11).
 const N: u8 = 6;
@@ -64,69 +65,33 @@ const BYTES: u32 = 4096;
 #[must_use]
 pub fn contention_heatmap(trials: usize) -> Figure {
     let cube = Cube::of(N);
-    let resolution = Resolution::HighToLow;
-    let params = SimParams::ncube2(PortModel::AllPort);
-    let map = ChannelMap::new(Ecube::new(cube, resolution));
-
-    let mut series = Vec::with_capacity(Algorithm::PAPER.len());
-    for &algo in &Algorithm::PAPER {
-        // blocked_ms[d][trial]: contention blocked time on dimension d.
-        let mut blocked_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(trials); N as usize];
-        for trial in 0..trials {
-            // Point index 0: one experimental point per algorithm; the
-            // destination draw depends only on the trial, so every
-            // algorithm sees the same destination sets.
-            let mut rng = crate::destsets::trial_rng("contention_heatmap", 0, trial);
-            let dests = crate::destsets::random_dests(&mut rng, cube, NodeId(0), DESTS);
-            let tree = algo
-                .build(cube, resolution, PortModel::AllPort, NodeId(0), &dests)
-                .expect("valid multicast input");
-            let workload = multicast_workload(&tree, BYTES);
-            let mut rec = EventRecorder::new();
-            let _run = Run::new(Ecube::new(cube, resolution), &params, &workload)
-                .probe(&mut rec)
-                .run()
-                .expect("well-formed workload");
-            let mut per_dim = vec![0u64; N as usize];
-            for ch in 0..map.externals() {
-                per_dim[map.dim_of(ch) as usize] += rec.blocked_ns(ch);
-            }
-            for (d, &ns) in per_dim.iter().enumerate() {
-                blocked_ms[d].push(ns as f64 / 1_000_000.0);
-            }
-        }
-        let mut ys = Vec::with_capacity(N as usize);
-        let mut std = Vec::with_capacity(N as usize);
-        for samples in &blocked_ms {
-            let s = crate::stats::Summary::of(samples);
-            ys.push(s.mean);
-            std.push(s.std);
-        }
-        series.push(Series {
-            name: algo.name().to_string(),
-            xs: (0..N).map(f64::from).collect(),
-            ys,
-            std,
-        });
-    }
-    // Mesh extension: the same payload separately addressed on an 8x8
-    // mesh, deterministic XY vs west-first minimal-adaptive.
     let mesh = Mesh::of(8, 8);
-    series.push(mesh_series(
-        "Mesh-XY",
-        MeshXY::new(mesh),
-        &mesh,
-        &params,
-        trials,
-    ));
-    series.push(mesh_series(
-        "Mesh-adaptive",
-        MinimalAdaptive::new(mesh),
-        &mesh,
-        &params,
-        trials,
-    ));
-
+    let params = SimParams::ncube2(PortModel::AllPort);
+    // Columns: algorithm × dimension at point 0, router × dimension at
+    // point 1; each point's draw is shared by its rows.
+    let samples = grid("contention_heatmap", 2, trials, |point, _, rng, _| {
+        if point == 0 {
+            let router = Ecube::new(cube, Resolution::HighToLow);
+            let dests = random_dests(rng, cube, NodeId(0), DESTS);
+            Algorithm::PAPER
+                .iter()
+                .flat_map(|&algo| {
+                    let tree = tree(algo, cube, PortModel::AllPort, NodeId(0), &dests);
+                    blocked_ms(router, &params, &multicast_workload(&tree, BYTES))
+                })
+                .collect()
+        } else {
+            let dests = random_dests_on(rng, &mesh, NodeId(0), DESTS);
+            let workload = separate_workload(NodeId(0), &dests, BYTES);
+            let mut row = blocked_ms(MeshXY::new(mesh), &params, &workload);
+            row.extend(blocked_ms(MinimalAdaptive::new(mesh), &params, &workload));
+            row
+        }
+    });
+    let dims = |n: u8| -> Vec<f64> { (0..n).map(f64::from).collect() };
+    let mut series = samples.point_series(0, &Algorithm::PAPER.map(|a| a.name()), &dims(N));
+    let meshes = ["Mesh-XY", "Mesh-adaptive"];
+    series.extend(samples.point_series(1, &meshes, &dims(mesh.dimensions())));
     Figure {
         id: "contention_heatmap".into(),
         title: format!(
@@ -139,61 +104,24 @@ pub fn contention_heatmap(trials: usize) -> Figure {
     }
 }
 
-/// One mesh series: per-dimension blocked time of separate addressing
-/// (all unicasts launched at once from node 0) under `router`, averaged
-/// over the same seeded destination draws for every router.
-fn mesh_series<R: Router + Copy>(
-    name: &str,
+/// Blocked time (ms) charged to each dimension of `router`'s external
+/// channels while `workload` runs.
+fn blocked_ms<R: Router + Copy>(
     router: R,
-    mesh: &Mesh,
     params: &SimParams,
-    trials: usize,
-) -> Series {
+    workload: &[DepMessage],
+) -> Vec<f64> {
     let map = ChannelMap::new(router);
-    let dims = map.dimensions() as usize;
-    let mut blocked_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(trials); dims];
-    for trial in 0..trials {
-        // Point index 1 keeps the mesh draws distinct from the cube's
-        // (same node ids would land on different coordinates anyway);
-        // both mesh routers see identical destination sets per trial.
-        let mut rng = crate::destsets::trial_rng("contention_heatmap", 1, trial);
-        let dests = crate::destsets::random_dests_on(&mut rng, mesh, NodeId(0), DESTS);
-        let workload: Vec<DepMessage> = dests
-            .iter()
-            .map(|&dst| DepMessage {
-                src: NodeId(0),
-                dst,
-                bytes: BYTES,
-                deps: Vec::new(),
-                min_start: SimTime::ZERO,
-            })
-            .collect();
-        let mut rec = EventRecorder::new();
-        let _run = Run::new(router, params, &workload)
-            .probe(&mut rec)
-            .run()
-            .expect("well-formed workload");
-        let mut per_dim = vec![0u64; dims];
-        for ch in 0..map.externals() {
-            per_dim[map.dim_of(ch) as usize] += rec.blocked_ns(ch);
-        }
-        for (d, &ns) in per_dim.iter().enumerate() {
-            blocked_ms[d].push(ns as f64 / 1_000_000.0);
-        }
+    let mut rec = EventRecorder::new();
+    let _run = Run::new(router, params, workload)
+        .probe(&mut rec)
+        .run()
+        .expect("well-formed workload");
+    let mut per_dim = vec![0u64; usize::from(map.dimensions())];
+    for ch in 0..map.externals() {
+        per_dim[map.dim_of(ch) as usize] += rec.blocked_ns(ch);
     }
-    let mut ys = Vec::with_capacity(dims);
-    let mut std = Vec::with_capacity(dims);
-    for samples in &blocked_ms {
-        let s = crate::stats::Summary::of(samples);
-        ys.push(s.mean);
-        std.push(s.std);
-    }
-    Series {
-        name: name.to_string(),
-        xs: (0..dims).map(|d| d as f64).collect(),
-        ys,
-        std,
-    }
+    per_dim.iter().map(|&ns| ns as f64 / 1_000_000.0).collect()
 }
 
 #[cfg(test)]

@@ -212,8 +212,7 @@ pub fn lane_sweep(cfg: &LaneSweepConfig) -> LaneSweep {
                     .iter()
                     .map(|&src| {
                         let dests = crate::destsets::random_dests(&mut rng, cube, src, cfg.m);
-                        algo.build(cube, Resolution::HighToLow, PortModel::AllPort, src, &dests)
-                            .expect("valid multicast instance")
+                        crate::sweep::tree(algo, cube, PortModel::AllPort, src, &dests)
                     })
                     .collect();
                 analytic.push(f64::from(min_lanes_for_concurrent(&trees)));

@@ -29,8 +29,8 @@ use hypercast::{
 use traffic::{ArrivalProcess, Backend, ChaosReport, DestPattern, RunOptions, TrafficReport};
 use wormsim::network::ChannelMap;
 use wormsim::{
-    ChannelTrace, DepMessage, EventRecorder, FaultPlan, FaultSimReport, MulticastRun, Run,
-    RunResult, SimError, SimParams, SimReport, SimTime,
+    separate_workload, ChannelTrace, EventRecorder, FaultPlan, FaultSimReport, MulticastRun, Run,
+    RunResult, SimError, SimParams, SimReport,
 };
 
 use crate::json::Value;
@@ -567,7 +567,7 @@ enum Net {
 }
 
 /// Simulated times must stay below this many nanoseconds, so that the
-/// latencies added to them still fit in [`SimTime`].
+/// latencies added to them still fit in [`wormsim::SimTime`].
 const CLOCK_LIMIT_NS: f64 = (1u64 << 62) as f64;
 
 /// The most lanes per link the daemon runs.
@@ -1019,14 +1019,7 @@ fn separate<R: Router + Copy, T: Topology>(
     params: &SimParams,
     files: &mut Vec<OutputFile>,
 ) -> Result<Reports, RequestError> {
-    let message = |dst| DepMessage {
-        src: NodeId(req.source),
-        dst,
-        bytes: req.bytes,
-        deps: vec![],
-        min_start: SimTime::ZERO,
-    };
-    let workload: Vec<DepMessage> = draw_dests(req, topo).into_iter().map(message).collect();
+    let workload = separate_workload(NodeId(req.source), &draw_dests(req, topo), req.bytes);
     let run = Run::new(router, params, &workload);
     let run = if req.trace || req.observed() {
         let mut recorder = EventRecorder::new();

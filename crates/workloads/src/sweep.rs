@@ -1,24 +1,23 @@
-//! Generic parallel parameter sweeps.
+//! Paired sweeps on `run_trials`: the one trial grid every trial-based
+//! figure runs on.
 //!
-//! A sweep evaluates a metric function over (point × trial × algorithm),
-//! with the *same* randomly drawn destination set shared by all
-//! algorithms within a trial (paired comparison, as in the paper), and
-//! aggregates per-(point, algorithm) summaries. Trials run on the
-//! workspace's one worker pool, [`wormsim::run_trials`]; results are
-//! deterministic because every trial's RNG is keyed by (experiment,
-//! point, trial) and the pool returns results in trial order.
-//!
-//! Every worker owns one [`wormsim::EngineScratch`] handed to the
-//! metric on each call, so metrics that replay trees through the engine
-//! reuse the worker's event heap, channel table, and route buffer
-//! instead of reallocating per trial. Scratch reuse is byte-invisible (the
-//! engine's contract), so the summaries remain independent of how tasks
-//! land on workers.
+//! The grid calls a figure's sample function once per (point, trial)
+//! with that trial's RNG, keyed by (experiment, point, trial), and keeps
+//! the returned row of samples (one column per algorithm, metric or
+//! dimension). Columns compared within a trial share its draw: the
+//! paper's paired comparison. Trials run on the workspace's one worker
+//! pool, [`wormsim::run_trials`], which returns rows in trial order, so
+//! the summaries do not depend on the worker count. Each worker hands
+//! its own [`wormsim::EngineScratch`] to every call; reuse is
+//! byte-invisible (the engine's contract). [`run_matrix`] is the grid
+//! over destination-set sizes with one column per (algorithm, metric).
 
 use crate::destsets::{random_dests, trial_rng};
+use crate::figure::Series;
 use crate::stats::Summary;
-use hcube::{Cube, NodeId};
-use hypercast::Algorithm;
+use hcube::{Cube, NodeId, Resolution};
+use hypercast::{Algorithm, MulticastTree, PortModel};
+use rand::rngs::StdRng;
 use wormsim::EngineScratch;
 
 /// Sweep results: `cells[point][algo]` holds `K` metric summaries.
@@ -38,17 +37,13 @@ impl<const K: usize> MatrixResult<K> {
     /// # Panics
     /// If `k >= K`.
     #[must_use]
-    pub fn series(&self, k: usize) -> Vec<crate::figure::Series> {
+    pub fn series(&self, k: usize) -> Vec<Series> {
         assert!(k < K);
+        let xs: Vec<f64> = self.points.iter().map(|&m| m as f64).collect();
         self.algos
             .iter()
             .enumerate()
-            .map(|(ai, algo)| crate::figure::Series {
-                name: algo.name().to_string(),
-                xs: self.points.iter().map(|&m| m as f64).collect(),
-                ys: self.cells.iter().map(|row| row[ai][k].mean).collect(),
-                std: self.cells.iter().map(|row| row[ai][k].std).collect(),
-            })
+            .map(|(ai, algo)| Series::of(algo.name(), &xs, self.cells.iter().map(|row| row[ai][k])))
             .collect()
     }
 }
@@ -73,9 +68,7 @@ pub fn run_matrix<const K: usize, F>(
 where
     F: Fn(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; K] + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map_or(4, |p| p.get())
-        .min(32);
+    let workers = default_workers();
     run_matrix_with_workers(experiment, cube, points, trials, algos, workers, metric)
 }
 
@@ -101,32 +94,21 @@ pub fn run_matrix_with_workers<const K: usize, F>(
 where
     F: Fn(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; K] + Sync,
 {
-    assert!(workers > 0, "need at least one worker");
     let source = NodeId(0);
-    // One task per (point, trial), in point-major order; the pool
-    // returns every task's per-algorithm row in task order.
-    let rows: Vec<Vec<[f64; K]>> =
-        wormsim::run_trials(workers, points.len() * trials, |task, scratch| {
-            let (point, trial) = (task / trials, task % trials);
-            let mut rng = trial_rng(experiment, point, trial);
-            let dests = random_dests(&mut rng, cube, source, points[point]);
-            algos
-                .iter()
-                .map(|&algo| metric(cube, source, &dests, algo, scratch))
-                .collect()
-        });
-    // samples[algo][k][trial] per point, trial-indexed, so the
-    // floating-point aggregation order is independent of scheduling.
+    // One row per task: algorithm-major, `K` metrics per algorithm.
+    let sample = |point: usize, _, rng: &mut StdRng, scratch: &mut EngineScratch| {
+        let dests = random_dests(rng, cube, source, points[point]);
+        let mut row = Vec::with_capacity(algos.len() * K);
+        for &algo in algos {
+            row.extend(metric(cube, source, &dests, algo, scratch));
+        }
+        row
+    };
+    let grid = grid_with_workers(experiment, points.len(), trials, workers, sample);
     let cells = (0..points.len())
         .map(|point| {
-            let point_rows = &rows[point * trials..(point + 1) * trials];
             (0..algos.len())
-                .map(|ai| {
-                    std::array::from_fn(|k| {
-                        let samples: Vec<f64> = point_rows.iter().map(|row| row[ai][k]).collect();
-                        Summary::of(&samples)
-                    })
-                })
+                .map(|ai| std::array::from_fn(|k| grid.summary(point, ai * K + k)))
                 .collect()
         })
         .collect();
@@ -135,6 +117,106 @@ where
         algos: algos.to_vec(),
         cells,
     }
+}
+
+/// The samples of a paired-trial grid: one row per (point, trial) task,
+/// point-major.
+pub(crate) struct Grid {
+    rows: Vec<Vec<f64>>,
+    points: usize,
+    trials: usize,
+}
+
+impl Grid {
+    /// Column `col` of `point`: one sample per trial, in trial order.
+    pub(crate) fn column(&self, point: usize, col: usize) -> Vec<f64> {
+        self.rows[point * self.trials..(point + 1) * self.trials]
+            .iter()
+            .map(|row| row[col])
+            .collect()
+    }
+
+    /// The summary of [`Grid::column`].
+    pub(crate) fn summary(&self, point: usize, col: usize) -> Summary {
+        Summary::of(&self.column(point, col))
+    }
+
+    /// One series over `xs` per column, named by `names` in column
+    /// order: point `i` of a series summarizes its column at point `i`.
+    pub(crate) fn columns<'a>(
+        &self,
+        names: impl IntoIterator<Item = &'a str>,
+        xs: &[f64],
+    ) -> Vec<Series> {
+        let series =
+            |(col, name)| Series::of(name, xs, (0..self.points).map(|p| self.summary(p, col)));
+        names.into_iter().enumerate().map(series).collect()
+    }
+
+    /// One series over `xs` per name, all from `point`: series `r`
+    /// summarizes columns `r·|xs| ..` of that point, one per x.
+    pub(crate) fn point_series(&self, point: usize, names: &[&str], xs: &[f64]) -> Vec<Series> {
+        let series = |(r, name)| {
+            let cols = r * xs.len()..(r + 1) * xs.len();
+            Series::of(name, xs, cols.map(|col| self.summary(point, col)))
+        };
+        names.iter().copied().enumerate().map(series).collect()
+    }
+}
+
+/// Runs `sample(point, trial, rng, scratch)` for every `point < points`
+/// and `trial < trials` on the default worker pool, with `rng =
+/// trial_rng(experiment, point, trial)` and the worker's scratch. Every
+/// row a point returns must have the same columns.
+pub(crate) fn grid<F>(experiment: &str, points: usize, trials: usize, sample: F) -> Grid
+where
+    F: Fn(usize, usize, &mut StdRng, &mut EngineScratch) -> Vec<f64> + Sync,
+{
+    grid_with_workers(experiment, points, trials, default_workers(), sample)
+}
+
+/// [`grid`] on `workers` threads; the samples do not depend on
+/// `workers`.
+fn grid_with_workers<F>(
+    experiment: &str,
+    points: usize,
+    trials: usize,
+    workers: usize,
+    sample: F,
+) -> Grid
+where
+    F: Fn(usize, usize, &mut StdRng, &mut EngineScratch) -> Vec<f64> + Sync,
+{
+    let rows = wormsim::run_trials(workers, points * trials, |task, scratch| {
+        let (point, trial) = (task / trials, task % trials);
+        let mut rng = trial_rng(experiment, point, trial);
+        sample(point, trial, &mut rng, scratch)
+    });
+    Grid {
+        rows,
+        points,
+        trials,
+    }
+}
+
+/// One worker per available CPU, at most 32.
+fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map_or(4, |p| p.get())
+        .min(32)
+}
+
+/// `algo`'s multicast tree from `src` to `dests` in `cube` under
+/// `port`, with high-to-low dimension resolution.
+pub(crate) fn tree(
+    algo: Algorithm,
+    cube: Cube,
+    port: PortModel,
+    src: NodeId,
+    dests: &[NodeId],
+) -> MulticastTree {
+    algo.build(cube, Resolution::HighToLow, port, src, dests)
+        .expect("valid instance")
 }
 
 #[cfg(test)]
@@ -217,6 +299,30 @@ mod tests {
         for cell in &r.cells[0] {
             assert_eq!(cell[0].mean, 1.0);
             assert_eq!(cell[0].std, 0.0);
+        }
+    }
+
+    #[test]
+    fn grid_samples_are_independent_of_worker_count() {
+        use rand::RngCore;
+        let columns = |workers: usize| -> Vec<Vec<f64>> {
+            let g = grid_with_workers("grid-workers", 3, 5, workers, |point, trial, rng, _| {
+                vec![point as f64, trial as f64, rng.next_u64() as f64]
+            });
+            (0..3)
+                .flat_map(|point| (0..3).map(move |col| (point, col)))
+                .map(|(point, col)| g.column(point, col))
+                .collect()
+        };
+        let serial = columns(1);
+        assert_eq!(columns(3), serial);
+        for point in 0..3 {
+            assert_eq!(serial[point * 3], vec![point as f64; 5]);
+            assert_eq!(serial[point * 3 + 1], vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+            let keyed: Vec<f64> = (0..5)
+                .map(|trial| trial_rng("grid-workers", point, trial).next_u64() as f64)
+                .collect();
+            assert_eq!(serial[point * 3 + 2], keyed);
         }
     }
 }

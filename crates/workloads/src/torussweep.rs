@@ -7,37 +7,17 @@
 //! attributes to topology: the torus has twice the physical links per
 //! dimension but routes each worm through dateline virtual channels,
 //! while the hypercube spreads its six dimensions over six distinct
-//! channel classes. Destination sets are drawn once per trial and reused
-//! verbatim on both networks (the node-id space is shared), so every
-//! point is an apples-to-apples replay.
+//! channel classes. Destination sets are drawn once per trial of the
+//! [`crate::sweep`] grid and reused verbatim on both networks (the
+//! node-id space is shared), so every point is an apples-to-apples
+//! replay.
 
-use crate::figure::{Figure, Series};
+use crate::destsets::random_dests;
+use crate::figure::Figure;
+use crate::sweep::grid;
 use hcube::{Cube, Ecube, NodeId, Resolution, Torus, TorusRouter};
 use hypercast::PortModel;
-use wormsim::{DepMessage, Run, SimParams, SimTime};
-
-/// Separate-addressing workload: one independent unicast from the source
-/// to each destination.
-fn separate_workload(source: NodeId, dests: &[NodeId], bytes: u32) -> Vec<DepMessage> {
-    dests
-        .iter()
-        .map(|&dst| DepMessage {
-            src: source,
-            dst,
-            bytes,
-            deps: vec![],
-            min_start: SimTime::ZERO,
-        })
-        .collect()
-}
-
-fn avg_delay_ms(run: &wormsim::RunResult) -> f64 {
-    if run.messages.is_empty() {
-        return 0.0;
-    }
-    let total: u64 = run.messages.iter().map(|m| m.delivered.as_ns()).sum();
-    SimTime(total / run.messages.len() as u64).as_ms()
-}
+use wormsim::{separate_workload, Run, SimParams};
 
 /// Runs the sweep: `m ∈ {1, 2, 4, 8, 16, 32, 63}` random destinations on
 /// a 6-cube and on a 4-ary 3-cube torus (64 nodes each), 4 KB payloads,
@@ -47,51 +27,35 @@ fn avg_delay_ms(run: &wormsim::RunResult) -> f64 {
 pub fn torus_sweep(trials: usize) -> Figure {
     let ms: Vec<usize> = vec![1, 2, 4, 8, 16, 32, 63];
     let cube = Cube::of(6);
-    let torus = Torus::of(4, 3);
-    let router = TorusRouter::new(torus);
+    let router = TorusRouter::new(Torus::of(4, 3));
     let params = SimParams::ncube2(PortModel::AllPort);
-    let names = [
-        "hypercube avg delay (ms)",
-        "torus avg delay (ms)",
-        "hypercube makespan (ms)",
-        "torus makespan (ms)",
-    ];
-    let mut series: Vec<Series> = names
-        .iter()
-        .map(|name| Series {
-            name: (*name).to_string(),
-            xs: ms.iter().map(|&m| m as f64).collect(),
-            ys: Vec::with_capacity(ms.len()),
-            std: Vec::with_capacity(ms.len()),
-        })
-        .collect();
-
-    for (pi, &m) in ms.iter().enumerate() {
-        let mut samples: [Vec<f64>; 4] = std::array::from_fn(|_| Vec::with_capacity(trials));
-        for trial in 0..trials {
-            let mut rng = crate::destsets::trial_rng("torus_sweep", pi, trial);
-            // One draw, replayed on both 64-node networks.
-            let dests = crate::destsets::random_dests(&mut rng, cube, NodeId(0), m);
-            let workload = separate_workload(NodeId(0), &dests, 4096);
-
-            let on_cube = Run::new(Ecube::new(cube, Resolution::HighToLow), &params, &workload)
-                .run()
-                .expect("well-formed workload");
-            let on_torus = Run::new(router, &params, &workload)
-                .run()
-                .expect("well-formed workload");
-
-            samples[0].push(avg_delay_ms(&on_cube));
-            samples[1].push(avg_delay_ms(&on_torus));
-            samples[2].push(on_cube.stats.makespan.as_ms());
-            samples[3].push(on_torus.stats.makespan.as_ms());
-        }
-        for (si, s) in samples.iter().enumerate() {
-            let summary = crate::stats::Summary::of(s);
-            series[si].ys.push(summary.mean);
-            series[si].std.push(summary.std);
-        }
-    }
+    let samples = grid("torus_sweep", ms.len(), trials, |pi, _, rng, _| {
+        // One draw, replayed on both 64-node networks.
+        let dests = random_dests(rng, cube, NodeId(0), ms[pi]);
+        let workload = separate_workload(NodeId(0), &dests, 4096);
+        let on_cube = Run::new(Ecube::new(cube, Resolution::HighToLow), &params, &workload)
+            .run()
+            .expect("well-formed workload");
+        let on_torus = Run::new(router, &params, &workload)
+            .run()
+            .expect("well-formed workload");
+        vec![
+            on_cube.avg_delay().as_ms(),
+            on_torus.avg_delay().as_ms(),
+            on_cube.stats.makespan.as_ms(),
+            on_torus.stats.makespan.as_ms(),
+        ]
+    });
+    let xs: Vec<f64> = ms.iter().map(|&m| m as f64).collect();
+    let series = samples.columns(
+        [
+            "hypercube avg delay (ms)",
+            "torus avg delay (ms)",
+            "hypercube makespan (ms)",
+            "torus makespan (ms)",
+        ],
+        &xs,
+    );
     Figure {
         id: "torus_sweep".into(),
         title: "Torus vs hypercube: separate addressing (64 nodes, 4 KB)".into(),

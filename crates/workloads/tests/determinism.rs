@@ -43,6 +43,63 @@ fn fig11_matches_pre_refactor_golden() {
     );
 }
 
+/// The trial-based ablations and figure sweeps at 2 trials, captured
+/// before they moved onto the shared paired-trial grid: each must keep
+/// its experiment key, point index and draw order, so these bytes stay.
+#[test]
+fn trial_figures_match_their_pre_grid_goldens() {
+    use workloads::{ablations, faultsweep, heatmap, torussweep};
+    for (figure, golden) in [
+        (
+            ablations::ablation_message_size(2),
+            include_str!("golden/ablation_msgsize_trials2_pre_refactor.json"),
+        ),
+        (
+            ablations::ablation_background_load(2),
+            include_str!("golden/ablation_load_trials2_pre_refactor.json"),
+        ),
+        (
+            ablations::ablation_scaling(2),
+            include_str!("golden/ablation_scaling_trials2_pre_refactor.json"),
+        ),
+        (
+            ablations::ablation_concurrency(2),
+            include_str!("golden/ablation_concurrency_trials2_pre_refactor.json"),
+        ),
+        (
+            ablations::ablation_model_fidelity(2),
+            include_str!("golden/ablation_fidelity_trials2_pre_refactor.json"),
+        ),
+        (
+            ablations::ablation_kport(2),
+            include_str!("golden/ablation_kport_trials2_pre_refactor.json"),
+        ),
+        (
+            ablations::ablation_optimality(2),
+            include_str!("golden/ablation_optimality_trials2_pre_refactor.json"),
+        ),
+        (
+            faultsweep::fault_sweep(2),
+            include_str!("golden/fault_sweep_trials2_pre_refactor.json"),
+        ),
+        (
+            torussweep::torus_sweep(2),
+            include_str!("golden/torus_sweep_trials2_pre_refactor.json"),
+        ),
+        (
+            heatmap::contention_heatmap(2),
+            include_str!("golden/contention_heatmap_trials2_pre_refactor.json"),
+        ),
+    ] {
+        assert_eq!(
+            figure.to_json(),
+            golden,
+            "{} (trials=2) diverged from its golden",
+            figure.id
+        );
+    }
+}
+
 /// A deliberately contentious workload: hot-spot traffic into node 0
 /// plus a dependency chain, exercising blocking, FIFO arbitration, and
 /// the dependency cascade.

@@ -145,6 +145,14 @@ impl RunResult {
             self.delivered_count() as f64 / self.messages.len() as f64
         }
     }
+
+    /// Mean delivery time of the messages, rounded down to the
+    /// nanosecond (zero for an empty run).
+    #[must_use]
+    pub fn avg_delay(&self) -> SimTime {
+        let total: u64 = self.messages.iter().map(|m| m.delivered.as_ns()).sum();
+        SimTime(total.checked_div(self.messages.len() as u64).unwrap_or(0))
+    }
 }
 
 /// Typed failure modes of a simulation run.

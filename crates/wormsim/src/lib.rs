@@ -66,10 +66,10 @@ pub use faults::{EpochCursor, FaultEvent, FaultEventKind, FaultPlan, FaultTimeli
 pub use flit::{simulate_flits, FlitMessage, FlitResult};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use multicast::{
-    analytic_replay, multicast_workload, simulate_concurrent_multicasts, simulate_multicast,
-    simulate_multicast_lanes, simulate_multicast_observed, simulate_multicast_with_scratch,
-    AnalyticScratch, ConcurrentReport, FaultSimReport, InboundIndex, MulticastRun, SimReport,
-    TreeReport,
+    analytic_replay, multicast_workload, separate_workload, simulate_concurrent_multicasts,
+    simulate_multicast, simulate_multicast_lanes, simulate_multicast_observed,
+    simulate_multicast_with_scratch, AnalyticScratch, ConcurrentReport, FaultSimReport,
+    InboundIndex, MulticastRun, SimReport, TreeReport,
 };
 pub use network::ChannelMap;
 pub use params::SimParams;

@@ -102,6 +102,22 @@ pub fn multicast_workload(tree: &MulticastTree, bytes: u32) -> Vec<DepMessage> {
     workload
 }
 
+/// The separate-addressing workload: one independent unicast of `bytes`
+/// from `source` to each destination, in order, all released at zero.
+#[must_use]
+pub fn separate_workload(source: NodeId, dests: &[NodeId], bytes: u32) -> Vec<DepMessage> {
+    dests
+        .iter()
+        .map(|&dst| DepMessage {
+            src: source,
+            dst,
+            bytes,
+            deps: Vec::new(),
+            min_start: SimTime::ZERO,
+        })
+        .collect()
+}
+
 /// A dense, node-indexed table of inbound unicasts: for a tree, which of
 /// its unicasts delivers the payload to each node. Every builder that
 /// turns a [`MulticastTree`] into dependency messages (one dependency per
