@@ -5,7 +5,7 @@
 //! channel with a non-empty wait queue, the FIFO head is granted the
 //! channel *atomically at release* ([`Channels::handoff`]). The channel
 //! is never observably free in between, so a same-time acquisition
-//! attempt that happens to pop later from the event heap cannot steal
+//! attempt that happens to pop later from the event queue cannot steal
 //! it — the popped waiter keeps exactly the position its arrival order
 //! earned (the paper's Definitions 3–4 assume precisely this: a blocked
 //! header proceeds the moment its channel is released).

@@ -90,7 +90,7 @@ pub(crate) struct Engine<'a, R: Router, P: Probe> {
     params: &'a SimParams,
     plan: &'a FaultPlan,
     workload: &'a [DepMessage],
-    /// The reusable arenas: event heap, message table, channel table,
+    /// The reusable arenas: event queue, message table, channel table,
     /// dead flags, CPU clocks, cascade stack, and the route buffer.
     scratch: &'a mut EngineScratch,
     stats: NetStats,
@@ -362,13 +362,17 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
     }
 
     pub fn run(&mut self) -> Result<(), SimError> {
-        // The plan-wide observation window is one event for the whole
-        // run, scheduled before anything else: at its close time it
-        // outranks every same-time event (the window is `[0, close)`),
-        // and the open-loop hot path stops paying one deadline event
-        // per message.
+        // Everything known before the loop goes on the queue's calendar,
+        // so the heap holds only in-flight worms. The plan-wide
+        // observation window is one event for the whole run, scheduled
+        // before anything else: at its close time it outranks every
+        // same-time event (the window is `[0, close)`), and the
+        // open-loop hot path stops paying one deadline event per
+        // message.
+        let roots = self.workload.iter().filter(|m| m.deps.is_empty()).count();
+        self.scratch.queue.reserve_initial(roots + 1);
         if let Some(close) = self.plan.default_deadline() {
-            self.scratch.queue.push(close, Event::WindowClose);
+            self.scratch.queue.push_initial(close, Event::WindowClose);
         }
         // Pre-fail messages with dead endpoints (cascades to dependents).
         if self.plan.has_dead_nodes() {
@@ -384,15 +388,17 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
                 if self.workload[i].deps.is_empty() {
                     self.scratch
                         .queue
-                        .push(self.workload[i].min_start, Event::Eligible(i));
+                        .push_initial(self.workload[i].min_start, Event::Eligible(i));
                 }
                 if let Some(d) = self.plan.message_deadline(i) {
-                    self.scratch.queue.push(d, Event::Deadline(i));
+                    self.scratch.queue.push_initial(d, Event::Deadline(i));
                 }
             }
         }
+        self.scratch.queue.seal();
 
         while let Some((t, event)) = self.scratch.queue.pop() {
+            debug_assert!(t >= self.last_time, "event time ran backwards");
             self.last_time = t;
             match event {
                 Event::WindowClose => {
@@ -423,7 +429,7 @@ impl<'a, R: Router, P: Probe> Engine<'a, R, P> {
         // The run is ending without releasing everything: a reused
         // scratch must sweep its channel table before the next run.
         self.scratch.channels.mark_dirty();
-        // Watchdog: the heap drained with unfinished messages.
+        // Watchdog: the queue drained with unfinished messages.
         let verdict = watchdog::verdict(&self.scratch.msgs, &self.scratch.channels, self.last_time);
         if let SimError::Deadlock {
             at,

@@ -43,13 +43,13 @@
 //! dead channels abort worms ([`Outcome::Failed`]), stall windows delay
 //! acquisition, deadlines abort undelivered messages
 //! ([`Outcome::TimedOut`]), and stuck channels wedge their waiters
-//! forever. When the event heap drains with unfinished messages the
+//! forever. When the event queue drains with unfinished messages the
 //! engine's *watchdog* examines the channel wait-for state and reports
 //! [`SimError::Deadlock`] with the holder and waiter sets — the typed
 //! replacement for silently dropping messages or spinning.
 //!
 //! The engine is fully deterministic: integer time, FIFO queues, and a
-//! sequence-numbered event heap.
+//! sequence-numbered event queue.
 
 pub(crate) mod arbitration;
 mod core;
@@ -189,7 +189,7 @@ impl<'a, R: Router, P: Probe> Run<'a, R, P> {
     /// Runs in a caller-owned [`EngineScratch`] instead of a fresh one.
     ///
     /// The scratch is *reset*, never reallocated: reusing one scratch
-    /// across runs keeps the event heap, message table, channel table
+    /// across runs keeps the event queue, message table, channel table
     /// and route buffer allocated (see [`crate::scratch`]). Results are
     /// byte-identical to a fresh scratch. Even after an `Err` the
     /// scratch stays safe to reuse: the channel table marks itself

@@ -185,7 +185,7 @@ pub enum SimError {
         /// Messages that never became eligible.
         stuck: Vec<usize>,
     },
-    /// The network wedged: the event heap drained while worms were still
+    /// The network wedged: the event queue drained while worms were still
     /// blocked on channels that will never be released.
     Deadlock {
         /// Simulated time of the last event before the wedge.

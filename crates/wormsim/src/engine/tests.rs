@@ -662,6 +662,35 @@ fn window_works_on_the_torus() {
     assert!(r.messages[0].outcome.is_delivered());
 }
 
+#[test]
+fn pre_scheduled_roots_stay_out_of_the_event_heap() {
+    // 256 roots at distinct start times, a few in flight at once: the
+    // calendar holds the arrivals, so the heap only ever holds the
+    // in-flight worms' events.
+    let p = SimParams::ncube2(PortModel::AllPort);
+    let roots = 256u32;
+    let workload: Vec<DepMessage> = (0..roots)
+        .map(|i| {
+            let src = i % 64;
+            let mut m = msg(src, src ^ (1 + i % 63), 256, vec![]);
+            m.min_start = SimTime::from_us(u64::from(i) * 50);
+            m
+        })
+        .collect();
+    let mut scratch = EngineScratch::new();
+    let r = Run::new(ecube(Cube::of(6)), &p, &workload)
+        .window(SimTime::from_ms(20))
+        .scratch(&mut scratch)
+        .run()
+        .unwrap();
+    assert_eq!(r.delivery_ratio(), 1.0);
+    let capacity = scratch.queue.heap_capacity();
+    assert!(
+        capacity * 8 <= roots as usize,
+        "heap capacity {capacity} for {roots} roots"
+    );
+}
+
 // ----- fault wiring ---------------------------------------------------
 
 /// The engine's `(dead, stuck)` channel marks after wiring `plan`.

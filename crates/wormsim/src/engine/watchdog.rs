@@ -1,7 +1,7 @@
 //! The post-drain watchdog: classifies why a run ended with unfinished
 //! messages.
 //!
-//! When the event heap drains while messages remain unfinished, exactly
+//! When the event queue drains while messages remain unfinished, exactly
 //! one of two things happened:
 //!
 //! * no unfinished message is waiting on a channel — then the dependency

@@ -121,7 +121,7 @@ pub trait Probe {
     #[inline]
     fn on_timeout(&mut self, _t: SimTime, _msg: usize) {}
 
-    /// The event heap drained with worms still parked on channels: a
+    /// The event queue drained with worms still parked on channels: a
     /// wormhole deadlock. `holders` hold channels the `waiters` wait on
     /// (the same sets reported in
     /// [`SimError::Deadlock`](crate::engine::SimError::Deadlock)).

@@ -3,7 +3,7 @@
 //! Every engine run goes through an [`EngineScratch`]: a
 //! [`Run`](crate::Run) without [`scratch`](crate::Run::scratch) creates
 //! one on the spot, while a run given a caller-owned scratch *resets*
-//! it instead — the event heap, message table, channel arbitration
+//! it instead — the event queue, message table, channel arbitration
 //! table, dead-channel flags, CPU-serialization clocks, the
 //! failure-cascade stack and the route buffer all keep their
 //! allocations between runs.
@@ -65,7 +65,7 @@ pub struct EngineScratch {
     /// Per-node dead flags, filled only while wiring a plan with dead
     /// nodes.
     pub(crate) node_dead: Vec<bool>,
-    /// The deterministic event heap.
+    /// The deterministic event queue: calendar, front slot and heap.
     pub(crate) queue: EventQueue,
     /// Per-node CPU-free clocks for serialized send startup.
     pub(crate) cpu_free: Vec<SimTime>,
