@@ -95,13 +95,6 @@ impl Path {
         }
     }
 
-    /// Collects the arc set of the path; convenient for the brute-force
-    /// disjointness oracles used in tests.
-    #[must_use]
-    pub fn arc_vec(self) -> Vec<Channel> {
-        self.arcs().collect()
-    }
-
     /// Whether the path traverses the given directed channel.
     #[must_use]
     pub fn uses(self, channel: Channel) -> bool {

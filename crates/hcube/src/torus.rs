@@ -286,13 +286,6 @@ impl TorusRouter {
         assert!(m <= 127, "lane count 2m must fit in u8");
         TorusRouter { torus, m }
     }
-
-    /// Lanes per dateline class.
-    #[inline]
-    #[must_use]
-    pub fn lane_multiplier(&self) -> u8 {
-        self.m
-    }
 }
 
 impl Router for TorusRouter {

@@ -27,7 +27,7 @@
 use crate::arrivals::Arrivals;
 use crate::chaos::first_attempts;
 use crate::patterns::DestPattern;
-use crate::stats::{BatchMeans, LoadPoint, Measurement};
+use crate::stats::{BatchMeans, Measurement};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetryProbe, WaveRecorder};
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Topology};
 use hypercast::collectives::{suite_collective, suite_collective_separate};
@@ -141,18 +141,6 @@ pub struct TrafficReport {
     pub net: NetStats,
     /// The observation window the run executed under.
     pub horizon: SimTime,
-}
-
-impl TrafficReport {
-    /// This run as a point of a latency-vs-offered-load sweep.
-    #[must_use]
-    pub fn load_point(&self) -> LoadPoint {
-        LoadPoint {
-            offered: self.offered_rate_per_ms,
-            mean_latency_ms: self.latency.mean,
-            completion_ratio: self.completion_ratio,
-        }
-    }
 }
 
 /// One session attempt's slice of a wave workload: the messages it

@@ -6,7 +6,7 @@
 //! * [`destsets`] — seeded random destination sets ("nodes randomly
 //!   distributed throughout the hypercube");
 //! * [`sweep`] — the paired-trial grid every trial-based figure runs on
-//!   (point × trial, on the `wormsim::run_trials` pool), with paired
+//!   (point × trial, serially on the calling thread), with paired
 //!   destination sets across algorithms;
 //! * [`figures`] — one entry point per paper figure (Figures 9–14);
 //! * [`ablations`] — extension experiments: port models, message sizes,

@@ -1,16 +1,14 @@
-//! Paired sweeps on `run_trials`: the one trial grid every trial-based
-//! figure runs on.
+//! Paired sweeps: the one trial grid every trial-based figure runs on.
 //!
-//! The grid calls a figure's sample function once per (point, trial)
-//! with that trial's RNG, keyed by (experiment, point, trial), and keeps
-//! the returned row of samples (one column per algorithm, metric or
-//! dimension). Columns compared within a trial share its draw: the
-//! paper's paired comparison. Trials run on the workspace's one worker
-//! pool, [`wormsim::run_trials`], which returns rows in trial order, so
-//! the summaries do not depend on the worker count. Each worker hands
-//! its own [`wormsim::EngineScratch`] to every call; reuse is
-//! byte-invisible (the engine's contract). [`run_matrix`] is the grid
-//! over destination-set sizes with one column per (algorithm, metric).
+//! The grid calls a figure's sample function once per (point, trial),
+//! point-major and in trial order, with that trial's RNG, keyed by
+//! (experiment, point, trial), and keeps the returned row of samples
+//! (one column per algorithm, metric or dimension). Columns compared
+//! within a trial share its draw: the paper's paired comparison. Every
+//! call runs on the calling thread and gets the grid's one
+//! [`wormsim::EngineScratch`]; reuse is byte-invisible (the engine's
+//! contract). [`run_matrix`] is the grid over destination-set sizes
+//! with one column per (algorithm, metric).
 
 use crate::destsets::{random_dests, trial_rng};
 use crate::figure::Series;
@@ -50,9 +48,8 @@ impl<const K: usize> MatrixResult<K> {
 
 /// Runs the sweep. For every point `m` and trial, draws a destination set
 /// and evaluates `metric(cube, source, dests, algo, scratch) -> [f64; K]`
-/// for each algorithm. The scratch is the calling worker's reusable
-/// engine arena — pass it to
-/// [`wormsim::MulticastRun::scratch`] (or ignore it for
+/// for each algorithm. The scratch is the grid's reusable engine arena
+/// — pass it to [`wormsim::MulticastRun::scratch`] (or ignore it for
 /// metrics that never simulate).
 ///
 /// The source is fixed at node 0, as in the paper's experiments (the
@@ -63,36 +60,10 @@ pub fn run_matrix<const K: usize, F>(
     points: &[usize],
     trials: usize,
     algos: &[Algorithm],
-    metric: F,
+    mut metric: F,
 ) -> MatrixResult<K>
 where
-    F: Fn(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; K] + Sync,
-{
-    let workers = default_workers();
-    run_matrix_with_workers(experiment, cube, points, trials, algos, workers, metric)
-}
-
-/// [`run_matrix`] with an explicit worker-thread count.
-///
-/// The result is independent of `workers`: every (point, trial) cell is
-/// keyed by its own deterministic RNG and written into a pre-indexed
-/// slot, so scheduling order cannot leak into the aggregates. The
-/// determinism regression suite runs the same sweep at several worker
-/// counts and asserts identical output.
-///
-/// # Panics
-/// If `workers == 0`.
-pub fn run_matrix_with_workers<const K: usize, F>(
-    experiment: &str,
-    cube: Cube,
-    points: &[usize],
-    trials: usize,
-    algos: &[Algorithm],
-    workers: usize,
-    metric: F,
-) -> MatrixResult<K>
-where
-    F: Fn(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; K] + Sync,
+    F: FnMut(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; K],
 {
     let source = NodeId(0);
     // One row per task: algorithm-major, `K` metrics per algorithm.
@@ -104,7 +75,7 @@ where
         }
         row
     };
-    let grid = grid_with_workers(experiment, points.len(), trials, workers, sample);
+    let grid = grid(experiment, points.len(), trials, sample);
     let cells = (0..points.len())
         .map(|point| {
             (0..algos.len())
@@ -117,6 +88,24 @@ where
         algos: algos.to_vec(),
         cells,
     }
+}
+
+/// [`run_matrix`] under the signature the frozen `perfbench-trace`
+/// harness links; `workers` is ignored. Nothing else calls it.
+#[doc(hidden)]
+pub fn run_matrix_with_workers<const K: usize, F>(
+    experiment: &str,
+    cube: Cube,
+    points: &[usize],
+    trials: usize,
+    algos: &[Algorithm],
+    _workers: usize,
+    metric: F,
+) -> MatrixResult<K>
+where
+    F: Fn(Cube, NodeId, &[NodeId], Algorithm, &mut EngineScratch) -> [f64; K] + Sync,
+{
+    run_matrix(experiment, cube, points, trials, algos, metric)
 }
 
 /// The samples of a paired-trial grid: one row per (point, trial) task,
@@ -165,45 +154,27 @@ impl Grid {
 }
 
 /// Runs `sample(point, trial, rng, scratch)` for every `point < points`
-/// and `trial < trials` on the default worker pool, with `rng =
-/// trial_rng(experiment, point, trial)` and the worker's scratch. Every
-/// row a point returns must have the same columns.
-pub(crate) fn grid<F>(experiment: &str, points: usize, trials: usize, sample: F) -> Grid
+/// and, within it, every `trial < trials`, in that order on the calling
+/// thread, with `rng = trial_rng(experiment, point, trial)` and one
+/// scratch for every call. Every row a point returns must have the same
+/// columns.
+pub(crate) fn grid<F>(experiment: &str, points: usize, trials: usize, mut sample: F) -> Grid
 where
-    F: Fn(usize, usize, &mut StdRng, &mut EngineScratch) -> Vec<f64> + Sync,
+    F: FnMut(usize, usize, &mut StdRng, &mut EngineScratch) -> Vec<f64>,
 {
-    grid_with_workers(experiment, points, trials, default_workers(), sample)
-}
-
-/// [`grid`] on `workers` threads; the samples do not depend on
-/// `workers`.
-fn grid_with_workers<F>(
-    experiment: &str,
-    points: usize,
-    trials: usize,
-    workers: usize,
-    sample: F,
-) -> Grid
-where
-    F: Fn(usize, usize, &mut StdRng, &mut EngineScratch) -> Vec<f64> + Sync,
-{
-    let rows = wormsim::run_trials(workers, points * trials, |task, scratch| {
-        let (point, trial) = (task / trials, task % trials);
-        let mut rng = trial_rng(experiment, point, trial);
-        sample(point, trial, &mut rng, scratch)
-    });
+    let mut scratch = EngineScratch::new();
+    let rows = (0..points * trials)
+        .map(|task| {
+            let (point, trial) = (task / trials, task % trials);
+            let mut rng = trial_rng(experiment, point, trial);
+            sample(point, trial, &mut rng, &mut scratch)
+        })
+        .collect();
     Grid {
         rows,
         points,
         trials,
     }
-}
-
-/// One worker per available CPU, at most 32.
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map_or(4, |p| p.get())
-        .min(32)
 }
 
 /// `algo`'s multicast tree from `src` to `dests` in `cube` under
@@ -303,26 +274,27 @@ mod tests {
     }
 
     #[test]
-    fn grid_samples_are_independent_of_worker_count() {
+    fn grid_samples_are_keyed_by_point_and_trial() {
         use rand::RngCore;
-        let columns = |workers: usize| -> Vec<Vec<f64>> {
-            let g = grid_with_workers("grid-workers", 3, 5, workers, |point, trial, rng, _| {
-                vec![point as f64, trial as f64, rng.next_u64() as f64]
-            });
-            (0..3)
-                .flat_map(|point| (0..3).map(move |col| (point, col)))
-                .map(|(point, col)| g.column(point, col))
-                .collect()
-        };
-        let serial = columns(1);
-        assert_eq!(columns(3), serial);
+        let mut calls = Vec::new();
+        let mut scratches = std::collections::BTreeSet::new();
+        let g = grid("grid-keys", 3, 5, |point, trial, rng, scratch| {
+            calls.push((point, trial));
+            scratches.insert(std::ptr::from_mut(scratch) as usize);
+            vec![point as f64, trial as f64, rng.next_u64() as f64]
+        });
+        let point_major: Vec<(usize, usize)> = (0..3)
+            .flat_map(|point| (0..5).map(move |trial| (point, trial)))
+            .collect();
+        assert_eq!(calls, point_major, "each (point, trial) once, point-major");
+        assert_eq!(scratches.len(), 1, "one scratch for every call");
         for point in 0..3 {
-            assert_eq!(serial[point * 3], vec![point as f64; 5]);
-            assert_eq!(serial[point * 3 + 1], vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+            assert_eq!(g.column(point, 0), vec![point as f64; 5]);
+            assert_eq!(g.column(point, 1), vec![0.0, 1.0, 2.0, 3.0, 4.0]);
             let keyed: Vec<f64> = (0..5)
-                .map(|trial| trial_rng("grid-workers", point, trial).next_u64() as f64)
+                .map(|trial| trial_rng("grid-keys", point, trial).next_u64() as f64)
                 .collect();
-            assert_eq!(serial[point * 3 + 2], keyed);
+            assert_eq!(g.column(point, 2), keyed);
         }
     }
 }

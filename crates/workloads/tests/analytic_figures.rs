@@ -9,9 +9,8 @@
 use hcube::{Cube, Resolution};
 use hypercast::contention::is_contention_free;
 use hypercast::{Algorithm, MulticastTree};
-use std::sync::Mutex;
 use workloads::figures::{ten_cube_points, PAPER_BYTES, PAPER_TRIALS_NCUBE, PAPER_TRIALS_STEPS};
-use workloads::sweep::run_matrix_with_workers;
+use workloads::sweep::run_matrix;
 use wormsim::{MulticastRun, NoopProbe, SimParams};
 
 /// Counts over one replay of the delay figures.
@@ -36,7 +35,7 @@ struct Tally {
 /// through `MulticastRun::scratch`, exactly as the figures
 /// do, and tallies the analytic replay's decisions.
 fn replay_figures(five_trials: usize, ten_trials: usize, count_free: bool) -> Tally {
-    let tally = Mutex::new(Tally::default());
+    let mut t = Tally::default();
     let params = SimParams::ncube2(hypercast::PortModel::AllPort);
     let five: Vec<usize> = (1..=31).collect();
     let ten = ten_cube_points();
@@ -44,13 +43,12 @@ fn replay_figures(five_trials: usize, ten_trials: usize, count_free: bool) -> Ta
         ("fig11", 5u8, &five, five_trials),
         ("fig13", 10, &ten, ten_trials),
     ] {
-        run_matrix_with_workers(
+        run_matrix(
             id,
             Cube::of(n),
             points,
             trials,
             &Algorithm::PAPER,
-            1,
             |cube, src, dests, algo, scratch| {
                 let tree = algo
                     .build(cube, Resolution::HighToLow, params.port_model, src, dests)
@@ -60,7 +58,6 @@ fn replay_figures(five_trials: usize, ten_trials: usize, count_free: bool) -> Ta
                     .scratch(scratch)
                     .run();
                 let declined = scratch.analytic().declined() > before;
-                let mut t = tally.lock().unwrap();
                 t.trees += 1;
                 t.port_waiting += u64::from(report.stats.port_waits > 0);
                 if declined {
@@ -82,7 +79,7 @@ fn replay_figures(five_trials: usize, ten_trials: usize, count_free: bool) -> Ta
             },
         );
     }
-    tally.into_inner().unwrap()
+    t
 }
 
 /// The engine's report for `tree`, formatted: the observed entry point

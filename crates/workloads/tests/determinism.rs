@@ -2,25 +2,22 @@
 //!
 //! The engine refactor (layered `engine/` submodules, router-generic
 //! core) claims to preserve hypercube behavior *bit for bit*. These
-//! tests pin that claim down three ways:
+//! tests pin that claim down two ways:
 //!
 //! 1. a golden-file compare of Figure 11 against JSON captured from the
 //!    pre-refactor engine (same seeds, same trial count);
 //! 2. byte-identical [`RunResult`]s across repeated engine runs, on both
-//!    the hypercube and the torus backend;
-//! 3. worker-count independence of [`run_matrix_with_workers`] — the
-//!    parallel sweep must aggregate identically at 1, 2, and 7 threads.
+//!    the hypercube and the torus backend.
 
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
-use hypercast::{Algorithm, PortModel};
+use hypercast::PortModel;
 use workloads::artifact::Artifact;
 use workloads::chaossweep::{chaos_sweep, ChaosSweep, ChaosSweepConfig};
 use workloads::collectivessweep::{collectives_sweep, CollectivesConfig, CollectivesSweep};
 use workloads::lanesweep::{lane_sweep, LaneSweep, LaneSweepConfig};
-use workloads::sweep::{run_matrix_with_workers, MatrixResult};
 use workloads::telemetrysweep::{telemetry_sweep, TelemetrySweep, TelemetrySweepConfig};
 use workloads::trafficsweep::{traffic_sweep, SweepConfig, TrafficSweep};
-use wormsim::{DepMessage, MulticastRun, Run, RunResult, SimParams, SimTime};
+use wormsim::{DepMessage, Run, RunResult, SimParams, SimTime};
 
 /// A fault-free, unobserved run of a well-formed workload.
 fn replay<R: Router>(router: R, params: &SimParams, workload: &[DepMessage]) -> RunResult {
@@ -289,54 +286,6 @@ fn observed_runs_match_unobserved_runs_bit_for_bit() {
     let mut rec = wormsim::EventRecorder::new();
     let observed = Run::new(router, &params, &w).probe(&mut rec).run().unwrap();
     assert_runs_identical(&plain, &observed);
-}
-
-fn delay_metric(
-    cube: Cube,
-    src: NodeId,
-    dests: &[NodeId],
-    algo: Algorithm,
-    scratch: &mut wormsim::EngineScratch,
-) -> [f64; 2] {
-    let tree = algo
-        .build(cube, Resolution::HighToLow, PortModel::AllPort, src, dests)
-        .expect("valid instance");
-    let report = MulticastRun::new(&tree, &SimParams::ncube2(PortModel::AllPort), 1024)
-        .scratch(scratch)
-        .run();
-    [report.avg_delay.as_ms(), report.max_delay.as_ms()]
-}
-
-#[test]
-fn run_matrix_is_independent_of_worker_count() {
-    let flatten = |r: &MatrixResult<2>| -> Vec<f64> {
-        r.cells
-            .iter()
-            .flat_map(|row| {
-                row.iter()
-                    .flat_map(|cell| cell.iter().flat_map(|s| [s.mean, s.std]))
-            })
-            .collect()
-    };
-    let run = |workers: usize| {
-        run_matrix_with_workers(
-            "det-workers",
-            Cube::of(5),
-            &[2, 7, 19],
-            6,
-            &[Algorithm::WSort, Algorithm::UCube],
-            workers,
-            delay_metric,
-        )
-    };
-    let serial = flatten(&run(1));
-    for workers in [2, 7] {
-        assert_eq!(
-            flatten(&run(workers)),
-            serial,
-            "sweep output changed at {workers} workers"
-        );
-    }
 }
 
 /// The committed traffic-sweep artifact, validated with the first-party

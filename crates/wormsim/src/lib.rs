@@ -76,6 +76,6 @@ pub use params::SimParams;
 pub use probe::{
     json_escape, BlockedInterval, EventRecorder, NoopProbe, Probe, ProbeEvent, WatchdogAlarm,
 };
-pub use scratch::{run_trials, EngineScratch};
+pub use scratch::EngineScratch;
 pub use time::SimTime;
 pub use trace::ChannelTrace;

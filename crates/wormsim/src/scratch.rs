@@ -30,13 +30,11 @@ use crate::engine::worm::{MsgState, Outcome};
 use crate::multicast::AnalyticScratch;
 use crate::network::Routes;
 use crate::time::SimTime;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The reusable arena behind the engine's hot path.
 ///
 /// One scratch serves one engine run at a time; reuse it sequentially
-/// (e.g. one scratch per worker thread in a sweep). Reusing across
+/// (e.g. one scratch for every trial of a sweep grid). Reusing across
 /// different routers, topologies, and port models is safe — every
 /// buffer is reset per run and every route is computed for its run.
 ///
@@ -101,98 +99,5 @@ impl std::fmt::Debug for EngineScratch {
             .field("analytic_accepted", &self.analytic.accepted())
             .field("analytic_declined", &self.analytic.declined())
             .finish_non_exhaustive()
-    }
-}
-
-/// Runs `count` independent trials across `workers` threads and
-/// returns the results **in trial order**, regardless of which worker
-/// ran what.
-///
-/// Each worker owns one [`EngineScratch`] for its whole lifetime and
-/// claims trials from a shared atomic counter; results land in their
-/// trial's slot. With `workers == 1` (or fewer than two trials)
-/// everything runs inline on the calling thread, in one scratch, and
-/// no threads are spawned.
-///
-/// This is the one slot-fill pool in the workspace: the figure matrix
-/// (`workloads::sweep`) and the chaos and telemetry sweeps drive their
-/// trials through it.
-///
-/// # Panics
-/// If `workers == 0`, or if a worker thread panics (the panic is
-/// propagated by the thread scope).
-pub fn run_trials<T, F>(workers: usize, count: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut EngineScratch) -> T + Sync,
-{
-    assert!(workers > 0, "a trial pool needs at least one worker");
-    if workers == 1 || count <= 1 {
-        let mut scratch = EngineScratch::new();
-        return (0..count).map(|i| run(i, &mut scratch)).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(count) {
-            scope.spawn(|| {
-                let mut scratch = EngineScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let out = run(i, &mut scratch);
-                    *slots[i].lock().expect("trial slot lock poisoned") = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("trial slot lock poisoned")
-                .expect("every trial slot is filled before the scope ends")
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_trials_returns_results_in_trial_order() {
-        for workers in [1, 2, 5] {
-            let out = run_trials(workers, 17, |i, _scratch| i * i);
-            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(run_trials(3, 0, |i, _| i).is_empty());
-    }
-
-    #[test]
-    fn run_trials_runs_each_trial_once_with_one_scratch_per_worker() {
-        for (workers, count) in [(1, 9), (2, 9), (4, 3), (8, 1)] {
-            let calls = AtomicUsize::new(0);
-            let out = run_trials(workers, count, |i, scratch| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                (i, std::ptr::from_mut(scratch) as usize)
-            });
-            assert_eq!(calls.into_inner(), count);
-            assert!(out.iter().enumerate().all(|(i, &(j, _))| i == j));
-            let scratches: std::collections::BTreeSet<usize> =
-                out.iter().map(|&(_, addr)| addr).collect();
-            assert!(scratches.len() <= workers.min(count), "{workers} workers");
-            if workers == 1 {
-                assert_eq!(scratches.len(), 1);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        let _ = run_trials(0, 4, |i, _| i);
     }
 }
