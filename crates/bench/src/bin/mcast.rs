@@ -182,16 +182,11 @@ fn serve(flags: &[String]) -> Result<(), String> {
     }
 }
 
-/// Writes a file the request asked for, creating parent directories as
-/// needed.
+/// Writes a file the request asked for (unless it already holds those
+/// bytes), creating parent directories as needed.
 fn write_artifact(file: &OutputFile) -> Result<(), String> {
-    let fail = |e: std::io::Error| format!("{} {}: {e}", file.flag, file.path);
-    if let Some(parent) = std::path::Path::new(&file.path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(fail)?;
-        }
-    }
-    std::fs::write(&file.path, &file.contents).map_err(fail)?;
+    bench::write(std::path::Path::new(&file.path), &file.contents)
+        .map_err(|e| format!("{}: {e}", file.flag))?;
     eprintln!("[saved {}]", file.path);
     Ok(())
 }

@@ -1,156 +1,170 @@
-//! Shared output plumbing and argument parsing for the regeneration
-//! binaries.
+//! Command lines and the one artifact writer of the regeneration
+//! binaries, `all_figures` and `sweep`; what they write is declared in
+//! `workloads::registry`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};
-use workloads::Figure;
+use workloads::registry::{self, entry, Overrides, ENTRIES};
 
-/// Directory the regeneration binaries write their artifacts to
-/// (`results/` at the workspace root, created on demand).
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Prints a figure (table + ASCII plot) to stdout and archives it as
-/// `results/<id>.txt` and `results/<id>.json`.
-pub fn emit(figure: &Figure) {
-    let text = figure.to_text();
-    println!("{text}");
-    let dir = results_dir();
-    std::fs::write(dir.join(format!("{}.txt", figure.id)), text).expect("write txt");
-    std::fs::write(dir.join(format!("{}.json", figure.id)), figure.to_json()).expect("write json");
-    eprintln!("[saved results/{0}.txt results/{0}.json]", figure.id);
-}
-
-/// Reads the optional `--trials N` that is the whole command line of a
-/// figure binary (`args` are the arguments after the program name),
-/// falling back to `default`. `N` must be a positive integer, as in
-/// [`parse_sweep_args`].
-///
-/// # Errors
-/// A one-line message for a malformed value or any other command line,
-/// a missing value included.
-pub fn trials_arg(args: &[String], default: usize) -> Result<usize, String> {
-    match args {
-        [] => Ok(default),
-        [flag, value] if flag == "--trials" => count(flag, value),
-        _ => Err(format!("expected only `--trials N`, got {args:?}")),
-    }
-}
-
-/// The value of a parsed command line, or its one-line error on stderr
-/// and exit code 2.
-pub fn or_exit<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// A count flag's value: a positive integer.
-fn count(flag: &str, value: &str) -> Result<usize, String> {
-    value
-        .parse()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("{flag} takes a positive integer, got {value:?}"))
-}
-
-/// Every sweep the `sweep` binary runs, by artifact name, with the
-/// flags it accepts.
-pub const SWEEPS: [(&str, &[&str]); 8] = [
-    (
-        "traffic_sweep",
-        &["--smoke", "--seed", "--check", "--sessions"],
-    ),
-    (
-        "chaos_sweep",
-        &["--smoke", "--seed", "--check", "--sessions"],
-    ),
-    ("lane_sweep", &["--smoke", "--seed", "--check", "--trials"]),
-    (
-        "telemetry_sweep",
-        &["--smoke", "--seed", "--check", "--sessions"],
-    ),
-    (
-        "collectives_sweep",
-        &["--smoke", "--seed", "--check", "--sessions"],
-    ),
-    ("fault_sweep", &["--trials"]),
-    ("torus_sweep", &["--trials"]),
-    ("contention_heatmap", &["--trials"]),
-];
-
-/// A parsed `sweep <name> [flags]` command line.
+/// A parsed `all_figures` or `sweep` command line.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SweepArgs {
-    /// The sweep's artifact name, one of [`SWEEPS`].
-    pub name: &'static str,
-    /// `--smoke`: the short CI configuration.
-    pub smoke: bool,
-    /// `--seed S`: master-seed override.
-    pub seed: Option<u64>,
-    /// `--sessions N`: sessions override.
-    pub sessions: Option<usize>,
-    /// `--trials N`: trials override.
-    pub trials: Option<usize>,
-    /// `--check FILE`: validate an existing artifact instead of running.
+pub struct Args {
+    /// The registry entries to write.
+    pub ids: Vec<&'static str>,
+    /// Departures from the committed configuration.
+    pub overrides: Overrides,
+    /// `sweep <id> --check FILE`: validate the file instead of running.
     pub check: Option<String>,
 }
 
-/// Parses the arguments after the program name of `sweep`. A sweep
-/// takes only the flags listed for it in [`SWEEPS`]; counts must be
-/// positive integers.
+/// Parses the arguments after `all_figures`: optional `--only ID` (one
+/// of the entries it writes) and `--trials N`.
 ///
 /// # Errors
-/// A one-line message for an unknown sweep or flag, a missing value or
-/// a malformed one.
-pub fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
-    let names = || SWEEPS.map(|(n, _)| n).join(", ");
-    let (name, mut rest) = match args.split_first() {
-        Some((name, rest)) => (name, rest.iter()),
-        None => return Err(format!("usage: sweep <name> [flags]; names: {}", names())),
+/// A one-line message for an unknown flag or id, or a bad value.
+pub fn parse_figures_args(args: &[String]) -> Result<Args, String> {
+    let ids = figure_ids().collect();
+    let out = Args {
+        ids,
+        ..Args::default()
     };
-    let &(name, flags) = SWEEPS
-        .iter()
-        .find(|(n, _)| n == name)
-        .ok_or_else(|| format!("unknown sweep {name:?}; expected one of {}", names()))?;
-    let mut out = SweepArgs {
-        name,
-        ..SweepArgs::default()
+    parse_flags("all_figures", &["--only", "--trials"], args, out)
+}
+
+fn figure_ids() -> impl Iterator<Item = &'static str> {
+    ENTRIES.iter().filter(|e| e.all_figures).map(|e| e.id)
+}
+
+/// Parses the arguments after `sweep`: the id of an entry it writes,
+/// then only that entry's flags.
+///
+/// # Errors
+/// A one-line message for an unknown sweep or flag, or a bad value.
+pub fn parse_sweep_args(args: &[String]) -> Result<Args, String> {
+    let sweeps = || ENTRIES.iter().filter(|e| !e.sweep_flags.is_empty());
+    let names = || sweeps().map(|e| e.id).collect::<Vec<_>>().join(", ");
+    let usage = || format!("usage: sweep <name> [flags]; names: {}", names());
+    let (name, rest) = args.split_first().ok_or_else(usage)?;
+    let unknown = || format!("unknown sweep {name:?}; expected one of {}", names());
+    let e = sweeps().find(|e| e.id == name).ok_or_else(unknown)?;
+    let out = Args {
+        ids: vec![e.id],
+        ..Args::default()
     };
+    parse_flags(e.id, e.sweep_flags, rest, out)
+}
+
+/// Reads `--flag [value]` pairs into `out`, admitting only `flags`; a
+/// later flag overrides an earlier one.
+fn parse_flags(what: &str, flags: &[&str], args: &[String], mut out: Args) -> Result<Args, String> {
+    let mut rest = args.iter();
     while let Some(flag) = rest.next() {
         if !flags.contains(&flag.as_str()) {
-            return Err(format!(
-                "{name} does not take {flag:?}; it takes {}",
-                flags.join(", ")
-            ));
+            let takes = flags.join(", ");
+            return Err(format!("{what} does not take {flag:?}; it takes {takes}"));
         }
         if flag == "--smoke" {
-            out.smoke = true;
+            out.overrides.smoke = true;
             continue;
         }
         let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let bad = |expected: &str| format!("{flag} takes {expected}, got {value:?}");
+        let count = || {
+            value
+                .parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| bad("a positive integer"))
+        };
         match flag.as_str() {
             "--check" => out.check = Some(value.clone()),
-            "--seed" => {
-                out.seed = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("--seed takes an unsigned integer, got {value:?}"))?,
-                );
+            "--only" => {
+                let ids = || figure_ids().collect::<Vec<_>>().join(", ");
+                let e = entry(value).filter(|e| e.all_figures);
+                let e = e.ok_or_else(|| {
+                    format!("unknown figure {value:?}; expected one of {}", ids())
+                })?;
+                out.ids = vec![e.id];
             }
-            "--sessions" => out.sessions = Some(count(flag, value)?),
-            "--trials" => out.trials = Some(count(flag, value)?),
+            "--seed" => {
+                out.overrides.seed = Some(value.parse().map_err(|_| bad("an unsigned integer"))?)
+            }
+            "--sessions" => out.overrides.sessions = Some(count()?),
+            "--trials" => out.overrides.trials = Some(count()?),
             _ => unreachable!("every listed flag is handled"),
         }
     }
     Ok(out)
+}
+
+/// Runs a parsed command line. `--check FILE` validates the file (exit
+/// 1 when it fails); otherwise the entries are rendered and written
+/// under the workspace root (exit 2 when there is none, exit 1 when a
+/// write fails).
+pub fn run(args: &Args) {
+    let id = args.ids[0];
+    if let Some(path) = &args.check {
+        let validate = entry(id).expect("parsed ids are registry ids").validate;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+        or_exit(
+            text.and_then(|t| validate(&t).map_err(|e| format!("{path}: {e}"))),
+            1,
+        );
+        println!("{path}: valid {id}");
+        return;
+    }
+    let root = or_exit(workspace_root(), 2);
+    for a in or_exit(registry::render(&args.ids, &args.overrides), 1) {
+        println!("{}", a.txt);
+        if let Some(w) = &a.warning {
+            eprintln!("warning: {} check fails at this config: {w}", a.id);
+        }
+        let mut written = 0;
+        for (ext, text) in [("txt", &a.txt), ("json", &a.json)] {
+            let path = root.join(format!("results/{}.{ext}", a.id));
+            written += u8::from(or_exit(write(&path, text), 1));
+        }
+        eprintln!("[results/{}.{{txt,json}}: {written} of 2 rewritten]", a.id);
+    }
+}
+
+/// The value of `result`, or its one-line error on stderr and exit
+/// code `code`.
+pub fn or_exit<T>(result: Result<T, String>, code: i32) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(code);
+    })
+}
+
+/// The workspace root: the nearest directory, from the current one
+/// up, whose `Cargo.toml` declares `[workspace]`.
+fn workspace_root() -> Result<PathBuf, String> {
+    let cwd = std::env::current_dir().map_err(|e| format!("no current directory: {e}"))?;
+    let is_root = |dir: &&Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+    };
+    let root = cwd.ancestors().find(is_root).map(Path::to_path_buf);
+    root.ok_or_else(|| format!("no workspace Cargo.toml in {} or above", cwd.display()))
+}
+
+/// Writes `text` to `path`, creating its directory, unless the file
+/// already holds exactly those bytes; whether it wrote.
+///
+/// # Errors
+/// A one-line message naming the path that could not be written.
+pub fn write(path: &Path, text: &str) -> Result<bool, String> {
+    if std::fs::read(path).is_ok_and(|old| old == text.as_bytes()) {
+        return Ok(false);
+    }
+    let fail = |e: std::io::Error| format!("cannot write {}: {e}", path.display());
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(fail)?;
+    }
+    std::fs::write(path, text).map_err(fail).map(|()| true)
 }
 
 #[cfg(test)]
@@ -161,32 +175,46 @@ mod tests {
         line.split_whitespace().map(String::from).collect()
     }
 
-    fn parse(line: &str) -> Result<SweepArgs, String> {
+    fn parse(line: &str) -> Result<Args, String> {
         parse_sweep_args(&words(line))
+    }
+
+    fn figures(line: &str) -> Result<Args, String> {
+        parse_figures_args(&words(line))
     }
 
     #[test]
     fn flags_fill_their_fields() {
         assert_eq!(
             parse("chaos_sweep --smoke --seed 5 --sessions 7").unwrap(),
-            SweepArgs {
-                name: "chaos_sweep",
-                smoke: true,
-                seed: Some(5),
-                sessions: Some(7),
-                ..SweepArgs::default()
+            Args {
+                ids: vec!["chaos_sweep"],
+                overrides: Overrides {
+                    smoke: true,
+                    seed: Some(5),
+                    sessions: Some(7),
+                    trials: None,
+                },
+                check: None,
             }
         );
         let check = parse("telemetry_sweep --check results/telemetry_sweep.json").unwrap();
         assert_eq!(check.check.as_deref(), Some("results/telemetry_sweep.json"));
-        assert_eq!(parse("lane_sweep --trials 3").unwrap().trials, Some(3));
+        assert_eq!(
+            parse("lane_sweep --trials 3").unwrap().overrides.trials,
+            Some(3)
+        );
         assert_eq!(
             parse("fault_sweep").unwrap(),
-            SweepArgs {
-                name: "fault_sweep",
-                ..SweepArgs::default()
+            Args {
+                ids: vec!["fault_sweep"],
+                ..Args::default()
             }
         );
+        let only = figures("--trials 2 --only fig12").unwrap();
+        assert_eq!(only.ids, ["fig12"]);
+        assert_eq!(only.overrides.trials, Some(2));
+        assert_eq!(figures("").unwrap().ids.len(), 19);
     }
 
     #[test]
@@ -194,10 +222,12 @@ mod tests {
         for (line, needle) in [
             ("", "usage"),
             ("nonsense_sweep", "unknown sweep"),
+            ("fig09", "unknown sweep"),
             ("traffic_sweep --bogus", "does not take"),
             ("lane_sweep --sessions 3", "does not take"),
             ("traffic_sweep --workers 2", "does not take"),
             ("fault_sweep --smoke", "does not take"),
+            ("fault_sweep --only fig09", "does not take"),
             ("collectives_sweep --trials 2", "does not take"),
             ("traffic_sweep --sessions abc", "positive integer"),
             ("chaos_sweep --workers 2", "does not take"),
@@ -215,17 +245,19 @@ mod tests {
 
     #[test]
     fn trials_must_be_a_positive_integer() {
-        assert_eq!(trials_arg(&words(""), 100), Ok(100));
-        assert_eq!(trials_arg(&words("--trials 7"), 100), Ok(7));
+        assert_eq!(figures("").unwrap().overrides.trials, None);
+        assert_eq!(figures("--trials 7").unwrap().overrides.trials, Some(7));
         for (line, needle) in [
             ("--trials 0", "positive integer"),
             ("--trials abc", "positive integer"),
             ("--trials -3", "positive integer"),
-            ("--trials", "expected only"),
-            ("--trails 5", "expected only"),
-            ("--trials 5 --smoke", "expected only"),
+            ("--trials", "needs a value"),
+            ("--trails 5", "does not take"),
+            ("--trials 5 --smoke", "does not take"),
+            ("--only", "needs a value"),
+            ("--only torus_sweep", "unknown figure"),
         ] {
-            let err = trials_arg(&words(line), 100).expect_err(line);
+            let err = figures(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
             assert!(!err.contains('\n'), "{line}: {err}");
         }
@@ -233,9 +265,13 @@ mod tests {
 
     #[test]
     fn every_schema_sweep_takes_smoke_seed_and_check() {
-        for (name, flags) in &SWEEPS[..5] {
-            for flag in ["--smoke", "--seed", "--check"] {
-                assert!(flags.contains(&flag), "{name} {flag}");
+        let schema = ENTRIES
+            .iter()
+            .filter(|e| e.sweep_flags.contains(&"--smoke"));
+        assert_eq!(schema.clone().count(), 5);
+        for e in schema {
+            for flag in ["--seed", "--check"] {
+                assert!(e.sweep_flags.contains(&flag), "{} {flag}", e.id);
             }
         }
     }

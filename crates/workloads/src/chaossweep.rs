@@ -401,7 +401,7 @@ mod tests {
     /// The shared scratch leaks no state: rerunning every point in a
     /// fresh `EngineScratch` reproduces the sweep's JSON and table.
     #[test]
-    fn worker_count_does_not_change_the_bytes() {
+    fn fresh_scratch_per_point_reproduces_the_bytes() {
         let cfg = tiny();
         let sweep = chaos_sweep(&cfg);
         let mut fresh = sweep.clone();

@@ -33,15 +33,17 @@
 //!   (the build environment is offline, so no `serde_json`);
 //! * [`artifact`] — the one schema mechanism behind every sweep
 //!   artifact: declared fields, strict emit, path-named parse errors;
+//! * [`registry`] — every committed `results/` artifact, declared once
+//!   with the command that writes it and its in-memory renderer;
 //! * [`serve`] — the long-running service mode behind `mcast serve`:
 //!   newline-delimited JSON requests run through `traffic::run` and
 //!   `traffic::run_chaos`, plus the spec constructors and report
 //!   formatters shared with the one-shot CLI;
 //! * [`stats`] — summary statistics.
 //!
-//! Regeneration binaries live in the `bench` crate
-//! (`cargo run -p bench --release --bin all_figures`, and
-//! `cargo run -p bench --release --bin sweep -- <name>` for the sweeps).
+//! The regeneration binaries `all_figures [--only <id>]` and
+//! `sweep <id>` live in the `bench` crate and write what [`registry`]
+//! renders.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,6 +61,7 @@ mod grid;
 pub mod heatmap;
 pub mod json;
 pub mod lanesweep;
+pub mod registry;
 pub mod request;
 pub mod serve;
 pub mod stats;

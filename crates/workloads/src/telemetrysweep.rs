@@ -498,7 +498,7 @@ mod tests {
     /// The shared scratch leaks no state: rerunning every series in a
     /// fresh `EngineScratch` reproduces the sweep's JSON and table.
     #[test]
-    fn worker_count_does_not_change_the_bytes() {
+    fn fresh_scratch_per_series_reproduces_the_bytes() {
         let cfg = tiny();
         let sweep = telemetry_sweep(&cfg);
         let fresh = TelemetrySweep {

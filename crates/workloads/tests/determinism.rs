@@ -8,15 +8,20 @@
 //!    pre-refactor engine (same seeds, same trial count);
 //! 2. byte-identical [`RunResult`]s across repeated engine runs, on both
 //!    the hypercube and the torus backend.
+//!
+//! The ignored `every_registry_artifact_regenerates_byte_identically`
+//! renders every entry of `workloads::registry` in memory at its
+//! committed configuration and compares both files with `results/`.
 
 use hcube::{Cube, Ecube, NodeId, Resolution, Router, Torus, TorusRouter};
 use hypercast::PortModel;
 use workloads::artifact::Artifact;
-use workloads::chaossweep::{chaos_sweep, ChaosSweep, ChaosSweepConfig};
-use workloads::collectivessweep::{collectives_sweep, CollectivesConfig, CollectivesSweep};
-use workloads::lanesweep::{lane_sweep, LaneSweep, LaneSweepConfig};
-use workloads::telemetrysweep::{telemetry_sweep, TelemetrySweep, TelemetrySweepConfig};
-use workloads::trafficsweep::{traffic_sweep, SweepConfig, TrafficSweep};
+use workloads::chaossweep::{ChaosSweep, ChaosSweepConfig};
+use workloads::collectivessweep::{CollectivesConfig, CollectivesSweep};
+use workloads::lanesweep::{LaneSweep, LaneSweepConfig};
+use workloads::registry::{self, Overrides, ENTRIES};
+use workloads::telemetrysweep::{TelemetrySweep, TelemetrySweepConfig};
+use workloads::trafficsweep::{SweepConfig, TrafficSweep};
 use wormsim::{DepMessage, Run, RunResult, SimParams, SimTime};
 
 /// A fault-free, unobserved run of a well-formed workload.
@@ -351,22 +356,6 @@ fn committed_traffic_sweep_artifact_is_valid_and_complete() {
     );
 }
 
-/// Full-artifact byte-reproducibility: regenerating the sweep with the
-/// committed configuration reproduces `results/traffic_sweep.json`
-/// exactly. Expensive (minutes in debug builds), so ignored by default;
-/// CI runs it in release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_traffic_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = traffic_sweep(&SweepConfig::full());
-    assert_eq!(
-        regenerated.to_json().unwrap(),
-        TRAFFIC_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/traffic_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin sweep -- traffic_sweep` and commit"
-    );
-}
-
 /// The committed collectives-sweep artifact, validated with the
 /// first-party parser — the same check `sweep collectives_sweep --check`
 /// runs in CI.
@@ -417,112 +406,6 @@ fn committed_collectives_sweep_artifact_is_valid_and_complete() {
         COLLECTIVES_SWEEP_GOLDEN.trim_end_matches('\n'),
         "to_json is not canonical for the committed artifact"
     );
-}
-
-/// Full-artifact byte-reproducibility: regenerating the collectives
-/// sweep with the committed configuration reproduces
-/// `results/collectives_sweep.json` exactly. Expensive, so ignored by
-/// default; CI runs it in release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_collectives_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = collectives_sweep(&CollectivesConfig::full());
-    assert_eq!(
-        regenerated
-            .to_json()
-            .expect("regenerated sweep emits strictly"),
-        COLLECTIVES_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/collectives_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin sweep -- collectives_sweep` and commit"
-    );
-}
-
-/// Full-artifact byte-reproducibility of every figure `all_figures`
-/// writes apart from the fault sweep (pinned below): Figures 9–14 and
-/// the twelve ablations at the paper's trial counts regenerate
-/// `results/<id>.json` and `results/<id>.txt` exactly, the `.txt` being
-/// the table, a blank line and the 72×18 plot, as `bench::emit` writes
-/// it. Expensive in debug builds, so ignored by default; CI runs it in
-/// release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full figure and ablation regeneration; run in release builds"]
-fn collective_ablation_artifacts_regenerate_byte_identically() {
-    use workloads::ablations::*;
-    use workloads::figures::{self, PAPER_TRIALS_NCUBE as NCUBE, PAPER_TRIALS_STEPS as STEPS};
-    let (f11, f12) = figures::fig11_12(NCUBE);
-    let (f13, f14) = figures::fig13_14(STEPS);
-    let all = [
-        figures::fig09(STEPS),
-        figures::fig10(STEPS),
-        f11,
-        f12,
-        f13,
-        f14,
-        ablation_ports(NCUBE),
-        ablation_message_size(NCUBE),
-        ablation_sensitivity(NCUBE),
-        ablation_optimality(NCUBE),
-        ablation_contention(NCUBE),
-        ablation_background_load(NCUBE),
-        ablation_pipelining(),
-        ablation_scatter(NCUBE),
-        ablation_scaling(NCUBE),
-        ablation_concurrency(NCUBE),
-        ablation_model_fidelity(NCUBE),
-        ablation_kport(NCUBE),
-    ];
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for figure in &all {
-        let text = format!("{}\n{}", figure.to_table(), figure.to_ascii_plot(72, 18));
-        for (ext, regenerated) in [("json", figure.to_json()), ("txt", text)] {
-            let path = results.join(format!("{}.{ext}", figure.id));
-            let committed = std::fs::read_to_string(&path).expect("committed artifact");
-            assert!(
-                regenerated == committed,
-                "results/{}.{ext} diverged from regeneration — rerun \
-                 `cargo run -p bench --release --bin all_figures` and commit",
-                figure.id
-            );
-        }
-    }
-}
-
-/// The figure artifacts `sweep` writes regenerate byte for byte, JSON
-/// and text, at 20 trials (the `all_figures` and `sweep` trial count):
-/// `results/fault_sweep`, the one committed artifact that calls
-/// `hypercast::repair` directly, `results/torus_sweep` and
-/// `results/contention_heatmap`. Ignored by default like the ablations
-/// above; CI runs it in release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full fault-sweep regeneration; run in release builds"]
-fn fault_sweep_artifact_regenerates_byte_identically() {
-    use workloads::{faultsweep, heatmap, torussweep};
-    for (figure, json, text) in [
-        (
-            faultsweep::fault_sweep(20),
-            include_str!("../../../results/fault_sweep.json"),
-            include_str!("../../../results/fault_sweep.txt"),
-        ),
-        (
-            torussweep::torus_sweep(20),
-            include_str!("../../../results/torus_sweep.json"),
-            include_str!("../../../results/torus_sweep.txt"),
-        ),
-        (
-            heatmap::contention_heatmap(20),
-            include_str!("../../../results/contention_heatmap.json"),
-            include_str!("../../../results/contention_heatmap.txt"),
-        ),
-    ] {
-        let id = &figure.id;
-        assert_eq!(
-            figure.to_json(),
-            json,
-            "results/{id}.json diverged from regeneration — rerun \
-             `cargo run -p bench --release --bin sweep -- {id}` and commit"
-        );
-        assert_eq!(figure.to_text(), text, "results/{id}.txt diverged");
-    }
 }
 
 /// The committed chaos-sweep artifact, validated with the first-party
@@ -640,22 +523,6 @@ fn committed_chaos_sweep_artifact_is_valid_and_complete() {
     );
 }
 
-/// Full-artifact byte-reproducibility: regenerating the chaos sweep
-/// with the committed configuration reproduces
-/// `results/chaos_sweep.json` exactly. Expensive, so ignored by
-/// default; CI runs it in release via `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_chaos_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = chaos_sweep(&ChaosSweepConfig::full());
-    assert_eq!(
-        regenerated.to_json().unwrap(),
-        CHAOS_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/chaos_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin sweep -- chaos_sweep` and commit"
-    );
-}
-
 /// The committed lane-sweep artifact, validated with the first-party
 /// parser — the same check `sweep lane_sweep --check` runs in CI.
 const LANE_SWEEP_GOLDEN: &str = include_str!("../../../results/lane_sweep.json");
@@ -730,22 +597,6 @@ fn committed_lane_sweep_artifact_is_valid_and_complete() {
     );
 }
 
-/// Full-artifact byte-reproducibility: regenerating the lane sweep with
-/// the committed configuration reproduces `results/lane_sweep.json`
-/// exactly. Expensive, so ignored by default; CI runs it in release via
-/// `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_lane_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = lane_sweep(&LaneSweepConfig::full());
-    assert_eq!(
-        regenerated.to_json().unwrap(),
-        LANE_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/lane_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin sweep -- lane_sweep` and commit"
-    );
-}
-
 /// The committed telemetry-sweep artifact, validated with the
 /// first-party parser — the same check `sweep telemetry_sweep --check`
 /// runs in CI.
@@ -795,18 +646,31 @@ fn committed_telemetry_sweep_artifact_is_valid_and_complete() {
     );
 }
 
-/// Full-artifact byte-reproducibility: regenerating the telemetry sweep
-/// with the committed configuration reproduces
-/// `results/telemetry_sweep.json` exactly. Expensive, so ignored by
-/// default; CI runs it in release via `cargo test --release -- --ignored`.
+/// Full-artifact byte-reproducibility: every committed artifact in
+/// `workloads::registry` (Figures 9–14, the ablations, the figure
+/// sweeps and the five schema sweeps), rendered in memory at its
+/// committed configuration, equals `results/<id>.txt` and
+/// `results/<id>.json` byte for byte. Expensive in debug builds, so
+/// ignored by default; CI runs it in release via
+/// `cargo test --release -- --ignored`.
 #[test]
-#[ignore = "full sweep regeneration; run in release builds"]
-fn committed_telemetry_sweep_artifact_regenerates_byte_identically() {
-    let regenerated = telemetry_sweep(&TelemetrySweepConfig::full());
-    assert_eq!(
-        regenerated.to_json().unwrap(),
-        TELEMETRY_SWEEP_GOLDEN.trim_end_matches('\n'),
-        "results/telemetry_sweep.json diverged from regeneration — rerun \
-         `cargo run -p bench --release --bin sweep -- telemetry_sweep` and commit"
-    );
+#[ignore = "regenerates every committed artifact; run in release builds"]
+fn every_registry_artifact_regenerates_byte_identically() {
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let ids: Vec<&str> = ENTRIES.iter().map(|e| e.id).collect();
+    let rendered = registry::render(&ids, &Overrides::default()).expect("committed configs emit");
+    let rendered_ids: Vec<&str> = rendered.iter().map(|r| r.id.as_str()).collect();
+    assert_eq!(rendered_ids, ids, "one rendering per entry, in order");
+    for r in &rendered {
+        for (ext, bytes) in [("txt", &r.txt), ("json", &r.json)] {
+            let path = results.join(format!("{}.{ext}", r.id));
+            let committed = std::fs::read_to_string(&path).expect("committed artifact");
+            assert!(
+                *bytes == committed,
+                "results/{}.{ext} diverged from regeneration — rerun its \
+                 `all_figures --only` or `sweep` command and commit",
+                r.id
+            );
+        }
+    }
 }
